@@ -14,6 +14,11 @@ bounded explicitly.  The m=0 bound carries the absolute constant 24
 bound is known, so a caller-supplied constant is required and results
 are flagged as not certified.
 
+No family is described here: estimator_for reads a family's psi_value
+and its (c1, c2) row from the families module, takes beta = q^-s and
+alpha^-2 = q^s from the base q and degree step s, and sets atilde_n =
+psi_n - c1 beta^(-n), the same for every family.
+
 Exactness policy: hypothesis checks (r <= 1/sqrt(2), the coefficient
 envelope) compare squared rationals, so irrational alpha never meets
 floating point.  Main terms are exact rational partial sums converted
@@ -39,16 +44,13 @@ from .errors import (
     HypothesisViolation,
     IntegerC1,
 )
-from .families import FamilySpec, e_n, f_n, psi_divisors
-from .primecounts import LPolynomial, phi_m, psi_arith
-from .ffield import MonicPoly
+from .families import FamilySpec
+from .primecounts import LPolynomial
 
 ERROR_CONSTANT_M0 = 24
 NICER_CONSTANT = 48
 SUMLEM_CONSTANT = 24
 INTLEM_CONSTANT = 12
-DIVLEM_CONSTANT_UNBOUNDED = 16
-DIVLEM_CONSTANT_BOUNDED = 42
 
 _PAD = 1 + 1e-9  # multiplicative safety margin on floating-point bounds
 
@@ -382,96 +384,27 @@ def estimate_coefficient(spec: EstimatorSpec, n: int,
 def estimator_for(spec: FamilySpec, m: int = 0,
                   error_constant: Fraction | None = None,
                   cap: int | None = None) -> EstimatorSpec:
-    """The certified decomposition parameters of one family's series."""
+    """The certified decomposition of one family's series.
+
+    atilde_n = psi_n - c1 beta^-n from the family's psi_value and its
+    (c1, c2) row; no family is special-cased here.
+    """
     spec.validate()
-    family = families.canonical_family(spec.family)
-    if family == families.FAMILY_LANDAU:
-        q = spec.field().q
-        return EstimatorSpec(
-            coeff_source=lambda n: e_n(q, n),
-            c1=Fraction(1, 2),
-            c2=Fraction(1),
-            beta=Fraction(1, q),
-            alpha_inv_sq=Fraction(q),
-            m=m,
-            error_constant=error_constant,
-            label=f"landau q={q}",
-        )
-    if family in (families.FAMILY_S1, families.FAMILY_S2, families.FAMILY_S3):
-        q = spec.field().q
-        beta = Fraction(1, q * q)
-        alpha_inv_sq = Fraction(q * q)
-        if family == families.FAMILY_S1:
-            source, c2, tag = (lambda n: f_n(q, n)), Fraction(1, 2), "s1"
-        elif family == families.FAMILY_S2:
-            source, c2, tag = (lambda n: -f_n(q, n)), Fraction(1, 2), "s2"
-        else:
-            def source(n, q=q):
-                base = Fraction(q ** (n >> families._v2(n)), 2)
-                if n % 2 == 0:
-                    return base - q**n
-                return base - Fraction(q**n, 2)
-            c2, tag = Fraction(1), "s3"
-        return EstimatorSpec(
-            coeff_source=source,
-            c1=Fraction(1, 2),
-            c2=c2,
-            beta=beta,
-            alpha_inv_sq=alpha_inv_sq,
-            m=m,
-            error_constant=error_constant,
-            label=f"{tag} q={q}",
-        )
-    if family == families.FAMILY_ARITH:
-        field_ = spec.field()
-        m_poly = MonicPoly(spec.m)
-        phi = phi_m(field_, m_poly)
-        if phi < 2:
-            raise HypothesisViolation(
-                "phi(m) = 1 makes c1 = 1, outside the open interval (0, 1)"
-            )
-        q = field_.q
+    c1, c2 = families.decomposition(spec)
+    q_s = spec.base_q**spec.degree_step  # beta = q^-s, alpha^-2 = q^s
 
-        def source(n, field_=field_, a=spec.a, m_poly=m_poly, phi=phi):
-            return Fraction(psi_arith(field_, n, a, m_poly)) - Fraction(q**n, phi)
+    def atilde(n: int) -> Fraction:
+        return families.psi_value(spec, n, cap=cap) - c1 * q_s**n
 
-        return EstimatorSpec(
-            coeff_source=source,
-            c1=Fraction(1, phi),
-            c2=Fraction(m_poly.degree + 3),
-            beta=Fraction(1, q),
-            alpha_inv_sq=Fraction(q),
-            m=m,
-            error_constant=error_constant,
-            label=f"arith q={q} m={m_poly}",
-        )
-    # divisor families
-    L = spec.l_poly
-    r = spec.r
-    q = L.q
-    g_t = max(L.genus, 1)
-    if family == families.FAMILY_DIVISORS:
-        c2 = Fraction(DIVLEM_CONSTANT_UNBOUNDED * g_t, r)
-
-        def source(n, L=L, r=r):
-            return Fraction(psi_divisors(L, r, n)) - Fraction(q ** (r * n), r)
-        tag = f"divisors r={r}"
-    else:
-        c2 = Fraction(DIVLEM_CONSTANT_BOUNDED * g_t, r)
-        fam_spec = spec
-
-        def source(n, fam_spec=fam_spec, r=r):
-            return families.psi_value(fam_spec, n) - Fraction(q ** (r * n), r)
-        tag = f"divisors r={r} ell={spec.ell}"
     return EstimatorSpec(
-        coeff_source=source,
-        c1=Fraction(1, r),
+        coeff_source=atilde,
+        c1=c1,
         c2=c2,
-        beta=Fraction(1, q**r),
-        alpha_inv_sq=Fraction(q**r),
+        beta=Fraction(1, q_s),
+        alpha_inv_sq=Fraction(q_s),
         m=m,
         error_constant=error_constant,
-        label=f"{tag} q={q}",
+        label=spec.label,
     )
 
 
@@ -496,37 +429,33 @@ class ResidualReport:
 
 
 def psi_residual_check(L: LPolynomial, r: int, ell: int | None, n: int) -> ResidualReport:
-    """|psi - q^{rn}/r| against (bound * gtilde / r) q^{rn/2}, exactly.
+    """|atilde_n| = |psi - q^{rn}/r| against c2 q^{rn/2}, exactly.
 
-    The unbounded family certifies constant 16, the bounded one 42.
-    The comparison squares both sides so the q^{rn/2} scale stays
-    rational; the reported ratio is a float for display only.
+    c2 = bound * gtilde / r, with the certified constant bound = 16 for
+    the unbounded family and 42 for the bounded one.  The comparison
+    squares both sides so the q^{rn/2} scale stays rational; the
+    reported ratio (on the scale of bound) is a float for display only.
     """
     fam = (families.FAMILY_DIVISORS if ell is None else families.FAMILY_DIVISORS_ELL)
-    spec = FamilySpec(fam, l_poly=L, r=r, ell=ell)
-    q = L.q
-    g_t = max(L.genus, 1)
-    bound = DIVLEM_CONSTANT_UNBOUNDED if ell is None else DIVLEM_CONSTANT_BOUNDED
-    psi = families.psi_value(spec, n)
-    residual = abs(psi - Fraction(q ** (r * n), r))
-    # ratio^2 = residual^2 r^2 / (gtilde^2 q^{rn})
-    ratio_sq = residual**2 * r**2 / (Fraction(g_t**2) * q ** (r * n))
-    ok = ratio_sq <= bound**2
+    est = estimator_for(FamilySpec(fam, l_poly=L, r=r, ell=ell))
+    residual = est.coeff_source(n)
+    bound = est.c2 * r / max(L.genus, 1)
+    # ratio^2 = (atilde_n / c2)^2 alpha^{2n} bound^2
+    ratio_sq = residual**2 / (est.c2**2 * est.alpha_inv_sq**n) * bound**2
     return ResidualReport(
         n=n,
-        psi=psi,
+        psi=residual + est.c1 * est.beta**-n,
         ratio=math.sqrt(float(ratio_sq)),
-        bound=bound,
-        ok=ok,
+        bound=int(bound),
+        ok=ratio_sq <= bound**2,
     )
 
 
 def range_threshold(L: LPolynomial, r: int) -> int:
-    """Explicit validity threshold for the divisor-family estimates."""
-    g_t = max(L.genus, 1)
-    c2 = Fraction(DIVLEM_CONSTANT_BOUNDED * g_t, r)
-    r_est = float(L.q) ** (-r / 2)
-    return simplified_bound_threshold(Fraction(1, r), c2, r_est)
+    """Explicit validity threshold for the divisor-family estimates,
+    from the bounded family's row (the larger envelope constant)."""
+    est = estimator_for(FamilySpec(families.FAMILY_DIVISORS_ELL, l_poly=L, r=r, ell=1))
+    return simplified_bound_threshold(est.c1, est.c2, est.r_float)
 
 
 def divisor_range_check(L: LPolynomial, r: int, ell: int | None, n: int) -> bool:

@@ -7,8 +7,9 @@ produces a certified main-term estimate for one coefficient, and
 ``--output``) as JSON (default) or CSV; counts are serialized as decimal
 strings because they outgrow 64-bit integers quickly.
 
-Exit codes: 0 success, 1 internal mismatch (an oracle disagreement or a
-failed verification check), 2 parameter errors, 3 resource cap exceeded.
+Exit codes: 0 success, 1 internal mismatch (an oracle disagreement, a
+failed verification check, or an exact ratio outside its certified
+enclosure), 2 parameter errors, 3 resource cap exceeded.
 
 Polynomials on the command line use the grammar ``T^2+2T+1``: terms
 joined by ``+`` or ``-``, each a coefficient code in 0..q-1 times an
@@ -397,15 +398,20 @@ def cmd_estimate(args) -> tuple[str, int]:
     if result.simplified_error_bound is not None:
         payload["simplified_error_bound"] = "%.6e" % result.simplified_error_bound
 
+    code = 0
     if args.n <= _EXACT_COMPARISON_LIMIT:
         exact = families.count_table(spec, args.n, cap=args.cap).value(args.n)
         ratio = exact_ratio(exact, est, args.n)
+        within = result.contains_ratio(ratio)
+        if not within:
+            print("exact ratio outside the certified enclosure", file=sys.stderr)
+            code = 1
         with mpmath.workdps(args.digits + 10):
             ratio_mpf = mpmath.mpf(ratio.numerator) / mpmath.mpf(ratio.denominator)
             payload["exact"] = {
                 "count": str(exact),
                 "ratio": mpmath.nstr(ratio_mpf, args.digits),
-                "within_bound": result.contains_ratio(ratio),
+                "within_bound": within,
             }
 
     if args.format == "csv":
@@ -419,8 +425,8 @@ def cmd_estimate(args) -> tuple[str, int]:
             payload["within_bound"] = payload["exact"]["within_bound"]
         writer.writerow(keys)
         writer.writerow([payload[k] for k in keys])
-        return buf.getvalue(), 0
-    return _dump_json(payload), 0
+        return buf.getvalue(), code
+    return _dump_json(payload), code
 
 
 def cmd_verify(args) -> tuple[str, int]:

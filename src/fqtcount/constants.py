@@ -12,6 +12,9 @@ Conventions: K_q is the limiting ratio for the quadratic-form family
 (odd q); C_{q,1..3} belong to the three half-degree families; c_q and
 c'_q are the first-order correction coefficients; C_{a,m} is the
 limiting ratio for primes in a residue class.
+
+The "series" method of every constant sums the family's exponent
+coefficients atilde_n, read from its estimator (asymptotics.estimator_for).
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import EvenCharacteristic, HypothesisViolation
-from .families import e_n, f_n
-from .ffield import FieldSpec, MonicPoly
-from .primecounts import CHI2_MINUS, phi_m, pi_chi2, pi_q, psi_arith
-
-_PAD = 1 + 1e-9
+from . import families
+from .asymptotics import _PAD, EstimatorSpec, _r_upper, _to_mpf, estimator_for
+from .errors import EvenCharacteristic
+from .families import FamilySpec
+from .ffield import FieldSpec, MonicPoly, field_for_order
+from .primecounts import CHI2_MINUS, pi_chi2, pi_q
 
 
 def _floor_tail(x: float, digits: int = 290) -> float:
@@ -89,16 +92,29 @@ class ConstantReport:
             }
 
 
-def _to_mpf(x: Fraction):
-    x = Fraction(x)
-    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-
-
 def _exp_method(tag: str, log_sum: Fraction, log_tail: float,
                 digits: int) -> ConstantMethod:
     value = mpmath.e**_to_mpf(log_sum)
     tail = float(value) * math.expm1(log_tail) * _PAD if log_tail > 0 else 0.0
     return ConstantMethod(tag, value, _floor_tail(tail, digits))
+
+
+def _atilde_sum(est: EstimatorSpec, N: int, x: Fraction | None = None,
+                over_n: bool = True) -> tuple[Fraction, float]:
+    """sum_{n <= N} atilde_n x^n (/ n) and a bound on the omitted tail.
+
+    x defaults to beta.  Every atilde_n passes through est.coefficient,
+    which enforces the envelope |atilde_n| <= c2 alpha^-n that the tail
+    c2 rho^(N+1) / ((N+1) (1 - rho)), rho = x / alpha, rests on.
+    """
+    x = est.beta if x is None else x
+    rho = _r_upper(x * x * est.alpha_inv_sq)
+    S, x_n = Fraction(0), Fraction(1)
+    for n in range(1, N + 1):
+        x_n *= x
+        S += est.coefficient(n) * x_n / (n if over_n else 1)
+    tail = float(est.c2) * rho ** (N + 1) / ((N + 1 if over_n else 1) * (1 - rho))
+    return S, tail * _PAD
 
 
 def _series_terms(q: int, digits: int, half: bool) -> int:
@@ -124,13 +140,10 @@ def constant_Kq(q: int, digits: int = 30) -> ConstantReport:
     if q < 3:
         raise ValueError("need a prime power q >= 3")
     with mpmath.workdps(digits + 15):
-        # series: log K = sum e_n q^-n / n, 0 < e_n <= q^(n/2)
+        # series: log K = sum atilde_n q^-n / n, 0 < atilde_n <= q^(n/2)
         N = _series_terms(q, digits, half=True)
-        S = sum((e_n(q, n) * Fraction(1, q**n) / n for n in range(1, N + 1)),
-                Fraction(0))
-        rq = q ** -0.5
-        tail = rq ** (N + 1) / ((N + 1) * (1 - rq)) * _PAD
-        series = _exp_method("series", S, tail, digits)
+        est = estimator_for(FamilySpec(families.FAMILY_LANDAU, q=q))
+        series = _exp_method("series", *_atilde_sum(est, N), digits)
 
         # nested product: prod_k (1+x_k)^(2^-k-1) (1 - q x_k^2)^(-2^-k-2),
         # x_k = q^(-2^k); omitted factors exceed 1, log bounded by 3x
@@ -167,14 +180,6 @@ def constant_Kq(q: int, digits: int = 30) -> ConstantReport:
     return ConstantReport("K_q", q, (series, nested, euler))
 
 
-def _c1_log_series(q: int, N: int) -> tuple[Fraction, float]:
-    """Exact partial sum and log tail for log C_{q,1} = sum f_n q^-2n / n."""
-    S = sum((f_n(q, n) * Fraction(1, q ** (2 * n)) / n for n in range(1, N + 1)),
-            Fraction(0))
-    tail = float(q) ** -(N + 1) / (2 * (N + 1) * (1 - 1 / q)) * _PAD
-    return S, tail
-
-
 def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
     """The half-degree family constants C_{q,1}, C_{q,2}, C_{q,3}.
 
@@ -189,10 +194,10 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
         raise ValueError("which must be 1, 2, or 3")
     with mpmath.workdps(digits + 15):
         N = _series_terms(q, digits, half=False)
-        S1, t1 = _c1_log_series(q, N)
+        s_family = (families.FAMILY_S1, families.FAMILY_S2, families.FAMILY_S3)
+        est = estimator_for(FamilySpec(s_family[which - 1], q=q))
+        series = _exp_method("series", *_atilde_sum(est, N), digits)
         if which == 1:
-            series = _exp_method("series", S1, t1, digits)
-
             # nested: prod_k ((1+z_k)/(1-z_k))^(2^-k-2), z_k = q^(1-2^(k+1))
             K = _nested_depth(q, digits)
             log_val = mpmath.mpf(0)
@@ -223,7 +228,6 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
             return ConstantReport("C_{q,1}", q, (series, nested, euler))
 
         if which == 2:
-            series = _exp_method("series", -S1, t1, digits)
             c1 = constant_Cq(q, 1, digits)
             base = c1.consensus
             t_best = min(m.tail_bound for m in c1.methods)
@@ -232,44 +236,35 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
             recip = ConstantMethod("reciprocal", value, _floor_tail(rtail, digits))
             return ConstantReport("C_{q,2}", q, (series, recip))
 
-        # which == 3: exponent coefficients -q^n + q^n_odd/2 (n even),
-        # -q^n/2 (n odd), all divided by q^2n
-        S3 = Fraction(0)
-        for n in range(1, N + 1):
-            if n % 2 == 0:
-                a3 = f_n(q, n) - q**n
-            else:
-                a3 = -Fraction(q**n, 2)
-            S3 += a3 * Fraction(1, q ** (2 * n)) / n
-        t3 = 2 * float(q) ** -(N + 1) / ((N + 1) * (1 - 1 / q)) * _PAD
-        series = _exp_method("series", S3, t3, digits)
-
-        # composed: sqrt(1 - q^-2) * a1(q^-4) / C_{q,1} with
-        # a1(x) = exp(sum f_n x^n / n) evaluated off the singularity
-        S_a = sum((f_n(q, n) * Fraction(1, q ** (4 * n)) / n
-                   for n in range(1, N + 1)), Fraction(0))
-        ta = float(q) ** (-3 * (N + 1)) * _PAD
+        # which == 3, composed: sqrt(1 - q^-2) * a1(q^-4) / C_{q,1} with a1
+        # the analytic factor of the s1 family, evaluated off the singularity
+        s1 = estimator_for(FamilySpec(families.FAMILY_S1, q=q))
+        S1, t1 = _atilde_sum(s1, N)
+        S_a, ta = _atilde_sum(s1, N, x=s1.beta**2)
         value = mpmath.sqrt(1 - mpmath.mpf(q) ** -2) * mpmath.e ** _to_mpf(S_a - S1)
         ctail = float(value) * math.expm1(ta + t1) * _PAD
         composed = ConstantMethod("composed", value, _floor_tail(ctail, digits))
         return ConstantReport("C_{q,3}", q, (series, composed))
 
 
+def _half_series(est: EstimatorSpec, N: int, digits: int) -> ConstantMethod:
+    """The correction coefficient (1/2) sum_{n <= N} atilde_n beta^n."""
+    S, tail = _atilde_sum(est, N, over_n=False)
+    return ConstantMethod("series", _to_mpf(S / 2), _floor_tail(tail / 2, digits))
+
+
 def constant_cq(q: int, digits: int = 30) -> ConstantReport:
     """First-order correction for the quadratic-form family.
 
-    Series form (1/2) sum e_i q^-i against the exact reorganized form
+    Series form (1/2) sum atilde_i q^-i against the exact reorganized form
     (1/4)[1/(q-1) + sum_j (1/(q^(2^j - 1) - 1) - 1/(q^(2^j) - 1))].
     """
     if q % 2 == 0:
         raise EvenCharacteristic("this constant needs odd q")
     with mpmath.workdps(digits + 15):
         N = _series_terms(q, digits, half=True)
-        S = sum((e_n(q, i) * Fraction(1, q**i) for i in range(1, N + 1)),
-                Fraction(0)) / 2
-        rq = q ** -0.5
-        tail = rq ** (N + 1) / (2 * (1 - rq)) * _PAD
-        series = ConstantMethod("series", _to_mpf(S), _floor_tail(tail, digits))
+        est = estimator_for(FamilySpec(families.FAMILY_LANDAU, q=q))
+        series = _half_series(est, N, digits)
 
         J = _nested_depth(q, digits)
         C = Fraction(1, q - 1)
@@ -284,17 +279,16 @@ def constant_cq(q: int, digits: int = 30) -> ConstantReport:
 def constant_cq_prime(q: int, digits: int = 30) -> ConstantReport:
     """First-order correction for the first half-degree family.
 
-    Series form (1/2) sum f_i q^-2i against the exact reorganized form
-    (1/4) sum_j z_j / (1 - z_j^2) with z_j = q^(1 - 2^(j+1)).
+    Series form (1/2) sum atilde_i q^-2i of the s1 family against the
+    exact reorganized form (1/4) sum_j z_j / (1 - z_j^2) with
+    z_j = q^(1 - 2^(j+1)).
     """
     if q < 2:
         raise ValueError("need a prime power q >= 2")
     with mpmath.workdps(digits + 15):
         N = _series_terms(q, digits, half=False)
-        S = sum((f_n(q, i) * Fraction(1, q ** (2 * i)) for i in range(1, N + 1)),
-                Fraction(0)) / 2
-        tail = float(q) ** -(N + 1) / (2 * (1 - 1 / q)) * _PAD
-        series = ConstantMethod("series", _to_mpf(S), _floor_tail(tail, digits))
+        est = estimator_for(FamilySpec(families.FAMILY_S1, q=q))
+        series = _half_series(est, N, digits)
 
         J = _nested_depth(q, digits)
         C = Fraction(0)
@@ -312,34 +306,21 @@ def constant_Cam(field: FieldSpec, a, m: MonicPoly, digits: int = 30
     """The residue-class family constant C_{a,m} = a(1/q).
 
     Exponent coefficients are the exact prime-sum displacements
-    psi(n; a, m) - q^n/phi(m), enveloped by (deg m + 3) q^(n/2); the
-    two methods are the series at the standard truncation and at twice
-    that truncation.
+    psi(n; a, m) - q^n/phi(m) of the progression family, enveloped by
+    (deg m + 3) q^(n/2); the two methods are the series at the standard
+    truncation and at twice that truncation.
     """
     if not isinstance(m, MonicPoly):
         m = MonicPoly(m)
-    phi = phi_m(field, m)
-    if phi < 2:
-        raise HypothesisViolation("phi(m) = 1 leaves nothing to estimate")
-    q = field.q
-    c2 = m.degree + 3
+    if field != field_for_order(field.q):
+        raise ValueError("the progression family uses the default field modulus")
+    spec = FamilySpec(families.FAMILY_ARITH, q=field.q, m=m.coeffs,
+                      a=families._coeffs_of(field, a))
+    est = estimator_for(spec)
     with mpmath.workdps(digits + 15):
-        N = _series_terms(q, digits, half=True)
-        methods = []
-        S = Fraction(0)
-        rq = q ** -0.5
-        for length, tag in ((N, "series"), (2 * N, "series-doubled")):
-            start = 1 if not methods else N + 1
-            for n in range(start, length + 1):
-                an = Fraction(psi_arith(field, n, a, m)) - Fraction(q**n, phi)
-                if an * an > Fraction(c2 * c2) * q**n:
-                    raise HypothesisViolation(
-                        f"displacement envelope breached at n = {n}"
-                    )
-                S += an * Fraction(1, q**n) / n
-            tail = c2 * rq ** (length + 1) / ((length + 1) * (1 - rq)) * _PAD
-            value = mpmath.e**_to_mpf(S)
-            methods.append(ConstantMethod(
-                tag, value,
-                _floor_tail(float(value) * math.expm1(tail) * _PAD, digits)))
-    return ConstantReport("C_{a,m}", q, tuple(methods))
+        N = _series_terms(field.q, digits, half=True)
+        methods = tuple(
+            _exp_method(tag, *_atilde_sum(est, length), digits)
+            for length, tag in ((N, "series"), (2 * N, "series-doubled"))
+        )
+    return ConstantReport("C_{a,m}", field.q, methods)

@@ -3,10 +3,15 @@
 Each family is a multiplicative semigroup (possibly with a squarefree
 or bounded-multiplicity restriction) that is free on a known set of
 generators; the number of degree-n members is therefore a coefficient
-of an infinite product built from per-degree generator counts.  This
-module turns family descriptions into those products, evaluates them
-exactly, and provides brute-force membership oracles that recount the
-same sets from explicit factorizations.
+of an infinite product built from per-degree generator counts.
+
+This module is the one place a family is described: psi_value gives
+the log-coefficients psi_n of F = exp(sum psi_n x^n / n), and
+decomposition the row (c1, c2) of the split psi_n = c1 beta^-n +
+atilde_n, |atilde_n| <= c2 alpha^-n.  Count tables, the estimators in
+asymptotics and the series forms of the constants all derive from
+these two.  generator_counts and the membership oracles recount the
+same sets independently, as the reference the checks compare against.
 
 Index conventions: the even-degree families s1/s2/s3 are tabulated by
 half-degree and the divisor families by degree/r; the landau and
@@ -22,7 +27,13 @@ from fractions import Fraction
 from sympy import divisors
 
 from . import ffield, series, universe
-from .errors import EvenCharacteristic, NegativeCount, NotCoprime, ResourceLimit
+from .errors import (
+    EvenCharacteristic,
+    HypothesisViolation,
+    NegativeCount,
+    NotCoprime,
+    ResourceLimit,
+)
 from .ffield import FieldSpec, MonicPoly
 from .primecounts import (
     CHI2_MINUS,
@@ -64,6 +75,8 @@ _ALIASES = {
     "divisors": FAMILY_DIVISORS,
     "arith": FAMILY_ARITH,
 }
+
+_SHORT_NAMES = {family: name for name, family in _ALIASES.items()}
 
 _POLY_FAMILIES = (FAMILY_LANDAU, FAMILY_S1, FAMILY_S2, FAMILY_S3, FAMILY_ARITH)
 
@@ -162,6 +175,23 @@ class FamilySpec:
             return self.r
         return 1
 
+    @property
+    def base_q(self) -> int:
+        """Order of the constant field: q, or L.q for the divisor families."""
+        if canonical_family(self.family) in _POLY_FAMILIES:
+            return self.q
+        return self.l_poly.q
+
+    @property
+    def label(self) -> str:
+        family = canonical_family(self.family)
+        if family == FAMILY_ARITH:
+            return f"arith q={self.q} m={MonicPoly(self.m)}"
+        if family in _POLY_FAMILIES:
+            return f"{_SHORT_NAMES[family]} q={self.q}"
+        ell = f" ell={self.ell}" if family == FAMILY_DIVISORS_ELL else ""
+        return f"divisors r={self.r}{ell} q={self.l_poly.q}"
+
     def generator_counts(self, N: int, cap: int | None = None) -> dict[int, int]:
         """Free-generator count at each table index 1..N."""
         family = canonical_family(self.family)
@@ -256,14 +286,15 @@ def _values_from_series(F: series.TruncatedSeries, N: int) -> dict[int, int]:
 
 
 def count_table(spec: FamilySpec, N: int, cap: int | None = None) -> CountTable:
-    """Exact counts at indices 0..N via the family's product form."""
+    """Exact counts at indices 0..N: coefficients of exp(sum psi_n x^n / n)."""
     spec.validate()
-    family = canonical_family(spec.family)
-    g = spec.generator_counts(N, cap=cap)
-    if family == FAMILY_S3:
-        F = series.squarefree_product_form(g, N)
-    else:
-        F = series.product_form(g, N)
+    psi = {}
+    for n in range(1, N + 1):
+        value = psi_value(spec, n, cap=cap)
+        if value.denominator != 1:
+            raise NegativeCount(f"non-integral log-coefficient at index {n}")
+        psi[n] = value.numerator
+    F = series._exp_psi_over_n(psi, N)
     return CountTable(spec, _values_from_series(F, N), "generating-function", N)
 
 
@@ -308,41 +339,34 @@ def _coeffs_of(field: FieldSpec, a) -> tuple[int, ...]:
     if isinstance(a, tuple):
         return a
     if isinstance(a, int):
-        coeffs = []
-        while a:
-            a, c = divmod(a, field.q)
-            coeffs.append(c)
-        return tuple(coeffs) if coeffs else (0,)
+        return ffield.coeffs_of_code(field, a)
     raise TypeError("residue must be a MonicPoly, coefficient tuple or code")
 
 
 # -- closed-form log-coefficients ------------------------------------
 
 
-def psi_value(spec: FamilySpec, n: int) -> Fraction:
+def psi_value(spec: FamilySpec, n: int, cap: int | None = None) -> Fraction:
     """Coefficient of x^n/n in log F for the family: the weighted
     divisor sum over generators, with alternating signs for the
     squarefree variants."""
     family = canonical_family(spec.family)
     if n < 1:
         raise ValueError("psi is defined for n >= 1")
+    q = spec.q
     if family == FAMILY_LANDAU:
-        q = spec.field().q
         return Fraction(q**n, 2) + e_n(q, n)
     if family == FAMILY_S1:
-        q = spec.field().q
         return Fraction(q ** (2 * n), 2) + f_n(q, n)
     if family == FAMILY_S2:
-        q = spec.field().q
-        return Fraction(q ** (2 * n) - q ** (n >> _v2(n)), 2)
+        return Fraction(q ** (2 * n), 2) - f_n(q, n)
     if family == FAMILY_S3:
-        q = spec.field().q
         if n % 2 == 0:
-            return Fraction(q ** (2 * n), 2) - q**n + Fraction(q ** (n >> _v2(n)), 2)
+            return Fraction(q ** (2 * n), 2) - q**n + f_n(q, n)
         return Fraction(q ** (2 * n) - q**n, 2)
     if family == FAMILY_ARITH:
         field = spec.field()
-        return Fraction(psi_arith(field, n, spec.a, MonicPoly(spec.m)))
+        return Fraction(psi_arith(field, n, spec.a, MonicPoly(spec.m), cap=cap))
     if family == FAMILY_DIVISORS:
         return Fraction(psi_divisors(spec.l_poly, spec.r, n))
     total = psi_divisors(spec.l_poly, spec.r, n)
@@ -355,6 +379,41 @@ def psi_value(spec: FamilySpec, n: int) -> Fraction:
 def psi_divisors(L: LPolynomial, r: int, n: int) -> int:
     """sum_{d | n} d * pi_K(rd): the unbounded divisor-family log-coefficient."""
     return sum(d * pi_K(L, r * d) for d in divisors(n))
+
+
+# -- the decomposition row -------------------------------------------
+
+# certified envelope constants of the divisor families, per genus and r
+DIVLEM_CONSTANT_UNBOUNDED = 16
+DIVLEM_CONSTANT_BOUNDED = 42
+
+_HALF = Fraction(1, 2)
+_ROWS = {
+    FAMILY_LANDAU: (_HALF, Fraction(1)),
+    FAMILY_S1: (_HALF, _HALF),
+    FAMILY_S2: (_HALF, _HALF),
+    FAMILY_S3: (_HALF, Fraction(1)),
+}
+
+
+def decomposition(spec: FamilySpec) -> tuple[Fraction, Fraction]:
+    """The family's row (c1, c2): psi_n = c1 beta^-n + atilde_n with
+    |atilde_n| <= c2 alpha^-n, where beta = q^-s and alpha^-2 = q^s for
+    the base q and the degree step s."""
+    family = canonical_family(spec.family)
+    if family == FAMILY_ARITH:
+        m = MonicPoly(spec.m)
+        phi = phi_m(spec.field(), m)
+        if phi < 2:
+            raise HypothesisViolation(
+                "phi(m) = 1 makes c1 = 1, outside the open interval (0, 1)"
+            )
+        return Fraction(1, phi), Fraction(m.degree + 3)
+    if family in _POLY_FAMILIES:
+        return _ROWS[family]
+    constant = (DIVLEM_CONSTANT_UNBOUNDED if family == FAMILY_DIVISORS
+                else DIVLEM_CONSTANT_BOUNDED)
+    return Fraction(1, spec.r), Fraction(constant * max(spec.l_poly.genus, 1), spec.r)
 
 
 # -- the polynomial-in-q representation ------------------------------
@@ -469,13 +528,7 @@ def _rep_members(field: FieldSpec, max_degree: int) -> frozenset:
     if a_codes * b_codes > 4 * 10**6:
         raise ResourceLimit("representation search space too large")
     t = ffield.tables(field)
-
-    def decode(code):
-        out = []
-        while code:
-            code, c = divmod(code, q)
-            out.append(c)
-        return tuple(out) if out else (0,)
+    decode = ffield.coeffs_of_code
 
     def mul(x, y):
         if x == (0,) or y == (0,):
@@ -494,9 +547,9 @@ def _rep_members(field: FieldSpec, max_degree: int) -> frozenset:
         return tuple(out)
 
     members = set()
-    squares_a = [mul(decode(c), decode(c)) for c in range(a_codes)]
+    squares_a = [mul(decode(field, c), decode(field, c)) for c in range(a_codes)]
     for cb in range(b_codes):
-        B = decode(cb)
+        B = decode(field, cb)
         tb2 = mul((0, 1), mul(B, B))
         for A2 in squares_a:
             f = add(A2, tb2)

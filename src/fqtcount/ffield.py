@@ -327,7 +327,7 @@ def poly_gcd(field: FieldSpec, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[
     t = tables(field)
     a, b = tuple(f), tuple(g)
     while any(b):
-        a, b = b, _make_monic_rem(field, poly_mod_general(field, a, b))
+        a, b = b, poly_mod_general(field, a, b)
     if not any(a):
         return a
     lead_inv = int(t.inv[a[-1]])
@@ -348,10 +348,6 @@ def _strip(f: tuple[int, ...]) -> tuple[int, ...]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _make_monic_rem(field: FieldSpec, f: tuple[int, ...]) -> tuple[int, ...]:
-    return _strip(f)
 
 
 def enumerate_monic(field: FieldSpec, n: int, cap: int | None = None) -> list[MonicPoly]:
@@ -499,6 +495,15 @@ def _parse_coeff(field: FieldSpec, text: str, original: str) -> int:
             f"coefficient {c} out of range 0..{field.q - 1} in {original!r}"
         )
     return c
+
+
+def coeffs_of_code(field: FieldSpec, code: int) -> tuple[int, ...]:
+    """Coefficients of the polynomial with code sum c_i q^i; (0,) for code 0."""
+    coeffs = []
+    while code:
+        code, c = divmod(code, field.q)
+        coeffs.append(c)
+    return tuple(coeffs) if coeffs else (0,)
 
 
 def poly_to_string(f: MonicPoly | tuple[int, ...]) -> str:

@@ -125,8 +125,18 @@ class LPolynomial:
             )
 
     @cached_property
+    def _rh_checked(self) -> bool:
+        """check_rh, run once per instance (a failed check is not cached)."""
+        self.check_rh()
+        return True
+
+    @cached_property
     def _power_sums(self) -> list[int]:
         return []
+
+    @cached_property
+    def _place_counts(self) -> dict[int, int]:
+        return {}
 
     def _power_sum(self, n: int) -> int:
         """Sum of n-th powers of the inverse roots, by Newton's identities."""
@@ -151,13 +161,17 @@ class LPolynomial:
         return count
 
     def pi(self, n: int) -> int:
-        """Number of places of degree n."""
+        """Number of places of degree n (memoized)."""
+        cached = self._place_counts.get(n)
+        if cached is not None:
+            return cached
         total = sum(
             int(mobius(n // d)) * self.point_count(d) for d in divisors(n)
         )
         count, rem = divmod(total, n)
         if rem or count < 0:
             raise NegativeCount(f"place count at n={n} is not a nonnegative integer")
+        self._place_counts[n] = count
         return count
 
     def to_json(self) -> str:
@@ -173,7 +187,7 @@ class LPolynomial:
 
 def pi_K(L: LPolynomial, n: int) -> int:
     """Degree-n place count of the function field described by L."""
-    L.check_rh()
+    L._rh_checked  # runs check_rh on the first call for this L
     return L.pi(n)
 
 
@@ -205,15 +219,6 @@ def _residue_code(field: FieldSpec, a, m: MonicPoly) -> int:
     return sum(c * field.q**i for i, c in enumerate(reduced))
 
 
-def _code_coeffs(field: FieldSpec, code: int) -> tuple[int, ...]:
-    q = field.q
-    out = []
-    while code:
-        code, c = divmod(code, q)
-        out.append(c)
-    return tuple(out) if out else (0,)
-
-
 class _ResidueGroup:
     """The unit group of F_q[T]/(m), with dense-vector group-ring helpers."""
 
@@ -230,7 +235,7 @@ class _ResidueGroup:
         self.m = m
         codes = []
         for code in range(1, ring_size):
-            coeffs = _code_coeffs(field, code)
+            coeffs = ffield.coeffs_of_code(field, code)
             if ffield.poly_gcd(field, coeffs, m.coeffs) == (1,):
                 codes.append(code)
         if len(codes) > _MAX_UNIT_GROUP:
@@ -245,7 +250,9 @@ class _ResidueGroup:
     def _reduce_product(self, code_a: int, code_b: int) -> int:
         field = self.field
         prod = ffield.poly_mul(
-            field, _code_coeffs(field, code_a), _code_coeffs(field, code_b)
+            field,
+            ffield.coeffs_of_code(field, code_a),
+            ffield.coeffs_of_code(field, code_b),
         )
         reduced = ffield.poly_mod_general(field, prod, self.m.coeffs)
         return sum(c * field.q**i for i, c in enumerate(reduced))
@@ -409,7 +416,8 @@ def pi_arith(
     if m.degree < 1:
         raise ValueError("modulus must have positive degree")
     a_code = _residue_code(field, a, m)
-    if ffield.poly_gcd(field, _code_coeffs(field, a_code), m.coeffs) != (1,):
+    a_coeffs = ffield.coeffs_of_code(field, a_code)
+    if ffield.poly_gcd(field, a_coeffs, m.coeffs) != (1,):
         raise NotCoprime("residue and modulus share a factor")
     if method == "auto":
         ring_size = field.q**m.degree
@@ -431,9 +439,11 @@ def pi_arith(
     raise ValueError(f"unknown method {method!r}")
 
 
-def psi_arith(field: FieldSpec, n: int, a, m: MonicPoly, method: str = "auto") -> int:
+def psi_arith(field: FieldSpec, n: int, a, m: MonicPoly, method: str = "auto",
+              cap: int | None = None) -> int:
     """The weighted divisor sum sum_{d | n} d * pi_arith(field, d, a, m)."""
-    return sum(d * pi_arith(field, d, a, m, method=method) for d in divisors(n))
+    return sum(d * pi_arith(field, d, a, m, method=method, cap=cap)
+               for d in divisors(n))
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,7 @@ def code_of_poly(field: FieldSpec, f: MonicPoly) -> int:
 
 
 def poly_of_code(field: FieldSpec, code: int) -> MonicPoly:
-    q = field.q
-    coeffs = []
-    while code:
-        code, c = divmod(code, q)
-        coeffs.append(c)
-    return MonicPoly(tuple(coeffs))
+    return MonicPoly(ffield.coeffs_of_code(field, code))
 
 
 def _digit_count(field: FieldSpec, degree: int) -> int:

@@ -291,6 +291,13 @@ def _enclosure_cases():
     # other families, so its range extends to 420 to exercise the
     # in-range regime at all
     yield FamilySpec(canonical_family("arith"), q=3, m=(0, 1), a=(1,)), 420
+    yield FamilySpec(canonical_family("s2"), q=3), 200
+    yield FamilySpec(canonical_family("s3"), q=3), 200
+    yield FamilySpec(canonical_family("s3"), q=5), 200
+    # a genus-1 curve over F_5; thresholds 176 (unbounded) and 502 (ell=2)
+    L = LPolynomial(5, (1, 2, 5))
+    yield FamilySpec(canonical_family("divisors"), l_poly=L, r=2), 240
+    yield FamilySpec(canonical_family("divisors-r-ell-K"), l_poly=L, r=2, ell=2), 560
 
 
 def test_criterion_5_enclosure_soundness(capsys):

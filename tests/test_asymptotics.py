@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from fqtcount.asymptotics import (
@@ -20,13 +21,14 @@ from fqtcount.asymptotics import (
     divisor_range_check,
     range_threshold,
 )
+from fqtcount.constants import constant_Cam, constant_Cq, constant_Kq
 from fqtcount.errors import (
     ExpansionOrderTooLarge,
     HypothesisViolation,
     IntegerC1,
 )
 from fqtcount.families import FamilySpec, canonical_family, count_table
-from fqtcount.ffield import field_for_order
+from fqtcount.ffield import MonicPoly, field_for_order
 from fqtcount.primecounts import LPolynomial
 
 
@@ -259,3 +261,25 @@ def test_range_threshold_frozen_and_check():
     assert threshold == 807
     assert not divisor_range_check(L, 2, None, threshold - 1)
     assert divisor_range_check(L, 2, None, threshold)
+
+
+def _main_term_matches(spec, report):
+    """The m=0 main term is a(beta): the limiting constant, within both tails."""
+    result = estimate_coefficient(estimator_for(spec), 50)
+    tails = result.eval_tail_bound + min(m.tail_bound for m in report.methods)
+    with mpmath.workdps(60):
+        gap = abs(result.main_term - report.consensus)
+    return gap <= tails * (1 + 1e-9)
+
+
+def test_main_term_at_m0_is_the_limiting_constant():
+    for q in (3, 5):
+        cases = [("landau", constant_Kq(q))] + [
+            (f"s{which}", constant_Cq(q, which)) for which in (1, 2, 3)
+        ]
+        for name, report in cases:
+            spec = FamilySpec(canonical_family(name), q=q)
+            assert _main_term_matches(spec, report), (name, q)
+    spec = FamilySpec(canonical_family("arith"), q=3, m=(0, 1), a=(1,))
+    report = constant_Cam(field_for_order(3), (1,), MonicPoly((0, 1)))
+    assert _main_term_matches(spec, report)

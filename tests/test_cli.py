@@ -3,9 +3,10 @@
 import csv
 import io
 import json
-
+from dataclasses import replace
 import pytest
 
+from fqtcount import cli
 from fqtcount.cli import main
 
 
@@ -228,3 +229,25 @@ def test_unknown_family_exits_2(capsys):
 
 def test_no_command_exits_2(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_estimate_outside_the_enclosure_exits_1(capsys, monkeypatch, fmt):
+    # flipping every atilde_n turns the main term K_3 = 1.32 into 1/K_3
+    real = cli.estimator_for
+
+    def broken(spec, **kwargs):
+        est = real(spec, **kwargs)
+        return replace(est, coeff_source=lambda n: -est.coeff_source(n), _cache={})
+
+    monkeypatch.setattr(cli, "estimator_for", broken)
+    code, out, err = run(
+        capsys, "estimate", "landau", "--q", "3", "--n", "180", "--format", fmt
+    )
+    assert code == 1
+    assert "outside the certified enclosure" in err
+    if fmt == "json":
+        assert json.loads(out)["exact"]["within_bound"] is False
+    else:
+        row = dict(zip(*csv.reader(io.StringIO(out))))
+        assert row["within_bound"] == "False"

@@ -12,7 +12,7 @@ from fqtcount.constants import (
     constant_cq_prime,
 )
 from fqtcount.errors import EvenCharacteristic, HypothesisViolation
-from fqtcount.ffield import MonicPoly, field_for_order, poly_from_string
+from fqtcount.ffield import MonicPoly, build_field, field_for_order, poly_from_string
 
 
 def close(report, decimal_string, places=12):
@@ -80,6 +80,13 @@ def test_cam_nine_element_field():
     report = constant_Cam(field, (1,), MonicPoly((0, 1)))
     assert report.agreement()
     assert close(report, "0.978880166818", places=11)
+
+
+def test_cam_rejects_a_custom_field_modulus():
+    # residue codes are read in the default field of each order
+    field = build_field(3, 2, (2, 1, 1))  # Y^2 + Y + 2, not the default Y^2 + 1
+    with pytest.raises(ValueError):
+        constant_Cam(field, (1,), MonicPoly((0, 1)))
 
 
 def test_cam_rejects_trivial_unit_group():

@@ -45,3 +45,9 @@ def test_run_all_covers_every_suite():
     reports = run_all(seed=0)
     assert tuple(rep.suite for rep in reports) == SUITES
     assert all(rep.ok for rep in reports)
+
+
+def test_identities_pass_when_a_generator_count_is_zero():
+    # seed 3 draws a zero among the Moebius roundtrip's generator counts
+    report = run_suite("identities", seed=3)
+    assert report.ok, report.render()
