@@ -17,6 +17,7 @@ Four kinds of counts, all exact integers:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -269,20 +270,28 @@ class _ResidueGroup:
         return table
 
     def pow_map(self, k: int) -> np.ndarray:
-        """Index array sending each unit to its k-th power."""
+        """Index array sending each unit to its k-th power.
+
+        A composite k = a*b reuses cached maps, x^(ab) = (x^b)^a, so only
+        prime k multiply residues.
+        """
         cached = self._pow_maps.get(k)
         if cached is not None:
             return cached
-        out = np.empty(self.order, dtype=np.int32)
-        for i, code in enumerate(self.codes):
-            acc, base, e = 1, code, k
-            while e:
-                if e & 1:
-                    acc = self._reduce_product(acc, base)
-                e >>= 1
-                if e:
-                    base = self._reduce_product(base, base)
-            out[i] = self.index[acc]
+        a = next((d for d in range(2, math.isqrt(k) + 1) if k % d == 0), k)
+        if 1 < a < k:
+            out = self.pow_map(a)[self.pow_map(k // a)]
+        else:
+            out = np.empty(self.order, dtype=np.int32)
+            for i, code in enumerate(self.codes):
+                acc, base, e = 1, code, k
+                while e:
+                    if e & 1:
+                        acc = self._reduce_product(acc, base)
+                    e >>= 1
+                    if e:
+                        base = self._reduce_product(base, base)
+                out[i] = self.index[acc]
         self._pow_maps[k] = out
         return out
 
@@ -397,28 +406,20 @@ def _arith_table(field: FieldSpec, m: MonicPoly, cap: int | None = None) -> _Ari
     return table
 
 
-def pi_arith(
-    field: FieldSpec,
-    n: int,
-    a,
-    m: MonicPoly,
-    method: str = "auto",
-    cap: int | None = None,
-) -> int:
-    """Monic irreducibles of degree n congruent to a modulo m.
-
-    ``method`` is "enumerate" (direct, needs q^n within the cap),
-    "character" (exact group-ring recurrence, any n), or "auto" (the
-    recurrence when the residue ring is small enough, else enumeration).
-    """
-    if n < 1:
-        raise ValueError("degree must be positive")
+def _unit_residue(field: FieldSpec, a, m: MonicPoly) -> int:
+    """The code of a mod m, checked to be a unit."""
     if m.degree < 1:
         raise ValueError("modulus must have positive degree")
     a_code = _residue_code(field, a, m)
     a_coeffs = ffield.coeffs_of_code(field, a_code)
     if ffield.poly_gcd(field, a_coeffs, m.coeffs) != (1,):
         raise NotCoprime("residue and modulus share a factor")
+    return a_code
+
+
+def _class_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
+                 method: str, cap: int | None) -> int:
+    """pi_arith for a residue code already checked by _unit_residue."""
     if method == "auto":
         ring_size = field.q**m.degree
         method = (
@@ -439,10 +440,30 @@ def pi_arith(
     raise ValueError(f"unknown method {method!r}")
 
 
+def pi_arith(
+    field: FieldSpec,
+    n: int,
+    a,
+    m: MonicPoly,
+    method: str = "auto",
+    cap: int | None = None,
+) -> int:
+    """Monic irreducibles of degree n congruent to a modulo m.
+
+    ``method`` is "enumerate" (direct, needs q^n within the cap),
+    "character" (exact group-ring recurrence, any n), or "auto" (the
+    recurrence when the residue ring is small enough, else enumeration).
+    """
+    if n < 1:
+        raise ValueError("degree must be positive")
+    return _class_count(field, n, _unit_residue(field, a, m), m, method, cap)
+
+
 def psi_arith(field: FieldSpec, n: int, a, m: MonicPoly, method: str = "auto",
               cap: int | None = None) -> int:
     """The weighted divisor sum sum_{d | n} d * pi_arith(field, d, a, m)."""
-    return sum(d * pi_arith(field, d, a, m, method=method, cap=cap)
+    a_code = _unit_residue(field, a, m)
+    return sum(d * _class_count(field, d, a_code, m, method, cap)
                for d in divisors(n))
 
 

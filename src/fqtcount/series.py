@@ -2,21 +2,47 @@
 
 A TruncatedSeries stores coefficients c_0..c_N exactly; the coefficient
 ring is anything supporting exact +, -, * and division by integers, in
-practice Fraction, int, or QPoly.  No floating point enters anywhere.
+practice Fraction, int, or QPoly.  No floating point enters any
+coefficient (it only sizes the prime set below, with a proved margin).
 
 Besides ring operations and exp/log, this module houses the transforms
 the counting pipeline is made of: the psi <-> generator-count transform
 (Moebius inversion), infinite products prod (1-x^n)^{-g(n)} and their
 squarefree variant, the generalized binomial series, and the power-of-2
 product decomposition together with its exact verifier.
+
+Every count table is exp(sum psi_n x^n / n) for integer psi_n, the
+recurrence n f_n = sum_{j=1..n} psi_j f_{n-j} (Brent & Kung, J. ACM 25,
+1978).  ``_exp_psi_over_n`` runs it in three exact steps:
+
+* Integrality.  f_1..f_N are integers if and only if n divides
+  sum_{d | n} mu(n/d) psi_d for every n <= N: F = prod (1-x^n)^(-g_n)
+  mod x^(N+1) with psi_n = sum_{d | n} d g_d, and the g_n are integers
+  exactly when those Moebius sums are divisible by n.  This is decided
+  before any modular work; if it fails, series_exp runs on exact
+  rationals.
+* Size.  |f_m| <= (1/m) sum_j |psi_j| |f_{m-j}| <= max_j |psi_j| |f_{m-j}|,
+  so b_0 = 0, b_m = max_j (l_j + b_{m-j}) with l_j >= log2 |psi_j| gives
+  log2 |f_m| <= b_m.  The l_j are integers in units of 2^-16 bit,
+  rounded up with one spare unit; math.log2 is correct to a few ulps,
+  under 1e-5 units at any size reached here, so each l_j is a bound.
+* Residues.  The recurrence runs modulo the largest primes below 2^20,
+  the fewest whose product M exceeds 2^(b+1) for b >= max_m b_m,
+  vectorised across the primes in numpy.  Each prime exceeds 2^19 > N,
+  so n is invertible; residues are below 2^20, so a product is below
+  2^40 and an inner sum of at most N < 2^19 of them below 2^63, exact
+  in int64.  Then |f_m| < M/2, and CRT into (-M/2, M/2) returns f_m.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from sympy import divisors, mobius
+import numpy as np
+from sympy import prevprime
 
 from .errors import BadConstantTerm, NotInvertible, TruncationMismatch
 
@@ -181,20 +207,57 @@ def binomial_series(beta_inv, c1: Fraction, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
+def _weighted_divisor_sums(counts: dict, N: int, alternating: bool = False) -> dict[int, int]:
+    """sum_{d | n} d * counts(d) for n = 1..N, each term signed
+    (-1)^(n/d + 1) if alternating; one pass over the multiples of each d."""
+    sums = dict.fromkeys(range(1, N + 1), 0)
+    for d, value in counts.items():
+        if 1 <= d <= N:
+            term = d * value
+            for k in range(1, N // d + 1):
+                sums[d * k] += term if k % 2 or not alternating else -term
+    return sums
+
+
+def _mobius_table(N: int) -> list[int]:
+    """mu(0..N) by a sieve (mu(0) = 0 is a placeholder)."""
+    mu = [1] * (N + 1)
+    mu[0] = 0
+    composite = bytearray(N + 1)
+    for p in range(2, N + 1):
+        if composite[p]:
+            continue
+        composite[2 * p::p] = b"\x01" * len(range(2 * p, N + 1, p))
+        for k in range(p, N + 1, p):
+            mu[k] = -mu[k]
+        for k in range(p * p, N + 1, p * p):
+            mu[k] = 0
+    return mu
+
+
+def _mobius_sums(psi: dict, N: int) -> list:
+    """sum_{d | n} mu(n/d) psi(d) for n = 0..N (entry 0 is unused)."""
+    mu = _mobius_table(N)
+    sums = [0] * (N + 1)
+    for d in range(1, N + 1):
+        value = psi.get(d, 0)
+        for k in range(1, N // d + 1):
+            if mu[k]:
+                sums[d * k] += mu[k] * value
+    return sums
+
+
 def psi_from_g(g: GeneratorCounts | dict, N: int) -> dict[int, int]:
     """The weighted divisor sums psi(n) = sum_{d | n} d * g(d), n = 1..N."""
-    counts = g.g if isinstance(g, GeneratorCounts) else g
-    psi = {}
-    for n in range(1, N + 1):
-        psi[n] = sum(d * counts.get(d, 0) for d in divisors(n))
-    return psi
+    return _weighted_divisor_sums(g.g if isinstance(g, GeneratorCounts) else g, N)
 
 
 def g_from_psi(psi: dict[int, int], N: int) -> GeneratorCounts:
     """Moebius inversion n*g(n) = sum_{d | n} mu(n/d) psi(d), checked integral."""
     g = {}
+    totals = _mobius_sums(psi, N)
     for n in range(1, N + 1):
-        total = sum(int(mobius(n // d)) * psi[d] for d in divisors(n))
+        total = totals[n]
         if total % n:
             raise NotInvertible(f"psi does not invert to integers at n={n}")
         value = total // n
@@ -218,34 +281,143 @@ def product_form(g: GeneratorCounts | dict, N: int) -> TruncatedSeries:
 def squarefree_product_form(g: GeneratorCounts | dict, N: int) -> TruncatedSeries:
     """Coefficients of prod_{n>=1} (1+x^n)^{g(n)} up to order N."""
     counts = g.g if isinstance(g, GeneratorCounts) else g
-    psi = {}
-    for n in range(1, N + 1):
-        psi[n] = sum(
-            (d if (n // d) % 2 else -d) * counts.get(d, 0) for d in divisors(n)
-        )
-    return _exp_psi_over_n(psi, N)
+    return _exp_psi_over_n(_weighted_divisor_sums(counts, N, alternating=True), N)
 
 
 def _exp_psi_over_n(psi: dict[int, int], N: int) -> TruncatedSeries:
-    if all(isinstance(v, int) for v in psi.values()):
-        f = [1] + [0] * N
-        for m in range(1, N + 1):
-            acc = 0
-            for j in range(1, m + 1):
-                pj = psi.get(j, 0)
-                if pj:
-                    acc += pj * f[m - j]
-            if acc % m:
-                # fall back to exact rationals (non-integral coefficients)
-                break
-            f[m] = acc // m
-        else:
-            return TruncatedSeries(tuple(f))
+    """exp(sum psi(n) x^n / n) to order N; multimodular when the result is integral."""
+    if all(isinstance(v, int) for v in psi.values()) and all(
+        total % n == 0 for n, total in enumerate(_mobius_sums(psi, N)) if n
+    ):
+        return TruncatedSeries(_exp_integral([0] + [psi.get(n, 0) for n in range(1, N + 1)]))
     log_series = TruncatedSeries.from_coeffs(
         [0] + [Fraction(_exact(psi.get(n, 0)), n) if isinstance(psi.get(n, 0), int)
                else psi[n] / n for n in range(1, N + 1)]
     )
     return series_exp(log_series)
+
+
+# -- the multimodular exp; the module docstring says why each step is exact
+
+_PRIME_CEILING = 1 << 20  # residues below 2^20: products below 2^40
+_MAX_ORDER = 1 << 19  # N < 2^19 < every prime, and N * 2^40 < 2^63
+_LOG_UNIT = 1 << 16  # size bounds in units of 2^-16 bit
+_NO_TERM = -(1 << 60)  # "log2 0" in those units; sums of two stay in int64
+_PRIMES: list[int] = []  # the largest primes below 2^20, descending, as far as used
+_CHUNK = 64  # values per residue conversion and per CRT prime count
+_GROUP = 64  # primes per run of the recurrence
+
+
+def _crt_primes(bits: int) -> list[int]:
+    """The fewest of the largest primes below 2^20 whose product exceeds 2^bits (bits >= 1)."""
+    count, product = 0, 1
+    while product.bit_length() <= bits:  # an odd product of bit length > bits exceeds 2^bits
+        if count == len(_PRIMES):
+            prime = prevprime(_PRIMES[-1] if _PRIMES else _PRIME_CEILING)
+            if prime <= _MAX_ORDER:
+                raise ValueError(f"coefficients of {bits} bits need more primes above 2^19")
+            _PRIMES.append(prime)
+        product *= _PRIMES[count]
+        count += 1
+    return _PRIMES[:count]
+
+
+def _size_bounds(psi: list[int]) -> np.ndarray:
+    """Whole bits b_m with |f_m| <= 2^b_m (0 if f_m is provably 0), where
+    f = exp(sum psi_j x^j / j)."""
+    N = len(psi) - 1
+    logs = np.full(N + 1, _NO_TERM, dtype=np.int64)
+    for j in range(1, N + 1):
+        if psi[j]:
+            logs[j] = math.ceil(_LOG_UNIT * math.log2(abs(psi[j]))) + 1
+    b = np.full(N + 1, _NO_TERM, dtype=np.int64)
+    b[0] = 0
+    for m in range(1, N + 1):
+        b[m] = max(_NO_TERM, int((logs[1:m + 1] + b[m - 1::-1]).max()))
+    return np.maximum(-(-b // _LOG_UNIT), 0)
+
+
+def _limb_count(values: list[int]) -> int:
+    """16-bit limbs needed for the largest |v|."""
+    return max(1, -(-max(abs(v).bit_length() for v in values) // 16))
+
+
+def _residue_rows(values: list[int], p: np.ndarray, radix: np.ndarray) -> np.ndarray:
+    """values mod each prime (rows x primes); radix[l] = 2^(16 l) mod p.
+
+    Each |v| becomes a row of 16-bit limbs, low limb first, times the
+    columns of radix: products stay below 2^36, and a row sum below 2^63
+    for any width under 2^27 limbs.
+    """
+    width = _limb_count(values)
+    data = b"".join(abs(v).to_bytes(2 * width, "little") for v in values)
+    limbs = np.frombuffer(data, dtype="<u2").reshape(len(values), width).astype(np.int64)
+    res = limbs @ radix[:width] % p
+    negative = np.array([v < 0 for v in values])
+    res[negative] = (p - res[negative]) % p
+    return res
+
+
+def _crt_rows(res: np.ndarray, primes: list[int]) -> list[int]:
+    """Each row of residues (rows x primes) as the integer in (-M/2, M/2)."""
+    modulus = math.prod(primes)
+    basis = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+    out = []
+    for row in res.tolist():
+        value = sum(map(mul, row, basis)) % modulus
+        out.append(value - modulus if 2 * value > modulus else value)
+    return out
+
+
+def _exp_mod(psi: list[int], p: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """f_0..f_N modulo each prime of p (one row per prime), f = exp(sum psi_j x^j / j).
+
+    inv[m] holds 1/m modulo each prime.
+    """
+    N = len(psi) - 1
+    radix = np.ones((_limb_count(psi), len(p)), dtype=np.int64)
+    for limb in range(1, len(radix)):
+        radix[limb] = radix[limb - 1] * (1 << 16) % p
+    # column j of psi_res holds psi_j and column N - m of f_rev holds f_m,
+    # so each inner sum reads two contiguous slices
+    psi_res = np.zeros((len(p), N + 1), dtype=np.int64)
+    for j in range(1, N + 1, _CHUNK):
+        rows = psi[j:j + _CHUNK]
+        psi_res[:, j:j + len(rows)] = _residue_rows(rows, p, radix).T
+    f_rev = np.zeros_like(psi_res)
+    f_rev[:, N] = 1
+    for m in range(1, N + 1):
+        acc = np.einsum("kj,kj->k", psi_res[:, 1:m + 1], f_rev[:, N - m + 1:])
+        f_rev[:, N - m] = acc % p * inv[m] % p
+    return f_rev[:, ::-1]
+
+
+def _exp_integral(psi: list[int]) -> tuple[int, ...]:
+    """f_0..f_N of exp(sum psi_j x^j / j) (psi[0] unused), known to be integers.
+
+    The recurrence runs on groups of _GROUP primes, whose int64 tables
+    stay small; the residues of f and the inverses 1/m are kept as int32,
+    and each chunk of f is rebuilt from only as many primes as its size
+    bound needs (a prefix of the primes).
+    """
+    N = len(psi) - 1
+    if N >= _MAX_ORDER:
+        raise ValueError(f"order {N} exceeds the multimodular range N < 2^19")
+    bits = _size_bounds(psi)
+    primes = _crt_primes(int(bits.max()) + 1)
+    p = np.array(primes, dtype=np.int64)
+    inv = np.ones((N + 1, len(primes)), dtype=np.int32)  # 1/m = -(p // m) / (p mod m)
+    for m in range(2, N + 1):
+        inv[m] = (p - p // m) * inv[p % m, np.arange(len(primes))] % p
+    f_res = np.empty((len(primes), N + 1), dtype=np.int32)
+    for g in range(0, len(primes), _GROUP):
+        f_res[g:g + _GROUP] = _exp_mod(psi, p[g:g + _GROUP], inv[:, g:g + _GROUP])
+    del inv
+    out = [1]
+    for m in range(1, N + 1, _CHUNK):
+        used = len(_crt_primes(int(bits[m:m + _CHUNK].max()) + 1))
+        out += _crt_rows(f_res[:used, m:m + _CHUNK].T, primes[:used])
+    return tuple(out)
 
 
 def power2_transform(a_exponents: dict[int, Fraction], N: int) -> dict[int, Fraction]:

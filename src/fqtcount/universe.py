@@ -14,7 +14,8 @@ e descending; the first write into a slot is therefore the smallest
 prime factor at its exact multiplicity, with a cofactor coprime to it.
 Products are computed in base-p digit form, where multiplication by a
 fixed polynomial is a matrix product that BLAS batches over all
-cofactors at once.
+cofactors at once, in float32 unless a digit sum could pass 2^24
+(_digit_dtype).
 """
 
 from __future__ import annotations
@@ -40,12 +41,28 @@ def _digit_count(field: FieldSpec, degree: int) -> int:
     return (degree + 1) * field.k
 
 
+def _digit_dtype(field: FieldSpec, in_deg: int) -> type:
+    """The float type in which digit products with degree <= in_deg inputs are exact.
+
+    A product digit sums at most _digit_count(in_deg) terms, each a
+    product of two digits below p, so it is at most that count times
+    (p-1)^2; float32 holds every integer up to 2^24, float64 up to 2^53.
+    """
+    bound = _digit_count(field, in_deg) * (field.p - 1) ** 2
+    if bound <= 1 << 24:
+        return np.float32
+    if bound <= 1 << 53:
+        return np.float64
+    raise ResourceLimit(f"digit products of degree {in_deg} over F_{field.q} "
+                        "exceed exact float range")
+
+
 def _digits_of_codes(field: FieldSpec, codes: np.ndarray, degree: int) -> np.ndarray:
-    """Base-p digit matrix (float32 rows) of the given codes."""
+    """Base-p digit matrix of the given codes, in the _digit_dtype of degree."""
     p = field.p
     width = _digit_count(field, degree)
     powers = p ** np.arange(width, dtype=np.int64)
-    return ((codes[:, None] // powers[None, :]) % p).astype(np.float32)
+    return ((codes[:, None] // powers[None, :]) % p).astype(_digit_dtype(field, degree))
 
 
 def _element_digits(field: FieldSpec, code: int) -> list[int]:
@@ -64,7 +81,7 @@ def _mul_matrix(field: FieldSpec, w: tuple[int, ...], in_deg: int, out_deg: int)
     """
     k, p = field.k, field.p
     mat = np.zeros((_digit_count(field, in_deg), _digit_count(field, out_deg)),
-                   dtype=np.float32)
+                   dtype=_digit_dtype(field, in_deg))
     for t in range(k):
         unit = p**t
         scaled = tuple(ffield.element_mul(field, c, unit) for c in w)

@@ -230,3 +230,37 @@ def test_pi_q_small_values():
     assert pi_q(2, 2) == 1
     assert pi_q(2, 3) == 2
     assert pi_q(2, 4) == 3
+
+
+def test_pow_map_composite_from_cached_maps():
+    from fqtcount.primecounts import _ResidueGroup
+
+    field = field_for_order(3)
+    group = _ResidueGroup(field, MonicPoly((1, 2, 0, 1)))
+    for k in range(0, 61):
+        expected = []
+        for code in group.codes:
+            acc = 1
+            for _ in range(k):
+                acc = group._reduce_product(acc, code)
+            expected.append(group.index[acc])
+        assert group.pow_map(k).tolist() == expected
+    assert group.pow_map(12) is group.pow_map(12)
+
+
+def test_psi_arith_checks_the_residue_once(monkeypatch):
+    import fqtcount.primecounts as pc
+
+    field = field_for_order(3)
+    m = MonicPoly((1, 0, 1))
+    expected = sum(d * pi_arith(field, d, (1, 1), m) for d in (1, 2, 3, 4, 6, 12))
+    calls = []
+    original = pc._unit_residue
+    monkeypatch.setattr(pc, "_unit_residue", lambda *a: calls.append(a) or original(*a))
+    assert psi_arith(field, 12, (1, 1), m) == expected
+    assert len(calls) == 1
+    with pytest.raises(NotCoprime):
+        psi_arith(field, 12, (0,), MonicPoly((0, 1)))
+    for method in ("enumerate", "character"):
+        assert psi_arith(field, 6, (1, 1), m, method=method) == sum(
+            d * pi_arith(field, d, (1, 1), m, method=method) for d in (1, 2, 3, 6))

@@ -1,5 +1,6 @@
 """Truncated power series with exact rational coefficients."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqtcount.errors import BadConstantTerm, TruncationMismatch
+from fqtcount.errors import BadConstantTerm, NotInvertible, TruncationMismatch
+from fqtcount.families import FamilySpec, canonical_family, psi_value
+from fqtcount.primecounts import LPolynomial
 from fqtcount.series import (
     GeneratorCounts,
     TruncatedSeries,
+    _crt_primes,
+    _exp_integral,
+    _exp_psi_over_n,
+    _mobius_table,
+    _size_bounds,
     binomial_series,
     g_from_psi,
     power2_transform,
@@ -170,3 +178,128 @@ def test_series_mul_matches_operator():
     a = TruncatedSeries.from_coeffs([1, 2, 3, 4])
     b = TruncatedSeries.from_coeffs([5, 6, 7, 8])
     assert series_mul(a, b).coeffs == (a * b).coeffs
+
+
+# -- the multimodular exp kernel against a schoolbook reference ------------
+
+
+def schoolbook_exp(psi, N):
+    """n f_n = sum_j psi_j f_{n-j} in exact big integers (Fraction if n does not divide)."""
+    f = [1] + [0] * N
+    for m in range(1, N + 1):
+        acc = sum(psi.get(j, 0) * f[m - j] for j in range(1, m + 1))
+        f[m] = acc // m if acc % m == 0 else Fraction(acc, m)
+    return tuple(f)
+
+
+def reference_psi(counts, N, alternating=False):
+    """psi(n) = sum_{d | n} d g(d), signed (-1)^(n/d + 1) for the squarefree product."""
+    return {
+        n: sum((d if not alternating or (n // d) % 2 else -d) * counts.get(d, 0)
+               for d in sympy.divisors(n))
+        for n in range(1, N + 1)
+    }
+
+
+def _family_specs():
+    L = LPolynomial(5, (1, 2, 5))
+    for name in ("landau", "s1", "s2", "s3"):
+        yield FamilySpec(canonical_family(name), q=3)
+    yield FamilySpec(canonical_family("landau"), q=101)
+    yield FamilySpec(canonical_family("s3"), q=5)
+    yield FamilySpec(canonical_family("arith"), q=3, m=(1, 1), a=(1,))
+    yield FamilySpec(canonical_family("divisors"), l_poly=L, r=2)
+    yield FamilySpec(canonical_family("divisors-r-ell-K"), l_poly=L, r=2, ell=2)
+
+
+@pytest.mark.parametrize("spec", list(_family_specs()), ids=lambda s: s.family)
+def test_kernel_matches_schoolbook_for_every_family(spec):
+    N = 300
+    psi = {n: psi_value(spec, n).numerator for n in range(1, N + 1)}
+    got = _exp_psi_over_n(psi, N).coeffs
+    assert got == schoolbook_exp(psi, N)
+    assert all(type(c) is int for c in got)
+    # the proved size bound really bounds every coefficient
+    bits = _size_bounds([0] + [psi[n] for n in range(1, N + 1)])
+    assert all(abs(c) <= 2 ** int(b) for c, b in zip(got, bits))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=40),
+    st.integers(min_value=0, max_value=60),
+)
+def test_product_forms_match_schoolbook(counts, N):
+    g = GeneratorCounts({n + 1: c for n, c in enumerate(counts) if c}, len(counts))
+    assert product_form(g, N).coeffs == schoolbook_exp(reference_psi(g.g, N), N)
+    assert squarefree_product_form(g, N).coeffs == schoolbook_exp(
+        reference_psi(g.g, N, alternating=True), N
+    )
+
+
+def test_kernel_signed_coefficients():
+    # psi = -1 everywhere: exp(-sum x^n/n) = 1 - x
+    N = 40
+    assert _exp_psi_over_n({n: -1 for n in range(1, N + 1)}, N).coeffs == (1, -1) + (0,) * (N - 1)
+    # (1+x)^3 (1+x^2)^2 has mixed-sign log-coefficients and a finite expansion
+    F = squarefree_product_form({1: 3, 2: 2}, 12)
+    assert F.coeffs == (1, 3, 5, 7, 7, 5, 3, 1) + (0,) * 5
+
+
+def test_kernel_falls_back_to_fractions():
+    # psi_2 = 1 alone: exp(x^2/2) = sum x^(2k) / (2^k k!), not integral
+    N = 9
+    F = _exp_psi_over_n({2: 1}, N)
+    assert F.coeffs == from_sympy(sympy.exp(x**2 / 2), N).coeffs
+    assert F.coeffs[2] == Fraction(1, 2)
+
+
+def test_kernel_small_orders():
+    assert _exp_psi_over_n({}, 0).coeffs == (1,)
+    assert _exp_psi_over_n({1: 7}, 0).coeffs == (1,)
+    assert _exp_psi_over_n({1: 7}, 1).coeffs == (1, 7)
+    assert _exp_psi_over_n({1: -7}, 1).coeffs == (1, -7)
+    assert _exp_psi_over_n({1: 0}, 1).coeffs == (1, 0)
+    assert product_form({}, 3).coeffs == (1, 0, 0, 0)
+
+
+def _primes_for(v):
+    return len(_crt_primes(int(_size_bounds([0, v]).max()) + 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_kernel_at_a_prime_count_boundary(k):
+    primes = _crt_primes(20 * (k + 2))
+    modulus = math.prod(primes[:k])
+    # the largest value the bound lets k primes carry, and one past it
+    lo, hi = 1, modulus
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _primes_for(mid) <= k else (lo, mid)
+    assert _primes_for(lo) == k and _primes_for(lo + 1) == k + 1
+    assert 2 * lo < modulus < 2**6 * lo  # exact, and the bound wastes few bits
+    # values at the edge of what k primes represent in (-M/2, M/2)
+    top = 2 ** (modulus.bit_length() - 1)
+    edges = (lo, lo + 1, modulus // 2, modulus // 2 + 1, top - 1, top,
+             modulus - 1, modulus, modulus + 1)
+    for v in edges + tuple(-e for e in edges):
+        # psi = v everywhere: (1 - x)^(-v); at N=1 the largest coefficient is v
+        assert _exp_psi_over_n({1: v}, 1).coeffs == (1, v)
+        psi = {n: v for n in range(1, 4)}
+        assert _exp_psi_over_n(psi, 3).coeffs == schoolbook_exp(psi, 3)
+
+
+def test_kernel_order_range_is_asserted():
+    with pytest.raises(ValueError, match="2\\^19"):
+        _exp_integral([0] * (2**19 + 1))
+
+
+def test_mobius_table_matches_sympy():
+    assert _mobius_table(300)[1:] == [int(sympy.mobius(n)) for n in range(1, 301)]
+
+
+def test_g_from_psi_messages():
+    with pytest.raises(NotInvertible, match="does not invert to integers at n=2"):
+        g_from_psi({1: 1, 2: 0}, 2)
+    with pytest.raises(NotInvertible, match="negative generator count at n=2"):
+        g_from_psi({1: 1, 2: -1}, 2)

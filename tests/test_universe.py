@@ -124,3 +124,17 @@ def test_mask_counts_sum_to_totals():
         assert 0 <= s2 <= 3**d
         # s3 members are squarefree s2 members
         assert uni.count("s3", d) <= s2
+
+
+def test_digit_dtype_keeps_digit_products_exact():
+    _digit_dtype = universe._digit_dtype
+    # a product digit is at most (deg+1) * k * (p-1)^2
+    assert _digit_dtype(field_for_order(3), 22) is np.float32
+    assert _digit_dtype(field_for_order(9), 10) is np.float32
+    assert _digit_dtype(field_for_order(1021), 15) is np.float32  # 16 * 1020^2 < 2^24
+    assert _digit_dtype(field_for_order(1031), 15) is np.float64  # 16 * 1030^2 > 2^24
+    assert _digit_dtype(field_for_order(4001), 0) is np.float32  # 4000^2 < 2^24
+    assert _digit_dtype(field_for_order(4001), 1) is np.float64  # 2 * 4000^2 > 2^24
+    huge = ffield.FieldSpec(p=2**31 - 1, k=1, modulus=(0, 1))
+    with pytest.raises(ResourceLimit):
+        _digit_dtype(huge, 3)  # 4 * (2^31 - 2)^2 > 2^53
