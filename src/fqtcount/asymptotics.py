@@ -125,14 +125,20 @@ class EstimatorSpec:
         return value
 
     def exp_series(self, terms: int) -> tuple:
-        """Exact coefficients h_0..h_terms of a(beta * y) as a series in y."""
+        """Exact coefficients h_0..h_terms of a(beta * y) as a series in y.
+
+        beta is factored out: h_m = H_m beta^m with H = exp(sum atilde_j
+        t^j / j).  series_exp works over the common denominator D of the
+        j a_j, which here are the atilde_j themselves, so D divides den(c1)
+        (2 or 8 in practice).  Fed atilde_j beta^j / j instead, D would grow
+        like beta^-N and the recurrence's scale N! D^N would explode.
+        """
         cached = self._cache.get("exp_series")
         if cached is not None and len(cached) >= terms + 1:
             return cached[: terms + 1]
-        log_coeffs = [Fraction(0)]
-        for j in range(1, terms + 1):
-            log_coeffs.append(self.coefficient(j) * self.beta**j / j)
-        h = series.series_exp(series.TruncatedSeries(tuple(log_coeffs))).coeffs
+        log_coeffs = [0] + [self.coefficient(j) / j for j in range(1, terms + 1)]
+        H = series.series_exp(series.TruncatedSeries(tuple(log_coeffs))).coeffs
+        h = tuple(H_m * self.beta**m for m, H_m in enumerate(H))
         self._cache["exp_series"] = h
         return h
 

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import divisors
-
 from . import ffield, series, universe
 from .errors import (
     EvenCharacteristic,
@@ -35,6 +33,7 @@ from .errors import (
     ResourceLimit,
 )
 from .ffield import FieldSpec, MonicPoly
+from .numtheory import divisors
 from .primecounts import (
     CHI2_MINUS,
     CHI2_ZERO_OR_PLUS,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from sympy import isprime
 
 from .errors import (
     EvenCharacteristic,
@@ -31,6 +30,7 @@ from .errors import (
     ReducibleModulus,
     ResourceLimit,
 )
+from .numtheory import is_prime
 
 DEFAULT_CAP = 10**8
 
@@ -219,7 +219,7 @@ def _fp_is_irreducible(p: int, coeffs: list[int]) -> bool:
 
 def build_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     """Construct F_{p^k}, selecting the smallest irreducible modulus if none given."""
-    if not isinstance(p, int) or not isprime(p):
+    if not isinstance(p, int) or not is_prime(p):
         raise NonPrime(f"{p} is not prime")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"extension degree must be a positive integer, got {k}")

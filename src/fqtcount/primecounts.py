@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from sympy import divisors, mobius
 
 from . import ffield
 from .errors import (
@@ -34,6 +33,7 @@ from .errors import (
     RHViolation,
 )
 from .ffield import FieldSpec, MonicPoly
+from .numtheory import divisors, mobius
 
 CHI2_MINUS = "minus"
 CHI2_ZERO_OR_PLUS = "zero-or-plus"
@@ -47,7 +47,7 @@ def pi_q(q: int, n: int) -> int:
     """Number of monic irreducibles of degree n over F_q."""
     if n < 1:
         raise ValueError("degree must be positive")
-    total = sum(int(mobius(d)) * q ** (n // d) for d in divisors(n))
+    total = sum(mobius(d) * q ** (n // d) for d in divisors(n))
     count, rem = divmod(total, n)
     if rem:
         raise ValueError(f"q={q} is not consistent with a prime-power count at n={n}")
@@ -75,7 +75,7 @@ def pi_chi2(q: int, n: int, cls: str) -> int:
     """
     if n < 1:
         raise ValueError("degree must be positive")
-    total = sum(int(mobius(n // d)) * psi_chi2(q, d, cls) for d in divisors(n))
+    total = sum(mobius(n // d) * psi_chi2(q, d, cls) for d in divisors(n))
     count, rem = divmod(total, n)
     if rem or count < 0:
         raise ValueError(f"character count inversion failed at n={n}")
@@ -167,7 +167,7 @@ class LPolynomial:
         if cached is not None:
             return cached
         total = sum(
-            int(mobius(n // d)) * self.point_count(d) for d in divisors(n)
+            mobius(n // d) * self.point_count(d) for d in divisors(n)
         )
         count, rem = divmod(total, n)
         if rem or count < 0:
@@ -335,34 +335,30 @@ class _ArithTable:
             self._z.append(vec)
         self._psi: list[np.ndarray] = []  # psi_1, psi_2, ...
         self._psi_sums: list[int] = []
+        self._scalar_terms = 0  # S_k of _extend_psi for the last k computed
         self._primes: dict[int, np.ndarray] = {}
 
-    def _z_sum(self, n: int) -> int:
-        if n < self.m.degree:
-            return int(sum(self._z[n]))
-        return self.field.q ** (n - self.m.degree) * self.group.order
-
-    def _zeta_times(self, x: np.ndarray, n: int) -> np.ndarray:
-        """x * Z_n in the group ring (Z_n is scalar times all-ones for large n)."""
-        if n < self.m.degree:
-            return self.group.convolve(x, self._z[n])
-        scale = self.field.q ** (n - self.m.degree)
-        total = int(sum(x)) * scale
-        return np.full(self.group.order, total, dtype=object)
-
     def _extend_psi(self, n: int) -> None:
+        """psi_k = k Z_k - sum_{j<k} Z_(k-j) psi_j in the group ring, k <= n.
+
+        For k - j >= deg m, Z_(k-j) psi_j is sum(psi_j) q^(k-j-deg m) times
+        all-ones, so those terms add up to S_k times all-ones, S_k = sum over
+        j <= k - deg m of sum(psi_j) q^(k-j-deg m).  Horner keeps S_k:
+        S_(k+1) = q S_k + sum(psi_(k+1-deg m)).  Only the deg m - 1 terms
+        with k - j < deg m are dense convolutions.
+        """
+        d, q = self.m.degree, self.field.q
         while len(self._psi) < n:
             k = len(self._psi) + 1
-            if k < self.m.degree:
+            if k < d:
                 acc = k * self._z[k]
             else:
-                acc = np.full(
-                    self.group.order,
-                    k * self.field.q ** (k - self.m.degree),
-                    dtype=object,
-                )
-            for j in range(1, k):
-                acc = acc - self._zeta_times(self._psi[j - 1], k - j)
+                if k > d:
+                    self._scalar_terms = q * self._scalar_terms + self._psi_sums[k - d - 1]
+                acc = np.full(self.group.order, k * q ** (k - d) - self._scalar_terms,
+                              dtype=object)
+            for j in range(max(1, k - d + 1), k):
+                acc = acc - self.group.convolve(self._psi[j - 1], self._z[k - j])
             self._psi.append(acc)
             self._psi_sums.append(int(sum(acc)))
 

@@ -3,11 +3,15 @@
 These are used as a second coefficient ring for the truncated-series
 algorithms, so that counts can be computed symbolically in q.  Only the
 ring operations the series engine needs are provided: addition,
-multiplication, scalar division, powers and evaluation.
+multiplication, scalar division, powers and evaluation.  Like a
+Fraction, a QPoly has a denominator (the lcm of its coefficients'
+denominators) and a numerator (itself times that, integer coefficients);
+ring operations on integer-coefficient QPolys and ints stay in ints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +28,7 @@ def _as_fraction(value) -> Fraction:
 class QPoly:
     """Polynomial in q, coefficients low-to-high, no trailing zeros."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Fraction | int, ...]
 
     @staticmethod
     def from_const(value) -> "QPoly":
@@ -49,8 +53,17 @@ class QPoly:
             return Fraction(0)
         return self.coeffs[-1]
 
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    @property
+    def denominator(self) -> int:
+        return math.lcm(*(c.denominator for c in self.coeffs))
+
+    @property
+    def numerator(self) -> "QPoly":
+        d = self.denominator
+        return QPoly(tuple(d // c.denominator * c.numerator for c in self.coeffs))
+
+    def coefficient(self, i: int) -> Fraction | int:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __call__(self, q) -> Fraction:
         value = Fraction(0)
@@ -61,7 +74,9 @@ class QPoly:
     def _coerce(self, other) -> "QPoly | None":
         if isinstance(other, QPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return QPoly((other,) if other else ())
+        if isinstance(other, Fraction):
             return QPoly.from_const(other)
         return None
 
@@ -107,7 +122,7 @@ class QPoly:
             return NotImplemented
         if not self.coeffs or not o.coeffs:
             return QPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(o.coeffs):
@@ -125,7 +140,7 @@ class QPoly:
     def __pow__(self, e: int) -> "QPoly":
         if e < 0:
             raise ValueError("negative power of a QPoly")
-        result = QPoly.from_const(1)
+        result = QPoly((1,))
         base = self
         while e:
             if e & 1:

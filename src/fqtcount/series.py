@@ -2,7 +2,8 @@
 
 A TruncatedSeries stores coefficients c_0..c_N exactly; the coefficient
 ring is anything supporting exact +, -, * and division by integers, in
-practice Fraction, int, or QPoly.  No floating point enters any
+practice Fraction, int, or QPoly (series_exp also reads .numerator and
+.denominator, which all three have).  No floating point enters any
 coefficient (it only sizes the prime set below, with a proved margin).
 
 Besides ring operations and exp/log, this module houses the transforms
@@ -32,6 +33,21 @@ recurrence n f_n = sum_{j=1..n} psi_j f_{n-j} (Brent & Kung, J. ACM 25,
   so n is invertible; residues are below 2^20, so a product is below
   2^40 and an inner sum of at most N < 2^19 of them below 2^63, exact
   in int64.  Then |f_m| < M/2, and CRT into (-M/2, M/2) returns f_m.
+
+``series_exp`` serves every other exact ring with one common-denominator
+recurrence.  For H = exp(sum a_j x^j) to order N, m H_m = sum_j j a_j
+H_{m-j}.  Let D be the lcm of the denominators of the j a_j, and A_j =
+D j a_j.  If (m-j)! D^(m-j) H_(m-j) is integral for every j <= m, so is
+m! D^m H_m = sum_j A_j (m-1)!/(m-j)! D^(j-1) (m-j)! D^(m-j) H_(m-j); hence
+G_m = N! D^N H_m is integral for m <= N, and G_m = sum_j A_j G_(m-j) / (D m)
+with G_0 = N! D^N.  Each division is checked to be exact, and H_m =
+G_m / (N! D^N) is the only Fraction built per coefficient.  The rings
+enter only through .numerator and .denominator: ints and Fractions give
+int A_j and G_m; a QPoly (the polynomial-in-q counts) gives A_j and G_m
+with integer coefficients, and "integral" and "exact" hold coefficientwise.
+The scale N! D^N stays small when D does.  Denominators that grow
+geometrically, such as 3^-j, make D^N huge; no caller feeds such a series
+(the estimator factors beta out of its series for this reason).
 """
 
 from __future__ import annotations
@@ -42,9 +58,10 @@ from fractions import Fraction
 from operator import mul
 
 import numpy as np
-from sympy import prevprime
 
 from .errors import BadConstantTerm, NotInvertible, TruncationMismatch
+from .numtheory import primes_between
+from .qpoly import QPoly
 
 
 def _exact(c):
@@ -155,19 +172,31 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_exp(a: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with zero constant term."""
+    """exp of a series with zero constant term, by the integer recurrence
+    G_m = sum_j A_j G_{m-j} / (D m) of the module docstring."""
     if a.coeffs[0] != 0:
         raise BadConstantTerm("series_exp requires constant term 0")
     n = a.order
-    f = [_exact(1)] + [Fraction(0)] * n
-    da = [i * _exact(c) for i, c in enumerate(a.coeffs)]
+    da = [j * c for j, c in enumerate(a.coeffs)]
+    D = math.lcm(*(c.denominator for c in da))
+    A = [D // c.denominator * c.numerator for c in da]
+    scale = math.factorial(n) * D**n
+    G = [scale] + [0] * n
     for m in range(1, n + 1):
-        acc = 0
-        for j in range(1, m + 1):
-            if da[j] != 0:
-                acc = acc + da[j] * f[m - j]
-        f[m] = acc / m if not isinstance(acc, int) else Fraction(acc, m)
-    return TruncatedSeries(tuple(f))
+        G[m] = _exact_quotient(sum(map(mul, A[1:m + 1], G[m - 1::-1])), D * m)
+    return TruncatedSeries(tuple(
+        g / scale if isinstance(g, QPoly) else Fraction(g, scale) for g in G
+    ))
+
+
+def _exact_quotient(x, d: int):
+    """x / d for an int or integer-coefficient QPoly x, checked to be exact."""
+    if isinstance(x, QPoly):
+        return QPoly(tuple(_exact_quotient(c, d) for c in x.coeffs))
+    quotient, remainder = divmod(x, d)
+    if remainder:
+        raise ArithmeticError(f"exp recurrence: {d} does not divide {x}")
+    return quotient
 
 
 def series_log(a: TruncatedSeries) -> TruncatedSeries:
@@ -303,20 +332,19 @@ _PRIME_CEILING = 1 << 20  # residues below 2^20: products below 2^40
 _MAX_ORDER = 1 << 19  # N < 2^19 < every prime, and N * 2^40 < 2^63
 _LOG_UNIT = 1 << 16  # size bounds in units of 2^-16 bit
 _NO_TERM = -(1 << 60)  # "log2 0" in those units; sums of two stay in int64
-_PRIMES: list[int] = []  # the largest primes below 2^20, descending, as far as used
+_PRIMES: list[int] = []  # the primes between 2^19 and 2^20, descending, sieved on first use
 _CHUNK = 64  # values per residue conversion and per CRT prime count
 _GROUP = 64  # primes per run of the recurrence
 
 
 def _crt_primes(bits: int) -> list[int]:
     """The fewest of the largest primes below 2^20 whose product exceeds 2^bits (bits >= 1)."""
+    if not _PRIMES:
+        _PRIMES.extend(reversed(primes_between(_MAX_ORDER + 1, _PRIME_CEILING)))
     count, product = 0, 1
     while product.bit_length() <= bits:  # an odd product of bit length > bits exceeds 2^bits
         if count == len(_PRIMES):
-            prime = prevprime(_PRIMES[-1] if _PRIMES else _PRIME_CEILING)
-            if prime <= _MAX_ORDER:
-                raise ValueError(f"coefficients of {bits} bits need more primes above 2^19")
-            _PRIMES.append(prime)
+            raise ValueError(f"coefficients of {bits} bits need more primes above 2^19")
         product *= _PRIMES[count]
         count += 1
     return _PRIMES[:count]

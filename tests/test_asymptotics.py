@@ -30,6 +30,8 @@ from fqtcount.errors import (
 from fqtcount.families import FamilySpec, canonical_family, count_table
 from fqtcount.ffield import MonicPoly, field_for_order
 from fqtcount.primecounts import LPolynomial
+from fqtcount.series import TruncatedSeries
+from test_series import fraction_exp
 
 
 def landau_spec(q):
@@ -283,3 +285,23 @@ def test_main_term_at_m0_is_the_limiting_constant():
     spec = FamilySpec(canonical_family("arith"), q=3, m=(0, 1), a=(1,))
     report = constant_Cam(field_for_order(3), (1,), MonicPoly((0, 1)))
     assert _main_term_matches(spec, report)
+
+
+def _exp_series_rows():
+    L = LPolynomial(5, (1, 2, 5))
+    for name, q in (("landau", 3), ("s1", 3), ("s2", 3), ("s3", 3), ("s3", 5)):
+        yield FamilySpec(canonical_family(name), q=q)
+    yield FamilySpec(canonical_family("arith"), q=3, m=(1, 0, 1), a=(1, 1))
+    yield FamilySpec(canonical_family("divisors"), l_poly=L, r=2)
+    yield FamilySpec(canonical_family("divisors-r-ell-K"), l_poly=L, r=2, ell=2)
+
+
+@pytest.mark.parametrize("spec", list(_exp_series_rows()), ids=lambda s: s.label)
+def test_exp_series_matches_the_beta_scaled_formula(spec):
+    # h = exp(sum atilde_j beta^j y^j / j) computed on Fractions, term by term
+    est = estimator_for(spec)
+    terms = 90
+    log = [Fraction(0)] + [est.coefficient(j) * est.beta**j / j for j in range(1, terms + 1)]
+    want = fraction_exp(TruncatedSeries(tuple(log)))
+    assert est.exp_series(terms) == want
+    assert estimator_for(spec).exp_series(40) == want[:41]

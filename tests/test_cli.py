@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 import pytest
 
+import fqtcount
 from fqtcount import cli
 from fqtcount.cli import main
 
@@ -251,3 +255,12 @@ def test_estimate_outside_the_enclosure_exits_1(capsys, monkeypatch, fmt):
     else:
         row = dict(zip(*csv.reader(io.StringIO(out))))
         assert row["within_bound"] == "False"
+
+
+def test_cli_import_leaves_sympy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fqtcount.__file__)))
+    code = "import sys, fqtcount.cli; print('sympy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

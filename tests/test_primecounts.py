@@ -1,5 +1,6 @@
 """Prime-polynomial and place counting, against brute-force oracles."""
 
+import numpy as np
 import pytest
 
 from fqtcount import ffield
@@ -264,3 +265,35 @@ def test_psi_arith_checks_the_residue_once(monkeypatch):
     for method in ("enumerate", "character"):
         assert psi_arith(field, 6, (1, 1), m, method=method) == sum(
             d * pi_arith(field, d, (1, 1), m, method=method) for d in (1, 2, 3, 6))
+
+
+def quadratic_psi(table, n):
+    """psi_1..psi_n by psi_k = k Z_k - sum_{j<k} Z_(k-j) psi_j, one product per term."""
+    d, q, order = table.m.degree, table.field.q, table.group.order
+
+    def zeta_times(x, k):
+        if k < d:
+            return table.group.convolve(x, table._z[k])
+        return np.full(order, int(sum(x)) * q ** (k - d), dtype=object)
+
+    psi = []
+    for k in range(1, n + 1):
+        acc = k * table._z[k] if k < d else np.full(order, k * q ** (k - d), dtype=object)
+        for j in range(1, k):
+            acc = acc - zeta_times(psi[j - 1], k - j)
+        psi.append(acc)
+    return psi
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("m", [(1, 1), (1, 0, 1), (1, 1, 0, 1)], ids=["deg1", "deg2", "deg3"])
+def test_horner_psi_matches_the_quadratic_recurrence(q, m):
+    from fqtcount.primecounts import _ArithTable
+
+    table = _ArithTable(field_for_order(q), MonicPoly(m))
+    n = 24
+    table._extend_psi(7)  # extending in two steps carries the Horner sum across calls
+    table._extend_psi(n)
+    want = quadratic_psi(table, n)
+    assert [v.tolist() for v in table._psi] == [v.tolist() for v in want]
+    assert table._psi_sums == [int(sum(v)) for v in want]

@@ -62,3 +62,19 @@ def test_power_requires_nonnegative_integer():
     a = QPoly((Fraction(1), Fraction(1)))
     with pytest.raises((ValueError, TypeError)):
         a ** (-1)
+
+
+def test_numerator_and_denominator():
+    a = QPoly((Fraction(1, 2), Fraction(0), Fraction(-5, 6)))
+    assert a.denominator == 6
+    assert a.numerator == QPoly((3, 0, -5))
+    assert all(type(c) is int for c in a.numerator.coeffs)
+    assert a.numerator / a.denominator == a
+    assert QPoly(()).denominator == 1 and QPoly(()).numerator == QPoly(())
+
+
+def test_integer_coefficients_stay_ints():
+    a, b = QPoly((2, -1)), QPoly((0, 3, 1))
+    for value in (a * b, a + b, a - b, 3 * a, a * 0, b + 1, a**3):
+        assert all(type(c) is int for c in value.coeffs)
+    assert (a * b)(2) == a(2) * b(2)

@@ -9,12 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqtcount.errors import BadConstantTerm, NotInvertible, TruncationMismatch
-from fqtcount.families import FamilySpec, canonical_family, psi_value
+from fqtcount.families import (
+    FamilySpec,
+    canonical_family,
+    count_landau_poly_in_q,
+    e_n_poly,
+    psi_value,
+)
 from fqtcount.primecounts import LPolynomial
+from fqtcount.qpoly import QPoly
 from fqtcount.series import (
     GeneratorCounts,
     TruncatedSeries,
     _crt_primes,
+    _exact_quotient,
     _exp_integral,
     _exp_psi_over_n,
     _mobius_table,
@@ -303,3 +311,83 @@ def test_g_from_psi_messages():
         g_from_psi({1: 1, 2: 0}, 2)
     with pytest.raises(NotInvertible, match="negative generator count at n=2"):
         g_from_psi({1: 1, 2: -1}, 2)
+
+
+def test_crt_primes_match_the_prevprime_chain():
+    primes = _crt_primes(20000)
+    chain, p = [], 2**20
+    for _ in primes:
+        p = sympy.prevprime(p)
+        chain.append(p)
+    assert primes == chain
+    assert math.prod(primes[:-1]).bit_length() <= 20000 < math.prod(primes).bit_length()
+
+
+# -- the common-denominator exp against the Fraction loop it replaced ------
+
+
+def fraction_exp(a):
+    """exp of a series by m f_m = sum_j j a_j f_{m-j} on Fractions, term by term."""
+    n = a.order
+    f = [Fraction(1)] + [Fraction(0)] * n
+    da = [i * (Fraction(c) if isinstance(c, int) else c) for i, c in enumerate(a.coeffs)]
+    for m in range(1, n + 1):
+        acc = 0
+        for j in range(1, m + 1):
+            if da[j] != 0:
+                acc = acc + da[j] * f[m - j]
+        f[m] = acc / m if not isinstance(acc, int) else Fraction(acc, m)
+    return tuple(f)
+
+
+_COEFFICIENTS = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.just(0),
+    st.fractions(max_denominator=60),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_COEFFICIENTS, max_size=30), st.booleans())
+def test_series_exp_matches_the_fraction_loop(coeffs, geometric):
+    if geometric:  # denominators 3^j: the common denominator grows like 3^N
+        coeffs = [Fraction(c) / 3**j for j, c in enumerate(coeffs, 1)]
+    a = TruncatedSeries.from_coeffs([0] + coeffs)
+    got = series_exp(a).coeffs
+    assert got == fraction_exp(a)
+    assert all(type(c) is Fraction for c in got)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (),
+    (5,),
+    (-3, 4, -5, 6),
+    (0,) * 12,
+    (0, 0, 0, 7) + (0,) * 9,
+    (0, Fraction(1, 2), 0, 0, Fraction(-5, 12), 0, 0, 0, 0, 2),
+])
+def test_series_exp_on_ints_signs_and_zero_runs(coeffs):
+    a = TruncatedSeries.from_coeffs((0,) + coeffs)
+    assert series_exp(a).coeffs == fraction_exp(a)
+
+
+def test_series_exp_over_qpoly():
+    N = 30
+    log = [QPoly.from_const(0)] + [
+        (QPoly.q_power(j, Fraction(1, 2)) + e_n_poly(j)) / j for j in range(1, N + 1)
+    ]
+    a = TruncatedSeries(tuple(log))
+    got, want = series_exp(a).coeffs, fraction_exp(a)
+    assert got == want
+    assert [str(c) for c in got] == [str(c) for c in want]
+    assert all(type(c) is Fraction for g in got[1:] for c in g.coeffs)
+    assert [str(count_landau_poly_in_q(n)) for n in range(N + 1)] == [str(c) for c in want]
+
+
+def test_exact_quotient_checks_every_division():
+    assert _exact_quotient(-12, 4) == -3
+    assert _exact_quotient(QPoly((6, -9)), 3) == QPoly((2, -3))
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(7, 2)
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(QPoly((4, 7)), 2)
