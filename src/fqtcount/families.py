@@ -526,7 +526,6 @@ def _rep_members(field: FieldSpec, max_degree: int) -> frozenset:
     b_codes = q ** ((max_degree - 1) // 2 + 1) if max_degree >= 1 else 1
     if a_codes * b_codes > 4 * 10**6:
         raise ResourceLimit("representation search space too large")
-    t = ffield.tables(field)
     decode = ffield.coeffs_of_code
 
     def mul(x, y):
@@ -540,7 +539,7 @@ def _rep_members(field: FieldSpec, max_degree: int) -> frozenset:
         for i in range(n):
             xi = x[i] if i < len(x) else 0
             yi = y[i] if i < len(y) else 0
-            out[i] = int(t.add[xi][yi])
+            out[i] = ffield.element_add(field, xi, yi)
         while len(out) > 1 and out[-1] == 0:
             out.pop()
         return tuple(out)

@@ -14,6 +14,14 @@ ordered by their integer codes.
 Enumeration, trial-division factorization and the quadratic character
 chi2 (the character modulo T) live here; they are the substrate for the
 brute-force oracles in the rest of the package.
+
+Scalar arithmetic stays in Python ints, because indexing a numpy table
+costs more than the operation itself.  A prime field reduces mod p,
+which is how _Tables defines its tables for k = 1, so it builds no
+q^2-entry structure for scalar work.  An extension field indexes the
+Python-list rows that _Tables keeps next to its numpy tables.  Loops
+that run many divisions (factor, irreducibles) fetch these once per
+call through _ext_tables.
 """
 
 from __future__ import annotations
@@ -34,7 +42,8 @@ from .numtheory import is_prime
 
 DEFAULT_CAP = 10**8
 
-# Largest q for which elementwise add/mul tables are built (q*q entries).
+# Largest q for which elementwise add/mul tables are built (q*q entries);
+# scalar arithmetic in a prime field needs none.
 _MAX_TABLE_Q = 4096
 
 
@@ -151,6 +160,12 @@ class _Tables:
         for a in range(1, q):
             sq[self.mul[a, a]] = True
         self.is_square = sq
+        if k > 1:
+            # scalar loops index these Python lists (see the module docstring)
+            self.add_rows = self.add.tolist()
+            self.mul_rows = self.mul.tolist()
+            self.neg_row = self.neg.tolist()
+            self.inv_row = self.inv.tolist()
 
 
 _TABLE_CACHE: dict[FieldSpec, _Tables] = {}
@@ -164,6 +179,11 @@ def tables(field: FieldSpec) -> _Tables:
         t = _Tables(field)
         _TABLE_CACHE[field] = t
     return t
+
+
+def _ext_tables(field: FieldSpec) -> _Tables | None:
+    """The tables whose rows an extension field's scalar loops index; None if k = 1."""
+    return None if field.k == 1 else tables(field)
 
 
 def _code_to_vec(code: int, p: int, k: int) -> list[int]:
@@ -263,21 +283,29 @@ def field_for_order(q: int) -> FieldSpec:
 
 
 def element_add(field: FieldSpec, a: int, b: int) -> int:
-    return int(tables(field).add[a, b])
+    if field.k == 1:
+        return (a + b) % field.p
+    return tables(field).add_rows[a][b]
 
 
 def element_mul(field: FieldSpec, a: int, b: int) -> int:
-    return int(tables(field).mul[a, b])
+    if field.k == 1:
+        return a * b % field.p
+    return tables(field).mul_rows[a][b]
 
 
 def element_neg(field: FieldSpec, a: int) -> int:
-    return int(tables(field).neg[a])
+    if field.k == 1:
+        return -a % field.p
+    return tables(field).neg_row[a]
 
 
 def element_inv(field: FieldSpec, a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("inverse of zero field element")
-    return int(tables(field).inv[a])
+    if field.k == 1:
+        return pow(a, -1, field.p)
+    return tables(field).inv_row[a]
 
 
 def validate_poly(field: FieldSpec, f: MonicPoly) -> None:
@@ -287,12 +315,21 @@ def validate_poly(field: FieldSpec, f: MonicPoly) -> None:
 
 def poly_mul(field: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Product of two coefficient tuples (not necessarily monic)."""
-    t = tables(field)
     out = [0] * (len(a) + len(b) - 1)
+    t = _ext_tables(field)
+    if t is None:
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        p = field.p
+        return tuple(c % p for c in out)
+    add = t.add_rows
     for i, ai in enumerate(a):
         if ai:
+            mul_a = t.mul_rows[ai]
             for j, bj in enumerate(b):
-                out[i + j] = int(t.add[out[i + j], t.mul[ai, bj]])
+                out[i + j] = add[out[i + j]][mul_a[bj]]
     return tuple(out)
 
 
@@ -300,19 +337,27 @@ def poly_divmod(field: FieldSpec, f: tuple[int, ...], g: tuple[int, ...]):
     """Quotient and remainder of f by a monic g; remainder has no leading zeros."""
     if g[-1] != 1:
         raise ValueError("divisor must be monic")
-    t = tables(field)
+    return _divmod(field.p, _ext_tables(field), f, g)
+
+
+def _divmod(p: int, t: _Tables | None, f: tuple[int, ...], g: tuple[int, ...]):
+    """poly_divmod on prefetched arithmetic: mod p if t is None, else t's rows."""
     f = list(f)
     dg = len(g) - 1
     quot = [0] * max(len(f) - dg, 0)
     while len(f) > dg:
-        lead = f[-1]
-        pos = len(f) - 1 - dg
+        lead = f.pop()  # g is monic, so this coefficient cancels
+        pos = len(f) - dg
         quot[pos] = lead
-        if lead:
-            neg_lead = int(t.neg[lead])
-            for i in range(dg + 1):
-                f[pos + i] = int(t.add[f[pos + i], t.mul[neg_lead, g[i]]])
-        f.pop()
+        if not lead:
+            continue
+        if t is None:
+            for i in range(dg):
+                f[pos + i] = (f[pos + i] - lead * g[i]) % p
+        else:
+            add, times_neg_lead = t.add_rows, t.mul_rows[t.neg_row[lead]]
+            for i in range(dg):
+                f[pos + i] = add[f[pos + i]][times_neg_lead[g[i]]]
     while f and f[-1] == 0:
         f.pop()
     return tuple(quot), tuple(f)
@@ -324,23 +369,22 @@ def poly_mod(field: FieldSpec, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[
 
 def poly_gcd(field: FieldSpec, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     """Monic gcd of two coefficient tuples (empty tuple for gcd(0, 0))."""
-    t = tables(field)
-    a, b = tuple(f), tuple(g)
+    a, b = _strip(f), _strip(g)
     while any(b):
         a, b = b, poly_mod_general(field, a, b)
     if not any(a):
         return a
-    lead_inv = int(t.inv[a[-1]])
-    return tuple(int(t.mul[c, lead_inv]) for c in a)
+    return _make_monic(field, a)
 
 
 def poly_mod_general(field: FieldSpec, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     """Remainder of f by any nonzero g (g need not be monic)."""
-    g = _strip(g)
-    t = tables(field)
-    lead_inv = int(t.inv[g[-1]])
-    monic_g = tuple(int(t.mul[c, lead_inv]) for c in g)
-    return poly_mod(field, f, monic_g)
+    return poly_mod(field, f, _make_monic(field, _strip(g)))
+
+
+def _make_monic(field: FieldSpec, f: tuple[int, ...]) -> tuple[int, ...]:
+    lead_inv = element_inv(field, f[-1])
+    return tuple(element_mul(field, c, lead_inv) for c in f)
 
 
 def _strip(f: tuple[int, ...]) -> tuple[int, ...]:
@@ -374,11 +418,12 @@ def irreducibles(field: FieldSpec, n: int, cap: int | None = None) -> tuple[Moni
     if n == 1:
         result = tuple(enumerate_monic(field, 1, cap))
     else:
+        p, t = field.p, _ext_tables(field)
         smaller = [irreducibles(field, d, cap) for d in range(1, n // 2 + 1)]
         result = tuple(
             f for f in enumerate_monic(field, n, cap)
             if not any(
-                not poly_mod(field, f.coeffs, g.coeffs)
+                not _divmod(p, t, f.coeffs, g.coeffs)[1]
                 for degree_list in smaller for g in degree_list
             )
         )
@@ -402,6 +447,7 @@ def factor(field: FieldSpec, f: MonicPoly, cap: int | None = None) -> Factorizat
     validate_poly(field, f)
     if f.degree < 1:
         raise ValueError("factor requires degree >= 1")
+    p, t = field.p, _ext_tables(field)
     rest = f.coeffs
     found: list[tuple[MonicPoly, int]] = []
     d = 1
@@ -411,7 +457,7 @@ def factor(field: FieldSpec, f: MonicPoly, cap: int | None = None) -> Factorizat
                 break
             mult = 0
             while True:
-                quot, rem = poly_divmod(field, rest, prime.coeffs)
+                quot, rem = _divmod(p, t, rest, prime.coeffs)
                 if rem:
                     break
                 rest = quot
@@ -450,7 +496,6 @@ def poly_from_string(field: FieldSpec, s: str, monic: bool = True):
     if not text:
         raise ValueError("empty polynomial string")
     coeff_map: dict[int, int] = {}
-    t = tables(field)
     for term in text.split("+"):
         if not term:
             raise ValueError(f"ill-formed polynomial {s!r}")
@@ -470,9 +515,9 @@ def poly_from_string(field: FieldSpec, s: str, monic: bool = True):
             coeff = _parse_coeff(field, term, s)
             power = 0
         if negate:
-            coeff = int(t.neg[coeff])
+            coeff = element_neg(field, coeff)
         if power in coeff_map:
-            coeff_map[power] = int(t.add[coeff_map[power], coeff])
+            coeff_map[power] = element_add(field, coeff_map[power], coeff)
         else:
             coeff_map[power] = coeff
     deg = max(coeff_map)

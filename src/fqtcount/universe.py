@@ -9,13 +9,23 @@ the coprime cofactor.  Membership tests for the counted families are
 then single vectorized passes over these arrays, giving an independent
 exhaustive check of every generating-function count.
 
-The sieve writes products P^e * h for primes P in canonical order and
-e descending; the first write into a slot is therefore the smallest
-prime factor at its exact multiplicity, with a cofactor coprime to it.
+Primes get global ids (gids) in the order they are found: by degree,
+then by code.  Codes put c_0 as the fastest-varying digit, so gid order
+is not ffield's canonical tuple order (where the last coefficient
+varies fastest).  "Smallest prime factor" below means smallest gid.
+
+The sieve is a linear sieve (Gries & Misra, CACM 21, 1978): it writes
+every composite exactly once.  A composite f of degree d has exactly
+one form P^e * h with P its smallest prime factor, P^e exactly dividing
+f, and h either 1 or a polynomial whose smallest prime factor comes
+after P.  So for each prime P of degree <= d/2 and each e, the sieve
+writes P^e * h for h = 1 and for those h of degree d - e*deg P with
+spf_gid[h] > gid(P).  All of them have degree < d, so their tables are
+complete.  The slots left unwritten are the primes of degree d.
 Products are computed in base-p digit form, where multiplication by a
 fixed polynomial is a matrix product that BLAS batches over all
-cofactors at once, in float32 unless a digit sum could pass 2^24
-(_digit_dtype).
+selected cofactors at once, in float32 unless a digit sum could pass
+2^24 (_digit_dtype).
 """
 
 from __future__ import annotations
@@ -60,9 +70,12 @@ def _digit_dtype(field: FieldSpec, in_deg: int) -> type:
 def _digits_of_codes(field: FieldSpec, codes: np.ndarray, degree: int) -> np.ndarray:
     """Base-p digit matrix of the given codes, in the _digit_dtype of degree."""
     p = field.p
-    width = _digit_count(field, degree)
-    powers = p ** np.arange(width, dtype=np.int64)
-    return ((codes[:, None] // powers[None, :]) % p).astype(_digit_dtype(field, degree))
+    out = np.empty((len(codes), _digit_count(field, degree)), dtype=_digit_dtype(field, degree))
+    for col in range(out.shape[1]):
+        rest = codes // p  # a floor division by a scalar is far cheaper than %
+        out[:, col] = codes - rest * p
+        codes = rest
+    return out
 
 
 def _element_digits(field: FieldSpec, code: int) -> list[int]:
@@ -152,12 +165,33 @@ class Universe:
             sl = self._prime_slices[p_deg]
             for gid in range(sl.start, sl.stop):
                 prime = poly_of_code(field, int(self.prime_codes[gid]))
-                for e in range(d // p_deg, 0, -1):
+                w = (1,)
+                for e in range(1, d // p_deg + 1):
+                    w = ffield.poly_mul(field, w, prime.coeffs)
                     k_deg = d - e * p_deg
-                    self._sieve_batch(
-                        spf, e1, cof_deg, cof_idx, gid, prime, e, k_deg,
-                        d, p_pows, digit_cache,
-                    )
+                    if k_deg == 0:
+                        # h = 1: the prime power itself
+                        tgt, sel = code_of_poly(field, MonicPoly(w)) - size, 0
+                    elif k_deg < p_deg:
+                        continue  # every prime factor of h precedes P
+                    else:
+                        # cofactors whose smallest prime comes after P
+                        sel = np.flatnonzero(self.spf_gid[k_deg] > gid)
+                        if not len(sel):
+                            continue
+                        digits = digit_cache.get(k_deg)
+                        if digits is None:
+                            codes_h = q**k_deg + np.arange(q**k_deg, dtype=np.int64)
+                            digits = _digits_of_codes(field, codes_h, k_deg)
+                            digit_cache[k_deg] = digits
+                        mat = _mul_matrix(field, w, k_deg, d)
+                        prod = (digits[sel] @ mat).astype(np.int64)
+                        prod -= prod // field.p * field.p  # far cheaper than a float np.mod
+                        tgt = prod @ p_pows - size
+                    spf[tgt] = gid
+                    e1[tgt] = e
+                    cof_deg[tgt] = k_deg
+                    cof_idx[tgt] = sel
         prime_idx = np.flatnonzero(spf < 0)
         start = len(self.prime_codes)
         gids = np.arange(start, start + len(prime_idx), dtype=np.int32)
@@ -178,29 +212,6 @@ class Universe:
         self.cof_idx.append(cof_idx)
         self._chi = None  # refresh lazily over the longer prime list
         self._residues.clear()
-
-    def _sieve_batch(self, spf, e1, cof_deg, cof_idx, gid, prime, e, k_deg,
-                     d, p_pows, digit_cache) -> None:
-        field, q = self.field, self.field.q
-        w = prime.coeffs
-        for _ in range(e - 1):
-            w = ffield.poly_mul(field, w, prime.coeffs)
-        mat = _mul_matrix(field, w, k_deg, d)
-        digits = digit_cache.get(k_deg)
-        if digits is None:
-            codes_h = q**k_deg + np.arange(q**k_deg, dtype=np.int64)
-            digits = _digits_of_codes(field, codes_h, k_deg)
-            digit_cache[k_deg] = digits
-        prod_digits = np.mod(digits @ mat, float(field.p))
-        codes_f = prod_digits.astype(np.int64) @ p_pows[: prod_digits.shape[1]]
-        idx = codes_f - q**d
-        sel = np.flatnonzero(spf[idx] < 0)
-        if len(sel):
-            tgt = idx[sel]
-            spf[tgt] = gid
-            e1[tgt] = e
-            cof_deg[tgt] = k_deg
-            cof_idx[tgt] = sel
 
     # -- per-prime attributes -----------------------------------------
 
@@ -277,6 +288,8 @@ class Universe:
                 raise ValueError("arith masks need a modulus and a residue code")
             good_prime = self.prime_residues(m) == a_code
         ok = [np.ones(1, dtype=bool)]
+        # offsets[k]: where degree k starts in np.concatenate(ok)
+        offsets = np.cumsum([0] + [self.field.q**k for k in range(self.max_degree)])
         for d in range(1, self.max_degree + 1):
             spf = self.spf_gid[d]
             e1 = self.e1[d]
@@ -287,12 +300,7 @@ class Universe:
                 pred = good & (e1 == 1)
             else:
                 pred = good
-            okc = np.empty(len(spf), dtype=bool)
-            cdeg = self.cof_deg[d]
-            cidx = self.cof_idx[d]
-            for kk in np.unique(cdeg):
-                sel = cdeg == kk
-                okc[sel] = ok[kk][cidx[sel]]
+            okc = np.concatenate(ok)[offsets[self.cof_deg[d]] + self.cof_idx[d]]
             ok.append(pred & okc)
         self._masks[key] = ok
         return ok

@@ -142,3 +142,122 @@ def test_default_cap_env_override(monkeypatch):
     monkeypatch.setenv("FQT_CAP", "-3")
     with pytest.raises(ValueError):
         ffield.default_cap()
+
+
+# -- scalar arithmetic against the numpy-table formulas -----------------
+
+_ARITH_QS = [2, 3, 4, 5, 7, 8, 9, 25, 27]
+
+
+def table_mul(field, a, b):
+    t = ffield.tables(field)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = int(t.add[out[i + j], t.mul[ai, bj]])
+    return tuple(out)
+
+
+def table_divmod(field, f, g):
+    t = ffield.tables(field)
+    f = list(f)
+    dg = len(g) - 1
+    quot = [0] * max(len(f) - dg, 0)
+    while len(f) > dg:
+        lead = f[-1]
+        pos = len(f) - 1 - dg
+        quot[pos] = lead
+        if lead:
+            neg_lead = int(t.neg[lead])
+            for i in range(dg + 1):
+                f[pos + i] = int(t.add[f[pos + i], t.mul[neg_lead, g[i]]])
+        f.pop()
+    while f and f[-1] == 0:
+        f.pop()
+    return tuple(quot), tuple(f)
+
+
+def table_monic(field, f):
+    t = ffield.tables(field)
+    lead_inv = int(t.inv[f[-1]])
+    return tuple(int(t.mul[c, lead_inv]) for c in f)
+
+
+def table_gcd(field, f, g):
+    a, b = tuple(f), tuple(g)
+    while any(b):
+        a, b = b, table_divmod(field, a, table_monic(field, ffield._strip(b)))[1]
+    return table_monic(field, a) if any(a) else a
+
+
+def poly_add(field, a, b):
+    n = max(len(a), len(b))
+    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+    return ffield._strip(tuple(ffield.element_add(field, x, y) for x, y in zip(a, b)))
+
+
+def all_ints(coeffs):
+    return all(type(c) is int for c in coeffs)
+
+
+def coeff_tuples(q, min_size, max_size):
+    return st.lists(st.integers(0, q - 1), min_size=min_size, max_size=max_size).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_ARITH_QS), st.data())
+def test_poly_arithmetic_matches_table_formulas(q, data):
+    field = field_for_order(q)
+    a = data.draw(coeff_tuples(q, 1, 7))
+    b = data.draw(coeff_tuples(q, 1, 7))
+    g = data.draw(coeff_tuples(q, 0, 4)) + (1,)
+    prod = ffield.poly_mul(field, a, b)
+    assert prod == table_mul(field, a, b)
+    assert all_ints(prod)
+    quot, rem = ffield.poly_divmod(field, a, g)
+    assert (quot, rem) == table_divmod(field, a, g)
+    assert all_ints(quot) and all_ints(rem)
+    assert len(rem) < len(g)
+    back = ffield.poly_mul(field, quot, g) if quot else ()
+    assert poly_add(field, back, rem) == ffield._strip(a)
+    gcd = ffield.poly_gcd(field, a, b)
+    assert gcd == table_gcd(field, ffield._strip(a), ffield._strip(b))
+    assert all_ints(gcd)
+    if gcd:
+        assert ffield.poly_mod(field, a, gcd) == ffield.poly_mod(field, b, gcd) == ()
+
+
+@pytest.mark.parametrize("q", _ARITH_QS)
+def test_element_arithmetic_matches_tables(q):
+    field = field_for_order(q)
+    t = ffield.tables(field)
+    for a in range(q):
+        assert ffield.element_neg(field, a) == int(t.neg[a])
+        if a:
+            assert ffield.element_inv(field, a) == int(t.inv[a])
+        for b in range(q):
+            assert ffield.element_add(field, a, b) == int(t.add[a, b])
+            assert ffield.element_mul(field, a, b) == int(t.mul[a, b])
+    values = [ffield.element_add(field, q - 1, q - 1), ffield.element_mul(field, q - 1, q - 1),
+              ffield.element_neg(field, q - 1), ffield.element_inv(field, q - 1)]
+    assert all_ints(values)
+    with pytest.raises(ZeroDivisionError):
+        ffield.element_inv(field, 0)
+
+
+def test_poly_gcd_ignores_trailing_zeros():
+    field = field_for_order(3)
+    assert ffield.poly_gcd(field, (0,), (1, 0)) == (1,)
+    assert ffield.poly_gcd(field, (2, 2, 0), (0, 1, 1)) == (1, 1)
+    assert ffield.poly_gcd(field, (0,), (0, 0)) == ()
+
+
+def test_prime_field_arithmetic_builds_no_tables():
+    field = build_field(4093)
+    ffield._TABLE_CACHE.pop(field, None)
+    f = poly_from_string(field, "T^3-2T+4000")
+    assert ffield.poly_mul(field, f.coeffs, f.coeffs)[0] == 4000 * 4000 % 4093
+    assert ffield.factor(field, MonicPoly((4092, 0, 1))).factors[0][0].coeffs == (1, 1)
+    assert ffield.poly_gcd(field, (1, 2), (2, 4)) == (ffield.element_mul(field, 1, 2047), 1)
+    assert field not in ffield._TABLE_CACHE

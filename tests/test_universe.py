@@ -11,6 +11,61 @@ from fqtcount.primecounts import pi_q
 from fqtcount.universe import Universe, code_of_poly, get_universe, poly_of_code
 
 
+def first_write_sieve(field, max_degree):
+    """The first-write-wins sieve that the linear sieve replaced, kept as a reference.
+
+    It writes P^e * h for every prime P of degree <= d/2 in gid order, e
+    descending, and every cofactor h of degree d - e*deg P; a slot keeps
+    its first write.  Returns spf_gid, e1, cof_deg, cof_idx (per degree)
+    and prime_codes, laid out as in Universe.
+    """
+    q, p = field.q, field.p
+    spf_gid = [np.empty(0, np.int32)]
+    e1s = [np.empty(0, np.int8)]
+    cof_degs = [np.empty(0, np.int8)]
+    cof_idxs = [np.empty(0, np.int64)]
+    prime_codes = np.empty(0, np.int64)
+    slices = [slice(0, 0)]
+    for d in range(1, max_degree + 1):
+        size = q**d
+        spf = np.full(size, -1, dtype=np.int32)
+        e1 = np.zeros(size, dtype=np.int8)
+        cof_deg = np.zeros(size, dtype=np.int8)
+        cof_idx = np.zeros(size, dtype=np.int64)
+        p_pows = p ** np.arange(universe._digit_count(field, d), dtype=np.int64)
+        for p_deg in range(1, d // 2 + 1):
+            for gid in range(slices[p_deg].start, slices[p_deg].stop):
+                prime = poly_of_code(field, int(prime_codes[gid]))
+                for e in range(d // p_deg, 0, -1):
+                    k_deg = d - e * p_deg
+                    w = prime.coeffs
+                    for _ in range(e - 1):
+                        w = ffield.poly_mul(field, w, prime.coeffs)
+                    mat = universe._mul_matrix(field, w, k_deg, d)
+                    codes_h = q**k_deg + np.arange(q**k_deg, dtype=np.int64)
+                    powers = p ** np.arange(universe._digit_count(field, k_deg), dtype=np.int64)
+                    digits = ((codes_h[:, None] // powers[None, :]) % p).astype(mat.dtype)
+                    prod_digits = np.mod(digits @ mat, float(p))
+                    idx = prod_digits.astype(np.int64) @ p_pows[: prod_digits.shape[1]] - size
+                    sel = np.flatnonzero(spf[idx] < 0)
+                    tgt = idx[sel]
+                    spf[tgt] = gid
+                    e1[tgt] = e
+                    cof_deg[tgt] = k_deg
+                    cof_idx[tgt] = sel
+        prime_idx = np.flatnonzero(spf < 0)
+        start = len(prime_codes)
+        spf[prime_idx] = np.arange(start, start + len(prime_idx), dtype=np.int32)
+        e1[prime_idx] = 1
+        prime_codes = np.concatenate([prime_codes, prime_idx.astype(np.int64) + size])
+        slices.append(slice(start, start + len(prime_idx)))
+        spf_gid.append(spf)
+        e1s.append(e1)
+        cof_degs.append(cof_deg)
+        cof_idxs.append(cof_idx)
+    return spf_gid, e1s, cof_degs, cof_idxs, prime_codes
+
+
 def test_code_roundtrip():
     field = field_for_order(3)
     for f in ffield.enumerate_monic(field, 3):
@@ -138,3 +193,43 @@ def test_digit_dtype_keeps_digit_products_exact():
     huge = ffield.FieldSpec(p=2**31 - 1, k=1, modulus=(0, 1))
     with pytest.raises(ResourceLimit):
         _digit_dtype(huge, 3)  # 4 * (2^31 - 2)^2 > 2^53
+
+
+@pytest.mark.parametrize("q, max_deg", [(2, 14), (3, 9), (4, 7), (5, 6), (7, 5), (8, 5), (9, 4)])
+def test_linear_sieve_matches_first_write_reference(q, max_deg):
+    field = field_for_order(q)
+    uni = Universe(field, max_deg)
+    spf_gid, e1, cof_deg, cof_idx, prime_codes = first_write_sieve(field, max_deg)
+    for mine, ref in ((uni.spf_gid, spf_gid), (uni.e1, e1), (uni.cof_deg, cof_deg),
+                      (uni.cof_idx, cof_idx), ([uni.prime_codes], [prime_codes])):
+        assert len(mine) == len(ref)
+        for a, b in zip(mine, ref):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("q, max_deg", [(2, 10), (4, 5), (8, 3), (9, 3), (25, 3)])
+def test_sieve_slots_hold_smallest_prime_exact_power_and_full_factorization(q, max_deg):
+    field = field_for_order(q)
+    uni = Universe(field, max_deg)
+    for d in range(1, max_deg + 1):
+        spf, e1 = uni.spf_gid[d], uni.e1[d]
+        cdeg, cidx = uni.cof_deg[d], uni.cof_idx[d]
+        composite = (cdeg > 0) | (e1 > 1)
+        # a prime slot holds a prime of its own degree with multiplicity 1
+        assert (uni.prime_deg[spf[~composite]] == d).all()
+        assert (e1[~composite] == 1).all()
+        for kk in range(1, d):
+            sel = composite & (cdeg == kk)
+            # the cofactor's smallest prime comes after the slot's
+            assert (uni.spf_gid[kk][cidx[sel]] > spf[sel]).all()
+        for idx in np.flatnonzero(composite & (cdeg > 0)):
+            prime = poly_of_code(field, int(uni.prime_codes[spf[idx]]))
+            cof = poly_of_code(field, q ** int(cdeg[idx]) + int(cidx[idx]))
+            # P does not divide the cofactor, so e1 is exact
+            assert ffield.poly_mod(field, cof.coeffs, prime.coeffs) != ()
+        for idx in range(q**d):
+            expected = ffield.factor(field, poly_of_code(field, q**d + idx))
+            assert sorted(uni.factor_chain(d, idx)) == sorted(
+                (code_of_poly(field, prime), mult) for prime, mult in expected.factors
+            )
