@@ -118,7 +118,11 @@ class EstimatorSpec:
     def coefficient(self, n: int) -> Fraction:
         """atilde_n, with the envelope |atilde_n| <= c2 alpha^(-n) enforced."""
         value = Fraction(self.coeff_source(n))
-        if value**2 > self.c2**2 * self.alpha_inv_sq**n:
+        # value^2 > c2^2 alpha^-2n on integers: (a/b)^2 > (c/d)^2 (e/f)^n
+        a, b = value.as_integer_ratio()
+        c, d = self.c2.as_integer_ratio()
+        e, f = self.alpha_inv_sq.as_integer_ratio()
+        if (a * d) ** 2 * f**n > (c * b) ** 2 * e**n:
             raise HypothesisViolation(
                 f"coefficient envelope breached at n = {n}: |{value}| > c2 alpha^-n"
             )

@@ -2,11 +2,27 @@
 
 Each constant is evaluated by at least two independent formulas.  Every
 method reports (value, tail_bound) where the true constant provably
-lies within tail_bound of value: partial sums are exact rationals,
-omitted tails are bounded by elementary envelopes, and the final
-exponential converts a one-sided log tail t into the symmetric bound
-value * (exp(t) - 1).  Floating-point bound arithmetic is padded with
-small safety factors.
+lies within tail_bound of value: omitted tails are bounded by elementary
+envelopes, and the final exponential converts a one-sided log tail t
+into the symmetric bound value * (exp(t) - 1).  Floating-point bound
+arithmetic is padded with small safety factors.
+
+Long sums run in integer fixed point at scale 2^P, P = mpmath.mp.prec +
+GUARD_BITS, i.e. 64 bits beyond the working precision.  Each term is a
+Python int floor((numerator << P) // denominator) of an exact rational,
+so a sum of k terms falls short of the exact one by less than k ulps of
+2^-P.  These ulps form a rounding ledger that is added to the tail of
+the sum it belongs to:
+
+* _atilde_sum (every "series" method and C_{q,3}'s composed method)
+  adds N * 2^-P for its N terms to the tail it returns;
+* _euler_log_sum (the Euler products of K_q and C_{q,1}) adds one ulp
+  per term and two per degree for the truncated series in k, and the
+  caller adds that to the Euler product's log tail etail.
+
+A ledger term is far below 10^-(digits + 8), the floor _floor_tail puts
+under every declared tail, and at high precision it underflows a float
+altogether; either way the floor covers it.
 
 Conventions: K_q is the limiting ratio for the quadratic-form family
 (odd q); C_{q,1..3} belong to the three half-degree families; c_q and
@@ -32,13 +48,18 @@ from .families import FamilySpec
 from .ffield import FieldSpec, MonicPoly, field_for_order
 from .primecounts import CHI2_MINUS, pi_chi2, pi_q
 
+GUARD_BITS = 64  # fixed-point bits beyond the working precision
+
 
 def _floor_tail(x: float, digits: int = 290) -> float:
     """Declared tails also absorb working-precision rounding noise.
 
     Computations run at digits + 15 decimal places, so flooring the
     truncation bound at 10^-(digits + 8) keeps it an honest bound on
-    |reported - true| while staying far below the precision goal.
+    |reported - true| while staying far below the precision goal.  The
+    floor also absorbs the fixed-point rounding ledger (see the module
+    docstring): a ledger of k ulps is k * 2^-P < k * 10^-(digits + 34),
+    and the floor stays in force when that ledger underflows a float.
     """
     return max(x, 10.0 ** -(digits + 8), 1e-290)
 
@@ -99,22 +120,58 @@ def _exp_method(tag: str, log_sum: Fraction, log_tail: float,
     return ConstantMethod(tag, value, _floor_tail(tail, digits))
 
 
+def _scale_bits() -> int:
+    """P, the fixed-point scale 2^P of the long sums at the working precision."""
+    return mpmath.mp.prec + GUARD_BITS
+
+
 def _atilde_sum(est: EstimatorSpec, N: int, x: Fraction | None = None,
                 over_n: bool = True) -> tuple[Fraction, float]:
     """sum_{n <= N} atilde_n x^n (/ n) and a bound on the omitted tail.
 
     x defaults to beta.  Every atilde_n passes through est.coefficient,
     which enforces the envelope |atilde_n| <= c2 alpha^-n that the tail
-    c2 rho^(N+1) / ((N+1) (1 - rho)), rho = x / alpha, rests on.
+    c2 rho^(N+1) / ((N+1) (1 - rho)), rho = x / alpha, rests on.  The sum
+    runs in fixed point at scale 2^P and falls short of the exact partial
+    sum by less than N * 2^-P, which the tail includes.
     """
     x = est.beta if x is None else x
     rho = _r_upper(x * x * est.alpha_inv_sq)
-    S, x_n = Fraction(0), Fraction(1)
+    P = _scale_bits()
+    S, xn_num, xn_den = 0, 1, 1  # x^n = xn_num / xn_den, kept unreduced
     for n in range(1, N + 1):
-        x_n *= x
-        S += est.coefficient(n) * x_n / (n if over_n else 1)
+        xn_num *= x.numerator
+        xn_den *= x.denominator
+        a = est.coefficient(n)
+        S += (a.numerator * xn_num << P) // (
+            a.denominator * xn_den * (n if over_n else 1))
     tail = float(est.c2) * rho ** (N + 1) / ((N + 1 if over_n else 1) * (1 - rho))
-    return S, tail * _PAD
+    return Fraction(S, 1 << P), tail * _PAD + math.ldexp(N, -P)
+
+
+def _euler_log_sum(q: int, weights) -> tuple[Fraction, Fraction]:
+    """-sum_d w_d / 2 * log(1 - q^(-2d)) over (d, w_d) pairs, and its ledger.
+
+    Each degree sums the exact series sum_k q^(-2dk) / k in fixed point at
+    scale 2^P, stopping at the first k whose term w_d 2^P // (k q^(2dk))
+    is 0.  That term's exact value is below 2^-P, so the omitted
+    remainder, at most q^(2d) / (q^(2d) - 1) <= 4/3 times it, is below two
+    ulps.  With one ulp per floor, the returned S and the exact ledger,
+    both over 2^(P+1) for the factor 1/2, satisfy
+    S <= true value < S + ledger.
+    """
+    P = _scale_bits()
+    total = ulps = 0
+    for d, w in weights:
+        if w == 0:
+            continue
+        y = q ** (2 * d)
+        k, y_k = 1, y
+        while term := (w << P) // (k * y_k):
+            total += term
+            k, y_k = k + 1, y_k * y
+        ulps += k + 1  # k - 1 floors, two for the remainder
+    return Fraction(total, 1 << (P + 1)), Fraction(ulps, 1 << (P + 1))
 
 
 def _series_terms(q: int, digits: int, half: bool) -> int:
@@ -165,13 +222,11 @@ def constant_Kq(q: int, digits: int = 30) -> ConstantReport:
 
         # Euler product over chi2 = -1 primes, grouped by degree
         D = _series_terms(q, digits, half=False)
-        log_val = -mpmath.log(1 - mpmath.mpf(1) / q) / 2
-        for d in range(1, D + 1):
-            pim = pi_chi2(q, d, CHI2_MINUS)
-            if pim:
-                log_val -= mpmath.mpf(pim) / 2 * mpmath.log1p(
-                    -(mpmath.mpf(q) ** (-2 * d)))
-        etail = float(q) ** -(D + 1) / (1 - 1 / q) / (D + 1) * 2 * _PAD
+        S, ledger = _euler_log_sum(
+            q, ((d, pi_chi2(q, d, CHI2_MINUS)) for d in range(1, D + 1)))
+        log_val = -mpmath.log(1 - mpmath.mpf(1) / q) / 2 + _to_mpf(S)
+        etail = (float(q) ** -(D + 1) / (1 - 1 / q) / (D + 1) * 2 * _PAD
+                 + float(ledger))
         value = mpmath.e**log_val
         euler = ConstantMethod(
             "euler-product", value,
@@ -216,12 +271,11 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
 
             # Euler product over odd-degree primes
             D = N
-            log_val = mpmath.mpf(0)
-            for d in range(1, D + 1, 2):
-                log_val -= mpmath.mpf(pi_q(q, d)) / 2 * mpmath.log1p(
-                    -(mpmath.mpf(q) ** (-2 * d)))
-            etail = float(q) ** -(D + 1) / (1 - 1 / q) / (D + 1) * 2 * _PAD
-            value = mpmath.e**log_val
+            S, ledger = _euler_log_sum(
+                q, ((d, pi_q(q, d)) for d in range(1, D + 1, 2)))
+            etail = (float(q) ** -(D + 1) / (1 - 1 / q) / (D + 1) * 2 * _PAD
+                     + float(ledger))
+            value = mpmath.e ** _to_mpf(S)
             euler = ConstantMethod(
                 "euler-product", value,
                 _floor_tail(float(value) * math.expm1(etail) * _PAD, digits))

@@ -18,7 +18,8 @@ brute-force oracles in the rest of the package.
 Scalar arithmetic stays in Python ints, because indexing a numpy table
 costs more than the operation itself.  A prime field reduces mod p,
 which is how _Tables defines its tables for k = 1, so it builds no
-q^2-entry structure for scalar work.  An extension field indexes the
+q^2-entry structure for scalar work; its chi2 is Euler's criterion and
+its square_mask squares the q residues.  An extension field indexes the
 Python-list rows that _Tables keeps next to its numpy tables.  Loops
 that run many divisions (factor, irreducibles) fetch these once per
 call through _ext_tables.
@@ -479,7 +480,23 @@ def chi2(field: FieldSpec, f: MonicPoly) -> int:
     c0 = f.coeffs[0]
     if c0 == 0:
         return 0
-    return 1 if bool(tables(field).is_square[c0]) else -1
+    if field.k == 1:  # Euler's criterion
+        return 1 if pow(c0, (field.q - 1) // 2, field.q) == 1 else -1
+    return 1 if bool(square_mask(field)[c0]) else -1
+
+
+def square_mask(field: FieldSpec) -> np.ndarray:
+    """Boolean array over element codes: True at the nonzero squares.
+
+    A prime field squares its q residues, O(q); an extension field reads
+    its (q^2-entry) tables.
+    """
+    if field.k > 1:
+        return tables(field).is_square
+    idx = np.arange(1, field.q, dtype=np.int64)
+    sq = np.zeros(field.q, dtype=bool)
+    sq[(idx * idx) % field.q] = True
+    return sq
 
 
 def poly_from_string(field: FieldSpec, s: str, monic: bool = True):

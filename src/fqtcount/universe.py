@@ -218,9 +218,8 @@ class Universe:
     def prime_chi2(self) -> np.ndarray:
         """Quadratic character of each prime, in {-1, 0, +1}."""
         if self._chi is None or len(self._chi) != len(self.prime_codes):
-            t = ffield.tables(self.field)
             c0 = (self.prime_codes % self.field.q).astype(np.int64)
-            chi = np.where(t.is_square[c0], 1, -1).astype(np.int8)
+            chi = np.where(ffield.square_mask(self.field)[c0], 1, -1).astype(np.int8)
             chi[c0 == 0] = 0
             self._chi = chi
         return self._chi

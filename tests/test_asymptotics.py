@@ -1,5 +1,6 @@
 """Certified coefficient estimation: identities, thresholds, enclosures."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -181,6 +182,28 @@ def test_coefficient_envelope_enforced():
     )
     with pytest.raises(HypothesisViolation):
         shrunk.coefficient(6)
+
+
+def test_coefficient_envelope_exact_past_float_range():
+    # alpha^-2 = 101 and c2 = 3/2: at n >= 200 both sides exceed 1e308
+    q, c2 = 101, Fraction(3, 2)
+    numerator = {}  # n -> the numerator over 2 that the source returns at n
+
+    def source(n):
+        return Fraction(numerator[n], 2)
+
+    est = EstimatorSpec(coeff_source=source, c1=Fraction(1, 2), c2=c2,
+                        beta=Fraction(1, q), alpha_inv_sq=Fraction(q))
+    for n in (200, 201, 250, 651):
+        k = math.isqrt(9 * q**n)  # the largest k with (k/2)^2 <= c2^2 q^n
+        for value, breach in ((k, False), (-k, False), (k + 1, True), (-k - 1, True)):
+            numerator[n] = value
+            assert (Fraction(value, 2) ** 2 > c2**2 * est.alpha_inv_sq**n) == breach
+            if breach:
+                with pytest.raises(HypothesisViolation, match=f"n = {n}:"):
+                    est.coefficient(n)
+            else:
+                assert est.coefficient(n) == Fraction(value, 2)
 
 
 def test_estimate_encloses_exact_ratio_all_families():

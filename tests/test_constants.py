@@ -1,10 +1,18 @@
 """Limiting constants by independent methods with declared tail bounds."""
 
+from fractions import Fraction
+from functools import lru_cache
+
 import mpmath
 import pytest
 
+from fqtcount import families
+from fqtcount.asymptotics import _to_mpf, estimator_for
 from fqtcount.constants import (
+    GUARD_BITS,
     ConstantReport,
+    _atilde_sum,
+    _euler_log_sum,
     constant_Cam,
     constant_Cq,
     constant_Kq,
@@ -12,7 +20,9 @@ from fqtcount.constants import (
     constant_cq_prime,
 )
 from fqtcount.errors import EvenCharacteristic, HypothesisViolation
+from fqtcount.families import FamilySpec
 from fqtcount.ffield import MonicPoly, build_field, field_for_order, poly_from_string
+from fqtcount.primecounts import CHI2_MINUS, pi_chi2, pi_q
 
 
 def close(report, decimal_string, places=12):
@@ -132,3 +142,78 @@ def test_envelope_near_one_for_large_q():
     for q in (25, 81):
         assert abs(float(constant_Kq(q, digits=12).consensus) - 1) <= 3.0 / q
         assert abs(float(constant_Cq(q, 1, digits=12).consensus) - 1) <= 3.0 / q
+
+
+# every constant as a function of (q, digits), with the precision of its reference
+CONSTANTS = {
+    "kq": (constant_Kq, 1000),
+    "cq1": (lambda q, digits: constant_Cq(q, 1, digits), 1000),
+    "cq2": (lambda q, digits: constant_Cq(q, 2, digits), 1000),
+    "cq3": (lambda q, digits: constant_Cq(q, 3, digits), 1000),
+    "cq": (constant_cq, 1000),
+    "cqprime": (constant_cq_prime, 1000),
+    # the progression table makes 1000 digits cost seconds; a 250-digit
+    # reference still sits 150 orders of magnitude inside the tails checked
+    "cam": (lambda q, digits: constant_Cam(
+        field_for_order(q), (1,), MonicPoly((0, 1)), digits), 250),
+}
+
+
+@lru_cache(maxsize=None)
+def reference(name, q):
+    """The consensus of a high-precision run, with its declared tail."""
+    func, digits = CONSTANTS[name]
+    report = func(q, digits)
+    assert report.agreement()
+    return report.consensus, min(m.tail_bound for m in report.methods)
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("q", [3, 5, 101])
+@pytest.mark.parametrize("name", sorted(CONSTANTS))
+def test_every_method_lies_within_its_declared_tail(name, q, digits):
+    ref, ref_tail = reference(name, q)
+    report = CONSTANTS[name][0](q, digits)
+    with mpmath.workdps(1020):
+        for method in report.methods:
+            assert method.tail_bound > 1000 * ref_tail
+            assert abs(method.value - ref) <= method.tail_bound, method.tag
+
+
+@pytest.mark.parametrize("q, weights", [
+    (3, [(d, pi_chi2(3, d, CHI2_MINUS)) for d in range(1, 60)]),
+    (5, [(d, pi_q(5, d)) for d in range(1, 60, 2)]),
+    (101, [(d, pi_q(101, d)) for d in range(1, 12)]),
+])
+def test_euler_log_sum_within_its_ledger(q, weights):
+    with mpmath.workdps(1000):
+        S, ledger = _euler_log_sum(q, weights)
+        scale = mpmath.mp.prec
+    with mpmath.workdps(1100):
+        exact = -mpmath.fsum(
+            mpmath.mpf(w) / 2 * mpmath.log1p(-mpmath.mpf(q) ** (-2 * d))
+            for d, w in weights)
+        gap = exact - _to_mpf(S)
+        # floors and truncation only ever drop mass: S <= exact < S + ledger
+        assert 0 <= gap <= _to_mpf(ledger)
+    assert S.denominator & (S.denominator - 1) == 0
+    assert ledger < Fraction(1, 2**scale)
+
+
+@pytest.mark.parametrize("family, over_n, x", [
+    (families.FAMILY_LANDAU, True, None),
+    (families.FAMILY_S1, False, None),
+    (families.FAMILY_S1, True, Fraction(1, 81)),
+])
+def test_atilde_sum_fixed_point_ledger(family, over_n, x):
+    est = estimator_for(FamilySpec(family, q=3))
+    N = 60
+    with mpmath.workdps(40):
+        S, tail = _atilde_sum(est, N, x=x, over_n=over_n)
+        P = mpmath.mp.prec + GUARD_BITS
+    xv = est.beta if x is None else x
+    exact = sum(est.coefficient(n) * xv**n / (n if over_n else 1)
+                for n in range(1, N + 1))
+    assert S.denominator & (S.denominator - 1) == 0
+    assert 0 <= exact - S < Fraction(N, 2**P)
+    assert tail >= N * 2.0**-P

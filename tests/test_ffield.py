@@ -261,3 +261,34 @@ def test_prime_field_arithmetic_builds_no_tables():
     assert ffield.factor(field, MonicPoly((4092, 0, 1))).factors[0][0].coeffs == (1, 1)
     assert ffield.poly_gcd(field, (1, 2), (2, 4)) == (ffield.element_mul(field, 1, 2047), 1)
     assert field not in ffield._TABLE_CACHE
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25])
+def test_chi2_matches_brute_force_squares(q):
+    field = field_for_order(q)
+    squares = {ffield.element_mul(field, x, x) for x in range(1, q)}
+    for c0 in range(q):
+        expected = 0 if c0 == 0 else (1 if c0 in squares else -1)
+        assert ffield.chi2(field, MonicPoly((c0, 1))) == expected
+        assert ffield.chi2(field, MonicPoly((c0, q - 1, 1))) == expected
+    mask = ffield.square_mask(field)
+    assert [c for c in range(q) if mask[c]] == sorted(squares)
+
+
+def test_chi2_prime_field_stays_small():
+    import tracemalloc
+
+    field = build_field(4093)
+    ffield._TABLE_CACHE.pop(field, None)
+    tracemalloc.start()
+    try:
+        values = [ffield.chi2(field, MonicPoly((c0, 1))) for c0 in (0, 1, 2, 4092)]
+        mask = ffield.square_mask(field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    # 4093 = 5 mod 8, so 2 is a non-residue; -1 is a residue as 4093 = 1 mod 4
+    assert values == [0, 1, -1, 1]
+    assert mask.sum() == 4092 // 2
+    assert field not in ffield._TABLE_CACHE

@@ -233,3 +233,17 @@ def test_sieve_slots_hold_smallest_prime_exact_power_and_full_factorization(q, m
             assert sorted(uni.factor_chain(d, idx)) == sorted(
                 (code_of_poly(field, prime), mult) for prime, mult in expected.factors
             )
+
+
+@pytest.mark.parametrize("q, max_deg", [(3, 4), (5, 3), (7, 2), (9, 2), (25, 2)])
+def test_prime_chi2_matches_scalar_chi2(q, max_deg):
+    field = field_for_order(q)
+    uni = Universe(field, max_deg)
+    squares = {ffield.element_mul(field, x, x) for x in range(1, q)}
+    chi = uni.prime_chi2()
+    assert chi.dtype == np.int8 and len(chi) == len(uni.prime_codes)
+    for code, c in zip(uni.prime_codes.tolist(), chi.tolist()):
+        prime = poly_of_code(field, code)
+        c0 = prime.coeffs[0]
+        assert c == (0 if c0 == 0 else (1 if c0 in squares else -1))
+        assert c == ffield.chi2(field, prime)
