@@ -445,34 +445,31 @@ def count_landau_poly_in_q(n: int) -> QPoly:
 def membership_oracle(field: FieldSpec, f: MonicPoly, spec: FamilySpec,
                       cap: int | None = None) -> bool:
     """Decide membership of f from its factorization."""
+    is_member = membership_test(field, spec)
+    if f.degree == 0:
+        return True
+    return is_member(ffield.factor(field, f, cap=cap))
+
+
+def membership_test(field: FieldSpec, spec: FamilySpec):
+    """The family's membership predicate on a Factorization (F_q[T] families)."""
     family = canonical_family(spec.family)
     if family not in _POLY_FAMILIES:
         raise ValueError("membership is defined for the F_q[T] families only")
     if family == FAMILY_LANDAU and field.q % 2 == 0:
         raise EvenCharacteristic("the A^2 + T B^2 family needs odd q")
-    if f.degree == 0:
-        return True
-    factors = ffield.factor(field, f, cap=cap)
     if family == FAMILY_ARITH:
         m = MonicPoly(spec.m)
         a_code = _residue_code(field, spec.a, m)
-        return all(
-            _residue_code(field, P, m) == a_code for P, _ in factors.factors
-        )
-    for P, v in factors.factors:
-        if family == FAMILY_LANDAU:
-            if ffield.chi2(field, P) == -1 and v % 2 == 1:
-                return False
-        elif family == FAMILY_S1:
-            if P.degree % 2 == 1 and v % 2 == 1:
-                return False
-        elif family == FAMILY_S2:
-            if P.degree % 2 == 1:
-                return False
-        else:
-            if P.degree % 2 == 1 or v != 1:
-                return False
-    return True
+        return lambda fac: all(_residue_code(field, P, m) == a_code for P, _ in fac.factors)
+    if family == FAMILY_LANDAU:
+        return lambda fac: all(v % 2 == 0 or ffield.chi2(field, P) != -1
+                               for P, v in fac.factors)
+    if family == FAMILY_S1:
+        return lambda fac: all(v % 2 == 0 or P.degree % 2 == 0 for P, v in fac.factors)
+    if family == FAMILY_S2:
+        return lambda fac: all(P.degree % 2 == 0 for P, _ in fac.factors)
+    return lambda fac: all(P.degree % 2 == 0 and v == 1 for P, v in fac.factors)
 
 
 def oracle_count(field: FieldSpec, spec: FamilySpec, degree: int,
@@ -480,8 +477,9 @@ def oracle_count(field: FieldSpec, spec: FamilySpec, degree: int,
     """Exhaustive count of degree-n members, independent of the series.
 
     method="sieve" factors the whole degree at once through the shared
-    Universe; method="scalar" walks enumerate_monic one polynomial at a
-    time (slow, used to validate the sieve itself).
+    Universe; method="scalar" factors the whole degree by one
+    ffield.factor_many call (remainders against the small prime powers,
+    independent of the sieve's products) and tests each factorization.
     """
     family = canonical_family(spec.family)
     if family not in _POLY_FAMILIES:
@@ -490,11 +488,9 @@ def oracle_count(field: FieldSpec, spec: FamilySpec, degree: int,
     if degree == 0:
         return 1
     if method == "scalar":
-        total = 0
-        for f in ffield.enumerate_monic(field, degree, cap=cap):
-            if membership_oracle(field, f, spec, cap=cap):
-                total += 1
-        return total
+        is_member = membership_test(field, spec)
+        polys = ffield.enumerate_monic(field, degree, cap=cap)
+        return sum(map(is_member, ffield.factor_many(field, polys, cap=cap)))
     if method != "sieve":
         raise ValueError("method must be 'sieve' or 'scalar'")
     uni = universe.get_universe(field, degree, cap=cap)

@@ -11,9 +11,25 @@ low-to-high with leading coefficient 1.  The canonical order on monic
 polynomials of equal degree is lexicographic on that tuple, elements
 ordered by their integer codes.
 
-Enumeration, trial-division factorization and the quadratic character
-chi2 (the character modulo T) live here; they are the substrate for the
+Enumeration, factorization and the quadratic character chi2 (the
+character modulo T) live here; they are the substrate for the
 brute-force oracles in the rest of the package.
+
+Factoring runs one remainder product per degree (the linear algebra
+behind Berlekamp, Bell Syst. Tech. J. 46, 1967): f -> f mod P^e is
+F_p-linear in the base-p digits of f's coefficients.  The remainder
+plan of degree n holds, for every monic prime P with 2 deg P <= n and
+every e with e deg P <= n, the digit matrix of that map, so one matrix
+product over a batch of polynomials gives every such remainder at once.
+The multiplicity of P in f is the largest e whose remainder block is
+zero, since P^e | f implies P^(e-1) | f.  What the small prime powers
+leave has no prime factor of degree <= n/2, so it is 1 or one prime of
+degree > n/2; it comes from one exact division, whose remainder check
+is the guard that the plan and the arithmetic agree.  The product runs
+in row chunks of about _CHUNK_ENTRIES entries, in the first of float32,
+float64 and int64 in which it is exact (_digit_dtype).  The enumeration
+sieve in universe builds its multiplication matrices with the same
+digit helper (_digit_rows).
 
 Scalar arithmetic stays in Python ints, because indexing a numpy table
 costs more than the operation itself.  A prime field reduces mod p,
@@ -21,8 +37,8 @@ which is how _Tables defines its tables for k = 1, so it builds no
 q^2-entry structure for scalar work; its chi2 is Euler's criterion and
 its square_mask squares the q residues.  An extension field indexes the
 Python-list rows that _Tables keeps next to its numpy tables.  Loops
-that run many divisions (factor, irreducibles) fetch these once per
-call through _ext_tables.
+that run many divisions (factor_many) fetch these once per call through
+_ext_tables.
 """
 
 from __future__ import annotations
@@ -30,6 +46,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,6 +179,9 @@ class _Tables:
             sq[self.mul[a, a]] = True
         self.is_square = sq
         if k > 1:
+            # digit_mul[c, s, t]: digit t of Y^s * c (Y^s has code p^s)
+            prods = self.mul[p ** np.arange(k)].T
+            self.digit_mul = prods[:, :, None] // p ** np.arange(k) % p
             # scalar loops index these Python lists (see the module docstring)
             self.add_rows = self.add.tolist()
             self.mul_rows = self.mul.tolist()
@@ -171,6 +191,11 @@ class _Tables:
 
 _TABLE_CACHE: dict[FieldSpec, _Tables] = {}
 _IRR_CACHE: dict[tuple[FieldSpec, int], tuple[MonicPoly, ...]] = {}
+_PLAN_CACHE: dict[tuple[FieldSpec, int], "_RemainderPlan"] = {}
+
+# factor_many multiplies digit rows by the plan in chunks of about this
+# many product entries, so its working memory does not grow with the batch
+_CHUNK_ENTRIES = 1 << 17
 
 
 def tables(field: FieldSpec) -> _Tables:
@@ -185,6 +210,59 @@ def tables(field: FieldSpec) -> _Tables:
 def _ext_tables(field: FieldSpec) -> _Tables | None:
     """The tables whose rows an extension field's scalar loops index; None if k = 1."""
     return None if field.k == 1 else tables(field)
+
+
+def _digit_count(field: FieldSpec, degree: int) -> int:
+    """Base-p digits of a polynomial of the given degree: k per coefficient."""
+    return (degree + 1) * field.k
+
+
+def _digit_dtype(field: FieldSpec, in_deg: int) -> type:
+    """The type in which digit products with degree <= in_deg inputs are exact.
+
+    A product digit sums at most _digit_count(in_deg) terms, each a
+    product of two digits below p, so it is at most that count times
+    (p-1)^2; float32 holds every integer up to 2^24, float64 up to 2^53
+    and int64 up to 2^63 - 1 (without BLAS, so it comes last).
+    """
+    bound = _digit_count(field, in_deg) * (field.p - 1) ** 2
+    if bound <= 1 << 24:
+        return np.float32
+    if bound <= 1 << 53:
+        return np.float64
+    if bound < 1 << 63:
+        return np.int64
+    raise ResourceLimit(f"digit products of degree {in_deg} over F_{field.q} "
+                        "exceed exact integer range")
+
+
+def _element_digit_matrices(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
+    """The k x k digit matrices of multiplication by each element code.
+
+    Row s of the matrix of c holds the digits of Y^s * c, where Y^s has
+    code p^s; the result has shape codes.shape + (k, k).
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if field.k == 1:
+        return codes[..., None, None]
+    return tables(field).digit_mul[codes]
+
+
+def _digit_rows(field: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Digit matrix whose row (j, s) holds the digits of Y^s times row j of coeffs.
+
+    coeffs holds element codes with shape (..., J, L); the result has
+    shape (..., J*k, L*k).  Multiplication by a fixed polynomial and the
+    remainder plan are both built this way: a prime field by placing the
+    codes themselves, an extension field by placing the digit matrices
+    of its elements.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    if field.k == 1:
+        return coeffs
+    blocks = np.swapaxes(_element_digit_matrices(field, coeffs), -3, -2)
+    *lead, J, k, L, _ = blocks.shape
+    return blocks.reshape(*lead, J * k, L * k)
 
 
 def _code_to_vec(code: int, p: int, k: int) -> list[int]:
@@ -409,67 +487,249 @@ def enumerate_monic(field: FieldSpec, n: int, cap: int | None = None) -> list[Mo
 
 
 def irreducibles(field: FieldSpec, n: int, cap: int | None = None) -> tuple[MonicPoly, ...]:
-    """Monic irreducibles of degree n in canonical order (cached)."""
+    """Monic irreducibles of degree n in canonical order (cached).
+
+    They are the polynomials of degree n that no prime of degree <= n/2
+    divides: the rows of the remainder plan with no zero e = 1 block.
+    """
     key = (field, n)
     cached = _IRR_CACHE.get(key)
     if cached is not None:
         return cached
     if n < 1:
         raise ValueError("irreducibles have degree >= 1")
+    polys = enumerate_monic(field, n, cap)
     if n == 1:
-        result = tuple(enumerate_monic(field, 1, cap))
+        result = tuple(polys)
     else:
-        p, t = field.p, _ext_tables(field)
-        smaller = [irreducibles(field, d, cap) for d in range(1, n // 2 + 1)]
+        plan = _remainder_plan(field, n, cap)
         result = tuple(
-            f for f in enumerate_monic(field, n, cap)
-            if not any(
-                not _divmod(p, t, f.coeffs, g.coeffs)[1]
-                for degree_list in smaller for g in degree_list
-            )
+            polys[lo + i]
+            for lo, mult in _multiplicity_chunks(field, plan, polys)
+            for i in np.flatnonzero(~mult.any(axis=1)).tolist()
         )
     _IRR_CACHE[key] = result
     return result
 
 
-def is_irreducible(field: FieldSpec, f: MonicPoly, cap: int | None = None) -> bool:
-    """Trial-division irreducibility test."""
-    if f.degree < 1:
-        return False
-    for d in range(1, f.degree // 2 + 1):
-        for g in irreducibles(field, d, cap):
-            if not poly_mod(field, f.coeffs, g.coeffs):
-                return False
-    return True
+class _RemainderPlan(NamedTuple):
+    """Digit matrix of f -> (f mod P^e for every small prime power), at one degree.
+
+    There is one block (P, e) for every monic prime P with 2 deg P <= n
+    and every e with e deg P <= n, ordered by degree, then prime, then
+    rising e; the block is e deg P coefficients, k digits each, wide.
+    Row (j, s) of matrix holds the base-p digits of Y^s x^j mod P^e (the
+    element Y^s has code p^s), so digits(f) @ matrix reduced mod p is the
+    digit vector of every remainder of f.
+    """
+
+    degree: int
+    primes: tuple[MonicPoly, ...]
+    powers: tuple[tuple[tuple[int, ...], ...], ...]  # powers[j][e-1] = primes[j]^e
+    sections: tuple[tuple[int, int], ...]  # (prime degree, number of primes), in column order
+    matrix: np.ndarray
+
+
+def _remainder_plan(field: FieldSpec, n: int, cap: int | None = None) -> _RemainderPlan:
+    """The remainder plan of degree n (cached by field and degree)."""
+    key = (field, n)
+    plan = _PLAN_CACHE.get(key)
+    if plan is not None:
+        return plan
+    from .primecounts import pi_q  # primecounts imports this module
+
+    cap = default_cap() if cap is None else cap
+    k = field.k
+    dtype = _digit_dtype(field, n)
+    rows = _digit_count(field, n)
+    cols = sum(_section_width(field, n, d) * pi_q(field.q, d) for d in range(1, n // 2 + 1))
+    if rows * cols > cap:
+        raise ResourceLimit(f"remainder plan of degree {n} over {field} has "
+                            f"{rows} x {cols} digits, over cap {cap}")
+    matrix = np.empty((rows, cols), dtype=dtype)
+    primes, powers, sections = [], [], []
+    start = 0
+    for d in range(1, n // 2 + 1):
+        by_prime = irreducibles(field, d, cap)
+        m, width = len(by_prime), _section_width(field, n, d)
+        section = np.empty((rows, m, width), dtype=dtype)
+        coeffs = np.array([P.coeffs for P in by_prime], dtype=np.int64)
+        power = np.ones((m, 1), dtype=np.int64)
+        by_power = []
+        off = 0
+        for e in range(1, n // d + 1):
+            power = _poly_mul_rows(field, power, coeffs)
+            by_power.append(list(map(tuple, power.tolist())))
+            block = _digit_rows(field, _powers_of_x_mod(field, power, n))
+            section[:, :, off : off + e * d * k] = block.transpose(1, 0, 2)
+            off += e * d * k
+        matrix[:, start : start + m * width] = section.reshape(rows, m * width)
+        start += m * width
+        primes += by_prime
+        powers += zip(*by_power)
+        sections.append((d, m))
+    plan = _RemainderPlan(n, tuple(primes), tuple(powers), tuple(sections), matrix)
+    _PLAN_CACHE[key] = plan
+    return plan
+
+
+def _section_width(field: FieldSpec, n: int, d: int) -> int:
+    """Plan columns per prime of degree d: blocks d*k, 2*d*k, ..., (n // d)*d*k wide."""
+    top = n // d
+    return d * field.k * top * (top + 1) // 2
+
+
+def _arr_add(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if field.k == 1:
+        return (a + b) % field.p
+    return tables(field).add[a, b]
+
+
+def _arr_mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if field.k == 1:
+        return a * b % field.p
+    return tables(field).mul[a, b]
+
+
+def _poly_mul_rows(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise product of two arrays of coefficient rows (element codes)."""
+    la, lb = a.shape[1], b.shape[1]
+    out = np.zeros((a.shape[0], la + lb - 1), dtype=np.int64)
+    for i in range(lb):
+        term = _arr_mul(field, a, b[:, i : i + 1])
+        out[:, i : i + la] = _arr_add(field, out[:, i : i + la], term)
+    return out
+
+
+def _powers_of_x_mod(field: FieldSpec, moduli: np.ndarray, n: int) -> np.ndarray:
+    """x^j mod M for j = 0..n and each monic row M: shape (#rows, n+1, deg M).
+
+    r_{j+1} = x r_j - lead(r_j) M, as one array operation per step.
+    """
+    m, deg = moduli.shape[0], moduli.shape[1] - 1
+    low = moduli[:, :deg]
+    neg_low = -low % field.p if field.k == 1 else tables(field).neg[low]
+    out = np.zeros((m, n + 1, deg), dtype=np.int64)
+    r = np.zeros((m, deg), dtype=np.int64)
+    r[:, 0] = 1
+    for j in range(n + 1):
+        out[:, j] = r
+        lead = r[:, deg - 1 :]
+        r = np.concatenate([np.zeros((m, 1), dtype=np.int64), r[:, : deg - 1]], axis=1)
+        r = _arr_add(field, r, _arr_mul(field, lead, neg_low))
+    return out
+
+
+def _multiplicity_chunks(field: FieldSpec, plan: _RemainderPlan, polys: list[MonicPoly]):
+    """Yield (first row, multiplicities) per row chunk of polynomials of the plan's degree.
+
+    The multiplicity of P in f is the largest e whose block of
+    digits(f) @ matrix is zero mod p, since P^e | f implies P^(e-1) | f.
+    A chunk's product has about _CHUNK_ENTRIES entries.  Raises
+    ValueError on a coefficient that is not an element code.
+    """
+    matrix, n, k, p = plan.matrix, plan.degree, field.k, field.p
+    bound = _digit_count(field, n) * (p - 1) ** 2  # see _digit_dtype
+    exact_int = next(t for t in (np.uint8, np.uint16, np.uint32, np.int64)
+                     if bound <= np.iinfo(t).max)
+    step = max(1, _CHUNK_ENTRIES // max(matrix.shape[1], 1))
+    for lo in range(0, len(polys), step):
+        digits = np.array([f.coeffs for f in polys[lo : lo + step]], dtype=np.int64)
+        if digits.max() >= field.q:
+            raise ValueError(f"coefficient out of range for {field}")
+        rows = len(digits)
+        if k > 1:
+            digits = (digits[:, :, None] // p ** np.arange(k, dtype=np.int64) % p).reshape(rows, -1)
+        residue = (digits.astype(matrix.dtype) @ matrix).astype(exact_int)
+        residue -= residue // p * p  # a floor division by a scalar is far cheaper than %
+        mult = np.zeros((rows, len(plan.primes)), dtype=np.int8)
+        col = first = 0
+        for d, m in plan.sections:
+            width = _section_width(field, n, d)
+            section = residue[:, col : col + m * width].reshape(rows, m, width)
+            off = 0
+            for e in range(1, n // d + 1):
+                zero = ~section[:, :, off : off + e * d * k].any(axis=2)
+                np.copyto(mult[:, first : first + m], e, where=zero)  # rising e: largest wins
+                off += e * d * k
+            col += m * width
+            first += m
+        yield lo, mult
+
+
+def factor_many(field: FieldSpec, polys, cap: int | None = None) -> list[Factorization]:
+    """Canonical factorizations of monic polynomials of one degree n >= 1.
+
+    One digit product against the remainder plan of degree n gives the
+    multiplicity of every prime of degree <= n/2.  When those prime
+    powers fall short of degree n, the exact quotient of f by their
+    product is the one prime factor of degree > n/2; a nonzero remainder,
+    or a quotient of degree <= n/2, means the plan and the arithmetic
+    disagree and raises ArithmeticError.
+    """
+    polys = list(polys)
+    if not polys:
+        return []
+    n = polys[0].degree
+    if any(f.degree != n for f in polys):
+        raise ValueError("factor_many needs polynomials of one degree")
+    if n < 1:
+        raise ValueError("factor requires degree >= 1")
+    plan = _remainder_plan(field, n, cap)
+    p, t = field.p, _ext_tables(field)
+    # multiplicity row -> its sorted factors, their product and their Factorization
+    by_row: dict[bytes, tuple] = {}
+    by_pairs: dict[tuple, tuple] = {}
+    out: list[Factorization] = []
+    for lo, mult in _multiplicity_chunks(field, plan, polys):
+        keys = (mult.view(np.dtype((np.void, mult.shape[1]))).ravel().tolist()
+                if mult.shape[1] else [b""] * len(mult))
+        for i, key in enumerate(keys):
+            part = by_row.get(key)
+            if part is None:
+                pairs = tuple((j, e) for j, e in enumerate(mult[i].tolist()) if e)
+                found, g = _small_part(field, plan, pairs, by_pairs)
+                found = tuple(sorted(found, key=_canonical_key))
+                part = by_row[key] = (found, g, Factorization(found))
+            found, g, whole = part
+            f = polys[lo + i].coeffs
+            if len(g) == len(f):
+                if g != f:
+                    raise ArithmeticError(f"prime powers of {poly_to_string(f)} multiply "
+                                          f"to {poly_to_string(g)}")
+                out.append(whole)
+                continue
+            quot, rem = _divmod(p, t, f, g)
+            if rem or 2 * (len(quot) - 1) <= n:
+                raise ArithmeticError(f"{poly_to_string(g)} does not leave a large prime "
+                                      f"in {poly_to_string(f)}")
+            out.append(Factorization(found + ((MonicPoly(quot), 1),)))
+    return out
+
+
+def _canonical_key(pm: tuple[MonicPoly, int]):
+    return pm[0].degree, pm[0].coeffs
+
+
+def _small_part(field: FieldSpec, plan: _RemainderPlan, pairs: tuple, memo: dict):
+    """The (prime, e) factors named by (plan index, e) pairs, and their product.
+
+    Built on the part of pairs[:-1] (memoized), so each new part costs one product.
+    """
+    part = memo.get(pairs)
+    if part is None:
+        if not pairs:
+            return (), (1,)
+        head, g = _small_part(field, plan, pairs[:-1], memo)
+        j, e = pairs[-1]
+        part = memo[pairs] = (head + ((plan.primes[j], e),),
+                              poly_mul(field, g, plan.powers[j][e - 1]))
+    return part
 
 
 def factor(field: FieldSpec, f: MonicPoly, cap: int | None = None) -> Factorization:
     """Canonical factorization of a monic polynomial of degree >= 1."""
-    validate_poly(field, f)
-    if f.degree < 1:
-        raise ValueError("factor requires degree >= 1")
-    p, t = field.p, _ext_tables(field)
-    rest = f.coeffs
-    found: list[tuple[MonicPoly, int]] = []
-    d = 1
-    while 2 * d <= len(rest) - 1:
-        for prime in irreducibles(field, d, cap):
-            if 2 * d > len(rest) - 1:
-                break
-            mult = 0
-            while True:
-                quot, rem = _divmod(p, t, rest, prime.coeffs)
-                if rem:
-                    break
-                rest = quot
-                mult += 1
-            if mult:
-                found.append((prime, mult))
-        d += 1
-    if len(rest) > 1:
-        found.append((MonicPoly(rest), 1))
-    found.sort(key=lambda pm: (pm[0].degree, pm[0].coeffs))
-    return Factorization(tuple(found))
+    return factor_many(field, [f], cap)[0]
 
 
 def chi2(field: FieldSpec, f: MonicPoly) -> int:

@@ -25,7 +25,8 @@ complete.  The slots left unwritten are the primes of degree d.
 Products are computed in base-p digit form, where multiplication by a
 fixed polynomial is a matrix product that BLAS batches over all
 selected cofactors at once, in float32 unless a digit sum could pass
-2^24 (_digit_dtype).
+2^24 (_digit_dtype).  The digit helpers live in ffield, whose
+remainder plan builds its matrices with the same _digit_rows.
 """
 
 from __future__ import annotations
@@ -34,7 +35,14 @@ import numpy as np
 
 from . import ffield
 from .errors import EvenCharacteristic, ResourceLimit
-from .ffield import FieldSpec, MonicPoly
+from .ffield import (
+    FieldSpec,
+    MonicPoly,
+    _digit_count,
+    _digit_dtype,
+    _digit_rows,
+    _element_digit_matrices,
+)
 
 _FAMILIES = ("landau", "s1", "s2", "s3", "arith")
 
@@ -45,26 +53,6 @@ def code_of_poly(field: FieldSpec, f: MonicPoly) -> int:
 
 def poly_of_code(field: FieldSpec, code: int) -> MonicPoly:
     return MonicPoly(ffield.coeffs_of_code(field, code))
-
-
-def _digit_count(field: FieldSpec, degree: int) -> int:
-    return (degree + 1) * field.k
-
-
-def _digit_dtype(field: FieldSpec, in_deg: int) -> type:
-    """The float type in which digit products with degree <= in_deg inputs are exact.
-
-    A product digit sums at most _digit_count(in_deg) terms, each a
-    product of two digits below p, so it is at most that count times
-    (p-1)^2; float32 holds every integer up to 2^24, float64 up to 2^53.
-    """
-    bound = _digit_count(field, in_deg) * (field.p - 1) ** 2
-    if bound <= 1 << 24:
-        return np.float32
-    if bound <= 1 << 53:
-        return np.float64
-    raise ResourceLimit(f"digit products of degree {in_deg} over F_{field.q} "
-                        "exceed exact float range")
 
 
 def _digits_of_codes(field: FieldSpec, codes: np.ndarray, degree: int) -> np.ndarray:
@@ -78,46 +66,17 @@ def _digits_of_codes(field: FieldSpec, codes: np.ndarray, degree: int) -> np.nda
     return out
 
 
-def _element_digits(field: FieldSpec, code: int) -> list[int]:
-    out = []
-    for _ in range(field.k):
-        code, r = divmod(code, field.p)
-        out.append(r)
-    return out
-
-
 def _mul_matrix(field: FieldSpec, w: tuple[int, ...], in_deg: int, out_deg: int) -> np.ndarray:
     """Digit-space matrix of multiplication by the fixed polynomial w.
 
     Maps digit vectors of polynomials of degree <= in_deg to digit
-    vectors of their products with w (degree <= out_deg).
+    vectors of their products with w (degree <= out_deg): row j of the
+    coefficient matrix is x^j w, placed by index arithmetic.
     """
-    k, p = field.k, field.p
-    mat = np.zeros((_digit_count(field, in_deg), _digit_count(field, out_deg)),
-                   dtype=_digit_dtype(field, in_deg))
-    for t in range(k):
-        unit = p**t
-        scaled = tuple(ffield.element_mul(field, c, unit) for c in w)
-        for j in range(in_deg + 1):
-            col_base = j * k
-            row = col_base + t
-            for i, c in enumerate(scaled):
-                if c:
-                    for tt, digit in enumerate(_element_digits(field, c)):
-                        if digit:
-                            mat[row, (j + i) * k + tt] = digit
-    return mat
-
-
-def _element_mul_matrix(field: FieldSpec, b: int) -> np.ndarray:
-    """k x k digit matrix of multiplication by the field element b."""
-    k, p = field.k, field.p
-    mat = np.zeros((k, k), dtype=np.int32)
-    for t in range(k):
-        prod = ffield.element_mul(field, p**t, b)
-        for tt, digit in enumerate(_element_digits(field, prod)):
-            mat[t, tt] = digit
-    return mat
+    coeffs = np.zeros((in_deg + 1, out_deg + 1), dtype=np.int64)
+    j = np.arange(in_deg + 1)[:, None]
+    coeffs[j, j + np.arange(len(w))] = w
+    return _digit_rows(field, coeffs).astype(_digit_dtype(field, in_deg))
 
 
 class Universe:
@@ -232,7 +191,7 @@ class Universe:
             return cached
         field, p, k = self.field, self.field.p, self.field.k
         dm = m.degree
-        mul_mats = [_element_mul_matrix(field, c) for c in m.coeffs]
+        mul_mats = _element_digit_matrices(field, m.coeffs)
         out = np.empty(len(self.prime_codes), dtype=np.int64)
         res_pows = p ** np.arange(dm * k, dtype=np.int64)
         for d in range(1, self.max_degree + 1):

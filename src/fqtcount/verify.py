@@ -3,10 +3,10 @@
 Each suite runs a fixed list of checks, some on seeded random samples,
 and renders a deterministic text report: same seed, same bytes.  The
 oracle suite compares generating-function tables against independent
-enumeration (the bulk factorization sieve and per-element membership
-tests); identities exercises exact algebraic relations; bounds the
-certified envelopes and estimator enclosures; constants the
-multi-method consensus values.
+enumeration (the bulk factorization sieve, and membership tests on
+remainder-plan factorizations); identities exercises exact algebraic
+relations; bounds the certified envelopes and estimator enclosures;
+constants the multi-method consensus values.
 """
 
 from __future__ import annotations
@@ -19,7 +19,14 @@ from . import asymptotics as asym
 from . import constants as cst
 from . import families, series
 from .families import FamilySpec
-from .ffield import MonicPoly, chi2, enumerate_monic, field_for_order, poly_mul
+from .ffield import (
+    MonicPoly,
+    chi2,
+    enumerate_monic,
+    factor_many,
+    field_for_order,
+    poly_mul,
+)
 from .primecounts import LPolynomial, pi_arith, progression_gap_squared
 
 SUITES = ("oracle", "identities", "bounds", "constants")
@@ -99,12 +106,11 @@ def _oracle_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
     field = field_for_order(3)
     fam = FamilySpec(families.FAMILY_LANDAU, q=3)
     deg = rng.randint(3, 5)
-    good = True
-    for f in enumerate_monic(field, deg, cap=cap):
-        if families.rep_search_membership(field, f) != families.membership_oracle(
-                field, f, fam):
-            good = False
-            break
+    polys = enumerate_monic(field, deg, cap=cap)
+    is_member = families.membership_test(field, fam)
+    good = all(
+        families.rep_search_membership(field, f) == is_member(fac)
+        for f, fac in zip(polys, factor_many(field, polys)))
     out.append(_result("representation-search q=3", good,
                        f"all degree-{deg} polynomials agree"))
     # progression family against the sieve

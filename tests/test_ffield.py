@@ -1,5 +1,6 @@
 """Finite fields, monic polynomials, and their arithmetic."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from fqtcount.ffield import (
     poly_from_string,
     poly_to_string,
 )
+from trial_division import trial_division_factor, trial_division_primes
 
 
 def test_field_for_order_prime_and_prime_power():
@@ -292,3 +294,159 @@ def test_chi2_prime_field_stays_small():
     assert values == [0, 1, -1, 1]
     assert mask.sum() == 4092 // 2
     assert field not in ffield._TABLE_CACHE
+
+
+# -- factoring against the trial-division reference ---------------------
+
+# (q, n): every monic polynomial of degree 1..n is factored exhaustively
+_FACTOR_GRID = [(2, 10), (3, 7), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3), (25, 2), (27, 2)]
+
+
+@pytest.mark.parametrize("q, max_deg", _FACTOR_GRID)
+def test_factor_many_and_irreducibles_match_trial_division(q, max_deg):
+    field = field_for_order(q)
+    for n in range(1, max_deg + 1):
+        polys = enumerate_monic(field, n)
+        expected = [trial_division_factor(field, f) for f in polys]
+        assert ffield.factor_many(field, polys) == expected
+        assert ffield.irreducibles(field, n) == trial_division_primes(field, n)
+        assert all(fac.expand(field) == f for f, fac in zip(polys, expected))
+
+
+def _factor_degree_bound(q):
+    # keep the primes of degree <= n/2 that the reference tries small
+    d = 1
+    while q ** (d + 1) <= 800:
+        d += 1
+    return min(2 * d, 10)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_factor_many_is_exact_in_every_plan_dtype(monkeypatch, dtype):
+    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
+    monkeypatch.setattr(ffield, "_digit_dtype", lambda field, in_deg: dtype)
+    for q, n in ((3, 6), (4, 4), (9, 3)):
+        field = field_for_order(q)
+        polys = enumerate_monic(field, n)
+        assert ffield._remainder_plan(field, n).matrix.dtype == dtype
+        assert ffield.factor_many(field, polys) == [trial_division_factor(field, f) for f in polys]
+
+
+@st.composite
+def _structured_poly(draw, field):
+    """A product of prime powers, such as P^4 or P^2 Q^3, of degree >= 1."""
+    bound = _factor_degree_bound(field.q)
+    coeffs, deg = (1,), 0
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, max(1, min(3, (bound - deg) // 2))))
+        if deg + d > bound:
+            break
+        primes = trial_division_primes(field, d)
+        prime = primes[draw(st.integers(0, len(primes) - 1))]
+        e = draw(st.integers(1, max(1, (bound - deg) // d)))
+        for _ in range(e):
+            coeffs = ffield.poly_mul(field, coeffs, prime.coeffs)
+        deg += e * d
+    if deg == 0:
+        coeffs = draw(coeff_tuples(field.q, 1, 1)) + (1,)
+    return MonicPoly(coeffs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_ARITH_QS), st.data())
+def test_factor_of_repeated_prime_powers_matches_trial_division(q, data):
+    field = field_for_order(q)
+    f = data.draw(_structured_poly(field))
+    expected = trial_division_factor(field, f)
+    assert ffield.factor(field, f) == expected
+    # a batch of one degree: f, its neighbours with other constant terms, f again
+    others = [MonicPoly((c,) + f.coeffs[1:]) for c in range(min(q, 4))]
+    batch = [f] + others + [f]
+    assert ffield.factor_many(field, batch) == [trial_division_factor(field, g) for g in batch]
+
+
+def test_factor_finds_high_multiplicities():
+    for q in _ARITH_QS:
+        field = field_for_order(q)
+        P, R = trial_division_primes(field, 1)[:2]
+        Q = trial_division_primes(field, 2)[0]
+        cases = [((P, 4),), ((P, 2), (Q, 1)), ((P, 2), (Q, 3)), ((P, 1), (R, 1)),
+                 ((Q, 1),), ((P, 1),)]
+        for case in cases:
+            if sum(prime.degree * e for prime, e in case) > _factor_degree_bound(q):
+                continue
+            coeffs = (1,)
+            for prime, e in case:
+                for _ in range(e):
+                    coeffs = ffield.poly_mul(field, coeffs, prime.coeffs)
+            got = ffield.factor(field, MonicPoly(coeffs))
+            assert got.factors == case
+
+
+def test_factor_many_rejects_mixed_degrees_and_bad_input():
+    field = field_for_order(3)
+    assert ffield.factor_many(field, []) == []
+    with pytest.raises(ValueError):
+        ffield.factor_many(field, [MonicPoly((1, 1)), MonicPoly((1, 0, 1))])
+    with pytest.raises(ValueError):
+        ffield.factor(field, MonicPoly((3, 1)))  # coefficient out of range
+    with pytest.raises(ValueError):
+        ffield.factor(field, MonicPoly((1,)))  # degree 0
+
+
+def test_remainder_plan_over_cap_raises(monkeypatch):
+    field = field_for_order(3)
+    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
+    # 7 digit rows x 171 block columns > 1000, while 3^3 <= 1000
+    with pytest.raises(ResourceLimit):
+        ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1)), cap=1000)
+    assert (field, 6) not in ffield._PLAN_CACHE
+    assert ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1)), cap=2000).factors
+
+
+def test_corrupted_plan_fails_the_exact_quotient_guard(monkeypatch):
+    field = field_for_order(5)
+    plan = ffield._remainder_plan(field, 4)
+    f = MonicPoly((2, 0, 0, 0, 1))  # T^4 + 2 has no linear factor over F_5
+    assert ffield.factor(field, f) == trial_division_factor(field, f)
+    # zero the block of (T, e = 1): every polynomial now looks divisible by T
+    matrix = plan.matrix.copy()
+    matrix[:, 0] = 0  # the first block is (T, 1), one digit wide
+    monkeypatch.setitem(ffield._PLAN_CACHE, (field, 4), plan._replace(matrix=matrix))
+    with pytest.raises(ArithmeticError):
+        ffield.factor(field, f)
+    with pytest.raises(ArithmeticError):
+        ffield.factor_many(field, enumerate_monic(field, 4))
+
+
+def test_first_large_prime_field_factor_is_quick_and_small():
+    import os
+    import subprocess
+    import sys
+
+    # each measurement is of a first call in a fresh interpreter; tracemalloc
+    # slows allocation several times over, so time and memory are taken apart
+    code = (
+        "import sys, time, tracemalloc\n"
+        "from fqtcount import ffield\n"
+        "from fqtcount.ffield import MonicPoly, build_field\n"
+        "field = build_field(4093)\n"
+        "if sys.argv[1] == 'memory':\n"
+        "    tracemalloc.start()\n"
+        "t = time.perf_counter()\n"
+        "fac = ffield.factor(field, MonicPoly((4092, 0, 1)))\n"
+        "elapsed = time.perf_counter() - t\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "print([(P.coeffs, e) for P, e in fac.factors], elapsed, peak)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    runs = {}
+    for mode in ("time", "memory"):
+        out = subprocess.run([sys.executable, "-c", code, mode], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        runs[mode] = out.rsplit(" ", 2)
+    for factors, _, _ in runs.values():
+        assert factors == "[((1, 1), 1), ((4092, 1), 1)]"  # (T + 1)(T + 4092)
+    assert float(runs["time"][1]) < 0.25
+    assert int(runs["memory"][2]) < 10 * 2**20

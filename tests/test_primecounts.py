@@ -19,23 +19,7 @@ from fqtcount.primecounts import (
     psi_chi2,
     progression_gap_squared,
 )
-
-
-def brute_primes(field, n):
-    """All monic irreducibles of degree n, by trial division."""
-    out = []
-    for f in ffield.enumerate_monic(field, n):
-        divisible = False
-        for d in range(1, n // 2 + 1):
-            for g in ffield.enumerate_monic(field, d):
-                if ffield.poly_mod_general(field, f.coeffs, g.coeffs) == ():
-                    divisible = True
-                    break
-            if divisible:
-                break
-        if not divisible:
-            out.append(f)
-    return out
+from trial_division import trial_division_primes
 
 
 def test_pi_q_against_brute_force():
@@ -44,7 +28,7 @@ def test_pi_q_against_brute_force():
         for n in range(1, 5):
             if q**n > 700:
                 continue
-            assert pi_q(q, n) == len(brute_primes(field, n))
+            assert pi_q(q, n) == len(trial_division_primes(field, n))
 
 
 def test_pi_q_census_identity():
@@ -74,7 +58,7 @@ def test_pi_chi2_splits_against_brute_force():
         for n in range(1, 4):
             if q**n > 700:
                 continue
-            primes = brute_primes(field, n)
+            primes = trial_division_primes(field, n)
             minus = sum(1 for f in primes if chi2(field, f) == -1)
             rest = len(primes) - minus
             assert pi_chi2(q, n, CHI2_MINUS) == minus
@@ -177,7 +161,7 @@ def test_pi_arith_against_brute_force():
             if q**n > 400:
                 continue
             residues = {}
-            for f in brute_primes(field, n):
+            for f in trial_division_primes(field, n):
                 rem = ffield.poly_mod_general(field, f.coeffs, m.coeffs)
                 residues[rem] = residues.get(rem, 0) + 1
             for rem, expected in residues.items():

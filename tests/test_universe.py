@@ -9,6 +9,7 @@ from fqtcount.families import FamilySpec, canonical_family, oracle_count
 from fqtcount.ffield import MonicPoly, field_for_order
 from fqtcount.primecounts import pi_q
 from fqtcount.universe import Universe, code_of_poly, get_universe, poly_of_code
+from trial_division import trial_division_factor
 
 
 def first_write_sieve(field, max_degree):
@@ -32,7 +33,7 @@ def first_write_sieve(field, max_degree):
         e1 = np.zeros(size, dtype=np.int8)
         cof_deg = np.zeros(size, dtype=np.int8)
         cof_idx = np.zeros(size, dtype=np.int64)
-        p_pows = p ** np.arange(universe._digit_count(field, d), dtype=np.int64)
+        p_pows = p ** np.arange(ffield._digit_count(field, d), dtype=np.int64)
         for p_deg in range(1, d // 2 + 1):
             for gid in range(slices[p_deg].start, slices[p_deg].stop):
                 prime = poly_of_code(field, int(prime_codes[gid]))
@@ -43,7 +44,7 @@ def first_write_sieve(field, max_degree):
                         w = ffield.poly_mul(field, w, prime.coeffs)
                     mat = universe._mul_matrix(field, w, k_deg, d)
                     codes_h = q**k_deg + np.arange(q**k_deg, dtype=np.int64)
-                    powers = p ** np.arange(universe._digit_count(field, k_deg), dtype=np.int64)
+                    powers = p ** np.arange(ffield._digit_count(field, k_deg), dtype=np.int64)
                     digits = ((codes_h[:, None] // powers[None, :]) % p).astype(mat.dtype)
                     prod_digits = np.mod(digits @ mat, float(p))
                     idx = prod_digits.astype(np.int64) @ p_pows[: prod_digits.shape[1]] - size
@@ -182,7 +183,7 @@ def test_mask_counts_sum_to_totals():
 
 
 def test_digit_dtype_keeps_digit_products_exact():
-    _digit_dtype = universe._digit_dtype
+    _digit_dtype = ffield._digit_dtype
     # a product digit is at most (deg+1) * k * (p-1)^2
     assert _digit_dtype(field_for_order(3), 22) is np.float32
     assert _digit_dtype(field_for_order(9), 10) is np.float32
@@ -191,8 +192,9 @@ def test_digit_dtype_keeps_digit_products_exact():
     assert _digit_dtype(field_for_order(4001), 0) is np.float32  # 4000^2 < 2^24
     assert _digit_dtype(field_for_order(4001), 1) is np.float64  # 2 * 4000^2 > 2^24
     huge = ffield.FieldSpec(p=2**31 - 1, k=1, modulus=(0, 1))
+    assert _digit_dtype(huge, 0) is np.int64  # (2^31 - 2)^2 > 2^53, < 2^63
     with pytest.raises(ResourceLimit):
-        _digit_dtype(huge, 3)  # 4 * (2^31 - 2)^2 > 2^53
+        _digit_dtype(huge, 3)  # 4 * (2^31 - 2)^2 > 2^63
 
 
 @pytest.mark.parametrize("q, max_deg", [(2, 14), (3, 9), (4, 7), (5, 6), (7, 5), (8, 5), (9, 4)])
@@ -229,7 +231,7 @@ def test_sieve_slots_hold_smallest_prime_exact_power_and_full_factorization(q, m
             # P does not divide the cofactor, so e1 is exact
             assert ffield.poly_mod(field, cof.coeffs, prime.coeffs) != ()
         for idx in range(q**d):
-            expected = ffield.factor(field, poly_of_code(field, q**d + idx))
+            expected = trial_division_factor(field, poly_of_code(field, q**d + idx))
             assert sorted(uni.factor_chain(d, idx)) == sorted(
                 (code_of_poly(field, prime), mult) for prime, mult in expected.factors
             )

@@ -1,0 +1,55 @@
+"""Trial-division references for monic primes and factorizations.
+
+ffield factors by one remainder product per degree; these loops divide
+by one candidate at a time, the way ffield did before, and are kept as
+the reference that ffield and the enumeration sieve are checked against.
+"""
+
+from functools import lru_cache
+
+from fqtcount import ffield
+from fqtcount.ffield import Factorization, MonicPoly
+
+
+@lru_cache(maxsize=None)
+def trial_division_primes(field, n):
+    """All monic irreducibles of degree n, by trial division by every monic of degree <= n/2."""
+    out = []
+    for f in ffield.enumerate_monic(field, n):
+        divisible = False
+        for d in range(1, n // 2 + 1):
+            for g in ffield.enumerate_monic(field, d):
+                if ffield.poly_mod_general(field, f.coeffs, g.coeffs) == ():
+                    divisible = True
+                    break
+            if divisible:
+                break
+        if not divisible:
+            out.append(f)
+    return tuple(out)
+
+
+def trial_division_factor(field, f):
+    """Canonical factorization of a monic f of degree >= 1: divide out each
+    prime of degree <= (degree of the rest)/2 while it divides."""
+    rest = f.coeffs
+    found = []
+    d = 1
+    while 2 * d <= len(rest) - 1:
+        for prime in trial_division_primes(field, d):
+            if 2 * d > len(rest) - 1:
+                break
+            mult = 0
+            while True:
+                quot, rem = ffield.poly_divmod(field, rest, prime.coeffs)
+                if rem:
+                    break
+                rest = quot
+                mult += 1
+            if mult:
+                found.append((prime, mult))
+        d += 1
+    if len(rest) > 1:
+        found.append((MonicPoly(rest), 1))
+    found.sort(key=lambda pm: (pm[0].degree, pm[0].coeffs))
+    return Factorization(tuple(found))
