@@ -14,10 +14,13 @@ bounded explicitly.  The m=0 bound carries the absolute constant 24
 bound is known, so a caller-supplied constant is required and results
 are flagged as not certified.
 
-No family is described here: estimator_for reads a family's psi_value
+No family is described here: estimator_for reads a family's psi_table
 and its (c1, c2) row from the families module, takes beta = q^-s and
 alpha^-2 = q^s from the base q and degree step s, and sets atilde_n =
-psi_n - c1 beta^(-n), the same for every family.
+psi_n - c1 beta^(-n), the same for every family.  The estimator holds
+these as integer numerators A_n = den(c1) psi_n - num(c1) q^(sn) over
+den(c1), for the largest n it was asked for, each checked against the
+envelope once; the table lives and dies with the estimator.
 
 Exactness policy: hypothesis checks (r <= 1/sqrt(2), the coefficient
 envelope) compare squared rationals, so irrational alpha never meets
@@ -80,7 +83,9 @@ class EstimatorSpec:
     alpha is carried as alpha_inv_sq = alpha^(-2), an exact rational
     even when alpha itself is an irrational square root; beta, c1, c2
     are exact rationals.  coeff_source(n) must return atilde_n as an
-    exact rational for every n >= 1.
+    exact rational for every n >= 1.  A source that also has a
+    table(N) method (estimator_for's FamilyAtilde) hands over all of
+    atilde_1..atilde_N as integer numerators over one denominator.
     """
 
     coeff_source: Callable[[int], Fraction]
@@ -115,32 +120,71 @@ class EstimatorSpec:
         if self.m < 0:
             raise ValueError("expansion order m must be nonnegative")
 
-    def coefficient(self, n: int) -> Fraction:
-        """atilde_n, with the envelope |atilde_n| <= c2 alpha^(-n) enforced."""
-        value = Fraction(self.coeff_source(n))
-        # value^2 > c2^2 alpha^-2n on integers: (a/b)^2 > (c/d)^2 (e/f)^n
-        a, b = value.as_integer_ratio()
+    def _check_envelope(self, numerators, D: int, start: int) -> None:
+        """|a / D| <= c2 alpha^(-n) for the a at n = start, start + 1, ...
+
+        Squared, on integers: (a d)^2 f^n <= (c D)^2 e^n with c2 = c/d and
+        alpha^-2 = e/f, the powers of e and f kept running.
+        """
         c, d = self.c2.as_integer_ratio()
         e, f = self.alpha_inv_sq.as_integer_ratio()
-        if (a * d) ** 2 * f**n > (c * b) ** 2 * e**n:
-            raise HypothesisViolation(
-                f"coefficient envelope breached at n = {n}: |{value}| > c2 alpha^-n"
-            )
+        bound, scale = (c * D) ** 2 * e**start, f**start
+        for n, a in enumerate(numerators, start):
+            if (a * d) ** 2 * scale > bound:
+                raise HypothesisViolation(
+                    f"coefficient envelope breached at n = {n}: "
+                    f"|{Fraction(a, D)}| > c2 alpha^-n"
+                )
+            bound *= e
+            scale *= f
+
+    def numerators(self, N: int) -> tuple[list[int], int]:
+        """(A, D) with atilde_n = A[n] / D for n = 1..N (A[0] = 0), each
+        checked against the envelope |atilde_n| <= c2 alpha^(-n).
+
+        The checked table is kept in _cache and rebuilt only when a
+        longer one is asked for, so each atilde_n is computed once per
+        estimator.  A per-n source is called once per new n and its
+        values put over the lcm of their denominators.
+        """
+        A, D = self._cache.get("numerators", ([0], 1))
+        if len(A) > N:
+            return A, D
+        start = len(A)
+        table = getattr(self.coeff_source, "table", None)
+        if table is not None:
+            A, D = table(N)
+        else:
+            values = [Fraction(a, D) for a in A[1:]]
+            values += [Fraction(self.coeff_source(n)) for n in range(start, N + 1)]
+            D = math.lcm(1, *(v.denominator for v in values))
+            A = [0] + [v.numerator * (D // v.denominator) for v in values]
+        self._check_envelope(A[start:], D, start)
+        self._cache["numerators"] = (A, D)
+        return A, D
+
+    def coefficient(self, n: int) -> Fraction:
+        """atilde_n alone, asked of the source afresh, with the envelope
+        |atilde_n| <= c2 alpha^(-n) enforced; sums read numerators(N)."""
+        value = Fraction(self.coeff_source(n))
+        self._check_envelope((value.numerator,), value.denominator, n)
         return value
 
     def exp_series(self, terms: int) -> tuple:
         """Exact coefficients h_0..h_terms of a(beta * y) as a series in y.
 
         beta is factored out: h_m = H_m beta^m with H = exp(sum atilde_j
-        t^j / j).  series_exp works over the common denominator D of the
-        j a_j, which here are the atilde_j themselves, so D divides den(c1)
-        (2 or 8 in practice).  Fed atilde_j beta^j / j instead, D would grow
-        like beta^-N and the recurrence's scale N! D^N would explode.
+        t^j / j).  series_exp works over the common denominator of the
+        j a_j, which here are the atilde_j themselves, so it divides the
+        numerators' D = den(c1) (2 or 8 in practice).  Fed atilde_j
+        beta^j / j instead, D would grow like beta^-N and the
+        recurrence's scale N! D^N would explode.
         """
         cached = self._cache.get("exp_series")
         if cached is not None and len(cached) >= terms + 1:
             return cached[: terms + 1]
-        log_coeffs = [0] + [self.coefficient(j) / j for j in range(1, terms + 1)]
+        A, D = self.numerators(terms)
+        log_coeffs = [0] + [Fraction(A[j], D * j) for j in range(1, terms + 1)]
         H = series.series_exp(series.TruncatedSeries(tuple(log_coeffs))).coeffs
         h = tuple(H_m * self.beta**m for m, H_m in enumerate(H))
         self._cache["exp_series"] = h
@@ -391,23 +435,47 @@ def estimate_coefficient(spec: EstimatorSpec, n: int,
 # -- family decompositions -------------------------------------------
 
 
+@dataclass(frozen=True)
+class FamilyAtilde:
+    """atilde_n = psi_n - c1 q_s^n of one family, beta = q_s^-1.
+
+    table(N) reads psi_0..psi_N from one families.psi_table pass and
+    returns the numerators A_n = den(c1) psi_n - num(c1) q_s^n over
+    D = den(c1); nothing is kept here, the estimator keeps the table.
+    """
+
+    spec: FamilySpec
+    c1: Fraction
+    q_s: int
+    cap: int | None = None
+
+    def table(self, N: int) -> tuple[list[int], int]:
+        c, D = self.c1.as_integer_ratio()
+        psi = families.psi_table(self.spec, N, cap=self.cap)
+        A, power = [0], 1
+        for n in range(1, N + 1):
+            power *= self.q_s
+            A.append(D * psi[n] - c * power)
+        return A, D
+
+    def __call__(self, n: int) -> Fraction:
+        A, D = self.table(n)
+        return Fraction(A[n], D)
+
+
 def estimator_for(spec: FamilySpec, m: int = 0,
                   error_constant: Fraction | None = None,
                   cap: int | None = None) -> EstimatorSpec:
     """The certified decomposition of one family's series.
 
-    atilde_n = psi_n - c1 beta^-n from the family's psi_value and its
+    atilde_n = psi_n - c1 beta^-n from the family's psi_table and its
     (c1, c2) row; no family is special-cased here.
     """
     spec.validate()
     c1, c2 = families.decomposition(spec)
     q_s = spec.base_q**spec.degree_step  # beta = q^-s, alpha^-2 = q^s
-
-    def atilde(n: int) -> Fraction:
-        return families.psi_value(spec, n, cap=cap) - c1 * q_s**n
-
     return EstimatorSpec(
-        coeff_source=atilde,
+        coeff_source=FamilyAtilde(spec, c1, q_s, cap),
         c1=c1,
         c2=c2,
         beta=Fraction(1, q_s),

@@ -144,7 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p_est)
     p_est.add_argument("--n", type=int, required=True, help="target table index")
     p_est.add_argument(
-        "--order", type=int, default=0, help="expansion order of the main term"
+        "--order", type=int, default=0,
+        help="expansion order of the main term; only order 0 is certified "
+             "here, and order >= 1 exits 2 (it needs a caller-supplied error "
+             "constant, available from the Python API)",
     )
     p_est.add_argument("--digits", type=int, default=30, help="target precision")
     p_est.add_argument("--cap", type=int, help="enumeration budget override")

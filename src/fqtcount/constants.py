@@ -30,7 +30,10 @@ c'_q are the first-order correction coefficients; C_{a,m} is the
 limiting ratio for primes in a residue class.
 
 The "series" method of every constant sums the family's exponent
-coefficients atilde_n, read from its estimator (asymptotics.estimator_for).
+coefficients atilde_n, read as integer numerators from its estimator's
+table (asymptotics.estimator_for).  Each constant builds its estimators
+and so its tables afresh: sums over the same family within one constant
+(C_{q,3}'s two s1 sums, C_{a,m}'s two truncations) share one table.
 """
 
 from __future__ import annotations
@@ -129,22 +132,21 @@ def _atilde_sum(est: EstimatorSpec, N: int, x: Fraction | None = None,
                 over_n: bool = True) -> tuple[Fraction, float]:
     """sum_{n <= N} atilde_n x^n (/ n) and a bound on the omitted tail.
 
-    x defaults to beta.  Every atilde_n passes through est.coefficient,
-    which enforces the envelope |atilde_n| <= c2 alpha^-n that the tail
-    c2 rho^(N+1) / ((N+1) (1 - rho)), rho = x / alpha, rests on.  The sum
-    runs in fixed point at scale 2^P and falls short of the exact partial
-    sum by less than N * 2^-P, which the tail includes.
+    x defaults to beta.  The atilde_n = A_n / D come from the estimator's
+    numerator table, which enforces the envelope |atilde_n| <= c2 alpha^-n
+    that the tail c2 rho^(N+1) / ((N+1) (1 - rho)), rho = x / alpha, rests
+    on.  The sum runs in fixed point at scale 2^P and falls short of the
+    exact partial sum by less than N * 2^-P, which the tail includes.
     """
     x = est.beta if x is None else x
     rho = _r_upper(x * x * est.alpha_inv_sq)
     P = _scale_bits()
-    S, xn_num, xn_den = 0, 1, 1  # x^n = xn_num / xn_den, kept unreduced
+    A, D = est.numerators(N)
+    S, xn_num, xn_den = 0, 1, D  # x^n / D = xn_num / xn_den, kept unreduced
     for n in range(1, N + 1):
         xn_num *= x.numerator
         xn_den *= x.denominator
-        a = est.coefficient(n)
-        S += (a.numerator * xn_num << P) // (
-            a.denominator * xn_den * (n if over_n else 1))
+        S += (A[n] * xn_num << P) // (xn_den * (n if over_n else 1))
     tail = float(est.c2) * rho ** (N + 1) / ((N + 1 if over_n else 1) * (1 - rho))
     return Fraction(S, 1 << P), tail * _PAD + math.ldexp(N, -P)
 
@@ -373,6 +375,7 @@ def constant_Cam(field: FieldSpec, a, m: MonicPoly, digits: int = 30
     est = estimator_for(spec)
     with mpmath.workdps(digits + 15):
         N = _series_terms(field.q, digits, half=True)
+        est.numerators(2 * N)  # one table serves both truncations
         methods = tuple(
             _exp_method(tag, *_atilde_sum(est, length), digits)
             for length, tag in ((N, "series"), (2 * N, "series-doubled"))

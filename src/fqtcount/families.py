@@ -5,13 +5,16 @@ or bounded-multiplicity restriction) that is free on a known set of
 generators; the number of degree-n members is therefore a coefficient
 of an infinite product built from per-degree generator counts.
 
-This module is the one place a family is described: psi_value gives
-the log-coefficients psi_n of F = exp(sum psi_n x^n / n), and
-decomposition the row (c1, c2) of the split psi_n = c1 beta^-n +
-atilde_n, |atilde_n| <= c2 alpha^-n.  Count tables, the estimators in
-asymptotics and the series forms of the constants all derive from
-these two.  generator_counts and the membership oracles recount the
-same sets independently, as the reference the checks compare against.
+This module is the one place a family is described: psi_table gives
+the log-coefficients psi_0..psi_N of F = exp(sum psi_n x^n / n) as
+Python ints in one pass, and decomposition the row (c1, c2) of the
+split psi_n = c1 beta^-n + atilde_n, |atilde_n| <= c2 alpha^-n.  Count
+tables, the estimators in asymptotics and the series forms of the
+constants all derive from these two; psi_value is one entry of the
+table.  A table lives with the count_table call or estimator that asked
+for it: nothing here caches psi.  generator_counts and the membership
+oracles recount the same sets independently, as the reference the
+checks compare against.
 
 Index conventions: the even-degree families s1/s2/s3 are tabulated by
 half-degree and the divisor families by degree/r; the landau and
@@ -33,12 +36,13 @@ from .errors import (
     ResourceLimit,
 )
 from .ffield import FieldSpec, MonicPoly
-from .numtheory import divisors
 from .primecounts import (
     CHI2_MINUS,
     CHI2_ZERO_OR_PLUS,
     LPolynomial,
+    _class_count,
     _residue_code,
+    _unit_residue,
     phi_m,
     pi_K,
     pi_arith,
@@ -92,25 +96,48 @@ def _v2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
+def _twice_e(power, n: int):
+    """2 e_n = 1 + sum_{i=1..v2(n)} (q^(n >> i) - 1), with power(k) = q^k."""
+    return 1 + sum(power(n >> i) - 1 for i in range(1, _v2(n) + 1))
+
+
+def _twice_f(power, n: int):
+    """2 f_n = q^m, m the odd part of n, with power(k) = q^k."""
+    return power(n >> _v2(n))
+
+
+def _twice_psi(family: str, power, n: int):
+    """2 psi_n of the landau and s1-s3 families, with power(k) = q^k.
+
+    The one closed form of each; power may return ints or QPoly
+    monomials, so the same lines give psi_table and the landau counts
+    with q left symbolic.
+    """
+    if family == FAMILY_LANDAU:
+        return power(n) + _twice_e(power, n)
+    top = power(2 * n)
+    if family == FAMILY_S1:
+        return top + _twice_f(power, n)
+    if family == FAMILY_S2:
+        return top - _twice_f(power, n)
+    if n % 2:
+        return top - power(n)
+    return top - 2 * power(n) + _twice_f(power, n)
+
+
 def e_n(q: int, n: int) -> Fraction:
     """Fluctuation of the landau log-coefficients around q^n/2."""
-    total = Fraction(1, 2)
-    for i in range(1, _v2(n) + 1):
-        total += Fraction(q ** (n >> i) - 1, 2)
-    return total
+    return Fraction(_twice_e(q.__pow__, n), 2)
 
 
 def f_n(q: int, n: int) -> Fraction:
     """Fluctuation of the s1 log-coefficients around q^{2n}/2."""
-    return Fraction(q ** (n >> _v2(n)), 2)
+    return Fraction(_twice_f(q.__pow__, n), 2)
 
 
 def e_n_poly(n: int) -> QPoly:
     """e_n with q left symbolic."""
-    total = QPoly.from_const(Fraction(1, 2))
-    for i in range(1, _v2(n) + 1):
-        total = total + QPoly.q_power(n >> i, Fraction(1, 2)) - QPoly.from_const(Fraction(1, 2))
-    return total
+    return (QPoly.from_const(0) + _twice_e(QPoly.q_power, n)) / 2
 
 
 @dataclass(frozen=True)
@@ -287,13 +314,7 @@ def _values_from_series(F: series.TruncatedSeries, N: int) -> dict[int, int]:
 def count_table(spec: FamilySpec, N: int, cap: int | None = None) -> CountTable:
     """Exact counts at indices 0..N: coefficients of exp(sum psi_n x^n / n)."""
     spec.validate()
-    psi = {}
-    for n in range(1, N + 1):
-        value = psi_value(spec, n, cap=cap)
-        if value.denominator != 1:
-            raise NegativeCount(f"non-integral log-coefficient at index {n}")
-        psi[n] = value.numerator
-    F = series._exp_psi_over_n(psi, N)
+    F = series._exp_psi_over_n(dict(enumerate(psi_table(spec, N, cap=cap))), N)
     return CountTable(spec, _values_from_series(F, N), "generating-function", N)
 
 
@@ -342,42 +363,53 @@ def _coeffs_of(field: FieldSpec, a) -> tuple[int, ...]:
     raise TypeError("residue must be a MonicPoly, coefficient tuple or code")
 
 
-# -- closed-form log-coefficients ------------------------------------
+# -- the log-coefficients --------------------------------------------
+
+
+def psi_table(spec: FamilySpec, N: int, cap: int | None = None) -> list[int]:
+    """psi_0..psi_N (psi_0 = 0), psi_n the coefficient of x^n/n in log F.
+
+    The one description of each family's log-coefficients: the weighted
+    divisor sum over generators, with alternating signs for the
+    squarefree variant.  landau and s1-s3 use their closed forms over one
+    running list of powers of q; every halving is checked exact, and an
+    odd numerator raises NegativeCount.  arith counts the class primes
+    once per degree, the divisor families the places once per degree,
+    and one weighted divisor pass sums them; the ell variant subtracts
+    (ell+1) psi_(n/(ell+1)) of the unbounded family.
+    """
+    family = canonical_family(spec.family)
+    if family in (FAMILY_LANDAU, FAMILY_S1, FAMILY_S2, FAMILY_S3):
+        powers = [1]
+        for _ in range(N if family == FAMILY_LANDAU else 2 * N):
+            powers.append(powers[-1] * spec.q)
+        psi = [0]
+        for n in range(1, N + 1):
+            twice = _twice_psi(family, powers.__getitem__, n)
+            if twice % 2:
+                raise NegativeCount(f"non-integral log-coefficient at index {n}")
+            psi.append(twice // 2)
+        return psi
+    if family == FAMILY_ARITH:
+        field, m = spec.field(), MonicPoly(spec.m)
+        a_code = _unit_residue(field, spec.a, m)
+        counts = {d: _class_count(field, d, a_code, m, "auto", cap)
+                  for d in range(1, N + 1)}
+        return [0, *series._weighted_divisor_sums(counts, N).values()]
+    counts = {d: pi_K(spec.l_poly, spec.r * d) for d in range(1, N + 1)}
+    unbounded = [0, *series._weighted_divisor_sums(counts, N).values()]
+    if family == FAMILY_DIVISORS:
+        return unbounded
+    step = spec.ell + 1
+    return [v - step * unbounded[n // step] if n and n % step == 0 else v
+            for n, v in enumerate(unbounded)]
 
 
 def psi_value(spec: FamilySpec, n: int, cap: int | None = None) -> Fraction:
-    """Coefficient of x^n/n in log F for the family: the weighted
-    divisor sum over generators, with alternating signs for the
-    squarefree variants."""
-    family = canonical_family(spec.family)
+    """psi_n alone, read from psi_table."""
     if n < 1:
         raise ValueError("psi is defined for n >= 1")
-    q = spec.q
-    if family == FAMILY_LANDAU:
-        return Fraction(q**n, 2) + e_n(q, n)
-    if family == FAMILY_S1:
-        return Fraction(q ** (2 * n), 2) + f_n(q, n)
-    if family == FAMILY_S2:
-        return Fraction(q ** (2 * n), 2) - f_n(q, n)
-    if family == FAMILY_S3:
-        if n % 2 == 0:
-            return Fraction(q ** (2 * n), 2) - q**n + f_n(q, n)
-        return Fraction(q ** (2 * n) - q**n, 2)
-    if family == FAMILY_ARITH:
-        field = spec.field()
-        return Fraction(psi_arith(field, n, spec.a, MonicPoly(spec.m), cap=cap))
-    if family == FAMILY_DIVISORS:
-        return Fraction(psi_divisors(spec.l_poly, spec.r, n))
-    total = psi_divisors(spec.l_poly, spec.r, n)
-    step = spec.ell + 1
-    if n % step == 0:
-        total -= step * psi_divisors(spec.l_poly, spec.r, n // step)
-    return Fraction(total)
-
-
-def psi_divisors(L: LPolynomial, r: int, n: int) -> int:
-    """sum_{d | n} d * pi_K(rd): the unbounded divisor-family log-coefficient."""
-    return sum(d * pi_K(L, r * d) for d in divisors(n))
+    return Fraction(psi_table(spec, n, cap=cap)[n])
 
 
 # -- the decomposition row -------------------------------------------
@@ -426,11 +458,9 @@ def count_landau_poly_in_q(n: int) -> QPoly:
         raise ValueError("n must be nonnegative")
     if n < len(_LANDAU_POLY_CACHE):
         return _LANDAU_POLY_CACHE[n]
-    half = Fraction(1, 2)
     log_coeffs: list = [QPoly.from_const(Fraction(0))]
     for j in range(1, n + 1):
-        psi_j = QPoly.q_power(j, half) + e_n_poly(j)
-        log_coeffs.append(psi_j / j)
+        log_coeffs.append(_twice_psi(FAMILY_LANDAU, QPoly.q_power, j) / (2 * j))
     F = series.series_exp(series.TruncatedSeries(tuple(log_coeffs)))
     _LANDAU_POLY_CACHE.clear()
     _LANDAU_POLY_CACHE.extend(

@@ -272,9 +272,11 @@ class _ResidueGroup:
     def pow_map(self, k: int) -> np.ndarray:
         """Index array sending each unit to its k-th power.
 
-        A composite k = a*b reuses cached maps, x^(ab) = (x^b)^a, so only
-        prime k multiply residues.
+        x^|G| = 1 for every unit x (Lagrange), so k is reduced mod the
+        group order first.  A composite k = a*b reuses cached maps,
+        x^(ab) = (x^b)^a, so only prime k <= |G| multiply residues.
         """
+        k %= self.order
         cached = self._pow_maps.get(k)
         if cached is not None:
             return cached

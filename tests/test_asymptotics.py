@@ -206,6 +206,68 @@ def test_coefficient_envelope_exact_past_float_range():
                 assert est.coefficient(n) == Fraction(value, 2)
 
 
+class _EdgeTable:
+    """atilde_n = +-k_n / 2 on the envelope's edge for c2 = 3/2, alpha^-2 = q:
+    k_n is the largest k with (k/2)^2 <= c2^2 q^n; push[n] moves one entry."""
+
+    def __init__(self, q, push=None):
+        self.q, self.push, self.calls = q, push or {}, []
+
+    def table(self, N):
+        self.calls.append(N)
+        A = [0] + [(-1) ** n * math.isqrt(9 * self.q**n) for n in range(1, N + 1)]
+        for n, step in self.push.items():
+            if n <= N:
+                A[n] += step if A[n] > 0 else -step
+        return A, 2
+
+    def __call__(self, n):
+        A, D = self.table(n)
+        return Fraction(A[n], D)
+
+
+def _edge_estimator(source):
+    q = source.q
+    return EstimatorSpec(coeff_source=source, c1=Fraction(1, 2), c2=Fraction(3, 2),
+                         beta=Fraction(1, q), alpha_inv_sq=Fraction(q))
+
+
+@pytest.mark.parametrize("q", [3, 101])
+def test_table_source_envelope_checked_at_every_n(q):
+    est = _edge_estimator(_EdgeTable(q))
+    A, D = est.numerators(60)  # every entry sits on the edge and passes
+    assert (A[7], D) == (-math.isqrt(9 * q**7), 2)
+    assert est.numerators(30) == (A, D)  # served from the kept table
+    assert est.coeff_source.calls == [60]
+    assert est.coefficient(60) == Fraction(A[60], 2)
+    for n in (1, 2, 17, 60):
+        with pytest.raises(HypothesisViolation, match=f"n = {n}:"):
+            _edge_estimator(_EdgeTable(q, {n: 1})).numerators(60)
+    # growing a table checks the new entries too
+    est = _edge_estimator(_EdgeTable(q, {45: 1}))
+    est.numerators(40)
+    with pytest.raises(HypothesisViolation, match="n = 45:"):
+        est.exp_series(50)
+
+
+def test_per_n_source_is_asked_once_per_index():
+    base = estimator_for(landau_spec(3))
+    asked = []
+
+    def source(n):
+        asked.append(n)
+        return base.coeff_source(n)
+
+    est = EstimatorSpec(coeff_source=source, c1=base.c1, c2=base.c2,
+                        beta=base.beta, alpha_inv_sq=base.alpha_inv_sq)
+    est.numerators(10)
+    h = est.exp_series(25)
+    est.numerators(20)
+    assert sorted(asked) == list(range(1, 26))
+    assert h == base.exp_series(25)
+    assert est.numerators(25) == base.numerators(25)
+
+
 def test_estimate_encloses_exact_ratio_all_families():
     cases = [
         (landau_spec(3), 60),

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 import fqtcount
-from fqtcount import cli
+from fqtcount import cli, primecounts
 from fqtcount.cli import main
 
 
@@ -255,6 +255,30 @@ def test_estimate_outside_the_enclosure_exits_1(capsys, monkeypatch, fmt):
     else:
         row = dict(zip(*csv.reader(io.StringIO(out))))
         assert row["within_bound"] == "False"
+
+
+def test_estimate_order_one_has_no_certified_constant(capsys):
+    code, out, err = run(capsys, "estimate", "landau", "--q", "3", "--n", "20",
+                         "--order", "1")
+    assert code == 2
+    assert out == ""
+    assert "m >= 1 has no certified absolute constant" in err
+    code, out, err = run(capsys, "estimate", "--help")
+    assert code == 0
+    assert "only order 0 is certified" in " ".join(out.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "arith", "--max-n", "8"),
+    ("estimate", "arith", "--n", "20"),
+])
+def test_arith_psi_table_honours_the_cap(capsys, monkeypatch, argv):
+    # the residue-class tables are cached per modulus; start from none
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    code, out, err = run(capsys, *argv, "--q", "3", "--m", "T^3+2T+1", "--a", "1",
+                         "--cap", "5")
+    assert code == 3
+    assert "exceeds cap 5" in err
 
 
 def test_cli_import_leaves_sympy_out():

@@ -217,3 +217,39 @@ def test_atilde_sum_fixed_point_ledger(family, over_n, x):
     assert S.denominator & (S.denominator - 1) == 0
     assert 0 <= exact - S < Fraction(N, 2**P)
     assert tail >= N * 2.0**-P
+
+
+def test_cq3_builds_the_s1_coefficients_once(monkeypatch):
+    calls = []
+    psi_table = families.psi_table
+
+    def counted(spec, N, cap=None):
+        calls.append((spec.family, N))
+        return psi_table(spec, N, cap=cap)
+
+    monkeypatch.setattr(families, "psi_table", counted)
+    constant_Cq(3, 3, 100)
+    # one s3 table for the series, one s1 table for both composed sums
+    assert sorted(family for family, _ in calls) == [families.FAMILY_S1,
+                                                     families.FAMILY_S3]
+
+
+def test_cam_computes_each_atilde_once(monkeypatch):
+    tables, degrees = [], []
+    psi_table, class_count = families.psi_table, families._class_count
+
+    def counted_table(spec, N, cap=None):
+        tables.append(N)
+        return psi_table(spec, N, cap=cap)
+
+    def counted_class_count(field, n, *args):
+        degrees.append(n)
+        return class_count(field, n, *args)
+
+    monkeypatch.setattr(families, "psi_table", counted_table)
+    monkeypatch.setattr(families, "_class_count", counted_class_count)
+    field = field_for_order(3)
+    report = constant_Cam(field, 1, MonicPoly((1, 0, 1)), 30)
+    assert [m.tag for m in report.methods] == ["series", "series-doubled"]
+    assert len(tables) == 1
+    assert sorted(degrees) == list(range(1, tables[0] + 1))

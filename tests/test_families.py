@@ -18,6 +18,7 @@ from fqtcount.families import (
     f_n,
     membership_oracle,
     oracle_count,
+    psi_table,
     psi_value,
     rep_search_membership,
 )
@@ -196,6 +197,55 @@ def test_psi_value_matches_weighted_divisor_sums():
                     d * g[d] for d in range(1, n + 1) if n % d == 0
                 )
             assert psi_value(spec, n) == direct
+
+
+def _psi_table_reference_specs():
+    for q in (3, 5, 9, 25, 27):
+        yield FamilySpec(canonical_family("landau"), q=q)
+    for name in ("s1", "s2", "s3"):
+        for q in (2, 3, 4, 5, 9):
+            yield FamilySpec(canonical_family(name), q=q)
+    # T^2+1, T^3+2T+1, and the reducible T^2 and T^2+T over F_3
+    for m, a in (((1, 0, 1), (1,)), ((1, 0, 1), (2, 1)), ((1, 2, 0, 1), (1, 1)),
+                 ((0, 0, 1), (1, 1)), ((0, 1, 1), (2,))):
+        yield FamilySpec(canonical_family("arith"), q=3, m=m, a=a)
+    yield FamilySpec(canonical_family("arith"), q=4, m=(1, 1, 1), a=(2,))
+    for L, r in ((LPolynomial(5, (1, 2, 5)), 2), (LPolynomial(3, (1, 0, 3)), 3),
+                 (LPolynomial(3, (1, -2, 6, -6, 9)), 2)):
+        yield FamilySpec(canonical_family("divisors"), l_poly=L, r=r)
+        for ell in (1, 2, 3):
+            yield FamilySpec("divisors-r-ell-K", l_poly=L, r=r, ell=ell)
+
+
+@pytest.mark.parametrize("spec", list(_psi_table_reference_specs()),
+                         ids=lambda s: s.label)
+def test_psi_table_matches_generator_counts(spec):
+    N = 24
+    g = spec.generator_counts(N)
+    squarefree = canonical_family(spec.family) == "s3-even-degree-squarefree"
+    expected = [0]
+    for n in range(1, N + 1):
+        expected.append(sum((-1) ** (n // d - 1 if squarefree else 0) * d * g[d]
+                            for d in range(1, n + 1) if n % d == 0))
+    table = psi_table(spec, N)
+    assert table == expected
+    assert all(type(v) is int for v in table)
+    assert psi_table(spec, 7) == expected[:8]
+    assert [psi_value(spec, n) for n in (1, 12, 24)] == [expected[1], expected[12],
+                                                          expected[24]]
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_non_integral_psi_raises(monkeypatch, q):
+    # landau at even q has psi_1 = (q + 1) / 2: the halving must not round
+    spec = FamilySpec(canonical_family("landau"), q=q)
+    with pytest.raises(NegativeCount, match="index 1"):
+        psi_table(spec, 5)
+    with pytest.raises(NegativeCount):
+        psi_value(spec, 3)
+    monkeypatch.setattr(FamilySpec, "validate", lambda self: None)
+    with pytest.raises(NegativeCount, match="non-integral log-coefficient"):
+        count_table(spec, 5)
 
 
 def test_displacement_closed_forms():

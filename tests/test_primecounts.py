@@ -233,6 +233,47 @@ def test_pow_map_composite_from_cached_maps():
     assert group.pow_map(12) is group.pow_map(12)
 
 
+@pytest.mark.parametrize("q, m, order", [
+    (3, (0, 1, 1), 4),  # T(T+1) over F_3: C2 x C2
+    (5, (0, 1, 1), 16),  # T(T+1) over F_5: C4 x C4
+    (3, (1, 2, 0, 1), 26),  # irreducible: cyclic of order 26
+])
+def test_pow_map_reduces_k_mod_the_group_order(monkeypatch, q, m, order):
+    from fqtcount.primecounts import _ResidueGroup
+
+    group = _ResidueGroup(field_for_order(q), MonicPoly(m))
+    assert group.order == order
+    expected = {}
+    for k in range(3 * order + 6):
+        row = []
+        for code in group.codes:
+            acc = 1
+            for _ in range(k):
+                acc = group._reduce_product(acc, code)
+            row.append(group.index[acc])
+        expected[k] = row
+    # no pow_map(k) with k > |G| may multiply residues itself
+    active, reached = [], []
+    pow_map, reduce_product = _ResidueGroup.pow_map, _ResidueGroup._reduce_product
+
+    def tracked_pow_map(self, k):
+        active.append(k)
+        try:
+            return pow_map(self, k)
+        finally:
+            active.pop()
+
+    def tracked_reduce(self, a, b):
+        reached.append(active[-1])
+        return reduce_product(self, a, b)
+
+    monkeypatch.setattr(_ResidueGroup, "pow_map", tracked_pow_map)
+    monkeypatch.setattr(_ResidueGroup, "_reduce_product", tracked_reduce)
+    for k in range(3 * order + 6):
+        assert group.pow_map(k).tolist() == expected[k], k
+    assert reached and max(reached) <= order
+
+
 def test_psi_arith_checks_the_residue_once(monkeypatch):
     import fqtcount.primecounts as pc
 
