@@ -49,7 +49,8 @@ from .asymptotics import _PAD, EstimatorSpec, _r_upper, _to_mpf, estimator_for
 from .errors import EvenCharacteristic
 from .families import FamilySpec
 from .ffield import FieldSpec, MonicPoly, field_for_order
-from .primecounts import CHI2_MINUS, pi_chi2, pi_q
+from .primecounts import CHI2_MINUS, psi_chi2
+from .series import g_from_psi
 
 GUARD_BITS = 64  # fixed-point bits beyond the working precision
 
@@ -224,8 +225,8 @@ def constant_Kq(q: int, digits: int = 30) -> ConstantReport:
 
         # Euler product over chi2 = -1 primes, grouped by degree
         D = _series_terms(q, digits, half=False)
-        S, ledger = _euler_log_sum(
-            q, ((d, pi_chi2(q, d, CHI2_MINUS)) for d in range(1, D + 1)))
+        counts = g_from_psi({d: psi_chi2(q, d, CHI2_MINUS) for d in range(1, D + 1)}, D)
+        S, ledger = _euler_log_sum(q, ((d, counts.count(d)) for d in range(1, D + 1)))
         log_val = -mpmath.log(1 - mpmath.mpf(1) / q) / 2 + _to_mpf(S)
         etail = (float(q) ** -(D + 1) / (1 - 1 / q) / (D + 1) * 2 * _PAD
                  + float(ledger))
@@ -273,8 +274,8 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
 
             # Euler product over odd-degree primes
             D = N
-            S, ledger = _euler_log_sum(
-                q, ((d, pi_q(q, d)) for d in range(1, D + 1, 2)))
+            counts = g_from_psi({d: q**d for d in range(1, D + 1)}, D)
+            S, ledger = _euler_log_sum(q, ((d, counts.count(d)) for d in range(1, D + 1, 2)))
             etail = (float(q) ** -(D + 1) / (1 - 1 / q) / (D + 1) * 2 * _PAD
                      + float(ledger))
             value = mpmath.e ** _to_mpf(S)

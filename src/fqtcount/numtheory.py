@@ -2,8 +2,8 @@
 
 Divisors and Moebius values are taken of degrees, so trial division
 serves; field characteristics get a deterministic Miller-Rabin test, and
-the primes between 2^19 and 2^20 that the multimodular exp uses come
-from one sieve.
+a segmented sieve finds the primes just below 2^26 that the multimodular
+exp uses, one window at a time.
 """
 
 from __future__ import annotations

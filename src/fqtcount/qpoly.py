@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 
 def _as_fraction(value) -> Fraction:
@@ -95,9 +96,7 @@ class QPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        out = [self.coefficient(i) + o.coefficient(i) for i in range(n)]
-        return QPoly(_strip(out))
+        return QPoly(_strip(a + b for a, b in zip_longest(self.coeffs, o.coeffs, fillvalue=0)))
 
     __radd__ = __add__
 

@@ -27,12 +27,19 @@ recurrence n f_n = sum_{j=1..n} psi_j f_{n-j} (Brent & Kung, J. ACM 25,
   log2 |f_m| <= b_m.  The l_j are integers in units of 2^-16 bit,
   rounded up with one spare unit; math.log2 is correct to a few ulps,
   under 1e-5 units at any size reached here, so each l_j is a bound.
-* Residues.  The recurrence runs modulo the largest primes below 2^20,
+* Residues.  The recurrence runs modulo the largest primes below 2^26,
   the fewest whose product M exceeds 2^(b+1) for b >= max_m b_m,
-  vectorised across the primes in numpy.  Each prime exceeds 2^19 > N,
-  so n is invertible; residues are below 2^20, so a product is below
-  2^40 and an inner sum of at most N < 2^19 of them below 2^63, exact
-  in int64.  Then |f_m| < M/2, and CRT into (-M/2, M/2) returns f_m.
+  vectorised across the primes in numpy.  They are sieved in windows of
+  8192 downwards from 2^26, as many as needed.  Each prime exceeds
+  2^25 > N, so n is invertible; residues are below 2^26, so a product is
+  below 2^52, and an inner sum is taken in blocks of 2^11 products, each
+  block below 2^63 (exact in int64) and reduced mod p before the next.
+  Then |f_m| < M/2, and CRT into (-M/2, M/2) returns f_m: with
+  y_i = r_i (M/p_i)^-1 mod p_i < 2^26, f_m = sum_i y_i M/p_i mod M, and
+  that sum is a float64 matrix product of the y_i against the 16-bit
+  limbs of the M/p_i.  Each product is below 2^42 and each sum has at
+  most 2^11 of them, so it is below 2^53, exact in any summation order;
+  the limb sums are carried into an int and reduced mod M.
 
 ``series_exp`` serves every other exact ring with one common-denominator
 recurrence.  For H = exp(sum a_j x^j) to order N, m H_m = sum_j j a_j
@@ -328,23 +335,27 @@ def _exp_psi_over_n(psi: dict[int, int], N: int) -> TruncatedSeries:
 
 # -- the multimodular exp; the module docstring says why each step is exact
 
-_PRIME_CEILING = 1 << 20  # residues below 2^20: products below 2^40
-_MAX_ORDER = 1 << 19  # N < 2^19 < every prime, and N * 2^40 < 2^63
+_PRIME_CEILING = 1 << 26  # residues below 2^26: products below 2^52
+_WINDOW = 8192  # numbers sieved at a time, downwards from 2^26
+_BLOCK = 1 << 11  # products per exact int64 inner sum
+_MAX_ORDER = 1 << 19  # N < 2^19 < every prime
+_MAX_BITS = 1 << 25  # coefficients below 2^(2^25): fewer primes than lie above 2^25
 _LOG_UNIT = 1 << 16  # size bounds in units of 2^-16 bit
 _NO_TERM = -(1 << 60)  # "log2 0" in those units; sums of two stay in int64
-_PRIMES: list[int] = []  # the primes between 2^19 and 2^20, descending, sieved on first use
+_PRIMES: list[int] = []  # the largest primes below 2^26, descending, sieved as needed
 _CHUNK = 64  # values per residue conversion and per CRT prime count
-_GROUP = 64  # primes per run of the recurrence
+_GROUP = 64  # primes per run of the recurrence and per CRT product
 
 
 def _crt_primes(bits: int) -> list[int]:
-    """The fewest of the largest primes below 2^20 whose product exceeds 2^bits (bits >= 1)."""
-    if not _PRIMES:
-        _PRIMES.extend(reversed(primes_between(_MAX_ORDER + 1, _PRIME_CEILING)))
+    """The fewest of the largest primes below 2^26 whose product exceeds 2^bits (bits >= 1)."""
+    if bits >= _MAX_BITS:
+        raise ValueError(f"coefficients of {bits} bits exceed the multimodular range of 2^25 bits")
     count, product = 0, 1
     while product.bit_length() <= bits:  # an odd product of bit length > bits exceeds 2^bits
-        if count == len(_PRIMES):
-            raise ValueError(f"coefficients of {bits} bits need more primes above 2^19")
+        if count == len(_PRIMES):  # sieve the next window below the smallest prime so far
+            top = _PRIMES[-1] if _PRIMES else _PRIME_CEILING
+            _PRIMES.extend(reversed(primes_between(top - _WINDOW, top)))
         product *= _PRIMES[count]
         count += 1
     return _PRIMES[:count]
@@ -374,8 +385,8 @@ def _residue_rows(values: list[int], p: np.ndarray, radix: np.ndarray) -> np.nda
     """values mod each prime (rows x primes); radix[l] = 2^(16 l) mod p.
 
     Each |v| becomes a row of 16-bit limbs, low limb first, times the
-    columns of radix: products stay below 2^36, and a row sum below 2^63
-    for any width under 2^27 limbs.
+    columns of radix: products stay below 2^42, and a row sum below 2^63
+    for any width under 2^21 limbs, which every value below 2^(2^25) has.
     """
     width = _limb_count(values)
     data = b"".join(abs(v).to_bytes(2 * width, "little") for v in values)
@@ -387,14 +398,43 @@ def _residue_rows(values: list[int], p: np.ndarray, radix: np.ndarray) -> np.nda
 
 
 def _crt_rows(res: np.ndarray, primes: list[int]) -> list[int]:
-    """Each row of residues (rows x primes) as the integer in (-M/2, M/2)."""
+    """Each row of residues (rows x primes) as the integer in (-M/2, M/2).
+
+    With c_i = M/p_i and y_i = r_i / c_i mod p_i, the row is sum_i y_i c_i
+    mod M.  The sum is formed limb by limb, as float64 matrix products of
+    the y_i against the 16-bit limbs of the c_i, _GROUP primes at a time:
+    each product y_i limb is below 2^42 and each sum has at most 2^11 of
+    them, so it stays below 2^53 and is exact in any summation order.
+    The group sums add up in int64 (below 2^63 for fewer than 2^21
+    primes) and are carried into one int per row.
+    """
     modulus = math.prod(primes)
-    basis = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+    width = _limb_count([modulus])
+    sums = np.zeros((len(res), width), dtype="<i8")
+    for g in range(0, len(primes), _GROUP):
+        group = primes[g:g + _GROUP]
+        cofactors = [modulus // q for q in group]
+        y = res[:, g:g + _GROUP] * np.array([pow(c, -1, q) for c, q in zip(cofactors, group)])
+        y %= np.array(group, dtype=np.int64)
+        data = b"".join(c.to_bytes(2 * width, "little") for c in cofactors)
+        limbs = np.frombuffer(data, dtype="<u2").reshape(len(group), width)
+        sums += (y.astype(np.float64) @ limbs.astype(np.float64)).astype(np.int64)
     out = []
-    for row in res.tolist():
-        value = sum(map(mul, row, basis)) % modulus
+    for row in sums:
+        # the sum for limb l sits at bit 16 l, so every fourth one is a 64-bit word of its own
+        value = sum(int.from_bytes(row[r::4].tobytes(), "little") << (16 * r)
+                    for r in range(4)) % modulus
         out.append(value - modulus if 2 * value > modulus else value)
     return out
+
+
+def _dot_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_j a[k, j] b[k, j] mod p[k] for residues below 2^26, in blocks of
+    2^11 products: a block plus a reduced partial sum stays below 2^63."""
+    acc = np.einsum("kj,kj->k", a[:, :_BLOCK], b[:, :_BLOCK])
+    for lo in range(_BLOCK, a.shape[1], _BLOCK):
+        acc = acc % p + np.einsum("kj,kj->k", a[:, lo:lo + _BLOCK], b[:, lo:lo + _BLOCK])
+    return acc % p
 
 
 def _exp_mod(psi: list[int], p: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -404,8 +444,11 @@ def _exp_mod(psi: list[int], p: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """
     N = len(psi) - 1
     radix = np.ones((_limb_count(psi), len(p)), dtype=np.int64)
-    for limb in range(1, len(radix)):
-        radix[limb] = radix[limb - 1] * (1 << 16) % p
+    n = 1
+    while n < len(radix):  # radix[n + l] = radix[l] * 2^(16 n), doubling n
+        k = min(n, len(radix) - n)
+        radix[n:n + k] = radix[:k] * (radix[n - 1] * ((1 << 16) % p) % p) % p
+        n *= 2
     # column j of psi_res holds psi_j and column N - m of f_rev holds f_m,
     # so each inner sum reads two contiguous slices
     psi_res = np.zeros((len(p), N + 1), dtype=np.int64)
@@ -415,18 +458,19 @@ def _exp_mod(psi: list[int], p: np.ndarray, inv: np.ndarray) -> np.ndarray:
     f_rev = np.zeros_like(psi_res)
     f_rev[:, N] = 1
     for m in range(1, N + 1):
-        acc = np.einsum("kj,kj->k", psi_res[:, 1:m + 1], f_rev[:, N - m + 1:])
-        f_rev[:, N - m] = acc % p * inv[m] % p
+        f_rev[:, N - m] = _dot_mod(psi_res[:, 1:m + 1], f_rev[:, N - m + 1:], p) * inv[m] % p
     return f_rev[:, ::-1]
 
 
 def _exp_integral(psi: list[int]) -> tuple[int, ...]:
     """f_0..f_N of exp(sum psi_j x^j / j) (psi[0] unused), known to be integers.
 
-    The recurrence runs on groups of _GROUP primes, whose int64 tables
-    stay small; the residues of f and the inverses 1/m are kept as int32,
-    and each chunk of f is rebuilt from only as many primes as its size
-    bound needs (a prefix of the primes).
+    The recurrence runs on groups of _GROUP primes below 2^26, whose int64
+    tables stay small; each inner sum is taken in blocks of 2^11 products
+    below 2^52 (_dot_mod), and the residues of f and the inverses 1/m are
+    kept as int32.  Each chunk of f is rebuilt from only as many primes as
+    its size bound needs (a prefix of the primes) by _crt_rows, whose
+    float64 sums are exact below 2^53.
     """
     N = len(psi) - 1
     if N >= _MAX_ORDER:

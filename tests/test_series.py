@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from fqtcount.series import (
     GeneratorCounts,
     TruncatedSeries,
     _crt_primes,
+    _dot_mod,
     _exact_quotient,
     _exp_integral,
     _exp_psi_over_n,
@@ -315,12 +317,52 @@ def test_g_from_psi_messages():
 
 def test_crt_primes_match_the_prevprime_chain():
     primes = _crt_primes(20000)
-    chain, p = [], 2**20
+    chain, p = [], 2**26
     for _ in primes:
         p = sympy.prevprime(p)
         chain.append(p)
     assert primes == chain
     assert math.prod(primes[:-1]).bit_length() <= 20000 < math.prod(primes).bit_length()
+    # the chain runs on past the first sieve window, [2^26 - 8192, 2^26)
+    assert primes[-1] < 2**26 - 8192 < primes[0]
+
+
+def test_crt_primes_range_is_asserted():
+    with pytest.raises(ValueError, match="2\\^25 bits"):
+        _crt_primes(2**25)
+
+
+def test_dot_mod_blocks_stay_exact():
+    # all residues p - 1: each product is within 2^40 of 2^52, so a block
+    # of 2^12 products, or two unreduced blocks of 2^11, would pass 2^63
+    p = np.array(_crt_primes(60), dtype=np.int64)
+    width = 2 * 2**11 + 3
+    top = np.repeat((p - 1)[:, None], width, axis=1)
+    assert _dot_mod(top, top, p).tolist() == [width % q for q in p.tolist()]
+    rng = np.random.default_rng(0)
+    a, b = (rng.integers(0, p[:, None], size=(len(p), width)) for _ in range(2))
+    assert _dot_mod(a, b, p).tolist() == [
+        sum(x * y for x, y in zip(ra, rb)) % q
+        for ra, rb, q in zip(a.tolist(), b.tolist(), p.tolist())
+    ]
+
+
+def test_exp_integral_crosses_an_inner_block():
+    # 1 / ((1 - x)(1 - x^2)): N > 2^11, so the late inner sums take two blocks
+    N = 2100
+    psi = psi_from_g({1: 1, 2: 1}, N)
+    got = product_form({1: 1, 2: 1}, N).coeffs
+    assert got == schoolbook_exp(psi, N)
+    assert got == tuple(n // 2 + 1 for n in range(N + 1))
+
+
+def test_exp_of_huge_values_crosses_prime_groups_and_windows():
+    v = 3**37855  # 59 999 bits: more than 2^11 primes, in several sieve windows
+    assert _exp_psi_over_n({1: v}, 1).coeffs == (1, v)
+    assert len(_crt_primes(v.bit_length() + 1)) > 2**11
+    psi = {n: v for n in range(1, 4)}  # (1 - x)^(-v)
+    assert _exp_psi_over_n(psi, 3).coeffs == (
+        1, v, v * (v + 1) // 2, v * (v + 1) * (v + 2) // 6)
 
 
 # -- the common-denominator exp against the Fraction loop it replaced ------
