@@ -313,12 +313,6 @@ def derivative_envelope(spec: EstimatorSpec, i: int, x: Fraction, terms: int = 8
     return abs(float(total)), envelope
 
 
-def threshold_choice_check(t: float) -> tuple[int, bool]:
-    """The threshold choice at one t: (chosen n, inequality holds)."""
-    n = math.ceil(1 + 5 * (t + 1) * math.log(t + 1))
-    return n, (n - 1) / (math.log(n) + 1) >= t
-
-
 # -- the estimator ---------------------------------------------------
 
 

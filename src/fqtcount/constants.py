@@ -117,11 +117,17 @@ class ConstantReport:
             }
 
 
-def _exp_method(tag: str, log_sum: Fraction, log_tail: float,
-                digits: int) -> ConstantMethod:
-    value = mpmath.e**_to_mpf(log_sum)
+def _exp_method(tag: str, log_value, log_tail: float, digits: int) -> ConstantMethod:
+    """exp(log_value), where the mpf log_value is within log_tail of the true log."""
+    value = mpmath.e**log_value
     tail = float(value) * math.expm1(log_tail) * _PAD if log_tail > 0 else 0.0
     return ConstantMethod(tag, value, _floor_tail(tail, digits))
+
+
+def _series_method(tag: str, est: EstimatorSpec, N: int, digits: int) -> ConstantMethod:
+    """exp of the family's exponent series sum_{n <= N} atilde_n beta^n / n."""
+    S, tail = _atilde_sum(est, N)
+    return _exp_method(tag, _to_mpf(S), tail, digits)
 
 
 def _scale_bits() -> int:
@@ -203,7 +209,7 @@ def constant_Kq(q: int, digits: int = 30) -> ConstantReport:
         # series: log K = sum atilde_n q^-n / n, 0 < atilde_n <= q^(n/2)
         N = _series_terms(q, digits, half=True)
         est = estimator_for(FamilySpec(families.FAMILY_LANDAU, q=q))
-        series = _exp_method("series", *_atilde_sum(est, N), digits)
+        series = _series_method("series", est, N, digits)
 
         # nested product: prod_k (1+x_k)^(2^-k-1) (1 - q x_k^2)^(-2^-k-2),
         # x_k = q^(-2^k); omitted factors exceed 1, log bounded by 3x
@@ -217,11 +223,7 @@ def constant_Kq(q: int, digits: int = 30) -> ConstantReport:
         for k in range(K + 1, K + 4):
             xk = float(q) ** -(2.0**k)
             ntail += 2.0 ** -(k + 1) * (xk + 2 * q * xk * xk)
-        ntail = ntail * 2 * _PAD
-        value = mpmath.e**log_val
-        nested = ConstantMethod(
-            "nested-product", value,
-            _floor_tail(float(value) * math.expm1(ntail) * _PAD, digits))
+        nested = _exp_method("nested-product", log_val, ntail * 2 * _PAD, digits)
 
         # Euler product over chi2 = -1 primes, grouped by degree
         D = _series_terms(q, digits, half=False)
@@ -230,10 +232,7 @@ def constant_Kq(q: int, digits: int = 30) -> ConstantReport:
         log_val = -mpmath.log(1 - mpmath.mpf(1) / q) / 2 + _to_mpf(S)
         etail = (float(q) ** -(D + 1) / (1 - 1 / q) / (D + 1) * 2 * _PAD
                  + float(ledger))
-        value = mpmath.e**log_val
-        euler = ConstantMethod(
-            "euler-product", value,
-            _floor_tail(float(value) * math.expm1(etail) * _PAD, digits))
+        euler = _exp_method("euler-product", log_val, etail, digits)
 
     return ConstantReport("K_q", q, (series, nested, euler))
 
@@ -254,7 +253,7 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
         N = _series_terms(q, digits, half=False)
         s_family = (families.FAMILY_S1, families.FAMILY_S2, families.FAMILY_S3)
         est = estimator_for(FamilySpec(s_family[which - 1], q=q))
-        series = _exp_method("series", *_atilde_sum(est, N), digits)
+        series = _series_method("series", est, N, digits)
         if which == 1:
             # nested: prod_k ((1+z_k)/(1-z_k))^(2^-k-2), z_k = q^(1-2^(k+1))
             K = _nested_depth(q, digits)
@@ -266,11 +265,7 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
             for k in range(K + 1, K + 4):
                 zk = float(q) ** (1 - 2.0 ** (k + 1))
                 ntail += 3 * zk / 2.0 ** (k + 2)
-            value = mpmath.e**log_val
-            nested = ConstantMethod(
-                "nested-product", value,
-                _floor_tail(
-                    float(value) * math.expm1(2 * ntail * _PAD) * _PAD, digits))
+            nested = _exp_method("nested-product", log_val, 2 * ntail * _PAD, digits)
 
             # Euler product over odd-degree primes
             D = N
@@ -278,10 +273,7 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
             S, ledger = _euler_log_sum(q, ((d, counts.count(d)) for d in range(1, D + 1, 2)))
             etail = (float(q) ** -(D + 1) / (1 - 1 / q) / (D + 1) * 2 * _PAD
                      + float(ledger))
-            value = mpmath.e ** _to_mpf(S)
-            euler = ConstantMethod(
-                "euler-product", value,
-                _floor_tail(float(value) * math.expm1(etail) * _PAD, digits))
+            euler = _exp_method("euler-product", _to_mpf(S), etail, digits)
             return ConstantReport("C_{q,1}", q, (series, nested, euler))
 
         if which == 2:
@@ -378,7 +370,7 @@ def constant_Cam(field: FieldSpec, a, m: MonicPoly, digits: int = 30
         N = _series_terms(field.q, digits, half=True)
         est.numerators(2 * N)  # one table serves both truncations
         methods = tuple(
-            _exp_method(tag, *_atilde_sum(est, length), digits)
+            _series_method(tag, est, length, digits)
             for length, tag in ((N, "series"), (2 * N, "series-doubled"))
         )
     return ConstantReport("C_{a,m}", field.q, methods)

@@ -4,7 +4,11 @@ Field elements are encoded as integers in {0, ..., q-1}.  For a prime
 field the integer is the residue itself.  For an extension field
 F_{p^k} = F_p[Y]/(modulus) the integer a_0 + a_1*p + ... + a_{k-1}*p^{k-1}
 encodes the element a_0 + a_1*Y + ... + a_{k-1}*Y^{k-1}; in both cases the
-multiplicative identity is encoded by 1.
+multiplicative identity is encoded by 1.  An element code is thus the
+polynomial code (code_of) of its Y-polynomial over the prime field, and
+extension fields are built with the prime field's own operations: the
+modulus test trial-divides by poly_mod, and _Tables multiplies by
+poly_mul and reduces by poly_mod.
 
 Monic polynomials in T are coefficient tuples of element codes, listed
 low-to-high with leading coefficient 1.  The canonical order on monic
@@ -28,8 +32,8 @@ degree > n/2; it comes from one exact division, whose remainder check
 is the guard that the plan and the arithmetic agree.  The product runs
 in row chunks of about _CHUNK_ENTRIES entries, in the first of float32,
 float64 and int64 in which it is exact (_digit_dtype).  The enumeration
-sieve in universe builds its multiplication matrices with the same
-digit helper (_digit_rows).
+sieve in universe builds its multiplication matrices, and its prime
+residues mod m, with the same digit helper (_digit_rows).
 
 Scalar arithmetic stays in Python ints, because indexing a numpy table
 costs more than the operation itself.  A prime field reduces mod p,
@@ -56,7 +60,7 @@ from .errors import (
     ReducibleModulus,
     ResourceLimit,
 )
-from .numtheory import is_prime
+from .numtheory import _factor, is_prime
 
 DEFAULT_CAP = 10**8
 
@@ -154,19 +158,16 @@ class _Tables:
             self.add = ((idx[:, None] + idx[None, :]) % p).astype(np.int32)
             self.mul = ((idx[:, None] * idx[None, :]) % p).astype(np.int32)
         else:
-            vecs = [_code_to_vec(c, p, k) for c in range(q)]
-            add = np.zeros((q, q), dtype=np.int32)
+            # a code is a polynomial over the prime field: add digitwise, multiply mod the modulus
+            fp, p_pows = FieldSpec(p, 1, (0, 1)), p ** np.arange(k)
+            digits = np.arange(q)[:, None] // p_pows % p
+            self.add = np.array([(row + digits) % p @ p_pows for row in digits], dtype=np.int32)
+            vecs = [coeffs_of_code(fp, c) for c in range(q)]
             mul = np.zeros((q, q), dtype=np.int32)
-            mod = list(field.modulus)
-            for a in range(q):
+            for a in range(1, q):
                 for b in range(a, q):
-                    s = _vec_to_code([(x + y) % p for x, y in zip(vecs[a], vecs[b])], p)
-                    add[a, b] = add[b, a] = s
-                    prod = _fp_polymul(p, vecs[a], vecs[b])
-                    prod = _fp_polymod(p, prod, mod)
-                    m = _vec_to_code(prod + [0] * (k - len(prod)), p)
-                    mul[a, b] = mul[b, a] = m
-            self.add = add
+                    prod = poly_mod(fp, poly_mul(fp, vecs[a], vecs[b]), field.modulus)
+                    mul[a, b] = mul[b, a] = code_of(fp, prod)
             self.mul = mul
         self.neg = np.array([int(np.where(self.add[a] == 0)[0][0]) for a in range(q)],
                             dtype=np.int32)
@@ -236,84 +237,28 @@ def _digit_dtype(field: FieldSpec, in_deg: int) -> type:
                         "exceed exact integer range")
 
 
-def _element_digit_matrices(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
-    """The k x k digit matrices of multiplication by each element code.
-
-    Row s of the matrix of c holds the digits of Y^s * c, where Y^s has
-    code p^s; the result has shape codes.shape + (k, k).
-    """
-    codes = np.asarray(codes, dtype=np.int64)
-    if field.k == 1:
-        return codes[..., None, None]
-    return tables(field).digit_mul[codes]
-
-
 def _digit_rows(field: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
     """Digit matrix whose row (j, s) holds the digits of Y^s times row j of coeffs.
 
     coeffs holds element codes with shape (..., J, L); the result has
-    shape (..., J*k, L*k).  Multiplication by a fixed polynomial and the
-    remainder plan are both built this way: a prime field by placing the
-    codes themselves, an extension field by placing the digit matrices
-    of its elements.
+    shape (..., J*k, L*k).  Multiplication by a fixed polynomial, the
+    remainder plan and the residues in universe are all built this way:
+    a prime field by placing the codes themselves, an extension field by
+    placing the k x k digit matrices of its elements (digit_mul).
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if field.k == 1:
         return coeffs
-    blocks = np.swapaxes(_element_digit_matrices(field, coeffs), -3, -2)
+    blocks = np.swapaxes(tables(field).digit_mul[coeffs], -3, -2)
     *lead, J, k, L, _ = blocks.shape
     return blocks.reshape(*lead, J * k, L * k)
 
 
-def _code_to_vec(code: int, p: int, k: int) -> list[int]:
-    vec = []
-    for _ in range(k):
-        code, r = divmod(code, p)
-        vec.append(r)
-    return vec
-
-
-def _vec_to_code(vec, p: int) -> int:
-    code = 0
-    for c in reversed(vec):
-        code = code * p + c
-    return code
-
-
-def _fp_polymul(p: int, a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _fp_polymod(p: int, f: list[int], g: list[int]) -> list[int]:
-    # g monic; returns f mod g, trailing zeros stripped
-    f = list(f)
-    dg = len(g) - 1
-    while len(f) > dg:
-        lead = f[-1]
-        if lead:
-            for i in range(dg + 1):
-                f[len(f) - 1 - dg + i] = (f[len(f) - 1 - dg + i] - lead * g[i]) % p
-        f.pop()
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _fp_is_irreducible(p: int, coeffs: list[int]) -> bool:
-    deg = len(coeffs) - 1
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            g = list(tail) + [1]
-            if not _fp_polymod(p, coeffs, g):
-                return False
-    return True
+def _is_irreducible(fp: FieldSpec, f: tuple[int, ...]) -> bool:
+    """Trial division of a monic f over the prime field fp by every monic of degree <= deg f / 2."""
+    return all(poly_mod(fp, f, tail + (1,))
+               for d in range(1, (len(f) - 1) // 2 + 1)
+               for tail in product(range(fp.p), repeat=d))
 
 
 def build_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
@@ -322,42 +267,28 @@ def build_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
         raise NonPrime(f"{p} is not prime")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"extension degree must be a positive integer, got {k}")
+    fp = FieldSpec(p, 1, (0, 1))
     if modulus is not None:
         mod = tuple(int(c) for c in modulus)
         if len(mod) != k + 1 or mod[-1] != 1 or any(not 0 <= c < p for c in mod):
             raise ReducibleModulus(
                 f"modulus must be monic of degree {k} with coefficients in 0..{p - 1}"
             )
-        if not _fp_is_irreducible(p, list(mod)):
+        if not _is_irreducible(fp, mod):
             raise ReducibleModulus(f"modulus {mod} is reducible over F_{p}")
         return FieldSpec(p, k, mod)
     if k == 1:
-        return FieldSpec(p, 1, (0, 1))
-    for tail in product(range(p), repeat=k):
-        cand = list(tail) + [1]
-        if _fp_is_irreducible(p, cand):
-            return FieldSpec(p, k, tuple(cand))
-    raise ReducibleModulus(f"no irreducible of degree {k} over F_{p}")  # unreachable
+        return fp
+    return next(FieldSpec(p, k, tail + (1,)) for tail in product(range(p), repeat=k)
+                if _is_irreducible(fp, tail + (1,)))
 
 
 def field_for_order(q: int) -> FieldSpec:
     """Construct F_q from the prime-power order q alone."""
-    if not isinstance(q, int) or q < 2:
+    factors = _factor(q) if isinstance(q, int) and q >= 2 else ()
+    if len(factors) != 1:
         raise NonPrime(f"{q} is not a prime power")
-    p = 2
-    n = q
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
-        raise NonPrime(f"{q} is not a prime power")
+    (p, k), = factors
     return build_field(p, k)
 
 
@@ -826,6 +757,14 @@ def coeffs_of_code(field: FieldSpec, code: int) -> tuple[int, ...]:
         code, c = divmod(code, field.q)
         coeffs.append(c)
     return tuple(coeffs) if coeffs else (0,)
+
+
+def code_of(field: FieldSpec, coeffs: tuple[int, ...]) -> int:
+    """The code sum c_i q^i of a coefficient tuple, inverse to coeffs_of_code."""
+    code = 0
+    for c in reversed(coeffs):
+        code = code * field.q + c
+    return code
 
 
 def poly_to_string(f: MonicPoly | tuple[int, ...]) -> str:

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +41,9 @@ CHI2_ZERO_OR_PLUS = "zero-or-plus"
 # limits for the group-ring method (residue classes kept in dense vectors)
 _MAX_UNIT_GROUP = 4096
 _MAX_RESIDUE_RING = 10**5
+
+# relative tolerance of check_rh on |inverse root| / sqrt(q)
+_RH_TOL = 1e-9
 
 
 def pi_q(q: int, n: int) -> int:
@@ -108,7 +111,7 @@ class LPolynomial:
     def genus(self) -> int:
         return (len(self.coeffs) - 1) // 2
 
-    def check_rh(self, tol: float = 1e-9) -> None:
+    def check_rh(self) -> None:
         """Verify all inverse roots have absolute value sqrt(q).
 
         Floating-point diagnostic only; the exact counting path never
@@ -120,7 +123,7 @@ class LPolynomial:
         moduli = 1.0 / np.abs(roots)
         target = self.q**0.5
         worst = float(np.max(np.abs(moduli / target - 1.0)))
-        if worst > tol:
+        if worst > _RH_TOL:
             raise RHViolation(
                 f"inverse-root modulus off sqrt(q) by relative {worst:.3e}"
             )
@@ -216,8 +219,7 @@ def _residue_code(field: FieldSpec, a, m: MonicPoly) -> int:
         coeffs = (a,)
     else:
         raise TypeError("residue must be a polynomial, coefficient tuple, or code")
-    reduced = ffield.poly_mod_general(field, coeffs, m.coeffs)
-    return sum(c * field.q**i for i, c in enumerate(reduced))
+    return ffield.code_of(field, ffield.poly_mod_general(field, coeffs, m.coeffs))
 
 
 class _ResidueGroup:
@@ -255,8 +257,7 @@ class _ResidueGroup:
             ffield.coeffs_of_code(field, code_a),
             ffield.coeffs_of_code(field, code_b),
         )
-        reduced = ffield.poly_mod_general(field, prod, self.m.coeffs)
-        return sum(c * field.q**i for i, c in enumerate(reduced))
+        return ffield.code_of(field, ffield.poly_mod_general(field, prod, self.m.coeffs))
 
     @cached_property
     def mul_index(self) -> np.ndarray:
@@ -415,16 +416,17 @@ def _unit_residue(field: FieldSpec, a, m: MonicPoly) -> int:
     return a_code
 
 
+@lru_cache(maxsize=None)
+def _group_ring_fits(field: FieldSpec, m: MonicPoly) -> bool:
+    """Are both the residue ring and its unit group within _ResidueGroup's limits?"""
+    return field.q**m.degree <= _MAX_RESIDUE_RING and phi_m(field, m) <= _MAX_UNIT_GROUP
+
+
 def _class_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
                  method: str, cap: int | None) -> int:
     """pi_arith for a residue code already checked by _unit_residue."""
     if method == "auto":
-        ring_size = field.q**m.degree
-        method = (
-            "character"
-            if ring_size <= _MAX_RESIDUE_RING
-            else "enumerate"
-        )
+        method = "character" if _group_ring_fits(field, m) else "enumerate"
     if method == "character":
         return _arith_table(field, m, cap=cap).count(n, a_code)
     if method == "enumerate":
@@ -450,7 +452,8 @@ def pi_arith(
 
     ``method`` is "enumerate" (direct, needs q^n within the cap),
     "character" (exact group-ring recurrence, any n), or "auto" (the
-    recurrence when the residue ring is small enough, else enumeration).
+    recurrence when the residue ring and its unit group are small enough,
+    else enumeration).
     """
     if n < 1:
         raise ValueError("degree must be positive")
@@ -463,30 +466,6 @@ def psi_arith(field: FieldSpec, n: int, a, m: MonicPoly, method: str = "auto",
     a_code = _unit_residue(field, a, m)
     return sum(d * _class_count(field, d, a_code, m, method, cap)
                for d in divisors(n))
-
-
-@dataclass(frozen=True)
-class PrimeCountTable:
-    """A tabulated prime/place count with its defining parameters."""
-
-    kind: str  # all | chi2-class | arith-progression | function-field
-    parameters: dict
-    values: dict[int, int]
-
-    def __post_init__(self):
-        for n, value in self.values.items():
-            if value < 0:
-                raise ValueError(f"negative count at degree {n}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "parameters": self.parameters,
-                "values": {str(n): str(v) for n, v in sorted(self.values.items())},
-            },
-            sort_keys=True,
-        )
 
 
 def progression_gap_squared(field: FieldSpec, n: int, a, m: MonicPoly, count: int) -> tuple[Fraction, Fraction]:

@@ -27,6 +27,11 @@ fixed polynomial is a matrix product that BLAS batches over all
 selected cofactors at once, in float32 unless a digit sum could pass
 2^24 (_digit_dtype).  The digit helpers live in ffield, whose
 remainder plan builds its matrices with the same _digit_rows.
+
+Residues mod m (for the progression family) use the remainder plan's
+map as well: f -> f mod m is F_p-linear in f's digits, with digit rows
+Y^s x^j mod m (_powers_of_x_mod, _digit_rows), so one product reduces
+every prime at once.
 """
 
 from __future__ import annotations
@@ -41,14 +46,10 @@ from .ffield import (
     _digit_count,
     _digit_dtype,
     _digit_rows,
-    _element_digit_matrices,
+    _powers_of_x_mod,
 )
 
 _FAMILIES = ("landau", "s1", "s2", "s3", "arith")
-
-
-def code_of_poly(field: FieldSpec, f: MonicPoly) -> int:
-    return sum(c * field.q**i for i, c in enumerate(f.coeffs))
 
 
 def poly_of_code(field: FieldSpec, code: int) -> MonicPoly:
@@ -130,7 +131,7 @@ class Universe:
                     k_deg = d - e * p_deg
                     if k_deg == 0:
                         # h = 1: the prime power itself
-                        tgt, sel = code_of_poly(field, MonicPoly(w)) - size, 0
+                        tgt, sel = ffield.code_of(field, w) - size, 0
                     elif k_deg < p_deg:
                         continue  # every prime factor of h precedes P
                     else:
@@ -184,39 +185,17 @@ class Universe:
         return self._chi
 
     def prime_residues(self, m: MonicPoly) -> np.ndarray:
-        """Residue code of each prime modulo m, vectorized per degree."""
+        """Residue code of each prime modulo m, by one digit product (see above)."""
         key = m.coeffs
         cached = self._residues.get(key)
         if cached is not None and len(cached) == len(self.prime_codes):
             return cached
-        field, p, k = self.field, self.field.p, self.field.k
-        dm = m.degree
-        mul_mats = _element_digit_matrices(field, m.coeffs)
-        out = np.empty(len(self.prime_codes), dtype=np.int64)
-        res_pows = p ** np.arange(dm * k, dtype=np.int64)
-        for d in range(1, self.max_degree + 1):
-            sl = self._prime_slices[d]
-            if sl.start == sl.stop:
-                continue
-            codes = self.prime_codes[sl]
-            if d < dm:
-                out[sl] = codes
-                continue
-            digits = (
-                (codes[:, None] // p ** np.arange(_digit_count(field, d), dtype=np.int64))
-                % p
-            ).astype(np.int32)
-            for i in range(d, dm - 1, -1):
-                lead = digits[:, i * k : (i + 1) * k]
-                if not lead.any():
-                    continue
-                base = i - dm
-                for j in range(dm + 1):
-                    col = (base + j) * k
-                    digits[:, col : col + k] = np.mod(
-                        digits[:, col : col + k] - lead @ mul_mats[j], p
-                    )
-            out[sl] = digits[:, : dm * k].astype(np.int64) @ res_pows
+        field, p, n = self.field, self.field.p, self.max_degree
+        rows = _digit_rows(field, _powers_of_x_mod(field, np.array([m.coeffs]), n)[0])
+        digits = _digits_of_codes(field, self.prime_codes, n)
+        res = (digits @ rows.astype(digits.dtype)).astype(np.int64)
+        res -= res // p * p  # a floor division by a scalar is far cheaper than %
+        out = res @ p ** np.arange(res.shape[1], dtype=np.int64)
         self._residues[key] = out
         return out
 

@@ -26,6 +26,7 @@ from .ffield import (
     factor_many,
     field_for_order,
     poly_mul,
+    poly_to_string,
 )
 from .primecounts import LPolynomial, pi_arith, progression_gap_squared
 
@@ -120,9 +121,7 @@ def _oracle_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
         good = all(
             families.oracle_count(fam.field(), fam, n) == table.value(n)
             for n in range(1, 6))
-        m_str = "+".join(f"{c}T^{i}" if i else str(c)
-                         for i, c in enumerate(m) if c) or "0"
-        out.append(_result(f"sieve-vs-series arith q={q} m={m_str}", good,
+        out.append(_result(f"sieve-vs-series arith q={q} m={poly_to_string(m)}", good,
                            "degrees 1..5 agree"))
     return out
 

@@ -33,6 +33,15 @@ def test_count_landau_json_with_oracle(capsys):
     assert data["family"] == "landau-A2TB2"
 
 
+def test_count_arith_with_a_large_unit_group_enumerates(capsys):
+    code, out, err = run(
+        capsys, "count", "arith", "--q", "3", "--m", "T^8+T^6+T^5+1", "--a", "1",
+        "--max-n", "6",
+    )
+    assert code == 0, err
+    assert json.loads(out)["values"] == {str(n): "1" if n == 0 else "0" for n in range(7)}
+
+
 def test_count_csv_columns(capsys):
     code, out, err = run(
         capsys, "count", "s2", "--q", "3", "--max-half-degree", "1",

@@ -1,7 +1,10 @@
 """Finite fields, monic polynomials, and their arithmetic."""
 
+import itertools
+
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +43,28 @@ def test_build_field_rejects_bad_moduli():
     # a valid custom modulus is accepted
     field = build_field(3, 2, (1, 0, 1))  # Y^2 + 1
     assert field.q == 9
+
+
+def test_default_modulus_is_the_first_irreducible():
+    # every p^k <= 4096 with k >= 2: the first monic of degree k in
+    # canonical order that sympy finds irreducible over F_p (a zero
+    # constant term means the factor Y, so sympy is not asked)
+    x = sympy.Symbol("x")
+    for p in sympy.primerange(2, 65):
+        for k in range(2, 13):
+            if p**k > 4096:
+                break
+            first = next(tail + (1,) for tail in itertools.product(range(p), repeat=k)
+                         if tail[0] and sympy.Poly((1,) + tail[::-1], x,
+                                                   modulus=p).is_irreducible)
+            assert build_field(p, k).modulus == first, (p, k)
+
+
+def test_field_construction_ignores_the_enumeration_cap(monkeypatch):
+    expected = {q: field_for_order(q) for q in (4, 9, 4096)}
+    monkeypatch.setenv("FQT_CAP", "1")
+    assert {q: field_for_order(q) for q in expected} == expected
+    assert ffield.element_mul(expected[9], 3, 3) == 2  # Y^2 = -1 = 2 in F_3[Y]/(Y^2+1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fqtcount import ffield
-from fqtcount.errors import NotCoprime, RHViolation
+from fqtcount.errors import NotCoprime, ResourceLimit, RHViolation
 from fqtcount.ffield import MonicPoly, chi2, field_for_order
 from fqtcount.primecounts import (
     CHI2_MINUS,
@@ -179,6 +179,18 @@ def test_pi_arith_methods_agree():
             for method in ("enumerate", "character")
         }
         assert len(counts) == 1
+
+
+def test_pi_arith_auto_respects_the_unit_group_limit():
+    # T^8+T^6+T^5+1 is irreducible over F_3: a ring of 6561 classes within
+    # the group-ring limit, but 6560 units, more than the group ring accepts
+    field = field_for_order(3)
+    m = MonicPoly((1, 0, 0, 0, 0, 1, 1, 0, 1))
+    assert phi_m(field, m) == 6560
+    with pytest.raises(ResourceLimit):
+        pi_arith(field, 3, (1,), m, method="character")
+    for n in range(1, 5):
+        assert pi_arith(field, n, (1,), m) == pi_arith(field, n, (1,), m, method="enumerate")
 
 
 def test_pi_arith_rejects_bad_residue():

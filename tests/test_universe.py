@@ -6,9 +6,9 @@ import pytest
 from fqtcount import ffield, universe
 from fqtcount.errors import EvenCharacteristic, ResourceLimit
 from fqtcount.families import FamilySpec, canonical_family, oracle_count
-from fqtcount.ffield import MonicPoly, field_for_order
+from fqtcount.ffield import code_of, field_for_order
 from fqtcount.primecounts import pi_q
-from fqtcount.universe import Universe, code_of_poly, get_universe, poly_of_code
+from fqtcount.universe import Universe, get_universe, poly_of_code
 from trial_division import trial_division_factor
 
 
@@ -68,9 +68,27 @@ def first_write_sieve(field, max_degree):
 
 
 def test_code_roundtrip():
-    field = field_for_order(3)
-    for f in ffield.enumerate_monic(field, 3):
-        assert poly_of_code(field, code_of_poly(field, f)).coeffs == f.coeffs
+    for q in (2, 3, 9, 25):
+        field = field_for_order(q)
+        for f in ffield.enumerate_monic(field, 3):
+            assert poly_of_code(field, code_of(field, f.coeffs)).coeffs == f.coeffs
+
+
+@pytest.mark.parametrize("q, max_deg, moduli", [
+    (2, 12, ("T", "T+1", "T^2+1", "T^2+T+1", "T^3+T+1")),
+    (3, 9, ("T+2", "T^2+1", "T^2+2T+1", "T^3+2T+1")),
+    (4, 6, ("T+3", "T^2+1", "T^2+T+2", "T^3+2")),
+    (9, 4, ("T+5", "T^2+1", "T^2+2T+1", "T^3+T+7")),
+])
+def test_prime_residues_match_poly_mod(q, max_deg, moduli):
+    # each list has (T+1)^2: T^2+1 in characteristic 2, T^2+2T+1 in characteristic 3
+    field = field_for_order(q)
+    uni = Universe(field, max_deg)
+    for text in moduli:
+        m = ffield.poly_from_string(field, text)
+        expected = [code_of(field, ffield.poly_mod(field, poly_of_code(field, c).coeffs, m.coeffs))
+                    for c in uni.prime_codes.tolist()]
+        assert uni.prime_residues(m).tolist() == expected, text
 
 
 def test_prime_counts_match_census():
@@ -93,7 +111,7 @@ def test_factor_chain_reconstructs_polynomial():
                 prime = poly_of_code(field, prime_code)
                 for _ in range(mult):
                     product = ffield.poly_mul(field, product, prime.coeffs)
-            assert code_of_poly(field, MonicPoly(product)) == idx + 3**degree
+            assert code_of(field, product) == idx + 3**degree
 
 
 def test_factor_multiplicities_are_exact():
@@ -101,10 +119,10 @@ def test_factor_multiplicities_are_exact():
     field = field_for_order(3)
     uni = get_universe(field, 3)
     f = ffield.poly_mul(field, ffield.poly_mul(field, (0, 1), (0, 1)), (1, 1))
-    idx = code_of_poly(field, MonicPoly(f)) - 27
+    idx = code_of(field, f) - 27
     chain = dict(uni.factor_chain(3, idx))
-    t_code = code_of_poly(field, MonicPoly((0, 1)))
-    t1_code = code_of_poly(field, MonicPoly((1, 1)))
+    t_code = code_of(field, (0, 1))
+    t1_code = code_of(field, (1, 1))
     assert chain == {t_code: 2, t1_code: 1}
 
 
@@ -233,7 +251,7 @@ def test_sieve_slots_hold_smallest_prime_exact_power_and_full_factorization(q, m
         for idx in range(q**d):
             expected = trial_division_factor(field, poly_of_code(field, q**d + idx))
             assert sorted(uni.factor_chain(d, idx)) == sorted(
-                (code_of_poly(field, prime), mult) for prime, mult in expected.factors
+                (code_of(field, prime.coeffs), mult) for prime, mult in expected.factors
             )
 
 
