@@ -24,11 +24,11 @@ envelope once; the table lives and dies with the estimator.
 
 Exactness policy: hypothesis checks (r <= 1/sqrt(2), the coefficient
 envelope) compare squared rationals, so irrational alpha never meets
-floating point.  Main terms are exact rational partial sums converted
-to high-precision floats at the end; every truncation carries an
-explicit tail bound, and floating-point steps in the bounds are padded
-with small safety factors so the reported enclosures stay honest
-over-estimates.
+floating point.  Main terms are exp of _atilde_sum's fixed-point sums
+(which the constants module shares), each bounded by its truncation
+tail plus a rounding ledger; the final mpf steps add their rounding.
+Floating-point steps in the bounds are padded with small safety
+factors so the reported enclosures stay honest over-estimates.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ SUMLEM_CONSTANT = 24
 INTLEM_CONSTANT = 12
 
 _PAD = 1 + 1e-9  # multiplicative safety margin on floating-point bounds
+GUARD_BITS = 64  # fixed-point bits beyond the working precision
 
 
 def falling_factorial(x: Fraction, j: int) -> Fraction:
@@ -178,7 +179,8 @@ class EstimatorSpec:
         j a_j, which here are the atilde_j themselves, so it divides the
         numerators' D = den(c1) (2 or 8 in practice).  Fed atilde_j
         beta^j / j instead, D would grow like beta^-N and the
-        recurrence's scale N! D^N would explode.
+        recurrence's scale N! D^N would explode.  Estimates use _atilde_sum;
+        this stays as the exact reference of derivative_envelope and tests.
         """
         cached = self._cache.get("exp_series")
         if cached is not None and len(cached) >= terms + 1:
@@ -292,8 +294,9 @@ def derivative_envelope(spec: EstimatorSpec, i: int, x: Fraction, terms: int = 8
 
     Returns (series value, envelope) where the envelope is
     alpha^(-i) (c2+i-1)_i (1 - x/alpha)^(-c2-i); x must satisfy
-    0 <= x <= beta so the truncation tail is covered by the same
-    geometric majorant that the estimator uses.
+    0 <= x <= beta so the truncation tail is covered by the envelope's
+    geometric majorant.  It sums the exact exp_series table, a route
+    independent of the estimator's own evaluation.
     """
     x = Fraction(x)
     if not 0 <= x <= spec.beta:
@@ -316,26 +319,42 @@ def derivative_envelope(spec: EstimatorSpec, i: int, x: Fraction, terms: int = 8
 # -- the estimator ---------------------------------------------------
 
 
-def _majorant_tail(spec: EstimatorSpec, k: int, terms: int) -> float:
-    """Upper bound on sum_{i > terms} binom(i, k) |h_i| for the exp series.
+def _atilde_sum(est: EstimatorSpec, N: int, i: int = 0,
+                x: Fraction | None = None) -> tuple[Fraction, float]:
+    """u_i = sum_{n <= N} w_i(n) atilde_n x^n (x = beta by default), w_0(n) =
+    1/n, w_i(n) = binom(n-1, i-1), and a bound on its error.
 
-    Uses |h_i| <= binom(i+c2-1, i) r^i (the exponential majorant) and a
-    ratio test from the first neglected term.
+    With |atilde_n x^n| <= c2 rho^n, rho = x / alpha, the tail is c2
+    rho^(N+1) / ((N+1)(1 - rho)) at i = 0, and at i >= 1, as the terms'
+    ratio n rho / (n-i+1) falls with n, c2 binom(N, i-1) rho^(N+1) / (1 -
+    theta), theta = (N+1) rho / (N+2-i).  The fixed-point sum at scale 2^P
+    is short by less than N * 2^-P, a ledger the bound includes.
     """
-    r_up = _r_upper(spec.r_squared)
-    c2 = float(spec.c2)
-    N = terms
-    ratio = r_up * ((N + 2) / (N + 2 - k)) * max(1.0, (N + 1 + c2) / (N + 2))
-    if ratio >= 1:
-        raise HypothesisViolation(
-            "evaluation truncation too short for a convergent tail bound"
-        )
-    first = (
-        float(math.comb(N + 1, k))
-        * float(binom_frac(spec.c2 + N, N + 1))
-        * r_up ** (N + 1)
-    )
-    return first / (1 - ratio) * _PAD
+    x = est.beta if x is None else x
+    rho = _r_upper(x * x * est.alpha_inv_sq)
+    P = mpmath.mp.prec + GUARD_BITS
+    A, D = est.numerators(N)
+    S, xn_num, xn_den = 0, 1, D  # x^n / D = xn_num / xn_den, kept unreduced
+    for n in range(1, N + 1):
+        xn_num *= x.numerator
+        xn_den *= x.denominator
+        w, d = (math.comb(n - 1, i - 1), 1) if i else (1, n)
+        S += (A[n] * w * xn_num << P) // (xn_den * d)
+    if i:
+        theta = rho * ((N + 1) / (N + 2 - i))
+        if theta >= 1:
+            raise HypothesisViolation("eval_terms too short for a convergent tail bound")
+        tail = float(est.c2) * math.comb(N, i - 1) * rho ** (N + 1) / (1 - theta)
+    else:
+        tail = float(est.c2) * rho ** (N + 1) / ((N + 1) * (1 - rho))
+    return Fraction(S, 1 << P), tail * _PAD + math.ldexp(N, -P)
+
+
+def _t_series(weights, u) -> Fraction:
+    """sum_k weights_k [t^k] exp(sum_{i=1..m} u_i t^i / i) for u = (u_1..u_m)."""
+    log = (0, *(u_i / i for i, u_i in enumerate(u, 1)))
+    E = series.series_exp(series.TruncatedSeries(log)).coeffs
+    return sum((w_k * E_k for w_k, E_k in zip(weights, E)), Fraction(0))
 
 
 def _default_eval_terms(spec: EstimatorSpec, digits: int) -> int:
@@ -352,6 +371,15 @@ def estimate_coefficient(spec: EstimatorSpec, n: int,
     Returns main term M with |f_n / b_n - M| <= error_bound +
     eval_tail_bound whenever the decomposition hypotheses hold; they
     are checked on every exponent coefficient the evaluation touches.
+
+    With h_i = [y^i] a(beta y), w_k = binom(k - c1, k) / binom(n + c1 - 1, k)
+    and the _atilde_sum sums u_i, log a(beta (1 + t)) = u_0 + sum_i u_i t^i / i
+    gives M = sum_{k <= m} w_k sum_i binom(i, k) h_i = exp(u_0) sum_k w_k [t^k]
+    exp(sum_{i=1..m} u_i t^i / i).  Each [t^k] exp(...) is a polynomial in
+    the u_i with positive coefficients, so eval_tail_bound = exp(u_0)
+    (expm1(tau_0) G+ + G+ - G-), G+ and G- the exact sums of |w_k| [t^k]
+    exp(...) at |u_i| + tau_i and at |u_i| (tau_i: tail plus ledger), plus
+    (|u_0| + 8) 2^(1 - prec) |M| for the mpf rounding.
     """
     spec.validate()
     if spec.m >= n:
@@ -367,21 +395,21 @@ def estimate_coefficient(spec: EstimatorSpec, n: int,
         constant = Fraction(spec.error_constant)
         certified = False
     terms = _default_eval_terms(spec, digits) if eval_terms is None else eval_terms
-    h = spec.exp_series(terms)
 
     b_n = binom_frac(n + spec.c1 - 1, n) * spec.beta ** (-n)
 
-    # M = sum_k w_k * sum_i binom(i, k) h_i, exact until the final float
-    main_exact = Fraction(0)
-    eval_tail = 0.0
-    for k in range(spec.m + 1):
-        w_k = binom_frac(k - spec.c1, k) / binom_frac(n + spec.c1 - 1, k)
-        partial = sum(
-            (Fraction(math.comb(i, k)) * h[i] for i in range(k, terms + 1)),
-            Fraction(0),
-        )
-        main_exact += w_k * partial
-        eval_tail += abs(float(w_k)) * _majorant_tail(spec, k, terms)
+    w = [binom_frac(k - spec.c1, k) / binom_frac(n + spec.c1 - 1, k)
+         for k in range(spec.m + 1)]
+    with mpmath.workdps(digits + 10):
+        u0, tail0 = _atilde_sum(spec, terms)
+        sums = [_atilde_sum(spec, terms, i) for i in range(1, spec.m + 1)]
+        main_term = mpmath.exp(_to_mpf(u0)) * _to_mpf(_t_series(w, [u for u, _ in sums]))
+        prec = mpmath.mp.prec
+    size = [abs(w_k) for w_k in w]
+    G_hi = _t_series(size, [abs(u) + Fraction(t) for u, t in sums])
+    G_lo = _t_series(size, [abs(u) for u, _ in sums])
+    eval_tail = (math.exp(float(u0)) * (math.expm1(tail0) * float(G_hi) + float(G_hi - G_lo))
+                 * _PAD + float(abs(main_term)) * math.ldexp(abs(float(u0)) + 8, 1 - prec))
 
     r_up = _r_upper(spec.r_squared)
     front = float(constant) * math.exp(3 * float(spec.c2) * r_up)
@@ -408,9 +436,6 @@ def estimate_coefficient(spec: EstimatorSpec, n: int,
             / n
             * _PAD
         )
-
-    with mpmath.workdps(digits + 10):
-        main_term = _to_mpf(main_exact)
 
     return EstimateResult(
         n=n,
@@ -530,11 +555,10 @@ def range_threshold(L: LPolynomial, r: int) -> int:
     return simplified_bound_threshold(est.c1, est.c2, est.r_float)
 
 
-def divisor_range_check(L: LPolynomial, r: int, ell: int | None, n: int) -> bool:
+def divisor_range_check(L: LPolynomial, r: int, n: int) -> bool:
     """Is n inside the certified range of the divisor-family estimates?
 
     Both variants share the threshold built from the bounded-family
-    envelope constant; ell is accepted for interface symmetry.
+    envelope constant.
     """
-    del ell
     return n >= range_threshold(L, r)

@@ -378,7 +378,7 @@ def cmd_estimate(args) -> tuple[str, int]:
         families.FAMILY_DIVISORS,
         families.FAMILY_DIVISORS_ELL,
     ):
-        in_range = divisor_range_check(spec.l_poly, spec.r, spec.ell, args.n)
+        in_range = divisor_range_check(spec.l_poly, spec.r, args.n)
 
     payload = {
         "family": result.label,

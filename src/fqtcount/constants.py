@@ -14,8 +14,8 @@ so a sum of k terms falls short of the exact one by less than k ulps of
 2^-P.  These ulps form a rounding ledger that is added to the tail of
 the sum it belongs to:
 
-* _atilde_sum (every "series" method and C_{q,3}'s composed method)
-  adds N * 2^-P for its N terms to the tail it returns;
+* asymptotics._atilde_sum (every "series" method, C_{q,3}'s composed
+  method, and the estimator's main terms) adds N * 2^-P;
 * _euler_log_sum (the Euler products of K_q and C_{q,1}) adds one ulp
   per term and two per degree for the truncated series in k, and the
   caller adds that to the Euler product's log tail etail.
@@ -45,14 +45,13 @@ from fractions import Fraction
 import mpmath
 
 from . import families
-from .asymptotics import _PAD, EstimatorSpec, _r_upper, _to_mpf, estimator_for
+from .asymptotics import (_PAD, GUARD_BITS, EstimatorSpec, _atilde_sum, _to_mpf,
+                          estimator_for)
 from .errors import EvenCharacteristic
 from .families import FamilySpec
 from .ffield import FieldSpec, MonicPoly, field_for_order
 from .primecounts import CHI2_MINUS, psi_chi2
 from .series import g_from_psi
-
-GUARD_BITS = 64  # fixed-point bits beyond the working precision
 
 
 def _floor_tail(x: float, digits: int = 290) -> float:
@@ -130,34 +129,6 @@ def _series_method(tag: str, est: EstimatorSpec, N: int, digits: int) -> Constan
     return _exp_method(tag, _to_mpf(S), tail, digits)
 
 
-def _scale_bits() -> int:
-    """P, the fixed-point scale 2^P of the long sums at the working precision."""
-    return mpmath.mp.prec + GUARD_BITS
-
-
-def _atilde_sum(est: EstimatorSpec, N: int, x: Fraction | None = None,
-                over_n: bool = True) -> tuple[Fraction, float]:
-    """sum_{n <= N} atilde_n x^n (/ n) and a bound on the omitted tail.
-
-    x defaults to beta.  The atilde_n = A_n / D come from the estimator's
-    numerator table, which enforces the envelope |atilde_n| <= c2 alpha^-n
-    that the tail c2 rho^(N+1) / ((N+1) (1 - rho)), rho = x / alpha, rests
-    on.  The sum runs in fixed point at scale 2^P and falls short of the
-    exact partial sum by less than N * 2^-P, which the tail includes.
-    """
-    x = est.beta if x is None else x
-    rho = _r_upper(x * x * est.alpha_inv_sq)
-    P = _scale_bits()
-    A, D = est.numerators(N)
-    S, xn_num, xn_den = 0, 1, D  # x^n / D = xn_num / xn_den, kept unreduced
-    for n in range(1, N + 1):
-        xn_num *= x.numerator
-        xn_den *= x.denominator
-        S += (A[n] * xn_num << P) // (xn_den * (n if over_n else 1))
-    tail = float(est.c2) * rho ** (N + 1) / ((N + 1 if over_n else 1) * (1 - rho))
-    return Fraction(S, 1 << P), tail * _PAD + math.ldexp(N, -P)
-
-
 def _euler_log_sum(q: int, weights) -> tuple[Fraction, Fraction]:
     """-sum_d w_d / 2 * log(1 - q^(-2d)) over (d, w_d) pairs, and its ledger.
 
@@ -169,7 +140,7 @@ def _euler_log_sum(q: int, weights) -> tuple[Fraction, Fraction]:
     both over 2^(P+1) for the factor 1/2, satisfy
     S <= true value < S + ledger.
     """
-    P = _scale_bits()
+    P = mpmath.mp.prec + GUARD_BITS
     total = ulps = 0
     for d, w in weights:
         if w == 0:
@@ -298,7 +269,7 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
 
 def _half_series(est: EstimatorSpec, N: int, digits: int) -> ConstantMethod:
     """The correction coefficient (1/2) sum_{n <= N} atilde_n beta^n."""
-    S, tail = _atilde_sum(est, N, over_n=False)
+    S, tail = _atilde_sum(est, N, 1)
     return ConstantMethod("series", _to_mpf(S / 2), _floor_tail(tail / 2, digits))
 
 

@@ -9,6 +9,8 @@ import pytest
 
 from fqtcount.asymptotics import (
     EstimatorSpec,
+    _default_eval_terms,
+    _to_mpf,
     binom_frac,
     psi_residual_check,
     estimate_coefficient,
@@ -322,6 +324,39 @@ def test_estimate_order_gates():
     assert result.contains_ratio(exact_ratio(value, est, 30))
 
 
+_EVAL_SPECS = (
+    landau_spec(3),
+    landau_spec(101),
+    FamilySpec(canonical_family("s1"), q=3),
+    FamilySpec(canonical_family("s3"), q=5),
+    FamilySpec(canonical_family("arith"), q=3, m=(1, 0, 1), a=(1,)),
+    FamilySpec(canonical_family("divisors"), l_poly=LPolynomial(5, (1, 2, 5)), r=2),
+)
+_H_REFERENCE = {}
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("spec", _EVAL_SPECS, ids=lambda s: s.label)
+def test_eval_tail_bound_covers_the_main_term(spec, m, digits):
+    est = estimator_for(spec, m=m, error_constant=Fraction(24))
+    n = 30
+    result = estimate_coefficient(est, n, digits=digits)
+    finer = estimate_coefficient(est, n, digits=2 * digits)
+    # the exact h-series at twice the terms: M = sum_k w_k sum_i binom(i, k) h_i
+    terms = 2 * _default_eval_terms(est, digits)
+    if len(_H_REFERENCE.get(spec.label, ())) <= terms:
+        _H_REFERENCE[spec.label] = est.exp_series(terms)
+    h = _H_REFERENCE[spec.label]
+    reference = sum(
+        binom_frac(k - est.c1, k) / binom_frac(n + est.c1 - 1, k)
+        * sum(math.comb(i, k) * h[i] for i in range(k, terms + 1))
+        for k in range(m + 1))
+    with mpmath.workdps(2 * digits + 20):
+        assert abs(result.main_term - finer.main_term) <= result.eval_tail_bound
+        assert abs(result.main_term - _to_mpf(reference)) <= result.eval_tail_bound
+
+
 def test_exact_ratio_inverts_b_n():
     est = estimator_for(landau_spec(3))
     n = 10
@@ -346,8 +381,8 @@ def test_range_threshold_frozen_and_check():
     L = LPolynomial(3, (1,))
     threshold = range_threshold(L, 2)
     assert threshold == 807
-    assert not divisor_range_check(L, 2, None, threshold - 1)
-    assert divisor_range_check(L, 2, None, threshold)
+    assert not divisor_range_check(L, 2, threshold - 1)
+    assert divisor_range_check(L, 2, threshold)
 
 
 def _main_term_matches(spec, report):

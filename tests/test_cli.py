@@ -297,3 +297,20 @@ def test_cli_import_leaves_sympy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_hooks_install_and_run_an_estimate():
+    # bench/tracer.py wraps package names from outside the package; a rename
+    # it does not follow makes every benchmark run fail
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fqtcount.__file__)))
+    bench = os.path.join(os.path.dirname(src), "bench")
+    code = (
+        "import sys, fqtcount, fqtcount.cli, tracer\n"
+        "tracer.install_counters(fqtcount)\n"
+        "tracer.Tracer().install(fqtcount)\n"
+        "sys.exit(fqtcount.cli.main(['estimate', 'landau', '--q', '3', '--n', '20']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, bench))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

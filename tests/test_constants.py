@@ -1,5 +1,6 @@
 """Limiting constants by independent methods with declared tail bounds."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,11 +8,9 @@ import mpmath
 import pytest
 
 from fqtcount import families
-from fqtcount.asymptotics import _to_mpf, estimator_for
+from fqtcount.asymptotics import GUARD_BITS, _atilde_sum, _to_mpf, estimator_for
 from fqtcount.constants import (
-    GUARD_BITS,
     ConstantReport,
-    _atilde_sum,
     _euler_log_sum,
     constant_Cam,
     constant_Cq,
@@ -200,19 +199,22 @@ def test_euler_log_sum_within_its_ledger(q, weights):
     assert ledger < Fraction(1, 2**scale)
 
 
-@pytest.mark.parametrize("family, over_n, x", [
-    (families.FAMILY_LANDAU, True, None),
-    (families.FAMILY_S1, False, None),
-    (families.FAMILY_S1, True, Fraction(1, 81)),
+@pytest.mark.parametrize("family, i, x", [
+    (families.FAMILY_LANDAU, 0, None),
+    (families.FAMILY_S1, 1, None),
+    (families.FAMILY_S1, 0, Fraction(1, 81)),
+    (families.FAMILY_LANDAU, 2, None),
+    (families.FAMILY_S1, 3, None),
 ])
-def test_atilde_sum_fixed_point_ledger(family, over_n, x):
+def test_atilde_sum_fixed_point_ledger(family, i, x):
     est = estimator_for(FamilySpec(family, q=3))
     N = 60
     with mpmath.workdps(40):
-        S, tail = _atilde_sum(est, N, x=x, over_n=over_n)
+        S, tail = _atilde_sum(est, N, i, x=x)
         P = mpmath.mp.prec + GUARD_BITS
     xv = est.beta if x is None else x
-    exact = sum(est.coefficient(n) * xv**n / (n if over_n else 1)
+    exact = sum(est.coefficient(n) * xv**n
+                * (Fraction(1, n) if i == 0 else math.comb(n - 1, i - 1))
                 for n in range(1, N + 1))
     assert S.denominator & (S.denominator - 1) == 0
     assert 0 <= exact - S < Fraction(N, 2**P)
