@@ -52,8 +52,6 @@ from .primecounts import LPolynomial
 
 ERROR_CONSTANT_M0 = 24
 NICER_CONSTANT = 48
-SUMLEM_CONSTANT = 24
-INTLEM_CONSTANT = 12
 
 _PAD = 1 + 1e-9  # multiplicative safety margin on floating-point bounds
 GUARD_BITS = 64  # fixed-point bits beyond the working precision

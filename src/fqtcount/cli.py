@@ -36,7 +36,6 @@ from .asymptotics import (
     estimate_coefficient,
     estimator_for,
     exact_ratio,
-    divisor_range_check,
 )
 from .constants import (
     constant_Cam,
@@ -373,19 +372,12 @@ def cmd_estimate(args) -> tuple[str, int]:
     est = estimator_for(spec, m=args.order, cap=args.cap)
     result = estimate_coefficient(est, args.n, digits=args.digits)
 
-    in_range = result.in_range
-    if families.canonical_family(spec.family) in (
-        families.FAMILY_DIVISORS,
-        families.FAMILY_DIVISORS_ELL,
-    ):
-        in_range = divisor_range_check(spec.l_poly, spec.r, args.n)
-
     payload = {
         "family": result.label,
         "n": args.n,
         "order": args.order,
         "certified": result.certified,
-        "in_range": bool(in_range),
+        "in_range": bool(result.in_range),
         "threshold": result.threshold,
     }
     with mpmath.workdps(args.digits + 10):

@@ -7,8 +7,16 @@ encodes the element a_0 + a_1*Y + ... + a_{k-1}*Y^{k-1}; in both cases the
 multiplicative identity is encoded by 1.  An element code is thus the
 polynomial code (code_of) of its Y-polynomial over the prime field, and
 extension fields are built with the prime field's own operations: the
-modulus test trial-divides by poly_mod, and _Tables multiplies by
-poly_mul and reduces by poly_mod.
+modulus test trial-divides by poly_mod, and _Tables reduces by poly_mod.
+
+Polynomials have two representations.  Coefficient tuples of element
+codes carry all scalar arithmetic (poly_mul, poly_divmod).  Base-p digit
+matrices carry the batched linear maps: multiplication by a fixed
+polynomial, the remainder plan and the residues in universe.  They meet
+in digit_mul, one k x k digit matrix per element c whose row s holds the
+digits of Y^s * c; _Tables gets it from the prime field's poly_mod of the
+shifted c by the modulus (q*k reductions), and every other table of the
+field follows from it by digit products.
 
 Monic polynomials in T are coefficient tuples of element codes, listed
 low-to-high with leading coefficient 1.  The canonical order on monic
@@ -36,12 +44,12 @@ sieve in universe builds its multiplication matrices, and its prime
 residues mod m, with the same digit helper (_digit_rows).
 
 Scalar arithmetic stays in Python ints, because indexing a numpy table
-costs more than the operation itself.  A prime field reduces mod p,
-which is how _Tables defines its tables for k = 1, so it builds no
-q^2-entry structure for scalar work; its chi2 is Euler's criterion and
-its square_mask squares the q residues.  An extension field indexes the
-Python-list rows that _Tables keeps next to its numpy tables.  Loops
-that run many divisions (factor_many) fetch these once per call through
+costs more than the operation itself.  A prime field reduces mod p, so
+it builds no q^2-entry structure for scalar work, digit rows or plans;
+its chi2 is Euler's criterion and its square_mask squares the q
+residues.  An extension field indexes the Python-list rows that _Tables
+keeps next to its numpy tables.  Loops that run many divisions
+(factor_many, _powers_of_x_mod) fetch these once per call through
 _ext_tables.
 """
 
@@ -145,7 +153,11 @@ class Factorization:
 
 
 class _Tables:
-    """Elementwise operation tables for one field, built lazily."""
+    """Elementwise operation tables for one field, built lazily.
+
+    digit_mul[c, s, t] is digit t of Y^s * c (see the module docstring);
+    row a of mul is the digit product digits(a) @ digit_mul, mod p.
+    """
 
     def __init__(self, field: FieldSpec):
         q, p, k = field.q, field.p, field.k
@@ -153,41 +165,24 @@ class _Tables:
             raise ResourceLimit(
                 f"field of order {q} exceeds the elementwise-table limit {_MAX_TABLE_Q}"
             )
-        if k == 1:
-            idx = np.arange(q, dtype=np.int64)
-            self.add = ((idx[:, None] + idx[None, :]) % p).astype(np.int32)
-            self.mul = ((idx[:, None] * idx[None, :]) % p).astype(np.int32)
-        else:
-            # a code is a polynomial over the prime field: add digitwise, multiply mod the modulus
-            fp, p_pows = FieldSpec(p, 1, (0, 1)), p ** np.arange(k)
-            digits = np.arange(q)[:, None] // p_pows % p
-            self.add = np.array([(row + digits) % p @ p_pows for row in digits], dtype=np.int32)
-            vecs = [coeffs_of_code(fp, c) for c in range(q)]
-            mul = np.zeros((q, q), dtype=np.int32)
-            for a in range(1, q):
-                for b in range(a, q):
-                    prod = poly_mod(fp, poly_mul(fp, vecs[a], vecs[b]), field.modulus)
-                    mul[a, b] = mul[b, a] = code_of(fp, prod)
-            self.mul = mul
-        self.neg = np.array([int(np.where(self.add[a] == 0)[0][0]) for a in range(q)],
-                            dtype=np.int32)
-        inv = np.zeros(q, dtype=np.int32)
-        for a in range(1, q):
-            inv[a] = int(np.where(self.mul[a] == 1)[0][0])
-        self.inv = inv
-        sq = np.zeros(q, dtype=bool)
-        for a in range(1, q):
-            sq[self.mul[a, a]] = True
-        self.is_square = sq
-        if k > 1:
-            # digit_mul[c, s, t]: digit t of Y^s * c (Y^s has code p^s)
-            prods = self.mul[p ** np.arange(k)].T
-            self.digit_mul = prods[:, :, None] // p ** np.arange(k) % p
-            # scalar loops index these Python lists (see the module docstring)
-            self.add_rows = self.add.tolist()
-            self.mul_rows = self.mul.tolist()
-            self.neg_row = self.neg.tolist()
-            self.inv_row = self.inv.tolist()
+        fp, p_pows = FieldSpec(p, 1, (0, 1)), p ** np.arange(k)
+        digits = np.arange(q)[:, None] // p_pows % p
+        self.digit_mul = np.zeros((q, k, k), dtype=np.int64)
+        for c, vec in enumerate(map(tuple, digits.tolist())):
+            for s in range(k):
+                rem = poly_mod(fp, (0,) * s + vec, field.modulus)
+                self.digit_mul[c, s, : len(rem)] = rem
+        self.add = np.array([(row + digits) % p @ p_pows for row in digits], dtype=np.int32)
+        self.mul = np.array([row @ self.digit_mul % p @ p_pows for row in digits], dtype=np.int32)
+        self.neg = (-digits % p @ p_pows).astype(np.int32)
+        self.inv = np.argmax(self.mul == 1, axis=1).astype(np.int32)
+        self.is_square = np.zeros(q, dtype=bool)
+        self.is_square[self.mul.diagonal()[1:]] = True
+        # scalar loops index these Python lists (see the module docstring)
+        self.add_rows = self.add.tolist()
+        self.mul_rows = self.mul.tolist()
+        self.neg_row = self.neg.tolist()
+        self.inv_row = self.inv.tolist()
 
 
 _TABLE_CACHE: dict[FieldSpec, _Tables] = {}
@@ -462,7 +457,12 @@ class _RemainderPlan(NamedTuple):
 
 
 def _remainder_plan(field: FieldSpec, n: int, cap: int | None = None) -> _RemainderPlan:
-    """The remainder plan of degree n (cached by field and degree)."""
+    """The remainder plan of degree n (cached by field and degree).
+
+    Each prime power P^e is formed by poly_mul, as the enumeration sieve
+    forms its prime powers, and its block is the _digit_rows of the
+    scalar rows x^j mod P^e (_powers_of_x_mod).
+    """
     key = (field, n)
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
@@ -482,23 +482,17 @@ def _remainder_plan(field: FieldSpec, n: int, cap: int | None = None) -> _Remain
     start = 0
     for d in range(1, n // 2 + 1):
         by_prime = irreducibles(field, d, cap)
-        m, width = len(by_prime), _section_width(field, n, d)
-        section = np.empty((rows, m, width), dtype=dtype)
-        coeffs = np.array([P.coeffs for P in by_prime], dtype=np.int64)
-        power = np.ones((m, 1), dtype=np.int64)
-        by_power = []
-        off = 0
-        for e in range(1, n // d + 1):
-            power = _poly_mul_rows(field, power, coeffs)
-            by_power.append(list(map(tuple, power.tolist())))
-            block = _digit_rows(field, _powers_of_x_mod(field, power, n))
-            section[:, :, off : off + e * d * k] = block.transpose(1, 0, 2)
-            off += e * d * k
-        matrix[:, start : start + m * width] = section.reshape(rows, m * width)
-        start += m * width
+        for P in by_prime:
+            power, by_power = (1,), []
+            for e in range(1, n // d + 1):
+                power = poly_mul(field, power, P.coeffs)
+                by_power.append(power)
+                x_mod = _powers_of_x_mod(field, power, n)
+                matrix[:, start : start + e * d * k] = _digit_rows(field, x_mod)
+                start += e * d * k
+            powers.append(tuple(by_power))
         primes += by_prime
-        powers += zip(*by_power)
-        sections.append((d, m))
+        sections.append((d, len(by_prime)))
     plan = _RemainderPlan(n, tuple(primes), tuple(powers), tuple(sections), matrix)
     _PLAN_CACHE[key] = plan
     return plan
@@ -510,44 +504,17 @@ def _section_width(field: FieldSpec, n: int, d: int) -> int:
     return d * field.k * top * (top + 1) // 2
 
 
-def _arr_add(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if field.k == 1:
-        return (a + b) % field.p
-    return tables(field).add[a, b]
+def _powers_of_x_mod(field: FieldSpec, modulus: tuple[int, ...], n: int) -> np.ndarray:
+    """x^j mod a monic modulus M for j = 0..n, as element-code rows deg M wide.
 
-
-def _arr_mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if field.k == 1:
-        return a * b % field.p
-    return tables(field).mul[a, b]
-
-
-def _poly_mul_rows(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise product of two arrays of coefficient rows (element codes)."""
-    la, lb = a.shape[1], b.shape[1]
-    out = np.zeros((a.shape[0], la + lb - 1), dtype=np.int64)
-    for i in range(lb):
-        term = _arr_mul(field, a, b[:, i : i + 1])
-        out[:, i : i + la] = _arr_add(field, out[:, i : i + la], term)
-    return out
-
-
-def _powers_of_x_mod(field: FieldSpec, moduli: np.ndarray, n: int) -> np.ndarray:
-    """x^j mod M for j = 0..n and each monic row M: shape (#rows, n+1, deg M).
-
-    r_{j+1} = x r_j - lead(r_j) M, as one array operation per step.
+    r_{j+1} = x r_j mod M, one shift and one division step per j.
     """
-    m, deg = moduli.shape[0], moduli.shape[1] - 1
-    low = moduli[:, :deg]
-    neg_low = -low % field.p if field.k == 1 else tables(field).neg[low]
-    out = np.zeros((m, n + 1, deg), dtype=np.int64)
-    r = np.zeros((m, deg), dtype=np.int64)
-    r[:, 0] = 1
+    p, t = field.p, _ext_tables(field)
+    out = np.zeros((n + 1, len(modulus) - 1), dtype=np.int64)
+    r = (1,)
     for j in range(n + 1):
-        out[:, j] = r
-        lead = r[:, deg - 1 :]
-        r = np.concatenate([np.zeros((m, 1), dtype=np.int64), r[:, : deg - 1]], axis=1)
-        r = _arr_add(field, r, _arr_mul(field, lead, neg_low))
+        out[j, : len(r)] = r
+        r = _divmod(p, t, (0,) + r, modulus)[1]
     return out
 
 

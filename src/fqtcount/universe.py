@@ -30,8 +30,8 @@ remainder plan builds its matrices with the same _digit_rows.
 
 Residues mod m (for the progression family) use the remainder plan's
 map as well: f -> f mod m is F_p-linear in f's digits, with digit rows
-Y^s x^j mod m (_powers_of_x_mod, _digit_rows), so one product reduces
-every prime at once.
+Y^s x^j mod m (the scalar rows x^j mod m from _powers_of_x_mod, spread
+into digits by _digit_rows), so one product reduces every prime at once.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ class Universe:
         if cached is not None and len(cached) == len(self.prime_codes):
             return cached
         field, p, n = self.field, self.field.p, self.max_degree
-        rows = _digit_rows(field, _powers_of_x_mod(field, np.array([m.coeffs]), n)[0])
+        rows = _digit_rows(field, _powers_of_x_mod(field, m.coeffs, n))
         digits = _digits_of_codes(field, self.prime_codes, n)
         res = (digits @ rows.astype(digits.dtype)).astype(np.int64)
         res -= res // p * p  # a floor division by a scalar is far cheaper than %

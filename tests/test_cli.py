@@ -174,6 +174,19 @@ def test_estimate_landau_out_of_range(capsys):
     assert "simplified_error_bound" not in data
 
 
+@pytest.mark.parametrize("ell", [None, "1"])
+@pytest.mark.parametrize("n", [60, 200])
+def test_estimate_divisors_in_range_is_the_reported_threshold(capsys, tmp_path, n, ell):
+    lfile = tmp_path / "l.json"
+    lfile.write_text('{"q": 5, "coefficients": [1, 1, 5]}')
+    argv = ["estimate", "divisors", "--l-poly", str(lfile), "--r", "2", "--n", str(n)]
+    code, out, err = run(capsys, *argv, *(["--ell", ell] if ell else []))
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["in_range"] == (n >= data["threshold"])
+    assert ("simplified_error_bound" in data) == data["in_range"]
+
+
 def test_estimate_arith_hypothesis_gate_exits_2(capsys):
     code, out, err = run(
         capsys, "estimate", "arith", "--q", "2", "--m", "T", "--a", "1",

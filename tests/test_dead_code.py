@@ -1,4 +1,4 @@
-"""Every top-level function and class in the package has a use somewhere."""
+"""Every top-level function, class and assigned name in the package has a use somewhere."""
 
 import ast
 import re
@@ -21,10 +21,15 @@ def test_every_top_level_definition_is_named_outside_itself():
     for path in sorted((ROOT / "src" / "fqtcount").glob("*.py")):
         lines = path.read_text().splitlines(keepends=True)
         for node in ast.parse("".join(lines)).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name) and not re.fullmatch(r"__\w+__", t.id)]
+            else:
                 continue
-            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
             own = _words("".join(lines[start - 1 : node.end_lineno]))
-            if words[node.name] == own[node.name]:
-                unused.append(f"{path.name}:{node.name}")
+            unused += [f"{path.name}:{name}" for name in names if words[name] == own[name]]
     assert unused == []

@@ -273,6 +273,23 @@ def test_element_arithmetic_matches_tables(q):
         ffield.element_inv(field, 0)
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81])
+def test_extension_tables_match_the_field_definition(q):
+    field = field_for_order(q)
+    fp = build_field(field.p)
+    t = ffield.tables(field)
+    ys = [ffield.coeffs_of_code(fp, c) for c in range(q)]
+    mul = np.array([[ffield.code_of(fp, ffield.poly_mod(fp, ffield.poly_mul(fp, a, b), field.modulus))
+                     for b in ys] for a in ys])
+    add = np.array([[ffield.code_of(fp, poly_add(fp, a, b)) for b in ys] for a in ys])
+    assert np.array_equal(t.mul, mul)
+    assert np.array_equal(t.add, add)
+    codes = np.arange(q)
+    assert (t.add[codes, t.neg] == 0).all()
+    assert (t.mul[codes[1:], t.inv[1:]] == 1).all()
+    assert np.flatnonzero(t.is_square).tolist() == sorted(set(mul.diagonal()[1:].tolist()))
+
+
 def test_poly_gcd_ignores_trailing_zeros():
     field = field_for_order(3)
     assert ffield.poly_gcd(field, (0,), (1, 0)) == (1,)
