@@ -81,13 +81,14 @@ class EstimatorSpec:
 
     alpha is carried as alpha_inv_sq = alpha^(-2), an exact rational
     even when alpha itself is an irrational square root; beta, c1, c2
-    are exact rationals.  coeff_source(n) must return atilde_n as an
-    exact rational for every n >= 1.  A source that also has a
-    table(N) method (estimator_for's FamilyAtilde) hands over all of
-    atilde_1..atilde_N as integer numerators over one denominator.
+    are exact rationals.  atilde_table(N) returns (A, D): integer
+    numerators A[0..N] (A[0] = 0) over one denominator D, atilde_n =
+    A[n] / D (estimator_for builds one from the family's psi_table).
+    It is read only through numerators, which checks every entry
+    against the envelope.
     """
 
-    coeff_source: Callable[[int], Fraction]
+    atilde_table: Callable[[int], tuple[list[int], int]]
     c1: Fraction
     c2: Fraction
     beta: Fraction
@@ -142,32 +143,16 @@ class EstimatorSpec:
         checked against the envelope |atilde_n| <= c2 alpha^(-n).
 
         The checked table is kept in _cache and rebuilt only when a
-        longer one is asked for, so each atilde_n is computed once per
-        estimator.  A per-n source is called once per new n and its
-        values put over the lcm of their denominators.
+        longer one is asked for; only the new entries are checked.
         """
         A, D = self._cache.get("numerators", ([0], 1))
         if len(A) > N:
             return A, D
         start = len(A)
-        table = getattr(self.coeff_source, "table", None)
-        if table is not None:
-            A, D = table(N)
-        else:
-            values = [Fraction(a, D) for a in A[1:]]
-            values += [Fraction(self.coeff_source(n)) for n in range(start, N + 1)]
-            D = math.lcm(1, *(v.denominator for v in values))
-            A = [0] + [v.numerator * (D // v.denominator) for v in values]
+        A, D = self.atilde_table(N)
         self._check_envelope(A[start:], D, start)
         self._cache["numerators"] = (A, D)
         return A, D
-
-    def coefficient(self, n: int) -> Fraction:
-        """atilde_n alone, asked of the source afresh, with the envelope
-        |atilde_n| <= c2 alpha^(-n) enforced; sums read numerators(N)."""
-        value = Fraction(self.coeff_source(n))
-        self._check_envelope((value.numerator,), value.denominator, n)
-        return value
 
     def exp_series(self, terms: int) -> tuple:
         """Exact coefficients h_0..h_terms of a(beta * y) as a series in y.
@@ -362,7 +347,6 @@ def _default_eval_terms(spec: EstimatorSpec, digits: int) -> int:
 
 
 def estimate_coefficient(spec: EstimatorSpec, n: int,
-                         eval_terms: int | None = None,
                          digits: int = 30) -> EstimateResult:
     """Certified estimate of the n-th coefficient ratio f_n / b_n.
 
@@ -392,7 +376,7 @@ def estimate_coefficient(spec: EstimatorSpec, n: int,
             )
         constant = Fraction(spec.error_constant)
         certified = False
-    terms = _default_eval_terms(spec, digits) if eval_terms is None else eval_terms
+    terms = _default_eval_terms(spec, digits)
 
     b_n = binom_frac(n + spec.c1 - 1, n) * spec.beta ** (-n)
 
@@ -452,34 +436,6 @@ def estimate_coefficient(spec: EstimatorSpec, n: int,
 # -- family decompositions -------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyAtilde:
-    """atilde_n = psi_n - c1 q_s^n of one family, beta = q_s^-1.
-
-    table(N) reads psi_0..psi_N from one families.psi_table pass and
-    returns the numerators A_n = den(c1) psi_n - num(c1) q_s^n over
-    D = den(c1); nothing is kept here, the estimator keeps the table.
-    """
-
-    spec: FamilySpec
-    c1: Fraction
-    q_s: int
-    cap: int | None = None
-
-    def table(self, N: int) -> tuple[list[int], int]:
-        c, D = self.c1.as_integer_ratio()
-        psi = families.psi_table(self.spec, N, cap=self.cap)
-        A, power = [0], 1
-        for n in range(1, N + 1):
-            power *= self.q_s
-            A.append(D * psi[n] - c * power)
-        return A, D
-
-    def __call__(self, n: int) -> Fraction:
-        A, D = self.table(n)
-        return Fraction(A[n], D)
-
-
 def estimator_for(spec: FamilySpec, m: int = 0,
                   error_constant: Fraction | None = None,
                   cap: int | None = None) -> EstimatorSpec:
@@ -491,8 +447,20 @@ def estimator_for(spec: FamilySpec, m: int = 0,
     spec.validate()
     c1, c2 = families.decomposition(spec)
     q_s = spec.base_q**spec.degree_step  # beta = q^-s, alpha^-2 = q^s
+    c, D = c1.as_integer_ratio()
+
+    def atilde_table(N: int) -> tuple[list[int], int]:
+        """A_n = D psi_n - c q_s^n over D = den(c1), from one psi_table
+        pass; nothing is kept here, the estimator keeps the table."""
+        psi = families.psi_table(spec, N, cap=cap)
+        A, power = [0], 1
+        for n in range(1, N + 1):
+            power *= q_s
+            A.append(D * psi[n] - c * power)
+        return A, D
+
     return EstimatorSpec(
-        coeff_source=FamilyAtilde(spec, c1, q_s, cap),
+        atilde_table=atilde_table,
         c1=c1,
         c2=c2,
         beta=Fraction(1, q_s),
@@ -533,7 +501,8 @@ def psi_residual_check(L: LPolynomial, r: int, ell: int | None, n: int) -> Resid
     """
     fam = (families.FAMILY_DIVISORS if ell is None else families.FAMILY_DIVISORS_ELL)
     est = estimator_for(FamilySpec(fam, l_poly=L, r=r, ell=ell))
-    residual = est.coeff_source(n)
+    A, D = est.atilde_table(n)  # unchecked: a breach is reported, not raised
+    residual = Fraction(A[n], D)
     bound = est.c2 * r / max(L.genus, 1)
     # ratio^2 = (atilde_n / c2)^2 alpha^{2n} bound^2
     ratio_sq = residual**2 / (est.c2**2 * est.alpha_inv_sq**n) * bound**2
@@ -544,19 +513,3 @@ def psi_residual_check(L: LPolynomial, r: int, ell: int | None, n: int) -> Resid
         bound=int(bound),
         ok=ratio_sq <= bound**2,
     )
-
-
-def range_threshold(L: LPolynomial, r: int) -> int:
-    """Explicit validity threshold for the divisor-family estimates,
-    from the bounded family's row (the larger envelope constant)."""
-    est = estimator_for(FamilySpec(families.FAMILY_DIVISORS_ELL, l_poly=L, r=r, ell=1))
-    return simplified_bound_threshold(est.c1, est.c2, est.r_float)
-
-
-def divisor_range_check(L: LPolynomial, r: int, n: int) -> bool:
-    """Is n inside the certified range of the divisor-family estimates?
-
-    Both variants share the threshold built from the bounded-family
-    envelope constant.
-    """
-    return n >= range_threshold(L, r)

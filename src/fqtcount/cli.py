@@ -27,7 +27,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 import mpmath
 
@@ -51,7 +50,7 @@ from .errors import (
     RHViolation,
     TruncationMismatch,
 )
-from .ffield import FieldSpec, MonicPoly, default_cap
+from .ffield import FieldSpec, default_cap
 from .primecounts import LPolynomial
 from .verify import SUITES, run_all, run_suite
 
@@ -200,9 +199,11 @@ def _load_l_poly(path: str) -> LPolynomial:
     return L
 
 
-def _family_spec(args, field: FieldSpec | None) -> families.FamilySpec:
-    """Assemble and validate the FamilySpec the flags describe."""
+def _family_spec(args) -> tuple[families.FamilySpec, FieldSpec | None]:
+    """Assemble and validate the FamilySpec the flags describe, with the
+    working field of an F_q[T] family (None for the divisor families)."""
     family = families.canonical_family(args.family)
+    field = None
     if family in (families.FAMILY_DIVISORS, families.FAMILY_DIVISORS_ELL):
         if args.l_poly is None:
             raise ValueError("divisor families need --l-poly")
@@ -213,8 +214,7 @@ def _family_spec(args, field: FieldSpec | None) -> families.FamilySpec:
             family = families.FAMILY_DIVISORS_ELL
         spec = families.FamilySpec(family, l_poly=L, r=args.r, ell=args.ell)
     elif family == families.FAMILY_ARITH:
-        if field is None:
-            raise ValueError("the progression family needs a field")
+        field = _resolve_field(args)
         if args.m is None or args.a is None:
             raise ValueError("the progression family needs --m and --a")
         canonical = ffield.field_for_order(field.q)
@@ -227,15 +227,14 @@ def _family_spec(args, field: FieldSpec | None) -> families.FamilySpec:
         a = ffield.poly_from_string(field, args.a, monic=False)
         spec = families.FamilySpec(family, q=field.q, m=m.coeffs, a=a)
     else:
-        if field is None:
-            raise ValueError(f"family {args.family} needs a field")
+        field = _resolve_field(args)
         spec = families.FamilySpec(family, q=field.q)
     spec.validate()
-    return spec
+    return spec, field
 
 
 def _table_size(args, spec: families.FamilySpec) -> int:
-    half = families.canonical_family(spec.family) in (
+    half = spec.family in (
         families.FAMILY_S1,
         families.FAMILY_S2,
         families.FAMILY_S3,
@@ -273,13 +272,7 @@ def _dump_json(obj) -> str:
 
 
 def cmd_count(args) -> tuple[str, int]:
-    field = None
-    if families.canonical_family(args.family) not in (
-        families.FAMILY_DIVISORS,
-        families.FAMILY_DIVISORS_ELL,
-    ):
-        field = _resolve_field(args)
-    spec = _family_spec(args, field)
+    spec, field = _family_spec(args)
     N = _table_size(args, spec)
     table = families.count_table(spec, N, cap=args.cap)
 
@@ -360,13 +353,7 @@ def cmd_constants(args) -> tuple[str, int]:
 
 
 def cmd_estimate(args) -> tuple[str, int]:
-    field = None
-    if families.canonical_family(args.family) not in (
-        families.FAMILY_DIVISORS,
-        families.FAMILY_DIVISORS_ELL,
-    ):
-        field = _resolve_field(args)
-    spec = _family_spec(args, field)
+    spec, _ = _family_spec(args)
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     est = estimator_for(spec, m=args.order, cap=args.cap)

@@ -14,7 +14,8 @@ constants all derive from these two; psi_value is one entry of the
 table.  A table lives with the count_table call or estimator that asked
 for it: nothing here caches psi.  generator_counts and the membership
 oracles recount the same sets independently, as the reference the
-checks compare against.
+checks compare against; both oracles (the universe sieve and scalar
+factoring) run the family's one membership_rule.
 
 Index conventions: the even-degree families s1/s2/s3 are tabulated by
 half-degree and the divisor families by degree/r; the landau and
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import ffield, series, universe
 from .errors import (
@@ -48,7 +50,6 @@ from .primecounts import (
     pi_arith,
     pi_chi2,
     pi_q,
-    psi_arith,
 )
 from .qpoly import QPoly
 
@@ -147,7 +148,8 @@ class FamilySpec:
     F_q[T] families carry q (the canonical field of that order is
     implied); divisor families carry an LPolynomial and r, with ell
     present only for the bounded-multiplicity variant; the progression
-    family carries modulus and residue coefficient tuples.
+    family carries modulus and residue coefficient tuples.  family may
+    be given by an alias; it is stored as the canonical name.
     """
 
     family: str
@@ -158,8 +160,11 @@ class FamilySpec:
     m: tuple[int, ...] | None = None
     a: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "family", canonical_family(self.family))
+
     def validate(self) -> None:
-        family = canonical_family(self.family)
+        family = self.family
         if family in _POLY_FAMILIES:
             if self.q is None:
                 raise ValueError(f"family {family} needs q")
@@ -194,23 +199,22 @@ class FamilySpec:
     @property
     def degree_step(self) -> int:
         """Degree of the counted objects per unit of table index."""
-        family = canonical_family(self.family)
-        if family in (FAMILY_S1, FAMILY_S2, FAMILY_S3):
+        if self.family in (FAMILY_S1, FAMILY_S2, FAMILY_S3):
             return 2
-        if family in (FAMILY_DIVISORS, FAMILY_DIVISORS_ELL):
+        if self.family in (FAMILY_DIVISORS, FAMILY_DIVISORS_ELL):
             return self.r
         return 1
 
     @property
     def base_q(self) -> int:
         """Order of the constant field: q, or L.q for the divisor families."""
-        if canonical_family(self.family) in _POLY_FAMILIES:
+        if self.family in _POLY_FAMILIES:
             return self.q
         return self.l_poly.q
 
     @property
     def label(self) -> str:
-        family = canonical_family(self.family)
+        family = self.family
         if family == FAMILY_ARITH:
             return f"arith q={self.q} m={MonicPoly(self.m)}"
         if family in _POLY_FAMILIES:
@@ -220,7 +224,7 @@ class FamilySpec:
 
     def generator_counts(self, N: int, cap: int | None = None) -> dict[int, int]:
         """Free-generator count at each table index 1..N."""
-        family = canonical_family(self.family)
+        family = self.family
         g: dict[int, int] = {}
         if family == FAMILY_LANDAU:
             q = self.field().q
@@ -257,7 +261,7 @@ class FamilySpec:
         return g
 
     def params_json(self) -> dict:
-        family = canonical_family(self.family)
+        family = self.family
         out: dict = {"degree_per_index": self.degree_step}
         if family in _POLY_FAMILIES:
             out["q"] = self.q
@@ -290,32 +294,18 @@ class CountTable:
 
     def to_json(self) -> dict:
         return {
-            "family": canonical_family(self.spec.family),
+            "family": self.spec.family,
             "params": self.spec.params_json(),
             "N": self.N,
             "values": {str(n): str(v) for n, v in sorted(self.values.items())},
         }
 
 
-def _values_from_series(F: series.TruncatedSeries, N: int) -> dict[int, int]:
-    values = {}
-    for n in range(N + 1):
-        c = F.coefficient(n)
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise NegativeCount(f"non-integer count at index {n}")
-            c = int(c)
-        if not isinstance(c, int) or c < 0:
-            raise NegativeCount(f"count at index {n} is not a nonnegative integer")
-        values[n] = c
-    return values
-
-
 def count_table(spec: FamilySpec, N: int, cap: int | None = None) -> CountTable:
     """Exact counts at indices 0..N: coefficients of exp(sum psi_n x^n / n)."""
     spec.validate()
     F = series._exp_psi_over_n(dict(enumerate(psi_table(spec, N, cap=cap))), N)
-    return CountTable(spec, _values_from_series(F, N), "generating-function", N)
+    return CountTable(spec, dict(enumerate(F.coeffs)), "generating-function", N)
 
 
 def count_landau(q: int, N: int) -> CountTable:
@@ -378,7 +368,7 @@ def psi_table(spec: FamilySpec, N: int, cap: int | None = None) -> list[int]:
     and one weighted divisor pass sums them; the ell variant subtracts
     (ell+1) psi_(n/(ell+1)) of the unbounded family.
     """
-    family = canonical_family(spec.family)
+    family = spec.family
     if family in (FAMILY_LANDAU, FAMILY_S1, FAMILY_S2, FAMILY_S3):
         powers = [1]
         for _ in range(N if family == FAMILY_LANDAU else 2 * N):
@@ -393,7 +383,7 @@ def psi_table(spec: FamilySpec, N: int, cap: int | None = None) -> list[int]:
     if family == FAMILY_ARITH:
         field, m = spec.field(), MonicPoly(spec.m)
         a_code = _unit_residue(field, spec.a, m)
-        counts = {d: _class_count(field, d, a_code, m, "auto", cap)
+        counts = {d: _class_count(field, d, a_code, m, cap)
                   for d in range(1, N + 1)}
         return [0, *series._weighted_divisor_sums(counts, N).values()]
     counts = {d: pi_K(spec.l_poly, spec.r * d) for d in range(1, N + 1)}
@@ -431,7 +421,7 @@ def decomposition(spec: FamilySpec) -> tuple[Fraction, Fraction]:
     """The family's row (c1, c2): psi_n = c1 beta^-n + atilde_n with
     |atilde_n| <= c2 alpha^-n, where beta = q^-s and alpha^-2 = q^s for
     the base q and the degree step s."""
-    family = canonical_family(spec.family)
+    family = spec.family
     if family == FAMILY_ARITH:
         m = MonicPoly(spec.m)
         phi = phi_m(spec.field(), m)
@@ -472,6 +462,62 @@ def count_landau_poly_in_q(n: int) -> QPoly:
 # -- membership oracles ----------------------------------------------
 
 
+@dataclass(frozen=True)
+class MembershipRule:
+    """An F_q[T] family's membership rule, in the one form both oracles run.
+
+    f is a member when every prime power P^e exactly dividing it passes:
+    passes(admissible(P), e).  admissible reads P through prime_deg,
+    prime_chi2() and prime_residues(m), arrays over all primes on a
+    Universe (giving a bool array) or one prime's values on a _OnePrime
+    (giving a bool); passes works elementwise on arrays alike.  key
+    names the rule in a Universe's mask cache.
+    """
+
+    key: tuple
+    admissible: Callable
+    passes: Callable
+
+
+class _OnePrime:
+    """One prime, under the names of a Universe's per-prime tables."""
+
+    def __init__(self, field: FieldSpec, prime: MonicPoly):
+        self.field, self.prime, self.prime_deg = field, prime, prime.degree
+
+    def prime_chi2(self) -> int:
+        return ffield.chi2(self.field, self.prime)
+
+    def prime_residues(self, m: MonicPoly) -> int:
+        return _residue_code(self.field, self.prime, m)
+
+
+# which multiplicities e pass, given the prime's admissibility (default: good)
+_PASSES = {
+    FAMILY_LANDAU: lambda good, e: good | (e % 2 == 0),
+    FAMILY_S1: lambda good, e: good | (e % 2 == 0),
+    FAMILY_S3: lambda good, e: good & (e == 1),
+}
+
+
+def membership_rule(field: FieldSpec, spec: FamilySpec) -> MembershipRule:
+    """The membership rule of an F_q[T] family, validated here: a prime P
+    is admissible when chi2(P) != -1 (landau), deg P is even (s1-s3) or
+    P = a mod m (arith); _PASSES says which multiplicities pass."""
+    if spec.family not in _POLY_FAMILIES:
+        raise ValueError("membership is defined for the F_q[T] families only")
+    spec.validate()
+    passes = _PASSES.get(spec.family, lambda good, e: good)
+    if spec.family == FAMILY_LANDAU:
+        return MembershipRule((spec.family,), lambda primes: primes.prime_chi2() != -1, passes)
+    if spec.family == FAMILY_ARITH:
+        m = MonicPoly(spec.m)
+        a_code = _residue_code(field, spec.a, m)
+        return MembershipRule((spec.family, m.coeffs, a_code),
+                              lambda primes: primes.prime_residues(m) == a_code, passes)
+    return MembershipRule((spec.family,), lambda primes: primes.prime_deg % 2 == 0, passes)
+
+
 def membership_oracle(field: FieldSpec, f: MonicPoly, spec: FamilySpec,
                       cap: int | None = None) -> bool:
     """Decide membership of f from its factorization."""
@@ -483,23 +529,9 @@ def membership_oracle(field: FieldSpec, f: MonicPoly, spec: FamilySpec,
 
 def membership_test(field: FieldSpec, spec: FamilySpec):
     """The family's membership predicate on a Factorization (F_q[T] families)."""
-    family = canonical_family(spec.family)
-    if family not in _POLY_FAMILIES:
-        raise ValueError("membership is defined for the F_q[T] families only")
-    if family == FAMILY_LANDAU and field.q % 2 == 0:
-        raise EvenCharacteristic("the A^2 + T B^2 family needs odd q")
-    if family == FAMILY_ARITH:
-        m = MonicPoly(spec.m)
-        a_code = _residue_code(field, spec.a, m)
-        return lambda fac: all(_residue_code(field, P, m) == a_code for P, _ in fac.factors)
-    if family == FAMILY_LANDAU:
-        return lambda fac: all(v % 2 == 0 or ffield.chi2(field, P) != -1
-                               for P, v in fac.factors)
-    if family == FAMILY_S1:
-        return lambda fac: all(v % 2 == 0 or P.degree % 2 == 0 for P, v in fac.factors)
-    if family == FAMILY_S2:
-        return lambda fac: all(P.degree % 2 == 0 for P, _ in fac.factors)
-    return lambda fac: all(P.degree % 2 == 0 and v == 1 for P, v in fac.factors)
+    rule = membership_rule(field, spec)
+    return lambda fac: all(rule.passes(rule.admissible(_OnePrime(field, P)), v)
+                           for P, v in fac.factors)
 
 
 def oracle_count(field: FieldSpec, spec: FamilySpec, degree: int,
@@ -510,11 +542,9 @@ def oracle_count(field: FieldSpec, spec: FamilySpec, degree: int,
     Universe; method="scalar" factors the whole degree by one
     ffield.factor_many call (remainders against the small prime powers,
     independent of the sieve's products) and tests each factorization.
+    Both evaluate the family's one membership_rule.
     """
-    family = canonical_family(spec.family)
-    if family not in _POLY_FAMILIES:
-        raise ValueError("oracle counting is defined for the F_q[T] families only")
-    spec.validate()
+    rule = membership_rule(field, spec)
     if degree == 0:
         return 1
     if method == "scalar":
@@ -523,18 +553,7 @@ def oracle_count(field: FieldSpec, spec: FamilySpec, degree: int,
         return sum(map(is_member, ffield.factor_many(field, polys, cap=cap)))
     if method != "sieve":
         raise ValueError("method must be 'sieve' or 'scalar'")
-    uni = universe.get_universe(field, degree, cap=cap)
-    kind = {
-        FAMILY_LANDAU: "landau",
-        FAMILY_S1: "s1",
-        FAMILY_S2: "s2",
-        FAMILY_S3: "s3",
-        FAMILY_ARITH: "arith",
-    }[family]
-    if family == FAMILY_ARITH:
-        m = MonicPoly(spec.m)
-        return uni.count(kind, degree, m=m, a_code=_residue_code(field, spec.a, m))
-    return uni.count(kind, degree)
+    return universe.get_universe(field, degree, cap=cap).count(rule, degree)
 
 
 # -- the exhaustive representation search ----------------------------

@@ -403,13 +403,17 @@ def enumerate_monic(field: FieldSpec, n: int, cap: int | None = None) -> list[Mo
     """All monic polynomials of degree n in canonical order."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    cap = default_cap() if cap is None else cap
-    q = field.q
-    if q**n > cap:
-        raise ResourceLimit(f"q^n = {q**n} exceeds cap {cap}")
+    check_cap(field, n, cap)
     if n == 0:
         return [MonicPoly((1,))]
-    return [MonicPoly(tail + (1,)) for tail in product(range(q), repeat=n)]
+    return [MonicPoly(tail + (1,)) for tail in product(range(field.q), repeat=n)]
+
+
+def check_cap(field: FieldSpec, n: int, cap: int | None = None) -> None:
+    """Raise ResourceLimit if the q^n monic polynomials of degree n exceed the cap."""
+    cap = default_cap() if cap is None else cap
+    if field.q**n > cap:
+        raise ResourceLimit(f"q^n = {field.q**n} exceeds cap {cap}")
 
 
 def irreducibles(field: FieldSpec, n: int, cap: int | None = None) -> tuple[MonicPoly, ...]:

@@ -10,8 +10,9 @@ Four kinds of counts, all exact integers:
   coefficients of its zeta numerator; power sums of inverse roots come
   from Newton's identities, so no root extraction touches the exact path.
 * ``pi_arith(field, n, a, m)``: monic irreducibles congruent to a mod m,
-  either by direct enumeration (small n) or by an exact group-ring
-  recurrence on the residue classes (any n).
+  by an exact group-ring recurrence on the residue classes (any n) when
+  the residue ring and its unit group fit its limits, else by direct
+  enumeration (small n).
 """
 
 from __future__ import annotations
@@ -397,6 +398,9 @@ _ARITH_CACHE: dict[tuple, _ArithTable] = {}
 
 
 def _arith_table(field: FieldSpec, m: MonicPoly, cap: int | None = None) -> _ArithTable:
+    # building the table enumerates degree deg m - 1; a cached table
+    # answers to the cap as well, so a capped call fails either way
+    ffield.check_cap(field, m.degree - 1, cap)
     key = (field.p, field.k, field.modulus, m.coeffs)
     table = _ARITH_CACHE.get(key)
     if table is None:
@@ -423,49 +427,29 @@ def _group_ring_fits(field: FieldSpec, m: MonicPoly) -> bool:
 
 
 def _class_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
-                 method: str, cap: int | None) -> int:
+                 cap: int | None) -> int:
     """pi_arith for a residue code already checked by _unit_residue."""
-    if method == "auto":
-        method = "character" if _group_ring_fits(field, m) else "enumerate"
-    if method == "character":
+    if _group_ring_fits(field, m):
         return _arith_table(field, m, cap=cap).count(n, a_code)
-    if method == "enumerate":
-        if field.q**n > (cap if cap is not None else ffield.default_cap()):
-            raise ResourceLimit(f"enumeration of degree {n} exceeds the cap")
-        count = 0
-        for prime in ffield.irreducibles(field, n):
-            if _residue_code(field, prime, m) == a_code:
-                count += 1
-        return count
-    raise ValueError(f"unknown method {method!r}")
+    ffield.check_cap(field, n, cap)
+    count = 0
+    for prime in ffield.irreducibles(field, n):
+        if _residue_code(field, prime, m) == a_code:
+            count += 1
+    return count
 
 
-def pi_arith(
-    field: FieldSpec,
-    n: int,
-    a,
-    m: MonicPoly,
-    method: str = "auto",
-    cap: int | None = None,
-) -> int:
+def pi_arith(field: FieldSpec, n: int, a, m: MonicPoly, cap: int | None = None) -> int:
     """Monic irreducibles of degree n congruent to a modulo m.
 
-    ``method`` is "enumerate" (direct, needs q^n within the cap),
-    "character" (exact group-ring recurrence, any n), or "auto" (the
-    recurrence when the residue ring and its unit group are small enough,
-    else enumeration).
+    The exact group-ring recurrence (_ArithTable, any n) runs when the
+    residue ring and its unit group fit its limits (_group_ring_fits);
+    otherwise the degree-n irreducibles are enumerated, which needs q^n
+    within the cap.
     """
     if n < 1:
         raise ValueError("degree must be positive")
-    return _class_count(field, n, _unit_residue(field, a, m), m, method, cap)
-
-
-def psi_arith(field: FieldSpec, n: int, a, m: MonicPoly, method: str = "auto",
-              cap: int | None = None) -> int:
-    """The weighted divisor sum sum_{d | n} d * pi_arith(field, d, a, m)."""
-    a_code = _unit_residue(field, a, m)
-    return sum(d * _class_count(field, d, a_code, m, method, cap)
-               for d in divisors(n))
+    return _class_count(field, n, _unit_residue(field, a, m), m, cap)
 
 
 def progression_gap_squared(field: FieldSpec, n: int, a, m: MonicPoly, count: int) -> tuple[Fraction, Fraction]:

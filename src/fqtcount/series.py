@@ -20,8 +20,8 @@ recurrence n f_n = sum_{j=1..n} psi_j f_{n-j} (Brent & Kung, J. ACM 25,
   sum_{d | n} mu(n/d) psi_d for every n <= N: F = prod (1-x^n)^(-g_n)
   mod x^(N+1) with psi_n = sum_{d | n} d g_d, and the g_n are integers
   exactly when those Moebius sums are divisible by n.  This is decided
-  before any modular work; if it fails, series_exp runs on exact
-  rationals.
+  before any modular work; if it fails, NotInvertible is raised.  Every
+  family's psi_table and the psi of integer generator counts pass.
 * Size.  |f_m| <= (1/m) sum_j |psi_j| |f_{m-j}| <= max_j |psi_j| |f_{m-j}|,
   so b_0 = 0, b_m = max_j (l_j + b_{m-j}) with l_j >= log2 |psi_j| gives
   log2 |f_m| <= b_m.  The l_j are integers in units of 2^-16 bit,
@@ -321,16 +321,17 @@ def squarefree_product_form(g: GeneratorCounts | dict, N: int) -> TruncatedSerie
 
 
 def _exp_psi_over_n(psi: dict[int, int], N: int) -> TruncatedSeries:
-    """exp(sum psi(n) x^n / n) to order N; multimodular when the result is integral."""
-    if all(isinstance(v, int) for v in psi.values()) and all(
-        total % n == 0 for n, total in enumerate(_mobius_sums(psi, N)) if n
-    ):
-        return TruncatedSeries(_exp_integral([0] + [psi.get(n, 0) for n in range(1, N + 1)]))
-    log_series = TruncatedSeries.from_coeffs(
-        [0] + [Fraction(_exact(psi.get(n, 0)), n) if isinstance(psi.get(n, 0), int)
-               else psi[n] / n for n in range(1, N + 1)]
-    )
-    return series_exp(log_series)
+    """exp(sum psi(n) x^n / n) to order N, by the multimodular recurrence.
+
+    Raises NotInvertible unless every psi(n) is an int and the result is
+    integral (the Moebius test of the module docstring).
+    """
+    if not all(isinstance(v, int) for v in psi.values()):
+        raise NotInvertible("psi values must be integers")
+    for n, total in enumerate(_mobius_sums(psi, N)):
+        if n and total % n:
+            raise NotInvertible(f"exp(sum psi x^n / n) is not integral at n={n}")
+    return TruncatedSeries(_exp_integral([0] + [psi.get(n, 0) for n in range(1, N + 1)]))
 
 
 # -- the multimodular exp; the module docstring says why each step is exact

@@ -5,8 +5,9 @@ code sum c_i q^i (leading term q^d included), so the q^d polynomials of
 degree d map to the index range 0..q^d-1.  For each degree this module
 records, per polynomial: its smallest prime factor (as an index into a
 global prime list), that prime's exact multiplicity, and the index of
-the coprime cofactor.  Membership tests for the counted families are
-then single vectorized passes over these arrays, giving an independent
+the coprime cofactor.  A family's membership rule (families.
+membership_rule: which primes are admissible, which multiplicities pass)
+is then one vectorized pass over these arrays, giving an independent
 exhaustive check of every generating-function count.
 
 Primes get global ids (gids) in the order they are found: by degree,
@@ -48,8 +49,6 @@ from .ffield import (
     _digit_rows,
     _powers_of_x_mod,
 )
-
-_FAMILIES = ("landau", "s1", "s2", "s3", "arith")
 
 
 def poly_of_code(field: FieldSpec, code: int) -> MonicPoly:
@@ -177,6 +176,8 @@ class Universe:
 
     def prime_chi2(self) -> np.ndarray:
         """Quadratic character of each prime, in {-1, 0, +1}."""
+        if self.field.p == 2:
+            raise EvenCharacteristic("quadratic character needs odd q")
         if self._chi is None or len(self._chi) != len(self.prime_codes):
             c0 = (self.prime_codes % self.field.q).astype(np.int64)
             chi = np.where(ffield.square_mask(self.field)[c0], 1, -1).astype(np.int8)
@@ -201,55 +202,37 @@ class Universe:
 
     # -- membership masks ---------------------------------------------
 
-    def masks(self, kind: str, m: MonicPoly | None = None, a_code: int | None = None) -> list[np.ndarray]:
-        """Per-degree boolean membership arrays for one family.
+    def masks(self, rule) -> list[np.ndarray]:
+        """Per-degree boolean membership arrays for one family's rule.
 
+        rule (a families.MembershipRule) marks the admissible primes by
+        rule.admissible(self), from prime_deg, prime_chi2 or
+        prime_residues; a polynomial P^e * h (P its smallest prime factor)
+        is a member when rule.passes(admissible at P, e) and h is one.
         Index d of the returned list covers the monic polynomials of
         degree d in canonical order; index 0 is the constant 1.
         """
-        if kind not in _FAMILIES:
-            raise ValueError(f"unknown family kind {kind!r}")
-        key = (kind, None if m is None else m.coeffs, a_code)
-        cached = self._masks.get(key)
+        cached = self._masks.get(rule.key)
         if cached is not None and len(cached) == self.max_degree + 1:
             return cached
-        if kind == "landau":
-            if self.field.p == 2:
-                raise EvenCharacteristic("quadratic character needs odd q")
-            chi = self.prime_chi2()
-            good_prime = chi >= 0
-        elif kind in ("s1", "s2", "s3"):
-            good_prime = (np.asarray(self.prime_deg) % 2 == 0)
-        else:
-            if m is None or a_code is None:
-                raise ValueError("arith masks need a modulus and a residue code")
-            good_prime = self.prime_residues(m) == a_code
+        good_prime = rule.admissible(self)
         ok = [np.ones(1, dtype=bool)]
         # offsets[k]: where degree k starts in np.concatenate(ok)
         offsets = np.cumsum([0] + [self.field.q**k for k in range(self.max_degree)])
         for d in range(1, self.max_degree + 1):
-            spf = self.spf_gid[d]
-            e1 = self.e1[d]
-            good = good_prime[spf]
-            if kind in ("landau", "s1"):
-                pred = good | (e1 % 2 == 0)
-            elif kind == "s3":
-                pred = good & (e1 == 1)
-            else:
-                pred = good
+            pred = rule.passes(good_prime[self.spf_gid[d]], self.e1[d])
             okc = np.concatenate(ok)[offsets[self.cof_deg[d]] + self.cof_idx[d]]
             ok.append(pred & okc)
-        self._masks[key] = ok
+        self._masks[rule.key] = ok
         return ok
 
-    def count(self, kind: str, degree: int, m: MonicPoly | None = None,
-              a_code: int | None = None) -> int:
-        """Exhaustive count of degree-n family members."""
+    def count(self, rule, degree: int) -> int:
+        """Exhaustive count of degree-n members under one family's rule."""
         if degree > self.max_degree:
             self.extend_to(degree)
         if degree == 0:
             return 1
-        return int(self.masks(kind, m, a_code)[degree].sum())
+        return int(self.masks(rule)[degree].sum())
 
     # -- diagnostics ---------------------------------------------------
 

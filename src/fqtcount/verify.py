@@ -81,7 +81,7 @@ def _oracle_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
         ("s1", 3, 4), ("s2", 3, 4), ("s3", 3, 4), ("s1", 5, 3),
     ]
     for name, q, max_deg in plans:
-        fam = FamilySpec(families.canonical_family(name), q=q)
+        fam = FamilySpec(name, q=q)
         step = fam.degree_step
         table = families.count_table(fam, max_deg)
         good = True
@@ -95,7 +95,7 @@ def _oracle_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
             f"indices 1..{max_deg} agree" if good else f"mismatch at {n}"))
     # scalar membership at one random degree per family
     for name, q in (("landau", 3), ("s1", 3), ("s3", 5)):
-        fam = FamilySpec(families.canonical_family(name), q=q)
+        fam = FamilySpec(name, q=q)
         step = fam.degree_step
         n = rng.randint(2, 4)
         a = families.oracle_count(fam.field(), fam, step * n, method="scalar")
@@ -175,7 +175,7 @@ def _identity_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
     good = True
     for fam in specs:
         g = fam.generator_counts(8)
-        sf = families.canonical_family(fam.family) == families.FAMILY_S3
+        sf = fam.family == families.FAMILY_S3
         for n in range(1, 9):
             if sf:
                 # alternating-sign weighted sum for the squarefree form

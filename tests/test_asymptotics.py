@@ -21,8 +21,6 @@ from fqtcount.asymptotics import (
     finite_difference_tail_bound,
     derivative_envelope,
     simplified_bound_threshold,
-    divisor_range_check,
-    range_threshold,
 )
 from fqtcount.constants import constant_Cam, constant_Cq, constant_Kq
 from fqtcount.errors import (
@@ -151,7 +149,7 @@ def test_estimator_rejects_trivial_unit_group():
 def test_spec_validation_gates():
     good = estimator_for(landau_spec(3))
     bad_r = EstimatorSpec(
-        coeff_source=good.coeff_source,
+        atilde_table=good.atilde_table,
         c1=Fraction(1, 2),
         c2=Fraction(1),
         beta=Fraction(1, 3),
@@ -160,7 +158,7 @@ def test_spec_validation_gates():
     with pytest.raises(HypothesisViolation):
         bad_r.validate()
     bad_c1 = EstimatorSpec(
-        coeff_source=good.coeff_source,
+        atilde_table=good.atilde_table,
         c1=Fraction(1),
         c2=Fraction(1),
         beta=Fraction(1, 3),
@@ -173,39 +171,35 @@ def test_spec_validation_gates():
 def test_coefficient_envelope_enforced():
     est = estimator_for(landau_spec(3))
     # e_n fits under c2 * alpha^{-n} for every n it is asked for
-    for n in range(1, 30):
-        est.coefficient(n)
+    est.numerators(29)
     shrunk = EstimatorSpec(
-        coeff_source=est.coeff_source,
+        atilde_table=est.atilde_table,
         c1=est.c1,
         c2=Fraction(1, 100),
         beta=est.beta,
         alpha_inv_sq=est.alpha_inv_sq,
     )
     with pytest.raises(HypothesisViolation):
-        shrunk.coefficient(6)
+        shrunk.numerators(6)
 
 
 def test_coefficient_envelope_exact_past_float_range():
     # alpha^-2 = 101 and c2 = 3/2: at n >= 200 both sides exceed 1e308
     q, c2 = 101, Fraction(3, 2)
-    numerator = {}  # n -> the numerator over 2 that the source returns at n
-
-    def source(n):
-        return Fraction(numerator[n], 2)
-
-    est = EstimatorSpec(coeff_source=source, c1=Fraction(1, 2), c2=c2,
-                        beta=Fraction(1, q), alpha_inv_sq=Fraction(q))
     for n in (200, 201, 250, 651):
         k = math.isqrt(9 * q**n)  # the largest k with (k/2)^2 <= c2^2 q^n
         for value, breach in ((k, False), (-k, False), (k + 1, True), (-k - 1, True)):
-            numerator[n] = value
+            # a table over 2 that is 0 but for the numerator value at n
+            est = EstimatorSpec(
+                atilde_table=lambda N, n=n, value=value: (
+                    [value if j == n else 0 for j in range(N + 1)], 2),
+                c1=Fraction(1, 2), c2=c2, beta=Fraction(1, q), alpha_inv_sq=Fraction(q))
             assert (Fraction(value, 2) ** 2 > c2**2 * est.alpha_inv_sq**n) == breach
             if breach:
                 with pytest.raises(HypothesisViolation, match=f"n = {n}:"):
-                    est.coefficient(n)
+                    est.numerators(n)
             else:
-                assert est.coefficient(n) == Fraction(value, 2)
+                assert est.numerators(n)[0][n] == value
 
 
 class _EdgeTable:
@@ -223,25 +217,21 @@ class _EdgeTable:
                 A[n] += step if A[n] > 0 else -step
         return A, 2
 
-    def __call__(self, n):
-        A, D = self.table(n)
-        return Fraction(A[n], D)
-
 
 def _edge_estimator(source):
     q = source.q
-    return EstimatorSpec(coeff_source=source, c1=Fraction(1, 2), c2=Fraction(3, 2),
+    return EstimatorSpec(atilde_table=source.table, c1=Fraction(1, 2), c2=Fraction(3, 2),
                          beta=Fraction(1, q), alpha_inv_sq=Fraction(q))
 
 
 @pytest.mark.parametrize("q", [3, 101])
 def test_table_source_envelope_checked_at_every_n(q):
-    est = _edge_estimator(_EdgeTable(q))
+    source = _EdgeTable(q)
+    est = _edge_estimator(source)
     A, D = est.numerators(60)  # every entry sits on the edge and passes
     assert (A[7], D) == (-math.isqrt(9 * q**7), 2)
     assert est.numerators(30) == (A, D)  # served from the kept table
-    assert est.coeff_source.calls == [60]
-    assert est.coefficient(60) == Fraction(A[60], 2)
+    assert source.calls == [60]
     for n in (1, 2, 17, 60):
         with pytest.raises(HypothesisViolation, match=f"n = {n}:"):
             _edge_estimator(_EdgeTable(q, {n: 1})).numerators(60)
@@ -250,24 +240,6 @@ def test_table_source_envelope_checked_at_every_n(q):
     est.numerators(40)
     with pytest.raises(HypothesisViolation, match="n = 45:"):
         est.exp_series(50)
-
-
-def test_per_n_source_is_asked_once_per_index():
-    base = estimator_for(landau_spec(3))
-    asked = []
-
-    def source(n):
-        asked.append(n)
-        return base.coeff_source(n)
-
-    est = EstimatorSpec(coeff_source=source, c1=base.c1, c2=base.c2,
-                        beta=base.beta, alpha_inv_sq=base.alpha_inv_sq)
-    est.numerators(10)
-    h = est.exp_series(25)
-    est.numerators(20)
-    assert sorted(asked) == list(range(1, 26))
-    assert h == base.exp_series(25)
-    assert est.numerators(25) == base.numerators(25)
 
 
 def test_estimate_encloses_exact_ratio_all_families():
@@ -377,12 +349,15 @@ def test_psi_residual_bounds():
                     assert report.ratio <= report.bound
 
 
-def test_range_threshold_frozen_and_check():
+def test_divisor_estimate_threshold_frozen():
+    # the bounded family's larger envelope constant gives the later threshold
     L = LPolynomial(3, (1,))
-    threshold = range_threshold(L, 2)
-    assert threshold == 807
-    assert not divisor_range_check(L, 2, threshold - 1)
-    assert divisor_range_check(L, 2, threshold)
+    bounded = estimator_for(FamilySpec("divisors-r-ell-K", l_poly=L, r=2, ell=1))
+    assert not estimate_coefficient(bounded, 806).in_range
+    result = estimate_coefficient(bounded, 807)
+    assert (result.threshold, result.in_range) == (807, True)
+    unbounded = estimator_for(FamilySpec("divisors", l_poly=L, r=2))
+    assert estimate_coefficient(unbounded, 807).threshold < 807
 
 
 def _main_term_matches(spec, report):
@@ -421,7 +396,8 @@ def test_exp_series_matches_the_beta_scaled_formula(spec):
     # h = exp(sum atilde_j beta^j y^j / j) computed on Fractions, term by term
     est = estimator_for(spec)
     terms = 90
-    log = [Fraction(0)] + [est.coefficient(j) * est.beta**j / j for j in range(1, terms + 1)]
+    A, D = est.numerators(terms)
+    log = [Fraction(0)] + [Fraction(A[j], D) * est.beta**j / j for j in range(1, terms + 1)]
     want = fraction_exp(TruncatedSeries(tuple(log)))
     assert est.exp_series(terms) == want
     assert estimator_for(spec).exp_series(40) == want[:41]

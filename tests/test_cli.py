@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 import fqtcount
-from fqtcount import cli, primecounts
+from fqtcount import cli
 from fqtcount.cli import main
 
 
@@ -264,7 +264,12 @@ def test_estimate_outside_the_enclosure_exits_1(capsys, monkeypatch, fmt):
 
     def broken(spec, **kwargs):
         est = real(spec, **kwargs)
-        return replace(est, coeff_source=lambda n: -est.coeff_source(n), _cache={})
+
+        def flipped(N):
+            A, D = est.atilde_table(N)
+            return [-a for a in A], D
+
+        return replace(est, atilde_table=flipped, _cache={})
 
     monkeypatch.setattr(cli, "estimator_for", broken)
     code, out, err = run(
@@ -294,9 +299,7 @@ def test_estimate_order_one_has_no_certified_constant(capsys):
     ("count", "arith", "--max-n", "8"),
     ("estimate", "arith", "--n", "20"),
 ])
-def test_arith_psi_table_honours_the_cap(capsys, monkeypatch, argv):
-    # the residue-class tables are cached per modulus; start from none
-    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+def test_arith_psi_table_honours_the_cap(capsys, argv):
     code, out, err = run(capsys, *argv, "--q", "3", "--m", "T^3+2T+1", "--a", "1",
                          "--cap", "5")
     assert code == 3

@@ -213,7 +213,8 @@ def test_atilde_sum_fixed_point_ledger(family, i, x):
         S, tail = _atilde_sum(est, N, i, x=x)
         P = mpmath.mp.prec + GUARD_BITS
     xv = est.beta if x is None else x
-    exact = sum(est.coefficient(n) * xv**n
+    A, D = est.numerators(N)
+    exact = sum(Fraction(A[n], D) * xv**n
                 * (Fraction(1, n) if i == 0 else math.comb(n - 1, i - 1))
                 for n in range(1, N + 1))
     assert S.denominator & (S.denominator - 1) == 0

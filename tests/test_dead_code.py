@@ -33,3 +33,22 @@ def test_every_top_level_definition_is_named_outside_itself():
             own = _words("".join(lines[start - 1 : node.end_lineno]))
             unused += [f"{path.name}:{name}" for name in names if words[name] == own[name]]
     assert unused == []
+
+
+def test_every_import_in_the_package_is_used():
+    # __init__ imports to re-export, and __future__ imports switch on features
+    unused = []
+    for path in sorted((ROOT / "src" / "fqtcount").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in imported if name not in used]
+    assert unused == []

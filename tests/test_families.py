@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from fqtcount.errors import EvenCharacteristic, NegativeCount, NotCoprime
+from fqtcount import families, primecounts
+from fqtcount.errors import EvenCharacteristic, NegativeCount, NotCoprime, ResourceLimit
 from fqtcount.families import (
     FamilySpec,
     canonical_family,
@@ -143,6 +144,28 @@ def test_arith_rejects_non_coprime_residue():
     field = field_for_order(3)
     with pytest.raises(NotCoprime):
         count_arith(field, (0,), MonicPoly((0, 1)), 3)
+
+
+def test_arith_psi_table_checks_the_residue_once(monkeypatch):
+    calls = []
+    original = families._unit_residue
+    monkeypatch.setattr(families, "_unit_residue",
+                        lambda *a: calls.append(a) or original(*a))
+    psi_table(FamilySpec("arith", q=3, m=(1, 0, 1), a=(1, 1)), 12)
+    assert len(calls) == 1
+    with pytest.raises(NotCoprime):
+        psi_table(FamilySpec("arith", q=3, m=(0, 1), a=(0,)), 12)
+
+
+def test_arith_cap_holds_whether_or_not_the_table_is_cached(monkeypatch):
+    # the residue-class table of T^3+2T+1 enumerates degree 2: 9 > cap 5
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    field, m = field_for_order(3), MonicPoly((1, 2, 0, 1))
+    uncapped = count_arith(field, 1, m, 8)
+    assert primecounts._ARITH_CACHE
+    with pytest.raises(ResourceLimit, match="exceeds cap 5"):
+        count_arith(field, 1, m, 8, cap=5)
+    assert count_arith(field, 1, m, 8, cap=9).values == uncapped.values
 
 
 def test_divisors_against_dp_oracle():

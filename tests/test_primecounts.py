@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fqtcount import ffield
+from fqtcount import ffield, primecounts
 from fqtcount.errors import NotCoprime, ResourceLimit, RHViolation
 from fqtcount.ffield import MonicPoly, chi2, field_for_order
 from fqtcount.primecounts import (
@@ -15,7 +15,6 @@ from fqtcount.primecounts import (
     pi_arith,
     pi_chi2,
     pi_q,
-    psi_arith,
     psi_chi2,
     progression_gap_squared,
 )
@@ -170,45 +169,46 @@ def test_pi_arith_against_brute_force():
                 assert pi_arith(field, n, rem, m) == expected
 
 
-def test_pi_arith_methods_agree():
+@pytest.mark.parametrize("group_ring", [True, False])
+def test_pi_arith_paths_match_trial_division(monkeypatch, group_ring):
+    # per-class prime counts mod T^2+1 over F_3, from the group ring and,
+    # with _group_ring_fits forced False, from enumeration
     field = field_for_order(3)
     m = MonicPoly((1, 0, 1))
-    for n in range(1, 7):
-        counts = {
-            pi_arith(field, n, (1, 1), m, method=method)
-            for method in ("enumerate", "character")
-        }
-        assert len(counts) == 1
+    cache = {}
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", cache)
+    if not group_ring:
+        monkeypatch.setattr(primecounts, "_group_ring_fits", lambda field, m: False)
+    for n in range(1, 6):
+        per_class = {}
+        for f in trial_division_primes(field, n):
+            rem = ffield.poly_mod_general(field, f.coeffs, m.coeffs)
+            per_class[rem] = per_class.get(rem, 0) + 1
+        for a in ((1,), (2,), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)):
+            assert pi_arith(field, n, a, m) == per_class.get(a, 0), (n, a)
+    assert bool(cache) == group_ring
 
 
-def test_pi_arith_auto_respects_the_unit_group_limit():
+def test_pi_arith_enumerates_past_the_unit_group_limit():
     # T^8+T^6+T^5+1 is irreducible over F_3: a ring of 6561 classes within
     # the group-ring limit, but 6560 units, more than the group ring accepts
     field = field_for_order(3)
     m = MonicPoly((1, 0, 0, 0, 0, 1, 1, 0, 1))
     assert phi_m(field, m) == 6560
+    assert not primecounts._group_ring_fits(field, m)
     with pytest.raises(ResourceLimit):
-        pi_arith(field, 3, (1,), m, method="character")
+        primecounts._ResidueGroup(field, m)
+    # below deg m a prime is its own residue: each class holds one prime
     for n in range(1, 5):
-        assert pi_arith(field, n, (1,), m) == pi_arith(field, n, (1,), m, method="enumerate")
+        for prime in trial_division_primes(field, n)[:4]:
+            assert pi_arith(field, n, prime, m) == 1
+            assert pi_arith(field, n, prime.coeffs[:-1] + (2,), m) == 0
 
 
 def test_pi_arith_rejects_bad_residue():
     field = field_for_order(3)
     with pytest.raises(NotCoprime):
         pi_arith(field, 2, (0,), MonicPoly((0, 1)))
-
-
-def test_psi_arith_divisor_sum():
-    field = field_for_order(3)
-    m = MonicPoly((0, 1))
-    for n in range(1, 9):
-        direct = sum(
-            d * pi_arith(field, d, (1,), m)
-            for d in range(1, n + 1)
-            if n % d == 0
-        )
-        assert psi_arith(field, n, (1,), m) == direct
 
 
 def test_progression_gap_bound_holds():
@@ -284,24 +284,6 @@ def test_pow_map_reduces_k_mod_the_group_order(monkeypatch, q, m, order):
     for k in range(3 * order + 6):
         assert group.pow_map(k).tolist() == expected[k], k
     assert reached and max(reached) <= order
-
-
-def test_psi_arith_checks_the_residue_once(monkeypatch):
-    import fqtcount.primecounts as pc
-
-    field = field_for_order(3)
-    m = MonicPoly((1, 0, 1))
-    expected = sum(d * pi_arith(field, d, (1, 1), m) for d in (1, 2, 3, 4, 6, 12))
-    calls = []
-    original = pc._unit_residue
-    monkeypatch.setattr(pc, "_unit_residue", lambda *a: calls.append(a) or original(*a))
-    assert psi_arith(field, 12, (1, 1), m) == expected
-    assert len(calls) == 1
-    with pytest.raises(NotCoprime):
-        psi_arith(field, 12, (0,), MonicPoly((0, 1)))
-    for method in ("enumerate", "character"):
-        assert psi_arith(field, 6, (1, 1), m, method=method) == sum(
-            d * pi_arith(field, d, (1, 1), m, method=method) for d in (1, 2, 3, 6))
 
 
 def quadratic_psi(table, n):

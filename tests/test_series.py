@@ -256,12 +256,16 @@ def test_kernel_signed_coefficients():
     assert F.coeffs == (1, 3, 5, 7, 7, 5, 3, 1) + (0,) * 5
 
 
-def test_kernel_falls_back_to_fractions():
+def test_kernel_refuses_a_non_integral_psi():
     # psi_2 = 1 alone: exp(x^2/2) = sum x^(2k) / (2^k k!), not integral
-    N = 9
-    F = _exp_psi_over_n({2: 1}, N)
-    assert F.coeffs == from_sympy(sympy.exp(x**2 / 2), N).coeffs
-    assert F.coeffs[2] == Fraction(1, 2)
+    with pytest.raises(NotInvertible, match="n=2"):
+        _exp_psi_over_n({2: 1}, 9)
+    assert _exp_psi_over_n({2: 1}, 1).coeffs == (1, 0)  # integral below n = 2
+    with pytest.raises(NotInvertible):
+        _exp_psi_over_n({1: Fraction(1, 2)}, 3)
+    # the exact rational exp remains for such series
+    F = series_exp(TruncatedSeries.from_coeffs([0, 0, Fraction(1, 2)], 9))
+    assert F.coeffs == from_sympy(sympy.exp(x**2 / 2), 9).coeffs
 
 
 def test_kernel_small_orders():

@@ -5,7 +5,7 @@ import pytest
 
 from fqtcount import ffield, universe
 from fqtcount.errors import EvenCharacteristic, ResourceLimit
-from fqtcount.families import FamilySpec, canonical_family, oracle_count
+from fqtcount.families import FamilySpec, canonical_family, membership_rule, oracle_count
 from fqtcount.ffield import code_of, field_for_order
 from fqtcount.primecounts import pi_q
 from fqtcount.universe import Universe, get_universe, poly_of_code
@@ -182,22 +182,28 @@ def test_small_cap_call_does_not_shrink_shared_universe():
     assert after.max_degree >= 7
 
 
-def test_landau_mask_needs_odd_q():
+def test_landau_oracle_needs_odd_q():
     field = field_for_order(4)
-    uni = get_universe(field, 2)
+    spec = FamilySpec("landau", q=4)
+    for method in ("sieve", "scalar"):
+        with pytest.raises(EvenCharacteristic):
+            oracle_count(field, spec, 2, method=method)
+    # the character table itself refuses even q as well
     with pytest.raises(EvenCharacteristic):
-        uni.masks("landau")
+        get_universe(field, 2).prime_chi2()
 
 
 def test_mask_counts_sum_to_totals():
     # every monic polynomial is either in s2 or has an odd-degree prime factor
     field = field_for_order(3)
     uni = get_universe(field, 6)
+    s2_rule = membership_rule(field, FamilySpec("s2", q=3))
+    s3_rule = membership_rule(field, FamilySpec("s3", q=3))
     for d in range(1, 7):
-        s2 = uni.count("s2", d)
+        s2 = uni.count(s2_rule, d)
         assert 0 <= s2 <= 3**d
         # s3 members are squarefree s2 members
-        assert uni.count("s3", d) <= s2
+        assert uni.count(s3_rule, d) <= s2
 
 
 def test_digit_dtype_keeps_digit_products_exact():
