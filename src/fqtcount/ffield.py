@@ -465,7 +465,8 @@ def _remainder_plan(field: FieldSpec, n: int, cap: int | None = None) -> _Remain
 
     Each prime power P^e is formed by poly_mul, as the enumeration sieve
     forms its prime powers, and its block is the _digit_rows of the
-    scalar rows x^j mod P^e (_powers_of_x_mod).
+    scalar rows x^j mod P^e (_powers_of_x_mod); the scalar rows of all
+    primes of one degree and one e are stacked into one _digit_rows call.
     """
     key = (field, n)
     plan = _PLAN_CACHE.get(key)
@@ -486,17 +487,22 @@ def _remainder_plan(field: FieldSpec, n: int, cap: int | None = None) -> _Remain
     start = 0
     for d in range(1, n // 2 + 1):
         by_prime = irreducibles(field, d, cap)
-        for P in by_prime:
-            power, by_power = (1,), []
-            for e in range(1, n // d + 1):
-                power = poly_mul(field, power, P.coeffs)
-                by_power.append(power)
-                x_mod = _powers_of_x_mod(field, power, n)
-                matrix[:, start : start + e * d * k] = _digit_rows(field, x_mod)
-                start += e * d * k
-            powers.append(tuple(by_power))
+        chains = [[P.coeffs] for P in by_prime]  # chains[j][e-1] = P_j^e
+        for chain in chains:
+            while len(chain) < n // d:
+                chain.append(poly_mul(field, chain[-1], chain[0]))
+        # columns (prime, e) of this section, one _digit_rows call per e
+        width = _section_width(field, n, d)
+        section = matrix[:, start : start + len(by_prime) * width].reshape(rows, len(by_prime), width)
+        off = 0
+        for e in range(1, n // d + 1):
+            x_mod = np.stack([_powers_of_x_mod(field, chain[e - 1], n) for chain in chains])
+            section[:, :, off : off + e * d * k] = np.swapaxes(_digit_rows(field, x_mod), 0, 1)
+            off += e * d * k
+        powers += map(tuple, chains)
         primes += by_prime
         sections.append((d, len(by_prime)))
+        start += len(by_prime) * width
     plan = _RemainderPlan(n, tuple(primes), tuple(powers), tuple(sections), matrix)
     _PLAN_CACHE[key] = plan
     return plan

@@ -196,13 +196,13 @@ def pi_K(L: LPolynomial, n: int) -> int:
     return L.pi(n)
 
 
-def phi_m(field: FieldSpec, m: MonicPoly) -> int:
+def phi_m(field: FieldSpec, m: MonicPoly, cap: int | None = None) -> int:
     """Number of units in F_q[T]/(m), from the factorization of m."""
     if m.degree < 1:
         raise ValueError("modulus must have positive degree")
     q = field.q
     total = 1
-    for prime, mult in ffield.factor(field, m).factors:
+    for prime, mult in ffield.factor(field, m, cap).factors:
         d = prime.degree
         total *= q ** (d * mult) - q ** (d * (mult - 1))
     return total
@@ -421,19 +421,19 @@ def _unit_residue(field: FieldSpec, a, m: MonicPoly) -> int:
 
 
 @lru_cache(maxsize=None)
-def _group_ring_fits(field: FieldSpec, m: MonicPoly) -> bool:
+def _group_ring_fits(field: FieldSpec, m: MonicPoly, cap: int | None = None) -> bool:
     """Are both the residue ring and its unit group within _ResidueGroup's limits?"""
-    return field.q**m.degree <= _MAX_RESIDUE_RING and phi_m(field, m) <= _MAX_UNIT_GROUP
+    return field.q**m.degree <= _MAX_RESIDUE_RING and phi_m(field, m, cap) <= _MAX_UNIT_GROUP
 
 
 def _class_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
                  cap: int | None) -> int:
     """pi_arith for a residue code already checked by _unit_residue."""
-    if _group_ring_fits(field, m):
+    if _group_ring_fits(field, m, cap):
         return _arith_table(field, m, cap=cap).count(n, a_code)
     ffield.check_cap(field, n, cap)
     count = 0
-    for prime in ffield.irreducibles(field, n):
+    for prime in ffield.irreducibles(field, n, cap):
         if _residue_code(field, prime, m) == a_code:
             count += 1
     return count

@@ -29,6 +29,35 @@ selected cofactors at once, in float32 unless a digit sum could pass
 2^24 (_digit_dtype).  The digit helpers live in ffield, whose
 remainder plan builds its matrices with the same _digit_rows.
 
+A product block stays in that float type until its target index
+(_codes_of_products):
+
+* Reduce: each digit sum c becomes c - p * floor(c / p), in place, by
+  true division.  This is exact for every integer c <= 2^24 in float32
+  (c <= 2^53 in float64, with 2^-53 for 2^-24 below).  If p divides c,
+  c / p is an integer below 2^24 and exact.  Otherwise c = kp - j with
+  1 <= j < p; k - 1 is representable and below c / p, so the rounded
+  quotient is at least k - 1, and its error is below
+  (c / p) * 2^-24 <= 1 / p <= j / p, so it is below k.  Its floor is
+  k - 1 either way, and the product and difference after it are
+  integers below 2^24.  A multiply by a rounded 1/p has no such bound.
+* Encode: the reduced digits of a degree-d polynomial make a code below
+  p^((d+1)k) = q^(d+1), so one product with p^j gives exact codes in
+  float32 when q^(d+1) <= 2^24 and in float64 otherwise
+  (_code_powers); only that code vector is cast to int64.  An int64
+  digit type would need p > 6 * 10^7, and codes past 2^53 more than
+  2^35 polynomials of one degree: both are asserted, not handled.
+* Cofactor digits: digit j < dk of the i-th monic polynomial of degree
+  d is (i // p^j) % p, each of 0..p-1 repeated p^j times in a cycle of
+  p^(j+1) rows, so _monic_digits writes every column through a
+  reshaped view without a division; the top k digits hold the leading
+  1.  Each degree's matrix is built once per _build_degree call.
+
+A rule's membership masks (masks) are kept per rule as views into one
+flat buffer.  When the universe grows (the oracles count n = 0, 1, ...
+in turn, one degree more each time), the computed degrees are copied
+into a longer buffer and only the new degrees are evaluated.
+
 Residues mod m (for the progression family) use the remainder plan's
 map as well: f -> f mod m is F_p-linear in f's digits, with digit rows
 Y^s x^j mod m (the scalar rows x^j mod m from _powers_of_x_mod, spread
@@ -66,6 +95,55 @@ def _digits_of_codes(field: FieldSpec, codes: np.ndarray, degree: int) -> np.nda
     return out
 
 
+def _monic_digits(field: FieldSpec, degree: int) -> np.ndarray:
+    """Base-p digit matrix of every monic polynomial of the degree, in code order.
+
+    Row i holds the code q^degree + i.  Digit j < degree*k of i is
+    (i // p^j) % p: it repeats each of 0..p-1 p^j times and cycles every
+    p^(j+1) rows, so it is written through a reshaped view, without a
+    division; the top k digits hold the leading 1.
+    """
+    p, low = field.p, degree * field.k
+    dtype = _digit_dtype(field, degree)
+    # an int64 digit needs p > 6*10^7, so q^2 > 4*10^15 polynomials of degree 2
+    assert dtype in (np.float32, np.float64), "int64 digit products are past any cap"
+    out = np.zeros((field.q**degree, _digit_count(field, degree)), dtype=dtype)
+    values = np.arange(p, dtype=dtype)[:, None]
+    for j in range(low):
+        out.reshape(p ** (low - 1 - j), p, p**j, -1)[:, :, :, j] = values
+    out[:, low] = 1
+    return out
+
+
+def _code_powers(field: FieldSpec, degree: int) -> np.ndarray:
+    """p^j for each digit j of a polynomial of the given degree, in the
+    float type in which such codes are exact.
+
+    A digit vector of (degree+1)*k base-p digits encodes to below
+    q^(degree+1): float32 when that is at most 2^24, else float64.
+    """
+    bound = field.q ** (degree + 1)
+    # q^(d+1) > 2^53 needs q^d > 2^35 polynomials of degree d >= 2
+    assert bound <= 1 << 53, "codes past 2^53 are past any cap"
+    dtype = np.float32 if bound <= 1 << 24 else np.float64
+    return (field.p ** np.arange(_digit_count(field, degree), dtype=np.int64)).astype(dtype)
+
+
+def _codes_of_products(prod: np.ndarray, p: int, powers: np.ndarray) -> np.ndarray:
+    """Codes of the polynomials whose unreduced digit sums are the rows of prod.
+
+    prod, a float digit product, is reduced mod p in place by
+    c -= p * floor(c / p) (exact, see the module docstring) and encoded
+    by one product with powers (from _code_powers); only the resulting
+    code vector is cast to int64.
+    """
+    quot = prod / p
+    np.floor(quot, out=quot)
+    quot *= p
+    prod -= quot
+    return (prod.astype(powers.dtype, copy=False) @ powers).astype(np.int64)
+
+
 def _mul_matrix(field: FieldSpec, w: tuple[int, ...], in_deg: int, out_deg: int) -> np.ndarray:
     """Digit-space matrix of multiplication by the fixed polynomial w.
 
@@ -96,7 +174,7 @@ class Universe:
         self._prime_slices: list[slice] = [slice(0, 0)]
         self._chi = None
         self._residues: dict[tuple, np.ndarray] = {}
-        self._masks: dict[tuple, list[np.ndarray]] = {}
+        self._masks: dict[tuple, list[np.ndarray]] = {}  # views into one flat buffer
         self.extend_to(max_degree)
 
     # -- construction -------------------------------------------------
@@ -118,7 +196,8 @@ class Universe:
         e1 = np.zeros(size, dtype=np.int8)
         cof_deg = np.zeros(size, dtype=np.int8)
         cof_idx = np.zeros(size, dtype=np.int64)
-        p_pows = self.field.p ** np.arange(_digit_count(field, d), dtype=np.int64)
+        # degree 1 holds only primes; past it, products encode to codes
+        powers = _code_powers(field, d) if d > 1 else None
         digit_cache: dict[int, np.ndarray] = {}
         for p_deg in range(1, d // 2 + 1):
             sl = self._prime_slices[p_deg]
@@ -140,13 +219,10 @@ class Universe:
                             continue
                         digits = digit_cache.get(k_deg)
                         if digits is None:
-                            codes_h = q**k_deg + np.arange(q**k_deg, dtype=np.int64)
-                            digits = _digits_of_codes(field, codes_h, k_deg)
-                            digit_cache[k_deg] = digits
-                        mat = _mul_matrix(field, w, k_deg, d)
-                        prod = (digits[sel] @ mat).astype(np.int64)
-                        prod -= prod // field.p * field.p  # far cheaper than a float np.mod
-                        tgt = prod @ p_pows - size
+                            digits = digit_cache[k_deg] = _monic_digits(field, k_deg)
+                        prod = digits[sel] @ _mul_matrix(field, w, k_deg, d)
+                        tgt = _codes_of_products(prod, field.p, powers)
+                        tgt -= size
                     spf[tgt] = gid
                     e1[tgt] = e
                     cof_deg[tgt] = k_deg
@@ -210,19 +286,24 @@ class Universe:
         prime_residues; a polynomial P^e * h (P its smallest prime factor)
         is a member when rule.passes(admissible at P, e) and h is one.
         Index d of the returned list covers the monic polynomials of
-        degree d in canonical order; index 0 is the constant 1.
+        degree d in canonical order; index 0 is the constant 1.  The
+        degrees are views into one flat buffer, degree k starting at
+        q^0 + ... + q^(k-1); a rule's degrees are computed once, and a
+        longer universe only appends its new degrees.
         """
-        cached = self._masks.get(rule.key)
-        if cached is not None and len(cached) == self.max_degree + 1:
-            return cached
+        done = self._masks.get(rule.key, [np.ones(1, dtype=bool)])
+        if len(done) == self.max_degree + 1:
+            return done
+        q = self.field.q
+        offsets = np.cumsum([0] + [q**k for k in range(self.max_degree + 1)])
+        flat = np.empty(offsets[-1], dtype=bool)
+        ok = [flat[offsets[k] : offsets[k + 1]] for k in range(self.max_degree + 1)]
+        for old, new in zip(done, ok):
+            new[:] = old
         good_prime = rule.admissible(self)
-        ok = [np.ones(1, dtype=bool)]
-        # offsets[k]: where degree k starts in np.concatenate(ok)
-        offsets = np.cumsum([0] + [self.field.q**k for k in range(self.max_degree)])
-        for d in range(1, self.max_degree + 1):
+        for d in range(len(done), self.max_degree + 1):
             pred = rule.passes(good_prime[self.spf_gid[d]], self.e1[d])
-            okc = np.concatenate(ok)[offsets[self.cof_deg[d]] + self.cof_idx[d]]
-            ok.append(pred & okc)
+            np.logical_and(pred, flat[offsets[self.cof_deg[d]] + self.cof_idx[d]], out=ok[d])
         self._masks[rule.key] = ok
         return ok
 

@@ -178,7 +178,7 @@ def test_pi_arith_paths_match_trial_division(monkeypatch, group_ring):
     cache = {}
     monkeypatch.setattr(primecounts, "_ARITH_CACHE", cache)
     if not group_ring:
-        monkeypatch.setattr(primecounts, "_group_ring_fits", lambda field, m: False)
+        monkeypatch.setattr(primecounts, "_group_ring_fits", lambda field, m, cap=None: False)
     for n in range(1, 6):
         per_class = {}
         for f in trial_division_primes(field, n):
@@ -203,6 +203,46 @@ def test_pi_arith_enumerates_past_the_unit_group_limit():
         for prime in trial_division_primes(field, n)[:4]:
             assert pi_arith(field, n, prime, m) == 1
             assert pi_arith(field, n, prime.coeffs[:-1] + (2,), m) == 0
+
+
+def _cap_below_degree_4(monkeypatch):
+    """FQT_CAP=50 (below 3^4) and empty prime and plan caches, so each step runs under the cap."""
+    monkeypatch.setenv("FQT_CAP", "50")
+    monkeypatch.setattr(ffield, "_IRR_CACHE", {})
+    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
+
+
+def test_pi_arith_enumeration_takes_the_callers_cap(monkeypatch):
+    # T^8+T^6+T^5+1 over F_3 has too many units for the group ring, so
+    # degree-4 classes are counted by enumerating the degree-4 primes;
+    # a caller's cap above FQT_CAP reaches that enumeration and its
+    # remainder plan (5 x 48 digits)
+    field = field_for_order(3)
+    m = MonicPoly((1, 0, 0, 0, 0, 1, 1, 0, 1))
+    primes = trial_division_primes(field, 4)
+    per_class = {}
+    for f in primes:
+        rem = ffield.poly_mod_general(field, f.coeffs, m.coeffs)
+        per_class[rem] = per_class.get(rem, 0) + 1
+    _cap_below_degree_4(monkeypatch)
+    # _group_ring_fits is lru_cached: force its known answer
+    monkeypatch.setattr(primecounts, "_group_ring_fits", lambda field, m, cap=None: False)
+    with pytest.raises(ResourceLimit):
+        pi_arith(field, 4, (1,), m)
+    for a in ((1,), primes[0].coeffs, primes[-1].coeffs):
+        assert pi_arith(field, 4, a, m, cap=1000) == per_class.get(a, 0)
+
+
+def test_unit_count_takes_the_callers_cap(monkeypatch):
+    # factoring m (degree 8) needs a 9 x 456 digit remainder plan
+    field = field_for_order(3)
+    m = MonicPoly((1, 0, 0, 0, 0, 1, 1, 0, 1))
+    _cap_below_degree_4(monkeypatch)
+    with pytest.raises(ResourceLimit):
+        phi_m(field, m)
+    assert phi_m(field, m, cap=5000) == 6560
+    primecounts._group_ring_fits.cache_clear()
+    assert not primecounts._group_ring_fits(field, m, 5000)
 
 
 def test_pi_arith_rejects_bad_residue():

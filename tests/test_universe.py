@@ -221,7 +221,10 @@ def test_digit_dtype_keeps_digit_products_exact():
         _digit_dtype(huge, 3)  # 4 * (2^31 - 2)^2 > 2^63
 
 
-@pytest.mark.parametrize("q, max_deg", [(2, 14), (3, 9), (4, 7), (5, 6), (7, 5), (8, 5), (9, 4)])
+@pytest.mark.parametrize("q, max_deg", [
+    (2, 14), (3, 9), (4, 7), (5, 6), (7, 5), (8, 5), (9, 4),
+    (263, 2),  # 263^3 > 2^24: degree 2 encodes in float64
+])
 def test_linear_sieve_matches_first_write_reference(q, max_deg):
     field = field_for_order(q)
     uni = Universe(field, max_deg)
@@ -232,6 +235,47 @@ def test_linear_sieve_matches_first_write_reference(q, max_deg):
         for a, b in zip(mine, ref):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+
+
+def _digits_of(code, p, width):
+    return [code // p**j % p for j in range(width)]
+
+
+@pytest.mark.parametrize("q, degree, code_dtype", [
+    (2, 23, np.float32),  # codes below 2^24
+    (2, 24, np.float64),  # codes to 2^25 - 1
+    (13, 5, np.float32),
+    (13, 6, np.float64),
+    (263, 2, np.float64),  # codes to 263^3 - 1 > 2^24
+])
+@pytest.mark.parametrize("sum_dtype, limit", [(np.float32, 1 << 24), (np.float64, 1 << 53)])
+def test_reduce_and_encode_is_exact_at_the_float_bounds(q, degree, code_dtype, sum_dtype, limit):
+    field = field_for_order(q)
+    p, width = field.p, ffield._digit_count(field, degree)
+    powers = universe._code_powers(field, degree)
+    assert powers.dtype == code_dtype
+    top = q ** (degree + 1)
+    codes = [c for c in (0, 1, p, top - 1, 2**24 - 1, 2**24, 2**24 + 1) if c < top]
+    digits = [_digits_of(c, p, width) for c in codes]
+    # digit + p * (limit // p - 1) runs over k*p - 1, k*p and k*p + 1, just below limit
+    m = limit // p - 1
+    sums = np.array([[x + p * m for x in row] for row in digits], dtype=sum_dtype)
+    assert all(int(c) == x + p * m for row, srow in zip(digits, sums.tolist())
+               for x, c in zip(row, srow))  # the sums themselves are exact
+    out = universe._codes_of_products(sums, p, powers)
+    assert out.dtype == np.int64
+    assert out.tolist() == codes
+    assert sums.tolist() == digits  # reduced in place
+
+
+def test_monic_digits_match_division():
+    for q, degree in ((2, 5), (3, 4), (4, 3), (9, 2), (25, 1), (263, 1)):
+        field = field_for_order(q)
+        codes = q**degree + np.arange(q**degree, dtype=np.int64)
+        expected = universe._digits_of_codes(field, codes, degree)
+        got = universe._monic_digits(field, degree)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("q, max_deg", [(2, 10), (4, 5), (8, 3), (9, 3), (25, 3)])
