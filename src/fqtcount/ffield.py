@@ -421,13 +421,18 @@ def irreducibles(field: FieldSpec, n: int, cap: int | None = None) -> tuple[Moni
 
     They are the polynomials of degree n that no prime of degree <= n/2
     divides: the rows of the remainder plan with no zero e = 1 block.
+    The cap is checked before the cache, so a capped call answers the
+    same whether or not the primes were found before.
     """
+    if n < 1:
+        raise ValueError("irreducibles have degree >= 1")
+    check_cap(field, n, cap)
+    if n > 1:
+        _check_plan_cap(field, n, cap)
     key = (field, n)
     cached = _IRR_CACHE.get(key)
     if cached is not None:
         return cached
-    if n < 1:
-        raise ValueError("irreducibles have degree >= 1")
     polys = enumerate_monic(field, n, cap)
     if n == 1:
         result = tuple(polys)
@@ -465,47 +470,55 @@ def _remainder_plan(field: FieldSpec, n: int, cap: int | None = None) -> _Remain
 
     Each prime power P^e is formed by poly_mul, as the enumeration sieve
     forms its prime powers, and its block is the _digit_rows of the
-    scalar rows x^j mod P^e (_powers_of_x_mod); the scalar rows of all
-    primes of one degree and one e are stacked into one _digit_rows call.
+    scalar rows x^j mod P^e (_powers_of_x_mod).  The cap is checked
+    before the cache, as in irreducibles.
     """
+    rows, cols = _check_plan_cap(field, n, cap)
     key = (field, n)
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
         return plan
-    from .primecounts import pi_q  # primecounts imports this module
-
-    cap = default_cap() if cap is None else cap
     k = field.k
     dtype = _digit_dtype(field, n)
-    rows = _digit_count(field, n)
-    cols = sum(_section_width(field, n, d) * pi_q(field.q, d) for d in range(1, n // 2 + 1))
-    if rows * cols > cap:
-        raise ResourceLimit(f"remainder plan of degree {n} over {field} has "
-                            f"{rows} x {cols} digits, over cap {cap}")
     matrix = np.empty((rows, cols), dtype=dtype)
     primes, powers, sections = [], [], []
     start = 0
     for d in range(1, n // 2 + 1):
         by_prime = irreducibles(field, d, cap)
-        chains = [[P.coeffs] for P in by_prime]  # chains[j][e-1] = P_j^e
-        for chain in chains:
-            while len(chain) < n // d:
-                chain.append(poly_mul(field, chain[-1], chain[0]))
-        # columns (prime, e) of this section, one _digit_rows call per e
-        width = _section_width(field, n, d)
-        section = matrix[:, start : start + len(by_prime) * width].reshape(rows, len(by_prime), width)
-        off = 0
-        for e in range(1, n // d + 1):
-            x_mod = np.stack([_powers_of_x_mod(field, chain[e - 1], n) for chain in chains])
-            section[:, :, off : off + e * d * k] = np.swapaxes(_digit_rows(field, x_mod), 0, 1)
-            off += e * d * k
-        powers += map(tuple, chains)
+        for P in by_prime:
+            power, by_power = (1,), []
+            for e in range(1, n // d + 1):
+                power = poly_mul(field, power, P.coeffs)
+                by_power.append(power)
+                x_mod = _powers_of_x_mod(field, power, n)
+                matrix[:, start : start + e * d * k] = _digit_rows(field, x_mod)
+                start += e * d * k
+            powers.append(tuple(by_power))
         primes += by_prime
         sections.append((d, len(by_prime)))
-        start += len(by_prime) * width
     plan = _RemainderPlan(n, tuple(primes), tuple(powers), tuple(sections), matrix)
     _PLAN_CACHE[key] = plan
     return plan
+
+
+def _check_plan_cap(field: FieldSpec, n: int, cap: int | None = None) -> tuple[int, int]:
+    """The (rows, cols) of the remainder plan of degree n; ResourceLimit if
+    its digits exceed the cap.
+
+    The plan has at least as many digits as every plan of lower degree
+    and more than q^d for each d <= n/2, so the irreducibles and plans it
+    is built from pass the same cap: which of them are cached does not
+    change the answer.
+    """
+    from .primecounts import pi_q  # primecounts imports this module
+
+    cap = default_cap() if cap is None else cap
+    rows = _digit_count(field, n)
+    cols = sum(_section_width(field, n, d) * pi_q(field.q, d) for d in range(1, n // 2 + 1))
+    if rows * cols > cap:
+        raise ResourceLimit(f"remainder plan of degree {n} over {field} has "
+                            f"{rows} x {cols} digits, over cap {cap}")
+    return rows, cols
 
 
 def _section_width(field: FieldSpec, n: int, d: int) -> int:

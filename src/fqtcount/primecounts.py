@@ -196,13 +196,13 @@ def pi_K(L: LPolynomial, n: int) -> int:
     return L.pi(n)
 
 
-def phi_m(field: FieldSpec, m: MonicPoly, cap: int | None = None) -> int:
+def phi_m(field: FieldSpec, m: MonicPoly) -> int:
     """Number of units in F_q[T]/(m), from the factorization of m."""
     if m.degree < 1:
         raise ValueError("modulus must have positive degree")
     q = field.q
     total = 1
-    for prime, mult in ffield.factor(field, m, cap).factors:
+    for prime, mult in ffield.factor(field, m).factors:
         d = prime.degree
         total *= q ** (d * mult) - q ** (d * (mult - 1))
     return total
@@ -421,17 +421,16 @@ def _unit_residue(field: FieldSpec, a, m: MonicPoly) -> int:
 
 
 @lru_cache(maxsize=None)
-def _group_ring_fits(field: FieldSpec, m: MonicPoly, cap: int | None = None) -> bool:
+def _group_ring_fits(field: FieldSpec, m: MonicPoly) -> bool:
     """Are both the residue ring and its unit group within _ResidueGroup's limits?"""
-    return field.q**m.degree <= _MAX_RESIDUE_RING and phi_m(field, m, cap) <= _MAX_UNIT_GROUP
+    return field.q**m.degree <= _MAX_RESIDUE_RING and phi_m(field, m) <= _MAX_UNIT_GROUP
 
 
 def _class_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
                  cap: int | None) -> int:
     """pi_arith for a residue code already checked by _unit_residue."""
-    if _group_ring_fits(field, m, cap):
+    if _group_ring_fits(field, m):
         return _arith_table(field, m, cap=cap).count(n, a_code)
-    ffield.check_cap(field, n, cap)
     count = 0
     for prime in ffield.irreducibles(field, n, cap):
         if _residue_code(field, prime, m) == a_code:
@@ -445,7 +444,7 @@ def pi_arith(field: FieldSpec, n: int, a, m: MonicPoly, cap: int | None = None) 
     The exact group-ring recurrence (_ArithTable, any n) runs when the
     residue ring and its unit group fit its limits (_group_ring_fits);
     otherwise the degree-n irreducibles are enumerated, which needs q^n
-    within the cap.
+    and the remainder plan of degree n within the cap.
     """
     if n < 1:
         raise ValueError("degree must be positive")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fqtcount import families, primecounts
+from fqtcount import families, ffield, primecounts
 from fqtcount.errors import EvenCharacteristic, NegativeCount, NotCoprime, ResourceLimit
 from fqtcount.families import (
     FamilySpec,
@@ -166,6 +166,19 @@ def test_arith_cap_holds_whether_or_not_the_table_is_cached(monkeypatch):
     with pytest.raises(ResourceLimit, match="exceeds cap 5"):
         count_arith(field, 1, m, 8, cap=5)
     assert count_arith(field, 1, m, 8, cap=9).values == uncapped.values
+
+
+def test_arith_cap_holds_from_cold_caches(monkeypatch):
+    # a cap of 9 covers the table's degree-2 enumeration; factoring the
+    # modulus for _group_ring_fits is not an enumeration and keeps the
+    # default cap, so an empty plan cache does not change the answer
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
+    monkeypatch.setattr(ffield, "_IRR_CACHE", {})
+    primecounts._group_ring_fits.cache_clear()
+    field, m = field_for_order(3), MonicPoly((1, 2, 0, 1))
+    capped = count_arith(field, 1, m, 8, cap=9)
+    assert capped.values == count_arith(field, 1, m, 8).values
 
 
 def test_divisors_against_dp_oracle():

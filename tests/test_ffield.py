@@ -444,6 +444,8 @@ def test_remainder_plan_over_cap_raises(monkeypatch):
         ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1)), cap=1000)
     assert (field, 6) not in ffield._PLAN_CACHE
     assert ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1)), cap=2000).factors
+    with pytest.raises(ResourceLimit):  # the cached plan answers to the cap as well
+        ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1)), cap=1000)
 
 
 def test_corrupted_plan_fails_the_exact_quotient_guard(monkeypatch):

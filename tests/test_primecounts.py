@@ -178,7 +178,7 @@ def test_pi_arith_paths_match_trial_division(monkeypatch, group_ring):
     cache = {}
     monkeypatch.setattr(primecounts, "_ARITH_CACHE", cache)
     if not group_ring:
-        monkeypatch.setattr(primecounts, "_group_ring_fits", lambda field, m, cap=None: False)
+        monkeypatch.setattr(primecounts, "_group_ring_fits", lambda field, m: False)
     for n in range(1, 6):
         per_class = {}
         for f in trial_division_primes(field, n):
@@ -205,18 +205,12 @@ def test_pi_arith_enumerates_past_the_unit_group_limit():
             assert pi_arith(field, n, prime.coeffs[:-1] + (2,), m) == 0
 
 
-def _cap_below_degree_4(monkeypatch):
-    """FQT_CAP=50 (below 3^4) and empty prime and plan caches, so each step runs under the cap."""
-    monkeypatch.setenv("FQT_CAP", "50")
-    monkeypatch.setattr(ffield, "_IRR_CACHE", {})
-    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
-
-
 def test_pi_arith_enumeration_takes_the_callers_cap(monkeypatch):
     # T^8+T^6+T^5+1 over F_3 has too many units for the group ring, so
-    # degree-4 classes are counted by enumerating the degree-4 primes;
-    # a caller's cap above FQT_CAP reaches that enumeration and its
-    # remainder plan (5 x 48 digits)
+    # degree-4 classes are counted by enumerating the degree-4 primes,
+    # within the caller's cap: 3^4 polynomials and a 5 x 48 digit
+    # remainder plan.  Under FQT_CAP=50 with cold prime and plan caches,
+    # the default cap stops it and cap=1000 lets it through.
     field = field_for_order(3)
     m = MonicPoly((1, 0, 0, 0, 0, 1, 1, 0, 1))
     primes = trial_division_primes(field, 4)
@@ -224,25 +218,18 @@ def test_pi_arith_enumeration_takes_the_callers_cap(monkeypatch):
     for f in primes:
         rem = ffield.poly_mod_general(field, f.coeffs, m.coeffs)
         per_class[rem] = per_class.get(rem, 0) + 1
-    _cap_below_degree_4(monkeypatch)
-    # _group_ring_fits is lru_cached: force its known answer
-    monkeypatch.setattr(primecounts, "_group_ring_fits", lambda field, m, cap=None: False)
+    monkeypatch.setenv("FQT_CAP", "50")
+    monkeypatch.setattr(ffield, "_IRR_CACHE", {})
+    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
+    # factoring m for _group_ring_fits takes the default cap: force its answer
+    monkeypatch.setattr(primecounts, "_group_ring_fits", lambda field, m: False)
     with pytest.raises(ResourceLimit):
         pi_arith(field, 4, (1,), m)
     for a in ((1,), primes[0].coeffs, primes[-1].coeffs):
         assert pi_arith(field, 4, a, m, cap=1000) == per_class.get(a, 0)
-
-
-def test_unit_count_takes_the_callers_cap(monkeypatch):
-    # factoring m (degree 8) needs a 9 x 456 digit remainder plan
-    field = field_for_order(3)
-    m = MonicPoly((1, 0, 0, 0, 0, 1, 1, 0, 1))
-    _cap_below_degree_4(monkeypatch)
-    with pytest.raises(ResourceLimit):
-        phi_m(field, m)
-    assert phi_m(field, m, cap=5000) == 6560
-    primecounts._group_ring_fits.cache_clear()
-    assert not primecounts._group_ring_fits(field, m, 5000)
+    # with the primes cached, a cap below their plan still stops the call
+    with pytest.raises(ResourceLimit, match="remainder plan of degree 4"):
+        pi_arith(field, 4, (1,), m, cap=100)
 
 
 def test_pi_arith_rejects_bad_residue():
