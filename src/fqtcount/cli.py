@@ -9,7 +9,9 @@ strings because they outgrow 64-bit integers quickly.
 
 Exit codes: 0 success, 1 internal mismatch (an oracle disagreement, a
 failed verification check, or an exact ratio outside its certified
-enclosure), 2 parameter errors, 3 resource cap exceeded.
+enclosure), 2 parameter errors, 3 resource cap exceeded: an enumeration
+of more than ``--cap`` (else ``FQT_CAP``, else 10^8) polynomials of one
+degree, or a table over its fixed limit (factoring has its own).
 
 Polynomials on the command line use the grammar ``T^2+2T+1``: terms
 joined by ``+`` or ``-``, each a coefficient code in 0..q-1 times an
@@ -55,6 +57,9 @@ from .primecounts import LPolynomial
 from .verify import SUITES, run_all, run_suite
 
 _EXACT_COMPARISON_LIMIT = 400
+
+_CAP_HELP = ("most monic polynomials of one degree (q^n) an enumeration may list "
+             "(default FQT_CAP, else 10^8); factoring has its own fixed limit")
 
 _CONSTANT_NAMES = ("kq", "cq1", "cq2", "cq3", "cq", "cqprime", "cam")
 
@@ -119,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check each feasible row against exhaustive enumeration",
     )
-    p_count.add_argument("--cap", type=int, help="enumeration budget override")
+    p_count.add_argument("--cap", type=int, help=_CAP_HELP)
     _add_output_flags(p_count)
     p_count.set_defaults(func=cmd_count)
 
@@ -148,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
              "constant, available from the Python API)",
     )
     p_est.add_argument("--digits", type=int, default=30, help="target precision")
-    p_est.add_argument("--cap", type=int, help="enumeration budget override")
+    p_est.add_argument("--cap", type=int, help=_CAP_HELP)
     _add_output_flags(p_est)
     p_est.set_defaults(func=cmd_estimate)
 
@@ -157,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=SUITES, help="run one suite (default: all of them)"
     )
     p_ver.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p_ver.add_argument("--cap", type=int, help="enumeration budget override")
     p_ver.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
@@ -413,9 +417,9 @@ def cmd_estimate(args) -> tuple[str, int]:
 
 def cmd_verify(args) -> tuple[str, int]:
     if args.suite is None:
-        reports = run_all(seed=args.seed, cap=args.cap)
+        reports = run_all(seed=args.seed)
     else:
-        reports = [run_suite(args.suite, seed=args.seed, cap=args.cap)]
+        reports = [run_suite(args.suite, seed=args.seed)]
     code = 0 if all(rep.ok for rep in reports) else 1
     if args.format == "json":
         payload = [

@@ -50,7 +50,7 @@ from .asymptotics import (_PAD, GUARD_BITS, EstimatorSpec, _atilde_sum, _to_mpf,
 from .errors import EvenCharacteristic
 from .families import FamilySpec
 from .ffield import FieldSpec, MonicPoly, field_for_order
-from .primecounts import CHI2_MINUS, psi_chi2
+from .primecounts import CHI2_MINUS, _residue_coeffs, psi_chi2
 from .series import g_from_psi
 
 
@@ -335,7 +335,7 @@ def constant_Cam(field: FieldSpec, a, m: MonicPoly, digits: int = 30
     if field != field_for_order(field.q):
         raise ValueError("the progression family uses the default field modulus")
     spec = FamilySpec(families.FAMILY_ARITH, q=field.q, m=m.coeffs,
-                      a=families._coeffs_of(field, a))
+                      a=_residue_coeffs(field, a))
     est = estimator_for(spec)
     with mpmath.workdps(digits + 15):
         N = _series_terms(field.q, digits, half=True)

@@ -44,6 +44,7 @@ from .primecounts import (
     LPolynomial,
     _class_count,
     _residue_code,
+    _residue_coeffs,
     _unit_residue,
     phi_m,
     pi_K,
@@ -337,20 +338,13 @@ def count_divisors(L: LPolynomial, r: int, ell: int | None, N: int) -> CountTabl
 
 def count_arith(field: FieldSpec, a, m: MonicPoly, N: int,
                 cap: int | None = None) -> CountTable:
-    """Monic polynomials all of whose prime factors are congruent to a mod m."""
-    a_coeffs = _coeffs_of(field, a)
-    spec = FamilySpec(FAMILY_ARITH, q=field.q, m=m.coeffs, a=a_coeffs)
+    """Monic polynomials all of whose prime factors are congruent to a mod m.
+
+    a is a MonicPoly, a coefficient tuple or a field element code, as in
+    pi_arith.
+    """
+    spec = FamilySpec(FAMILY_ARITH, q=field.q, m=m.coeffs, a=_residue_coeffs(field, a))
     return count_table(spec, N, cap=cap)
-
-
-def _coeffs_of(field: FieldSpec, a) -> tuple[int, ...]:
-    if isinstance(a, MonicPoly):
-        return a.coeffs
-    if isinstance(a, tuple):
-        return a
-    if isinstance(a, int):
-        return ffield.coeffs_of_code(field, a)
-    raise TypeError("residue must be a MonicPoly, coefficient tuple or code")
 
 
 # -- the log-coefficients --------------------------------------------
@@ -518,13 +512,12 @@ def membership_rule(field: FieldSpec, spec: FamilySpec) -> MembershipRule:
     return MembershipRule((spec.family,), lambda primes: primes.prime_deg % 2 == 0, passes)
 
 
-def membership_oracle(field: FieldSpec, f: MonicPoly, spec: FamilySpec,
-                      cap: int | None = None) -> bool:
+def membership_oracle(field: FieldSpec, f: MonicPoly, spec: FamilySpec) -> bool:
     """Decide membership of f from its factorization."""
     is_member = membership_test(field, spec)
     if f.degree == 0:
         return True
-    return is_member(ffield.factor(field, f, cap=cap))
+    return is_member(ffield.factor(field, f))
 
 
 def membership_test(field: FieldSpec, spec: FamilySpec):
@@ -550,7 +543,7 @@ def oracle_count(field: FieldSpec, spec: FamilySpec, degree: int,
     if method == "scalar":
         is_member = membership_test(field, spec)
         polys = ffield.enumerate_monic(field, degree, cap=cap)
-        return sum(map(is_member, ffield.factor_many(field, polys, cap=cap)))
+        return sum(map(is_member, ffield.factor_many(field, polys)))
     if method != "sieve":
         raise ValueError("method must be 'sieve' or 'scalar'")
     return universe.get_universe(field, degree, cap=cap).count(rule, degree)

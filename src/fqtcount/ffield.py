@@ -27,6 +27,13 @@ Enumeration, factorization and the quadratic character chi2 (the
 character modulo T) live here; they are the substrate for the
 brute-force oracles in the rest of the package.
 
+The enumeration cap bounds the q^n monic polynomials of one degree that
+a call enumerates.  check_cap reads it live (the caller's cap, else
+FQT_CAP, else 10^8) at the entry of every enumeration, before any cache
+(here, in universe and in primecounts' class table), so a capped call
+answers the same warm or cold.  Factoring enumerates nothing: its
+remainder plan has the fixed limit _MAX_PLAN_DIGITS instead.
+
 Factoring runs one remainder product per degree (the linear algebra
 behind Berlekamp, Bell Syst. Tech. J. 46, 1967): f -> f mod P^e is
 F_p-linear in the base-p digits of f's coefficients.  The remainder
@@ -75,6 +82,9 @@ DEFAULT_CAP = 10**8
 # Largest q for which elementwise add/mul tables are built (q*q entries);
 # scalar arithmetic in a prime field needs none.
 _MAX_TABLE_Q = 4096
+
+# Largest remainder plan (rows x columns digits) that factoring builds
+_MAX_PLAN_DIGITS = 10**8
 
 
 def default_cap() -> int:
@@ -427,8 +437,6 @@ def irreducibles(field: FieldSpec, n: int, cap: int | None = None) -> tuple[Moni
     if n < 1:
         raise ValueError("irreducibles have degree >= 1")
     check_cap(field, n, cap)
-    if n > 1:
-        _check_plan_cap(field, n, cap)
     key = (field, n)
     cached = _IRR_CACHE.get(key)
     if cached is not None:
@@ -437,7 +445,7 @@ def irreducibles(field: FieldSpec, n: int, cap: int | None = None) -> tuple[Moni
     if n == 1:
         result = tuple(polys)
     else:
-        plan = _remainder_plan(field, n, cap)
+        plan = _remainder_plan(field, n)
         result = tuple(
             polys[lo + i]
             for lo, mult in _multiplicity_chunks(field, plan, polys)
@@ -465,15 +473,15 @@ class _RemainderPlan(NamedTuple):
     matrix: np.ndarray
 
 
-def _remainder_plan(field: FieldSpec, n: int, cap: int | None = None) -> _RemainderPlan:
+def _remainder_plan(field: FieldSpec, n: int) -> _RemainderPlan:
     """The remainder plan of degree n (cached by field and degree).
 
     Each prime power P^e is formed by poly_mul, as the enumeration sieve
     forms its prime powers, and its block is the _digit_rows of the
-    scalar rows x^j mod P^e (_powers_of_x_mod).  The cap is checked
-    before the cache, as in irreducibles.
+    scalar rows x^j mod P^e (_powers_of_x_mod).  The size is checked
+    before the cache, so a cached plan answers to _MAX_PLAN_DIGITS too.
     """
-    rows, cols = _check_plan_cap(field, n, cap)
+    rows, cols = _check_plan_size(field, n)
     key = (field, n)
     plan = _PLAN_CACHE.get(key)
     if plan is not None:
@@ -484,7 +492,7 @@ def _remainder_plan(field: FieldSpec, n: int, cap: int | None = None) -> _Remain
     primes, powers, sections = [], [], []
     start = 0
     for d in range(1, n // 2 + 1):
-        by_prime = irreducibles(field, d, cap)
+        by_prime = irreducibles(field, d, _MAX_PLAN_DIGITS)
         for P in by_prime:
             power, by_power = (1,), []
             for e in range(1, n // d + 1):
@@ -501,23 +509,22 @@ def _remainder_plan(field: FieldSpec, n: int, cap: int | None = None) -> _Remain
     return plan
 
 
-def _check_plan_cap(field: FieldSpec, n: int, cap: int | None = None) -> tuple[int, int]:
+def _check_plan_size(field: FieldSpec, n: int) -> tuple[int, int]:
     """The (rows, cols) of the remainder plan of degree n; ResourceLimit if
-    its digits exceed the cap.
+    its digits exceed _MAX_PLAN_DIGITS.
 
     The plan has at least as many digits as every plan of lower degree
     and more than q^d for each d <= n/2, so the irreducibles and plans it
-    is built from pass the same cap: which of them are cached does not
+    is built from pass the same limit: which of them are cached does not
     change the answer.
     """
     from .primecounts import pi_q  # primecounts imports this module
 
-    cap = default_cap() if cap is None else cap
     rows = _digit_count(field, n)
     cols = sum(_section_width(field, n, d) * pi_q(field.q, d) for d in range(1, n // 2 + 1))
-    if rows * cols > cap:
+    if rows * cols > _MAX_PLAN_DIGITS:
         raise ResourceLimit(f"remainder plan of degree {n} over {field} has "
-                            f"{rows} x {cols} digits, over cap {cap}")
+                            f"{rows} x {cols} digits, over the limit {_MAX_PLAN_DIGITS}")
     return rows, cols
 
 
@@ -527,14 +534,15 @@ def _section_width(field: FieldSpec, n: int, d: int) -> int:
     return d * field.k * top * (top + 1) // 2
 
 
-def _powers_of_x_mod(field: FieldSpec, modulus: tuple[int, ...], n: int) -> np.ndarray:
-    """x^j mod a monic modulus M for j = 0..n, as element-code rows deg M wide.
+def _powers_of_x_mod(field: FieldSpec, modulus: tuple[int, ...], n: int,
+                     r: tuple[int, ...] = (1,)) -> np.ndarray:
+    """x^j r mod a monic modulus M for j = 0..n (r of degree < deg M, by
+    default 1), as element-code rows deg M wide.
 
     r_{j+1} = x r_j mod M, one shift and one division step per j.
     """
     p, t = field.p, _ext_tables(field)
     out = np.zeros((n + 1, len(modulus) - 1), dtype=np.int64)
-    r = (1,)
     for j in range(n + 1):
         out[j, : len(r)] = r
         r = _divmod(p, t, (0,) + r, modulus)[1]
@@ -578,7 +586,7 @@ def _multiplicity_chunks(field: FieldSpec, plan: _RemainderPlan, polys: list[Mon
         yield lo, mult
 
 
-def factor_many(field: FieldSpec, polys, cap: int | None = None) -> list[Factorization]:
+def factor_many(field: FieldSpec, polys) -> list[Factorization]:
     """Canonical factorizations of monic polynomials of one degree n >= 1.
 
     One digit product against the remainder plan of degree n gives the
@@ -596,7 +604,7 @@ def factor_many(field: FieldSpec, polys, cap: int | None = None) -> list[Factori
         raise ValueError("factor_many needs polynomials of one degree")
     if n < 1:
         raise ValueError("factor requires degree >= 1")
-    plan = _remainder_plan(field, n, cap)
+    plan = _remainder_plan(field, n)
     p, t = field.p, _ext_tables(field)
     # multiplicity row -> its sorted factors, their product and their Factorization
     by_row: dict[bytes, tuple] = {}
@@ -648,9 +656,9 @@ def _small_part(field: FieldSpec, plan: _RemainderPlan, pairs: tuple, memo: dict
     return part
 
 
-def factor(field: FieldSpec, f: MonicPoly, cap: int | None = None) -> Factorization:
+def factor(field: FieldSpec, f: MonicPoly) -> Factorization:
     """Canonical factorization of a monic polynomial of degree >= 1."""
-    return factor_many(field, [f], cap)[0]
+    return factor_many(field, [f])[0]
 
 
 def chi2(field: FieldSpec, f: MonicPoly) -> int:

@@ -18,7 +18,6 @@ Four kinds of counts, all exact integers:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -208,18 +207,23 @@ def phi_m(field: FieldSpec, m: MonicPoly) -> int:
     return total
 
 
-def _residue_code(field: FieldSpec, a, m: MonicPoly) -> int:
-    """Reduce a (MonicPoly, coefficient tuple, or element code) mod m."""
+def _residue_coeffs(field: FieldSpec, a) -> tuple[int, ...]:
+    """The coefficients of a residue: a MonicPoly, a coefficient tuple, or
+    an int, which is a field element code (the constant polynomial a)."""
     if isinstance(a, MonicPoly):
-        coeffs = a.coeffs
-    elif isinstance(a, tuple):
-        coeffs = a
-    elif isinstance(a, int):
+        return a.coeffs
+    if isinstance(a, tuple):
+        return a
+    if isinstance(a, int):
         if not 0 <= a < field.q:
             raise ValueError("integer residue must be a field element code")
-        coeffs = (a,)
-    else:
-        raise TypeError("residue must be a polynomial, coefficient tuple, or code")
+        return (a,)
+    raise TypeError("residue must be a polynomial, coefficient tuple, or code")
+
+
+def _residue_code(field: FieldSpec, a, m: MonicPoly) -> int:
+    """Reduce a residue (see _residue_coeffs) mod m."""
+    coeffs = _residue_coeffs(field, a)
     return ffield.code_of(field, ffield.poly_mod_general(field, coeffs, m.coeffs))
 
 
@@ -251,51 +255,48 @@ class _ResidueGroup:
         self.index = {code: i for i, code in enumerate(codes)}
         self._pow_maps: dict[int, np.ndarray] = {}
 
-    def _reduce_product(self, code_a: int, code_b: int) -> int:
-        field = self.field
-        prod = ffield.poly_mul(
-            field,
-            ffield.coeffs_of_code(field, code_a),
-            ffield.coeffs_of_code(field, code_b),
-        )
-        return ffield.code_of(field, ffield.poly_mod_general(field, prod, self.m.coeffs))
-
     @cached_property
     def mul_index(self) -> np.ndarray:
+        """Index of the product of units i and j, at [i, j].
+
+        Multiplication by a unit a is F_p-linear in the base-p digits of
+        a residue code, with digit rows Y^s x^j a mod m (as in ffield's
+        remainder plan), so row i is one digit product over every unit.
+        """
+        field, d, p = self.field, self.m.degree, self.field.p
+        p_pows = p ** np.arange(ffield._digit_count(field, d - 1), dtype=np.int64)
+        dtype = ffield._digit_dtype(field, d - 1)
+        codes = np.array(self.codes, dtype=np.int64)
+        units = (codes[:, None] // p_pows % p).astype(dtype)
+        position = np.zeros(field.q**d, dtype=np.int32)
+        position[codes] = np.arange(self.order)
         table = np.empty((self.order, self.order), dtype=np.int32)
         for i, a in enumerate(self.codes):
-            for j, b in enumerate(self.codes):
-                if j < i:
-                    table[i, j] = table[j, i]
-                else:
-                    table[i, j] = self.index[self._reduce_product(a, b)]
+            rows = ffield._powers_of_x_mod(field, self.m.coeffs, d - 1,
+                                           ffield.coeffs_of_code(field, a))
+            prod = (units @ ffield._digit_rows(field, rows).astype(dtype)).astype(np.int64)
+            table[i] = position[prod % p @ p_pows]
         return table
 
     def pow_map(self, k: int) -> np.ndarray:
         """Index array sending each unit to its k-th power.
 
         x^|G| = 1 for every unit x (Lagrange), so k is reduced mod the
-        group order first.  A composite k = a*b reuses cached maps,
-        x^(ab) = (x^b)^a, so only prime k <= |G| multiply residues.
+        group order first; square-and-multiply then runs on whole index
+        arrays through mul_index.
         """
         k %= self.order
         cached = self._pow_maps.get(k)
         if cached is not None:
             return cached
-        a = next((d for d in range(2, math.isqrt(k) + 1) if k % d == 0), k)
-        if 1 < a < k:
-            out = self.pow_map(a)[self.pow_map(k // a)]
-        else:
-            out = np.empty(self.order, dtype=np.int32)
-            for i, code in enumerate(self.codes):
-                acc, base, e = 1, code, k
-                while e:
-                    if e & 1:
-                        acc = self._reduce_product(acc, base)
-                    e >>= 1
-                    if e:
-                        base = self._reduce_product(base, base)
-                out[i] = self.index[acc]
+        table = self.mul_index
+        out = np.full(self.order, self.index[1], dtype=np.int32)
+        base, e = np.arange(self.order, dtype=np.int32), k
+        while e:
+            if e & 1:
+                out = table[out, base]
+            base = table[base, base]
+            e >>= 1
         self._pow_maps[k] = out
         return out
 
@@ -444,7 +445,7 @@ def pi_arith(field: FieldSpec, n: int, a, m: MonicPoly, cap: int | None = None) 
     The exact group-ring recurrence (_ArithTable, any n) runs when the
     residue ring and its unit group fit its limits (_group_ring_fits);
     otherwise the degree-n irreducibles are enumerated, which needs q^n
-    and the remainder plan of degree n within the cap.
+    within the cap (and the remainder plan of degree n within its limit).
     """
     if n < 1:
         raise ValueError("degree must be positive")

@@ -98,10 +98,6 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs at least the constant term")
         return cls(coeffs)
 
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs((1,), order)
-
     def coefficient(self, n: int):
         return self.coeffs[n]
 

@@ -62,6 +62,10 @@ Residues mod m (for the progression family) use the remainder plan's
 map as well: f -> f mod m is F_p-linear in f's digits, with digit rows
 Y^s x^j mod m (the scalar rows x^j mod m from _powers_of_x_mod, spread
 into digits by _digit_rows), so one product reduces every prime at once.
+
+One Universe per field is shared (get_universe) and only grows.
+extend_to checks the requested degree against the live enumeration cap
+(ffield.check_cap) even when it is built already; no cap is stored.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ffield
-from .errors import EvenCharacteristic, ResourceLimit
+from .errors import EvenCharacteristic
 from .ffield import (
     FieldSpec,
     MonicPoly,
@@ -162,7 +166,6 @@ class Universe:
 
     def __init__(self, field: FieldSpec, max_degree: int, cap: int | None = None):
         self.field = field
-        self.cap = ffield.default_cap() if cap is None else cap
         self.max_degree = 0
         # per degree d >= 1, arrays of length q^d
         self.spf_gid: list[np.ndarray] = [np.empty(0, np.int32)]
@@ -175,16 +178,14 @@ class Universe:
         self._chi = None
         self._residues: dict[tuple, np.ndarray] = {}
         self._masks: dict[tuple, list[np.ndarray]] = {}  # views into one flat buffer
-        self.extend_to(max_degree)
+        self.extend_to(max_degree, cap)
 
     # -- construction -------------------------------------------------
 
-    def extend_to(self, max_degree: int) -> None:
-        q = self.field.q
-        if q**max_degree > self.cap:
-            raise ResourceLimit(
-                f"universe of degree {max_degree} over F_{q} exceeds cap {self.cap}"
-            )
+    def extend_to(self, max_degree: int, cap: int | None = None) -> None:
+        """Build the degrees up to max_degree; its q^max_degree polynomials
+        are checked against the cap even when they are built already."""
+        ffield.check_cap(self.field, max_degree, cap)
         for d in range(self.max_degree + 1, max_degree + 1):
             self._build_degree(d)
         self.max_degree = max(self.max_degree, max_degree)
@@ -335,24 +336,15 @@ _UNIVERSE_CACHE: dict[tuple, Universe] = {}
 
 
 def get_universe(field: FieldSpec, max_degree: int, cap: int | None = None) -> Universe:
-    """A shared Universe for the field, grown on demand.
+    """The shared Universe for the field, grown on demand to max_degree.
 
-    An explicit cap limits how much work this call may trigger; it is
-    not stored, so one small-budget caller never shrinks the shared
-    instance for everyone else.  Data that is already built is returned
-    regardless of cap, since no new work is involved.
+    extend_to checks the cap on every call, warm or cold; the cap is not
+    stored, so one caller's cap never limits another's.
     """
     key = (field.p, field.k, field.modulus)
     uni = _UNIVERSE_CACHE.get(key)
-    if uni is not None and max_degree <= uni.max_degree:
-        return uni
-    if cap is not None and field.q**max_degree > cap:
-        raise ResourceLimit(
-            f"universe of degree {max_degree} over F_{field.q} exceeds cap {cap}"
-        )
     if uni is None:
-        uni = Universe(field, max_degree)
-        _UNIVERSE_CACHE[key] = uni
+        uni = _UNIVERSE_CACHE[key] = Universe(field, max_degree, cap)
     else:
-        uni.extend_to(max_degree)
+        uni.extend_to(max_degree, cap)
     return uni

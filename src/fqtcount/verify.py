@@ -73,7 +73,7 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
 # -- oracle suite ----------------------------------------------------
 
 
-def _oracle_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
+def _oracle_checks(rng: random.Random) -> list[CheckResult]:
     out = []
     # sieve versus generating function for the F_q[T] families
     plans = [
@@ -107,7 +107,7 @@ def _oracle_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
     field = field_for_order(3)
     fam = FamilySpec(families.FAMILY_LANDAU, q=3)
     deg = rng.randint(3, 5)
-    polys = enumerate_monic(field, deg, cap=cap)
+    polys = enumerate_monic(field, deg)
     is_member = families.membership_test(field, fam)
     good = all(
         families.rep_search_membership(field, f) == is_member(fac)
@@ -129,7 +129,7 @@ def _oracle_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
 # -- identities suite ------------------------------------------------
 
 
-def _identity_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
+def _identity_checks(rng: random.Random) -> list[CheckResult]:
     out = []
     # Moebius roundtrip psi <-> g on random generator counts
     N = 12
@@ -154,8 +154,8 @@ def _identity_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
     good = True
     for _ in range(40):
         da, db = rng.randint(1, 3), rng.randint(1, 3)
-        fa = rng.choice(list(enumerate_monic(field, da, cap=cap)))
-        fb = rng.choice(list(enumerate_monic(field, db, cap=cap)))
+        fa = rng.choice(list(enumerate_monic(field, da)))
+        fb = rng.choice(list(enumerate_monic(field, db)))
         prod = MonicPoly(poly_mul(field, fa.coeffs, fb.coeffs))
         if chi2(field, prod) != chi2(field, fa) * chi2(field, fb):
             good = False
@@ -215,7 +215,7 @@ def _identity_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
 # -- bounds suite ----------------------------------------------------
 
 
-def _bounds_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
+def _bounds_checks(rng: random.Random) -> list[CheckResult]:
     out = []
     # displacement envelopes for the quadratic-form family
     good = True
@@ -313,7 +313,7 @@ def _bounds_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
 # -- constants suite -------------------------------------------------
 
 
-def _constants_checks(rng: random.Random, cap: int | None) -> list[CheckResult]:
+def _constants_checks(rng: random.Random) -> list[CheckResult]:
     out = []
     k3 = cst.constant_Kq(3, 20)
     out.append(_result("quadratic-constant-consensus", k3.agreement(),
@@ -362,15 +362,14 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(suite: str, seed: int = 0, cap: int | None = None) -> SuiteReport:
+def run_suite(suite: str, seed: int = 0) -> SuiteReport:
     """Run one named suite and return its deterministic report."""
     if suite not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    rng = random.Random(seed)
-    results = _SUITE_FUNCS[suite](rng, cap)
+    results = _SUITE_FUNCS[suite](random.Random(seed))
     return SuiteReport(suite, seed, tuple(results))
 
 
-def run_all(seed: int = 0, cap: int | None = None) -> list[SuiteReport]:
+def run_all(seed: int = 0) -> list[SuiteReport]:
     """All suites in canonical order, each with its own seeded stream."""
-    return [run_suite(s, seed, cap) for s in SUITES]
+    return [run_suite(s, seed) for s in SUITES]

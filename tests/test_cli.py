@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 import fqtcount
-from fqtcount import cli
+from fqtcount import cli, ffield, primecounts
 from fqtcount.cli import main
 
 
@@ -40,6 +40,28 @@ def test_count_arith_with_a_large_unit_group_enumerates(capsys):
     )
     assert code == 0, err
     assert json.loads(out)["values"] == {str(n): "1" if n == 0 else "0" for n in range(7)}
+
+
+def test_count_arith_cap_bounds_enumeration_not_factoring(capsys, monkeypatch):
+    # --cap 5000 covers the 3^4 degree-4 enumeration; factoring m for phi(m)
+    # needs a 9 x 456 digit remainder plan and answers to neither cap
+    argv = ("count", "arith", "--q", "3", "--m", "T^8+T^6+T^5+1", "--a", "1",
+            "--max-n", "4")
+    code, uncapped, err = run(capsys, *argv)
+    assert code == 0, err
+    monkeypatch.setenv("FQT_CAP", "50")
+    monkeypatch.setattr(ffield, "_IRR_CACHE", {})
+    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
+    primecounts._group_ring_fits.cache_clear()
+    code, out, err = run(capsys, *argv, "--cap", "5000")
+    assert code == 0, err
+    assert out == uncapped
+
+
+def test_verify_takes_no_cap(capsys):
+    code, out, err = run(capsys, "verify", "--cap", "5")
+    assert code == 2
+    assert "--cap" in err
 
 
 def test_count_csv_columns(capsys):

@@ -440,12 +440,15 @@ def test_remainder_plan_over_cap_raises(monkeypatch):
     field = field_for_order(3)
     monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
     # 7 digit rows x 171 block columns > 1000, while 3^3 <= 1000
-    with pytest.raises(ResourceLimit):
-        ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1)), cap=1000)
+    monkeypatch.setattr(ffield, "_MAX_PLAN_DIGITS", 1000)
+    with pytest.raises(ResourceLimit, match="over the limit 1000"):
+        ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1)))
     assert (field, 6) not in ffield._PLAN_CACHE
-    assert ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1)), cap=2000).factors
-    with pytest.raises(ResourceLimit):  # the cached plan answers to the cap as well
-        ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1)), cap=1000)
+    monkeypatch.setattr(ffield, "_MAX_PLAN_DIGITS", 2000)
+    assert ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1))).factors
+    monkeypatch.setattr(ffield, "_MAX_PLAN_DIGITS", 1000)
+    with pytest.raises(ResourceLimit):  # the cached plan answers to the limit as well
+        ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1)))
 
 
 def test_corrupted_plan_fails_the_exact_quotient_guard(monkeypatch):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fqtcount import ffield, primecounts
+from fqtcount.constants import constant_Cam
 from fqtcount.errors import NotCoprime, ResourceLimit, RHViolation
+from fqtcount.families import count_arith
 from fqtcount.ffield import MonicPoly, chi2, field_for_order
 from fqtcount.primecounts import (
     CHI2_MINUS,
@@ -18,7 +20,7 @@ from fqtcount.primecounts import (
     psi_chi2,
     progression_gap_squared,
 )
-from trial_division import trial_division_primes
+from trial_division import trial_division_factor, trial_division_primes
 
 
 def test_pi_q_against_brute_force():
@@ -207,10 +209,10 @@ def test_pi_arith_enumerates_past_the_unit_group_limit():
 
 def test_pi_arith_enumeration_takes_the_callers_cap(monkeypatch):
     # T^8+T^6+T^5+1 over F_3 has too many units for the group ring, so
-    # degree-4 classes are counted by enumerating the degree-4 primes,
-    # within the caller's cap: 3^4 polynomials and a 5 x 48 digit
-    # remainder plan.  Under FQT_CAP=50 with cold prime and plan caches,
-    # the default cap stops it and cap=1000 lets it through.
+    # degree-4 classes are counted by enumerating the 3^4 degree-4
+    # polynomials, within the caller's cap.  Under FQT_CAP=50 with cold
+    # prime and plan caches, the default cap stops it and cap=1000 lets
+    # it through; factoring m for _group_ring_fits answers to no cap.
     field = field_for_order(3)
     m = MonicPoly((1, 0, 0, 0, 0, 1, 1, 0, 1))
     primes = trial_division_primes(field, 4)
@@ -221,15 +223,37 @@ def test_pi_arith_enumeration_takes_the_callers_cap(monkeypatch):
     monkeypatch.setenv("FQT_CAP", "50")
     monkeypatch.setattr(ffield, "_IRR_CACHE", {})
     monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
-    # factoring m for _group_ring_fits takes the default cap: force its answer
-    monkeypatch.setattr(primecounts, "_group_ring_fits", lambda field, m: False)
     with pytest.raises(ResourceLimit):
         pi_arith(field, 4, (1,), m)
     for a in ((1,), primes[0].coeffs, primes[-1].coeffs):
         assert pi_arith(field, 4, a, m, cap=1000) == per_class.get(a, 0)
-    # with the primes cached, a cap below their plan still stops the call
-    with pytest.raises(ResourceLimit, match="remainder plan of degree 4"):
-        pi_arith(field, 4, (1,), m, cap=100)
+    # with the primes cached, a cap below 3^4 still stops the call
+    with pytest.raises(ResourceLimit, match="exceeds cap 80"):
+        pi_arith(field, 4, (1,), m, cap=80)
+
+
+def test_phi_m_answers_to_no_enumeration_cap(monkeypatch):
+    # factoring m needs a 9 x 456 digit remainder plan, far over FQT_CAP=50
+    field = field_for_order(3)
+    m = MonicPoly((1, 0, 0, 0, 0, 1, 1, 0, 1))
+    expected = 1
+    for prime, mult in trial_division_factor(field, m).factors:
+        expected *= 3 ** (prime.degree * mult) - 3 ** (prime.degree * (mult - 1))
+    monkeypatch.setenv("FQT_CAP", "50")
+    monkeypatch.setattr(ffield, "_IRR_CACHE", {})
+    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
+    assert phi_m(field, m) == expected == 6560
+
+
+def test_integer_residue_is_an_element_code_everywhere():
+    # 5 is not an element of F_3; no entry point reads it as the code of T+2
+    field, m = field_for_order(3), MonicPoly((1, 0, 1))
+    for call in (lambda: pi_arith(field, 2, 5, m),
+                 lambda: count_arith(field, 5, m, 4),
+                 lambda: constant_Cam(field, 5, m, 10)):
+        with pytest.raises(ValueError, match="integer residue must be a field element code"):
+            call()
+    assert count_arith(field, 2, m, 4).values == count_arith(field, (2,), m, 4).values
 
 
 def test_pi_arith_rejects_bad_residue():
@@ -256,6 +280,14 @@ def test_pi_q_small_values():
     assert pi_q(2, 4) == 3
 
 
+def _residue_product(group, code_a, code_b):
+    """Scalar reference: the code of a*b mod m, by poly_mul and poly_mod_general."""
+    field = group.field
+    prod = ffield.poly_mul(field, ffield.coeffs_of_code(field, code_a),
+                           ffield.coeffs_of_code(field, code_b))
+    return ffield.code_of(field, ffield.poly_mod_general(field, prod, group.m.coeffs))
+
+
 def test_pow_map_composite_from_cached_maps():
     from fqtcount.primecounts import _ResidueGroup
 
@@ -266,7 +298,7 @@ def test_pow_map_composite_from_cached_maps():
         for code in group.codes:
             acc = 1
             for _ in range(k):
-                acc = group._reduce_product(acc, code)
+                acc = _residue_product(group, acc, code)
             expected.append(group.index[acc])
         assert group.pow_map(k).tolist() == expected
     assert group.pow_map(12) is group.pow_map(12)
@@ -276,41 +308,27 @@ def test_pow_map_composite_from_cached_maps():
     (3, (0, 1, 1), 4),  # T(T+1) over F_3: C2 x C2
     (5, (0, 1, 1), 16),  # T(T+1) over F_5: C4 x C4
     (3, (1, 2, 0, 1), 26),  # irreducible: cyclic of order 26
+    (9, (3, 1), 8),  # T+3 over F_9: the field's own units
+    (4, (0, 0, 1), 12),  # T^2 over F_4: not square-free
 ])
-def test_pow_map_reduces_k_mod_the_group_order(monkeypatch, q, m, order):
+def test_pow_map_reduces_k_mod_the_group_order(q, m, order):
     from fqtcount.primecounts import _ResidueGroup
 
     group = _ResidueGroup(field_for_order(q), MonicPoly(m))
     assert group.order == order
-    expected = {}
+    assert group.mul_index.tolist() == [
+        [group.index[_residue_product(group, a, b)] for b in group.codes]
+        for a in group.codes]
     for k in range(3 * order + 6):
         row = []
         for code in group.codes:
             acc = 1
             for _ in range(k):
-                acc = group._reduce_product(acc, code)
+                acc = _residue_product(group, acc, code)
             row.append(group.index[acc])
-        expected[k] = row
-    # no pow_map(k) with k > |G| may multiply residues itself
-    active, reached = [], []
-    pow_map, reduce_product = _ResidueGroup.pow_map, _ResidueGroup._reduce_product
-
-    def tracked_pow_map(self, k):
-        active.append(k)
-        try:
-            return pow_map(self, k)
-        finally:
-            active.pop()
-
-    def tracked_reduce(self, a, b):
-        reached.append(active[-1])
-        return reduce_product(self, a, b)
-
-    monkeypatch.setattr(_ResidueGroup, "pow_map", tracked_pow_map)
-    monkeypatch.setattr(_ResidueGroup, "_reduce_product", tracked_reduce)
-    for k in range(3 * order + 6):
-        assert group.pow_map(k).tolist() == expected[k], k
-    assert reached and max(reached) <= order
+        assert group.pow_map(k).tolist() == row, k
+    # every k > |G| was served by the map of k mod |G|
+    assert sorted(group._pow_maps) == list(range(order))
 
 
 def quadratic_psi(table, n):

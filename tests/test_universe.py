@@ -171,7 +171,7 @@ def test_resource_cap_enforced():
 def test_small_cap_call_does_not_shrink_shared_universe():
     field = field_for_order(3)
     big = get_universe(field, 6)
-    # a tight budget is satisfied by already-built data without work
+    # a degree within a tight cap is served from the built data
     assert get_universe(field, 2, cap=10) is big
     # growth past the caller's budget is refused
     with pytest.raises(ResourceLimit):
@@ -180,6 +180,34 @@ def test_small_cap_call_does_not_shrink_shared_universe():
     after = get_universe(field, big.max_degree + 1)
     assert after is big
     assert after.max_degree >= 7
+
+
+def test_universe_answers_to_the_live_cap_warm_or_cold(monkeypatch):
+    field, landau = field_for_order(3), FamilySpec("landau", q=3)
+
+    def count(n, warm):
+        if not warm:
+            monkeypatch.setattr(universe, "_UNIVERSE_CACHE", {})
+        try:
+            return oracle_count(field, landau, n)
+        except ResourceLimit as exc:
+            assert "exceeds cap 50" in str(exc)
+            return None
+
+    for warm in (False, True):
+        # loosened after the build: a universe built under FQT_CAP=50
+        # keeps no cap, so degree 5 counts once the variable is gone
+        monkeypatch.setattr(universe, "_UNIVERSE_CACHE", {})
+        monkeypatch.setenv("FQT_CAP", "50")
+        assert count(3, warm) == 12
+        monkeypatch.delenv("FQT_CAP")
+        assert count(5, warm) == 84
+        # tightened after the build: degree 5 stops at 3^5 > 50 even
+        # though it is built, and degree 3 still counts
+        monkeypatch.setenv("FQT_CAP", "50")
+        assert count(5, warm) is None
+        assert count(3, warm) == 12
+        assert oracle_count(field, landau, 5, cap=243) == 84
 
 
 def test_landau_oracle_needs_odd_q():
