@@ -122,7 +122,7 @@ class FieldSpec:
         return f"F_{self.q}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonicPoly:
     """A monic polynomial in T: element codes low-to-high, leading 1."""
 
@@ -199,8 +199,9 @@ _TABLE_CACHE: dict[FieldSpec, _Tables] = {}
 _IRR_CACHE: dict[tuple[FieldSpec, int], tuple[MonicPoly, ...]] = {}
 _PLAN_CACHE: dict[tuple[FieldSpec, int], "_RemainderPlan"] = {}
 
-# factor_many multiplies digit rows by the plan in chunks of about this
-# many product entries, so its working memory does not grow with the batch
+# factor_many, and the sieve, residues and masks in universe, work in row
+# chunks of about this many entries, so their working memory does not grow
+# with the batch
 _CHUNK_ENTRIES = 1 << 17
 
 

@@ -24,12 +24,17 @@ writes P^e * h for h = 1 and for those h of degree d - e*deg P with
 spf_gid[h] > gid(P).  All of them have degree < d, so their tables are
 complete.  The slots left unwritten are the primes of degree d.
 Products are computed in base-p digit form, where multiplication by a
-fixed polynomial is a matrix product that BLAS batches over all
-selected cofactors at once, in float32 unless a digit sum could pass
-2^24 (_digit_dtype).  The digit helpers live in ffield, whose
-remainder plan builds its matrices with the same _digit_rows.
+fixed polynomial is a matrix product that BLAS batches over a row chunk
+of the selected cofactors, in float32 unless a digit sum could pass
+2^24 (_digit_dtype).  A chunk is gathered from the stored digits, cast,
+multiplied, reduced, encoded and scattered on its own
+(_product_indices); its digits and product each hold at most about
+ffield._CHUNK_ENTRIES entries, the rule factor_many sizes its chunks
+by, so the sieve's transient memory is one chunk, not q^(d-1) rows.
+The digit helpers live in ffield, whose remainder plan builds its
+matrices with the same _digit_rows.
 
-A product block stays in that float type until its target index
+A product chunk stays in that float type until its target index
 (_codes_of_products):
 
 * Reduce: each digit sum c becomes c - p * floor(c / p), in place, by
@@ -51,17 +56,27 @@ A product block stays in that float type until its target index
   d is (i // p^j) % p, each of 0..p-1 repeated p^j times in a cycle of
   p^(j+1) rows, so _monic_digits writes every column through a
   reshaped view without a division; the top k digits hold the leading
-  1.  Each degree's matrix is built once per _build_degree call.
+  1.  The digits are stored in the smallest unsigned type that holds
+  p - 1 (uint8 for p <= 256, uint16 to 65536, else uint32) and cast to
+  the float type one chunk at a time.  Each degree's matrix is built
+  once per _build_degree call and dropped with it.
+
+A cofactor index is below q^(d-1), so cof_idx is int32 whenever
+q^(d-1) <= 2^31 (_index_dtype), which the default cap of 10^8 always
+meets, and int64 past it.
 
 A rule's membership masks (masks) are kept per rule as views into one
-flat buffer.  When the universe grows (the oracles count n = 0, 1, ...
-in turn, one degree more each time), the computed degrees are copied
-into a longer buffer and only the new degrees are evaluated.
+flat buffer, and are evaluated only through the degree count asks for,
+in row chunks of _CHUNK_ENTRIES polynomials.  When a higher degree is
+asked (the oracles count n = 0, 1, ... in turn, one degree more each
+time), the computed degrees are copied into a longer buffer and only
+the new degrees are evaluated.
 
 Residues mod m (for the progression family) use the remainder plan's
 map as well: f -> f mod m is F_p-linear in f's digits, with digit rows
 Y^s x^j mod m (the scalar rows x^j mod m from _powers_of_x_mod, spread
-into digits by _digit_rows), so one product reduces every prime at once.
+into digits by _digit_rows), so one product per row chunk of primes
+reduces them all.
 
 One Universe per field is shared (get_universe) and only grows.
 extend_to checks the requested degree against the live enumeration cap
@@ -105,18 +120,21 @@ def _monic_digits(field: FieldSpec, degree: int) -> np.ndarray:
     Row i holds the code q^degree + i.  Digit j < degree*k of i is
     (i // p^j) % p: it repeats each of 0..p-1 p^j times and cycles every
     p^(j+1) rows, so it is written through a reshaped view, without a
-    division; the top k digits hold the leading 1.
+    division; the top k digits hold the leading 1.  The digits are
+    stored in the smallest unsigned type that holds p - 1.
     """
     p, low = field.p, degree * field.k
-    dtype = _digit_dtype(field, degree)
-    # an int64 digit needs p > 6*10^7, so q^2 > 4*10^15 polynomials of degree 2
-    assert dtype in (np.float32, np.float64), "int64 digit products are past any cap"
-    out = np.zeros((field.q**degree, _digit_count(field, degree)), dtype=dtype)
-    values = np.arange(p, dtype=dtype)[:, None]
+    out = np.zeros((field.q**degree, _digit_count(field, degree)), dtype=np.min_scalar_type(p - 1))
+    values = np.arange(p, dtype=out.dtype)[:, None]
     for j in range(low):
         out.reshape(p ** (low - 1 - j), p, p**j, -1)[:, :, :, j] = values
     out[:, low] = 1
     return out
+
+
+def _index_dtype(count: int) -> type:
+    """The type of indices below count: int32 when count <= 2^31, else int64."""
+    return np.int32 if count <= 1 << 31 else np.int64
 
 
 def _code_powers(field: FieldSpec, degree: int) -> np.ndarray:
@@ -155,10 +173,31 @@ def _mul_matrix(field: FieldSpec, w: tuple[int, ...], in_deg: int, out_deg: int)
     vectors of their products with w (degree <= out_deg): row j of the
     coefficient matrix is x^j w, placed by index arithmetic.
     """
+    dtype = _digit_dtype(field, in_deg)
+    # an int64 digit needs p > 6*10^7, so q^2 > 4*10^15 polynomials of degree 2
+    assert dtype in (np.float32, np.float64), "int64 digit products are past any cap"
     coeffs = np.zeros((in_deg + 1, out_deg + 1), dtype=np.int64)
     j = np.arange(in_deg + 1)[:, None]
     coeffs[j, j + np.arange(len(w))] = w
-    return _digit_rows(field, coeffs).astype(_digit_dtype(field, in_deg))
+    return _digit_rows(field, coeffs).astype(dtype)
+
+
+def _product_indices(digits: np.ndarray, sel: np.ndarray, matrix: np.ndarray,
+                     p: int, powers: np.ndarray, size: int):
+    """Yield (target indices, cofactor rows) per row chunk of the selected cofactors.
+
+    Each chunk of sel is gathered from the stored digits, cast to the
+    matrix's float type, multiplied, reduced and encoded on its own
+    (_codes_of_products); the target index is the product's code less
+    size.  A chunk's digits and product each hold at most about
+    _CHUNK_ENTRIES entries.
+    """
+    step = max(1, ffield._CHUNK_ENTRIES // max(matrix.shape))
+    for lo in range(0, len(sel), step):
+        rows = sel[lo : lo + step]
+        tgt = _codes_of_products(digits[rows].astype(matrix.dtype) @ matrix, p, powers)
+        tgt -= size
+        yield tgt, rows
 
 
 class Universe:
@@ -171,7 +210,7 @@ class Universe:
         self.spf_gid: list[np.ndarray] = [np.empty(0, np.int32)]
         self.e1: list[np.ndarray] = [np.empty(0, np.int8)]
         self.cof_deg: list[np.ndarray] = [np.empty(0, np.int8)]
-        self.cof_idx: list[np.ndarray] = [np.empty(0, np.int64)]
+        self.cof_idx: list[np.ndarray] = [np.empty(0, np.int32)]
         self.prime_codes = np.empty(0, np.int64)
         self.prime_deg = np.empty(0, np.int16)
         self._prime_slices: list[slice] = [slice(0, 0)]
@@ -196,7 +235,7 @@ class Universe:
         spf = np.full(size, -1, dtype=np.int32)
         e1 = np.zeros(size, dtype=np.int8)
         cof_deg = np.zeros(size, dtype=np.int8)
-        cof_idx = np.zeros(size, dtype=np.int64)
+        cof_idx = np.zeros(size, dtype=_index_dtype(q ** (d - 1)))
         # degree 1 holds only primes; past it, products encode to codes
         powers = _code_powers(field, d) if d > 1 else None
         digit_cache: dict[int, np.ndarray] = {}
@@ -210,24 +249,22 @@ class Universe:
                     k_deg = d - e * p_deg
                     if k_deg == 0:
                         # h = 1: the prime power itself
-                        tgt, sel = ffield.code_of(field, w) - size, 0
+                        blocks = [(ffield.code_of(field, w) - size, 0)]
                     elif k_deg < p_deg:
                         continue  # every prime factor of h precedes P
                     else:
                         # cofactors whose smallest prime comes after P
                         sel = np.flatnonzero(self.spf_gid[k_deg] > gid)
-                        if not len(sel):
-                            continue
                         digits = digit_cache.get(k_deg)
                         if digits is None:
                             digits = digit_cache[k_deg] = _monic_digits(field, k_deg)
-                        prod = digits[sel] @ _mul_matrix(field, w, k_deg, d)
-                        tgt = _codes_of_products(prod, field.p, powers)
-                        tgt -= size
-                    spf[tgt] = gid
-                    e1[tgt] = e
-                    cof_deg[tgt] = k_deg
-                    cof_idx[tgt] = sel
+                        blocks = _product_indices(digits, sel, _mul_matrix(field, w, k_deg, d),
+                                                  field.p, powers, size)
+                    for tgt, rows in blocks:
+                        spf[tgt] = gid
+                        e1[tgt] = e
+                        cof_deg[tgt] = k_deg
+                        cof_idx[tgt] = rows
         prime_idx = np.flatnonzero(spf < 0)
         start = len(self.prime_codes)
         gids = np.arange(start, start + len(prime_idx), dtype=np.int32)
@@ -263,24 +300,31 @@ class Universe:
         return self._chi
 
     def prime_residues(self, m: MonicPoly) -> np.ndarray:
-        """Residue code of each prime modulo m, by one digit product (see above)."""
+        """Residue code of each prime modulo m, by one digit product (see above),
+        over row chunks of the primes as in the sieve."""
         key = m.coeffs
         cached = self._residues.get(key)
         if cached is not None and len(cached) == len(self.prime_codes):
             return cached
         field, p, n = self.field, self.field.p, self.max_degree
         rows = _digit_rows(field, _powers_of_x_mod(field, m.coeffs, n))
-        digits = _digits_of_codes(field, self.prime_codes, n)
-        res = (digits @ rows.astype(digits.dtype)).astype(np.int64)
-        res -= res // p * p  # a floor division by a scalar is far cheaper than %
-        out = res @ p ** np.arange(res.shape[1], dtype=np.int64)
+        rows = rows.astype(_digit_dtype(field, n))
+        powers = p ** np.arange(rows.shape[1], dtype=np.int64)
+        out = np.empty(len(self.prime_codes), dtype=np.int64)
+        step = max(1, ffield._CHUNK_ENTRIES // max(rows.shape))
+        for lo in range(0, len(out), step):
+            digits = _digits_of_codes(field, self.prime_codes[lo : lo + step], n)
+            res = (digits @ rows).astype(np.int64)
+            res -= res // p * p  # a floor division by a scalar is far cheaper than %
+            out[lo : lo + step] = res @ powers
         self._residues[key] = out
         return out
 
     # -- membership masks ---------------------------------------------
 
-    def masks(self, rule) -> list[np.ndarray]:
-        """Per-degree boolean membership arrays for one family's rule.
+    def masks(self, rule, degree: int) -> list[np.ndarray]:
+        """Per-degree boolean membership arrays for one family's rule,
+        through at least the given degree (at most max_degree).
 
         rule (a families.MembershipRule) marks the admissible primes by
         rule.admissible(self), from prime_deg, prime_chi2 or
@@ -289,32 +333,38 @@ class Universe:
         Index d of the returned list covers the monic polynomials of
         degree d in canonical order; index 0 is the constant 1.  The
         degrees are views into one flat buffer, degree k starting at
-        q^0 + ... + q^(k-1); a rule's degrees are computed once, and a
-        longer universe only appends its new degrees.
+        q^0 + ... + q^(k-1); a rule's degrees are computed once, in row
+        chunks of _CHUNK_ENTRIES polynomials, and a higher degree only
+        appends the degrees it adds.
         """
         done = self._masks.get(rule.key, [np.ones(1, dtype=bool)])
-        if len(done) == self.max_degree + 1:
+        if len(done) > degree:
             return done
         q = self.field.q
-        offsets = np.cumsum([0] + [q**k for k in range(self.max_degree + 1)])
+        offsets = np.cumsum([0] + [q**k for k in range(degree + 1)])
         flat = np.empty(offsets[-1], dtype=bool)
-        ok = [flat[offsets[k] : offsets[k + 1]] for k in range(self.max_degree + 1)]
+        ok = [flat[offsets[k] : offsets[k + 1]] for k in range(degree + 1)]
         for old, new in zip(done, ok):
             new[:] = old
         good_prime = rule.admissible(self)
-        for d in range(len(done), self.max_degree + 1):
-            pred = rule.passes(good_prime[self.spf_gid[d]], self.e1[d])
-            np.logical_and(pred, flat[offsets[self.cof_deg[d]] + self.cof_idx[d]], out=ok[d])
+        step = ffield._CHUNK_ENTRIES
+        for d in range(len(done), degree + 1):
+            for lo in range(0, q**d, step):
+                part = slice(lo, lo + step)
+                pred = rule.passes(good_prime[self.spf_gid[d][part]], self.e1[d][part])
+                cofactor = flat[offsets[self.cof_deg[d][part]] + self.cof_idx[d][part]]
+                np.logical_and(pred, cofactor, out=ok[d][part])
         self._masks[rule.key] = ok
         return ok
 
     def count(self, rule, degree: int) -> int:
-        """Exhaustive count of degree-n members under one family's rule."""
+        """Exhaustive count of degree-n members under one family's rule;
+        the rule's masks are evaluated through that degree only."""
         if degree > self.max_degree:
             self.extend_to(degree)
         if degree == 0:
             return 1
-        return int(self.masks(rule)[degree].sum())
+        return int(self.masks(rule, degree)[degree].sum())
 
     # -- diagnostics ---------------------------------------------------
 

@@ -158,6 +158,22 @@ def test_monic_poly_validation():
     assert f.degree == 1
 
 
+def test_monic_poly_has_slots_and_keeps_its_value_semantics():
+    f = MonicPoly((2, 0, 1))
+    assert not hasattr(f, "__dict__")
+    assert f == MonicPoly((2, 0, 1)) and f != MonicPoly((1, 0, 1))
+    assert hash(f) == hash(MonicPoly((2, 0, 1)))
+    assert len({f, MonicPoly((2, 0, 1)), MonicPoly((0, 1))}) == 2
+    with pytest.raises(AttributeError):
+        f.coeffs = (1,)
+    for bad, message in (((), "the zero polynomial is not a MonicPoly"),
+                         ((1, -1, 1), "coefficients must be nonnegative element codes"),
+                         ((1, 1.0), "coefficients must be nonnegative element codes"),
+                         ((1, 2), "leading coefficient must be 1")):
+        with pytest.raises(ValueError, match=message):
+            MonicPoly(bad)
+
+
 def test_default_cap_env_override(monkeypatch):
     monkeypatch.delenv("FQT_CAP", raising=False)
     assert ffield.default_cap() == ffield.DEFAULT_CAP

@@ -1,12 +1,20 @@
 """The shared factorization sieve, validated against scalar enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fqtcount import ffield, universe
 from fqtcount.errors import EvenCharacteristic, ResourceLimit
-from fqtcount.families import FamilySpec, canonical_family, membership_rule, oracle_count
-from fqtcount.ffield import code_of, field_for_order
+from fqtcount.families import (
+    FamilySpec,
+    canonical_family,
+    membership_rule,
+    membership_test,
+    oracle_count,
+)
+from fqtcount.ffield import MonicPoly, code_of, field_for_order
 from fqtcount.primecounts import pi_q
 from fqtcount.universe import Universe, get_universe, poly_of_code
 from trial_division import trial_division_factor
@@ -24,7 +32,7 @@ def first_write_sieve(field, max_degree):
     spf_gid = [np.empty(0, np.int32)]
     e1s = [np.empty(0, np.int8)]
     cof_degs = [np.empty(0, np.int8)]
-    cof_idxs = [np.empty(0, np.int64)]
+    cof_idxs = [np.empty(0, np.int32)]
     prime_codes = np.empty(0, np.int64)
     slices = [slice(0, 0)]
     for d in range(1, max_degree + 1):
@@ -32,7 +40,7 @@ def first_write_sieve(field, max_degree):
         spf = np.full(size, -1, dtype=np.int32)
         e1 = np.zeros(size, dtype=np.int8)
         cof_deg = np.zeros(size, dtype=np.int8)
-        cof_idx = np.zeros(size, dtype=np.int64)
+        cof_idx = np.zeros(size, dtype=np.int32)  # indices below q^(d-1) <= 2^31
         p_pows = p ** np.arange(ffield._digit_count(field, d), dtype=np.int64)
         for p_deg in range(1, d // 2 + 1):
             for gid in range(slices[p_deg].start, slices[p_deg].stop):
@@ -302,7 +310,7 @@ def test_monic_digits_match_division():
         codes = q**degree + np.arange(q**degree, dtype=np.int64)
         expected = universe._digits_of_codes(field, codes, degree)
         got = universe._monic_digits(field, degree)
-        assert got.dtype == expected.dtype
+        assert got.dtype == (np.uint8 if field.p <= 256 else np.uint16)
         assert np.array_equal(got, expected)
 
 
@@ -345,3 +353,88 @@ def test_prime_chi2_matches_scalar_chi2(q, max_deg):
         c0 = prime.coeffs[0]
         assert c == (0 if c0 == 0 else (1 if c0 in squares else -1))
         assert c == ffield.chi2(field, prime)
+
+
+def _scalar_members(field, spec, degree):
+    """Membership of every monic polynomial of the degree, in code order, by factor_many."""
+    is_member = membership_test(field, spec)
+    polys = [poly_of_code(field, field.q**degree + i) for i in range(field.q**degree)]
+    return np.array([is_member(fac) for fac in ffield.factor_many(field, polys)])
+
+
+@pytest.mark.parametrize("q, max_deg", [(2, 10), (3, 6), (4, 5), (9, 3)])
+def test_row_chunks_of_a_few_rows_change_no_array_mask_or_residue(monkeypatch, q, max_deg):
+    field = field_for_order(q)
+    whole = Universe(field, max_deg)
+    # a sieve chunk holds 50 // ((d+1)k) rows, a mask chunk 50 polynomials
+    monkeypatch.setattr(ffield, "_CHUNK_ENTRIES", 50)
+    chunked = Universe(field, max_deg)
+    spf_gid, e1, cof_deg, cof_idx, prime_codes = first_write_sieve(field, max_deg)
+    for mine, ref, unpatched in (
+        (chunked.spf_gid, spf_gid, whole.spf_gid), (chunked.e1, e1, whole.e1),
+        (chunked.cof_deg, cof_deg, whole.cof_deg), (chunked.cof_idx, cof_idx, whole.cof_idx),
+        ([chunked.prime_codes], [prime_codes], [whole.prime_codes]),
+    ):
+        for a, b, c in zip(mine, ref, unpatched, strict=True):
+            assert a.dtype == b.dtype == c.dtype
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+    m = MonicPoly((1, 1, 1))
+    specs = [FamilySpec(name, q=q) for name in ("s1", "s3")]
+    specs.append(FamilySpec("arith", q=q, m=m.coeffs, a=(1,)))
+    if q % 2:
+        specs.append(FamilySpec("landau", q=q))
+    for spec in specs:
+        rule = membership_rule(field, spec)
+        masks = chunked.masks(rule, max_deg)
+        for d, (a, b) in enumerate(zip(masks, whole.masks(rule, max_deg), strict=True)):
+            assert np.array_equal(a, b), (spec.family, d)
+        assert np.array_equal(masks[max_deg], _scalar_members(field, spec, max_deg))
+    residues = chunked.prime_residues(m)
+    assert np.array_equal(residues, whole.prime_residues(m))
+    assert residues.tolist() == [
+        code_of(field, ffield.poly_mod(field, poly_of_code(field, c).coeffs, m.coeffs))
+        for c in chunked.prime_codes.tolist()
+    ]
+
+
+def test_masks_are_evaluated_only_to_the_degree_counted():
+    field = field_for_order(3)
+    uni = Universe(field, 6)
+    spec = FamilySpec("landau", q=3)
+    rule = membership_rule(field, spec)
+    assert uni.count(rule, 3) == oracle_count(field, spec, 3, method="scalar")
+    assert len(uni._masks[rule.key]) == 4  # degrees 0..3
+    fresh = Universe(field, 6)
+    assert uni.count(rule, 6) == fresh.count(membership_rule(field, spec), 6)
+    for a, b in zip(uni._masks[rule.key], fresh._masks[rule.key], strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_sieve_memory_is_its_arrays_digits_and_one_row_chunk(monkeypatch):
+    field = field_for_order(3)
+    monkeypatch.setattr(ffield, "_CHUNK_ENTRIES", 1 << 12)
+    tracemalloc.start()
+    try:
+        uni = Universe(field, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for table in (uni.spf_gid, uni.e1, uni.cof_deg, uni.cof_idx)
+                 for a in table) + uni.prime_codes.nbytes + uni.prime_deg.nbytes
+    # the uint8 cofactor digits of degrees 1..10, live while degree 11 is built
+    digits = sum(3**k * (k + 1) for k in range(1, 11))
+    # the slack covers the cofactor selection (int64, 3^10 entries at most),
+    # its boolean test and a few chunks of 4096 entries
+    assert peak < arrays + digits + (1 << 20)
+
+
+def test_digit_and_index_types_at_their_edges():
+    top = {251: np.uint8, 257: np.uint16}
+    for p, dtype in top.items():
+        digits = universe._monic_digits(field_for_order(p), 1)
+        assert digits.dtype == dtype
+        assert digits[-1].tolist() == [p - 1, 1]
+    assert universe._index_dtype(2**31 - 1) is np.int32
+    assert universe._index_dtype(2**31 + 1) is np.int64
+    # under the default cap of 10^8 every cofactor index is int32
+    assert universe._index_dtype(10**8) is np.int32
