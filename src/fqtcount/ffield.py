@@ -44,11 +44,42 @@ The multiplicity of P in f is the largest e whose remainder block is
 zero, since P^e | f implies P^(e-1) | f.  What the small prime powers
 leave has no prime factor of degree <= n/2, so it is 1 or one prime of
 degree > n/2; it comes from one exact division, whose remainder check
-is the guard that the plan and the arithmetic agree.  The product runs
-in row chunks of about _CHUNK_ENTRIES entries, in the first of float32,
-float64 and int64 in which it is exact (_digit_dtype).  The enumeration
-sieve in universe builds its multiplication matrices, and its prime
-residues mod m, with the same digit helper (_digit_rows).
+is the guard that the plan and the arithmetic agree.
+
+Every batched digit product in the package goes through _digit_product:
+factoring's multiplicities here, the enumeration sieve and the prime
+residues mod m in universe, and the unit-group table in primecounts.
+Their matrices come from _digit_rows; their inputs are base-p digit
+rows (_digits, or universe's division-free _monic_digits) stored in the
+smallest unsigned type that holds p - 1.  One product casts a row chunk
+of digits to the matrix's float type and multiplies by BLAS.  That type
+is float32 when no digit sum can pass 2^24 and float64 when none can
+pass 2^53 (_digit_dtype); past that no BLAS type is exact, and
+_digit_dtype raises ResourceLimit.  A remainder plan with no columns
+(degree 1) multiplies nothing and takes no type, so linear factoring
+works over any p.  The sieve, residues and multiplicities run in row
+chunks of _row_step(width) rows, about _CHUNK_ENTRIES entries each, so
+their working memory does not grow with the batch; the unit-group table
+(at most primecounts' _MAX_UNIT_GROUP rows) multiplies all units at
+once.  The product is reduced mod p in one of two ways:
+
+* Codes (sieve, residues, unit group): each digit sum c becomes
+  c - p * floor(c / p), in place, by true division.  This is exact for
+  every integer c <= 2^24 in float32 (c <= 2^53 in float64, with 2^-53
+  for 2^-24 below).  If p divides c, c / p is an integer below 2^24 and
+  exact.  Otherwise c = kp - j with 1 <= j < p; k - 1 is representable
+  and below c / p, so the rounded quotient is at least k - 1, and its
+  error is below (c / p) * 2^-24 <= 1 / p <= j / p, so it is below k.
+  Its floor is k - 1 either way, and the product and difference after
+  it are integers below 2^24.  A multiply by a rounded 1/p has no such
+  bound.  The reduced digits of a degree-d polynomial make a code below
+  p^((d+1)k) = q^(d+1), so one product with p^j (_code_powers) gives
+  exact codes in float32 when q^(d+1) <= 2^24 and in float64 otherwise;
+  only that code vector is cast to int64.
+* Zero tests (multiplicities): the product is cast to the smallest
+  unsigned type that holds a digit sum and reduced there by
+  c - (c // p) * p, which measured faster than the float reduce on the
+  plan's wide products.
 
 Scalar arithmetic stays in Python ints, because indexing a numpy table
 costs more than the operation itself.  A prime field reduces mod p, so
@@ -199,9 +230,8 @@ _TABLE_CACHE: dict[FieldSpec, _Tables] = {}
 _IRR_CACHE: dict[tuple[FieldSpec, int], tuple[MonicPoly, ...]] = {}
 _PLAN_CACHE: dict[tuple[FieldSpec, int], "_RemainderPlan"] = {}
 
-# factor_many, and the sieve, residues and masks in universe, work in row
-# chunks of about this many entries, so their working memory does not grow
-# with the batch
+# batched work runs in row chunks of about this many entries (_row_step),
+# so its working memory does not grow with the batch
 _CHUNK_ENTRIES = 1 << 17
 
 
@@ -225,22 +255,67 @@ def _digit_count(field: FieldSpec, degree: int) -> int:
 
 
 def _digit_dtype(field: FieldSpec, in_deg: int) -> type:
-    """The type in which digit products with degree <= in_deg inputs are exact.
+    """The float type in which digit products with degree <= in_deg inputs are exact.
 
     A product digit sums at most _digit_count(in_deg) terms, each a
     product of two digits below p, so it is at most that count times
-    (p-1)^2; float32 holds every integer up to 2^24, float64 up to 2^53
-    and int64 up to 2^63 - 1 (without BLAS, so it comes last).
+    (p-1)^2; float32 holds every integer up to 2^24 and float64 up to 2^53.
     """
     bound = _digit_count(field, in_deg) * (field.p - 1) ** 2
     if bound <= 1 << 24:
         return np.float32
     if bound <= 1 << 53:
         return np.float64
-    if bound < 1 << 63:
-        return np.int64
     raise ResourceLimit(f"digit products of degree {in_deg} over F_{field.q} "
-                        "exceed exact integer range")
+                        "exceed exact float range")
+
+
+def _digits(codes, p: int, width: int) -> np.ndarray:
+    """The width lowest base-p digits of each code, on a new last axis, in
+    the smallest unsigned type that holds p - 1."""
+    codes = np.asarray(codes, dtype=np.int64)
+    out = np.empty(codes.shape + (width,), dtype=np.min_scalar_type(p - 1))
+    for j in range(width):
+        rest = codes // p  # a floor division by a scalar is far cheaper than %
+        out[..., j] = codes - rest * p
+        codes = rest
+    return out
+
+
+def _code_powers(field: FieldSpec, degree: int) -> np.ndarray:
+    """p^j for each digit j of a polynomial of the given degree, in the
+    float type in which its codes, below q^(degree+1), are exact."""
+    bound = field.q ** (degree + 1)
+    # q^(d+1) > 2^53 needs q^d > 2^35 polynomials of degree d >= 2
+    assert bound <= 1 << 53, "codes past 2^53 are past any cap"
+    dtype = np.float32 if bound <= 1 << 24 else np.float64
+    return (field.p ** np.arange(_digit_count(field, degree), dtype=np.int64)).astype(dtype)
+
+
+def _row_step(width: int) -> int:
+    """Rows per chunk of a batch whose rows hold width entries: about _CHUNK_ENTRIES a chunk."""
+    return max(1, _CHUNK_ENTRIES // max(width, 1))
+
+
+def _digit_product(digits: np.ndarray, matrix: np.ndarray, p: int,
+                   powers: np.ndarray | None = None) -> np.ndarray:
+    """digits @ matrix reduced mod p, by one BLAS product in the matrix's float type.
+
+    With powers (from _code_powers) the product is reduced in place in
+    that float type and encoded: the int64 codes are returned.  Without,
+    the reduced digits are returned in the smallest unsigned type that
+    holds a digit sum, for zero tests.  See the module docstring.
+    """
+    prod = digits.astype(matrix.dtype) @ matrix
+    if powers is None:
+        prod = prod.astype(np.min_scalar_type(digits.shape[-1] * (p - 1) ** 2))
+        prod -= prod // p * p  # a floor division by a scalar is far cheaper than %
+        return prod
+    quot = prod / p
+    np.floor(quot, out=quot)
+    quot *= p
+    prod -= quot
+    return (prod.astype(powers.dtype, copy=False) @ powers).astype(np.int64)
 
 
 def _digit_rows(field: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -488,8 +563,8 @@ def _remainder_plan(field: FieldSpec, n: int) -> _RemainderPlan:
     if plan is not None:
         return plan
     k = field.k
-    dtype = _digit_dtype(field, n)
-    matrix = np.empty((rows, cols), dtype=dtype)
+    # a plan with no columns multiplies nothing, so it needs no exact type
+    matrix = np.empty((rows, cols), dtype=_digit_dtype(field, n) if cols else np.float32)
     primes, powers, sections = [], [], []
     start = 0
     for d in range(1, n // 2 + 1):
@@ -555,23 +630,16 @@ def _multiplicity_chunks(field: FieldSpec, plan: _RemainderPlan, polys: list[Mon
 
     The multiplicity of P in f is the largest e whose block of
     digits(f) @ matrix is zero mod p, since P^e | f implies P^(e-1) | f.
-    A chunk's product has about _CHUNK_ENTRIES entries.  Raises
-    ValueError on a coefficient that is not an element code.
+    Raises ValueError on a coefficient that is not an element code.
     """
     matrix, n, k, p = plan.matrix, plan.degree, field.k, field.p
-    bound = _digit_count(field, n) * (p - 1) ** 2  # see _digit_dtype
-    exact_int = next(t for t in (np.uint8, np.uint16, np.uint32, np.int64)
-                     if bound <= np.iinfo(t).max)
-    step = max(1, _CHUNK_ENTRIES // max(matrix.shape[1], 1))
+    step = _row_step(max(matrix.shape))
     for lo in range(0, len(polys), step):
-        digits = np.array([f.coeffs for f in polys[lo : lo + step]], dtype=np.int64)
-        if digits.max() >= field.q:
+        coeffs = np.array([f.coeffs for f in polys[lo : lo + step]], dtype=np.int64)
+        if coeffs.max() >= field.q:
             raise ValueError(f"coefficient out of range for {field}")
-        rows = len(digits)
-        if k > 1:
-            digits = (digits[:, :, None] // p ** np.arange(k, dtype=np.int64) % p).reshape(rows, -1)
-        residue = (digits.astype(matrix.dtype) @ matrix).astype(exact_int)
-        residue -= residue // p * p  # a floor division by a scalar is far cheaper than %
+        rows = len(coeffs)
+        residue = _digit_product(_digits(coeffs, p, k).reshape(rows, -1), matrix, p)
         mult = np.zeros((rows, len(plan.primes)), dtype=np.int8)
         col = first = 0
         for d, m in plan.sections:

@@ -264,18 +264,17 @@ class _ResidueGroup:
         remainder plan), so row i is one digit product over every unit.
         """
         field, d, p = self.field, self.m.degree, self.field.p
-        p_pows = p ** np.arange(ffield._digit_count(field, d - 1), dtype=np.int64)
         dtype = ffield._digit_dtype(field, d - 1)
-        codes = np.array(self.codes, dtype=np.int64)
-        units = (codes[:, None] // p_pows % p).astype(dtype)
+        powers = ffield._code_powers(field, d - 1)
+        units = ffield._digits(self.codes, p, ffield._digit_count(field, d - 1))
         position = np.zeros(field.q**d, dtype=np.int32)
-        position[codes] = np.arange(self.order)
+        position[self.codes] = np.arange(self.order)
         table = np.empty((self.order, self.order), dtype=np.int32)
         for i, a in enumerate(self.codes):
             rows = ffield._powers_of_x_mod(field, self.m.coeffs, d - 1,
                                            ffield.coeffs_of_code(field, a))
-            prod = (units @ ffield._digit_rows(field, rows).astype(dtype)).astype(np.int64)
-            table[i] = position[prod % p @ p_pows]
+            matrix = ffield._digit_rows(field, rows).astype(dtype)
+            table[i] = position[ffield._digit_product(units, matrix, p, powers)]
         return table
 
     def pow_map(self, k: int) -> np.ndarray:

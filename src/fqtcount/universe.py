@@ -24,42 +24,15 @@ writes P^e * h for h = 1 and for those h of degree d - e*deg P with
 spf_gid[h] > gid(P).  All of them have degree < d, so their tables are
 complete.  The slots left unwritten are the primes of degree d.
 Products are computed in base-p digit form, where multiplication by a
-fixed polynomial is a matrix product that BLAS batches over a row chunk
-of the selected cofactors, in float32 unless a digit sum could pass
-2^24 (_digit_dtype).  A chunk is gathered from the stored digits, cast,
-multiplied, reduced, encoded and scattered on its own
-(_product_indices); its digits and product each hold at most about
-ffield._CHUNK_ENTRIES entries, the rule factor_many sizes its chunks
-by, so the sieve's transient memory is one chunk, not q^(d-1) rows.
-The digit helpers live in ffield, whose remainder plan builds its
-matrices with the same _digit_rows.
-
-A product chunk stays in that float type until its target index
-(_codes_of_products):
-
-* Reduce: each digit sum c becomes c - p * floor(c / p), in place, by
-  true division.  This is exact for every integer c <= 2^24 in float32
-  (c <= 2^53 in float64, with 2^-53 for 2^-24 below).  If p divides c,
-  c / p is an integer below 2^24 and exact.  Otherwise c = kp - j with
-  1 <= j < p; k - 1 is representable and below c / p, so the rounded
-  quotient is at least k - 1, and its error is below
-  (c / p) * 2^-24 <= 1 / p <= j / p, so it is below k.  Its floor is
-  k - 1 either way, and the product and difference after it are
-  integers below 2^24.  A multiply by a rounded 1/p has no such bound.
-* Encode: the reduced digits of a degree-d polynomial make a code below
-  p^((d+1)k) = q^(d+1), so one product with p^j gives exact codes in
-  float32 when q^(d+1) <= 2^24 and in float64 otherwise
-  (_code_powers); only that code vector is cast to int64.  An int64
-  digit type would need p > 6 * 10^7, and codes past 2^53 more than
-  2^35 polynomials of one degree: both are asserted, not handled.
-* Cofactor digits: digit j < dk of the i-th monic polynomial of degree
-  d is (i // p^j) % p, each of 0..p-1 repeated p^j times in a cycle of
-  p^(j+1) rows, so _monic_digits writes every column through a
-  reshaped view without a division; the top k digits hold the leading
-  1.  The digits are stored in the smallest unsigned type that holds
-  p - 1 (uint8 for p <= 256, uint16 to 65536, else uint32) and cast to
-  the float type one chunk at a time.  Each degree's matrix is built
-  once per _build_degree call and dropped with it.
+fixed polynomial is a matrix product (_mul_matrix).  Each (P, e) block
+runs on row chunks of the selected cofactors (_product_indices): a
+chunk is gathered from the stored digits, then multiplied, reduced mod
+p and encoded to codes by one ffield._digit_product, whose exactness
+proof and chunk rule (_row_step) are in ffield's docstring.  So the
+sieve's transient memory is one chunk, not q^(d-1) rows.  The cofactor
+digits of each degree come from _monic_digits, which writes the monic
+range without a division, in the same unsigned type as ffield._digits;
+they are built once per _build_degree call and dropped with it.
 
 A cofactor index is below q^(d-1), so cof_idx is int32 whenever
 q^(d-1) <= 2^31 (_index_dtype), which the default cap of 10^8 always
@@ -67,7 +40,7 @@ meets, and int64 past it.
 
 A rule's membership masks (masks) are kept per rule as views into one
 flat buffer, and are evaluated only through the degree count asks for,
-in row chunks of _CHUNK_ENTRIES polynomials.  When a higher degree is
+in row chunks of _row_step(1) polynomials.  When a higher degree is
 asked (the oracles count n = 0, 1, ... in turn, one degree more each
 time), the computed degrees are copied into a longer buffer and only
 the new degrees are evaluated.
@@ -75,8 +48,10 @@ the new degrees are evaluated.
 Residues mod m (for the progression family) use the remainder plan's
 map as well: f -> f mod m is F_p-linear in f's digits, with digit rows
 Y^s x^j mod m (the scalar rows x^j mod m from _powers_of_x_mod, spread
-into digits by _digit_rows), so one product per row chunk of primes
-reduces them all.
+into digits by _digit_rows), so one _digit_product per row chunk of
+primes reduces and encodes them all.  A residue of a polynomial of
+degree <= n has min(n + 1, deg m) coefficients, and its codes are sized
+by that, not by deg m, so a modulus of high degree encodes exactly.
 
 One Universe per field is shared (get_universe) and only grows.
 extend_to checks the requested degree against the live enumeration cap
@@ -92,26 +67,19 @@ from .errors import EvenCharacteristic
 from .ffield import (
     FieldSpec,
     MonicPoly,
+    _code_powers,
     _digit_count,
     _digit_dtype,
+    _digit_product,
     _digit_rows,
+    _digits,
     _powers_of_x_mod,
+    _row_step,
 )
 
 
 def poly_of_code(field: FieldSpec, code: int) -> MonicPoly:
     return MonicPoly(ffield.coeffs_of_code(field, code))
-
-
-def _digits_of_codes(field: FieldSpec, codes: np.ndarray, degree: int) -> np.ndarray:
-    """Base-p digit matrix of the given codes, in the _digit_dtype of degree."""
-    p = field.p
-    out = np.empty((len(codes), _digit_count(field, degree)), dtype=_digit_dtype(field, degree))
-    for col in range(out.shape[1]):
-        rest = codes // p  # a floor division by a scalar is far cheaper than %
-        out[:, col] = codes - rest * p
-        codes = rest
-    return out
 
 
 def _monic_digits(field: FieldSpec, degree: int) -> np.ndarray:
@@ -137,35 +105,6 @@ def _index_dtype(count: int) -> type:
     return np.int32 if count <= 1 << 31 else np.int64
 
 
-def _code_powers(field: FieldSpec, degree: int) -> np.ndarray:
-    """p^j for each digit j of a polynomial of the given degree, in the
-    float type in which such codes are exact.
-
-    A digit vector of (degree+1)*k base-p digits encodes to below
-    q^(degree+1): float32 when that is at most 2^24, else float64.
-    """
-    bound = field.q ** (degree + 1)
-    # q^(d+1) > 2^53 needs q^d > 2^35 polynomials of degree d >= 2
-    assert bound <= 1 << 53, "codes past 2^53 are past any cap"
-    dtype = np.float32 if bound <= 1 << 24 else np.float64
-    return (field.p ** np.arange(_digit_count(field, degree), dtype=np.int64)).astype(dtype)
-
-
-def _codes_of_products(prod: np.ndarray, p: int, powers: np.ndarray) -> np.ndarray:
-    """Codes of the polynomials whose unreduced digit sums are the rows of prod.
-
-    prod, a float digit product, is reduced mod p in place by
-    c -= p * floor(c / p) (exact, see the module docstring) and encoded
-    by one product with powers (from _code_powers); only the resulting
-    code vector is cast to int64.
-    """
-    quot = prod / p
-    np.floor(quot, out=quot)
-    quot *= p
-    prod -= quot
-    return (prod.astype(powers.dtype, copy=False) @ powers).astype(np.int64)
-
-
 def _mul_matrix(field: FieldSpec, w: tuple[int, ...], in_deg: int, out_deg: int) -> np.ndarray:
     """Digit-space matrix of multiplication by the fixed polynomial w.
 
@@ -173,30 +112,24 @@ def _mul_matrix(field: FieldSpec, w: tuple[int, ...], in_deg: int, out_deg: int)
     vectors of their products with w (degree <= out_deg): row j of the
     coefficient matrix is x^j w, placed by index arithmetic.
     """
-    dtype = _digit_dtype(field, in_deg)
-    # an int64 digit needs p > 6*10^7, so q^2 > 4*10^15 polynomials of degree 2
-    assert dtype in (np.float32, np.float64), "int64 digit products are past any cap"
     coeffs = np.zeros((in_deg + 1, out_deg + 1), dtype=np.int64)
     j = np.arange(in_deg + 1)[:, None]
     coeffs[j, j + np.arange(len(w))] = w
-    return _digit_rows(field, coeffs).astype(dtype)
+    return _digit_rows(field, coeffs).astype(_digit_dtype(field, in_deg))
 
 
 def _product_indices(digits: np.ndarray, sel: np.ndarray, matrix: np.ndarray,
                      p: int, powers: np.ndarray, size: int):
     """Yield (target indices, cofactor rows) per row chunk of the selected cofactors.
 
-    Each chunk of sel is gathered from the stored digits, cast to the
-    matrix's float type, multiplied, reduced and encoded on its own
-    (_codes_of_products); the target index is the product's code less
-    size.  A chunk's digits and product each hold at most about
-    _CHUNK_ENTRIES entries.
+    Each chunk of sel is gathered from the stored digits and encoded by
+    one _digit_product; the target index is the product's code less size.
     """
-    step = max(1, ffield._CHUNK_ENTRIES // max(matrix.shape))
+    step = _row_step(max(matrix.shape))
     for lo in range(0, len(sel), step):
         rows = sel[lo : lo + step]
-        tgt = _codes_of_products(digits[rows].astype(matrix.dtype) @ matrix, p, powers)
-        tgt -= size
+        tgt = _digit_product(digits[rows], matrix, p, powers)
+        tgt -= size  # in place: a new array per chunk measured slower
         yield tgt, rows
 
 
@@ -307,16 +240,16 @@ class Universe:
         if cached is not None and len(cached) == len(self.prime_codes):
             return cached
         field, p, n = self.field, self.field.p, self.max_degree
-        rows = _digit_rows(field, _powers_of_x_mod(field, m.coeffs, n))
-        rows = rows.astype(_digit_dtype(field, n))
-        powers = p ** np.arange(rows.shape[1], dtype=np.int64)
+        # a residue of degree <= n has min(n + 1, deg m) coefficients
+        width = min(n + 1, m.degree)
+        matrix = _digit_rows(field, _powers_of_x_mod(field, m.coeffs, n)[:, :width])
+        matrix = matrix.astype(_digit_dtype(field, n))
+        powers = _code_powers(field, width - 1)
         out = np.empty(len(self.prime_codes), dtype=np.int64)
-        step = max(1, ffield._CHUNK_ENTRIES // max(rows.shape))
+        step = _row_step(max(matrix.shape))
         for lo in range(0, len(out), step):
-            digits = _digits_of_codes(field, self.prime_codes[lo : lo + step], n)
-            res = (digits @ rows).astype(np.int64)
-            res -= res // p * p  # a floor division by a scalar is far cheaper than %
-            out[lo : lo + step] = res @ powers
+            digits = _digits(self.prime_codes[lo : lo + step], p, _digit_count(field, n))
+            out[lo : lo + step] = _digit_product(digits, matrix, p, powers)
         self._residues[key] = out
         return out
 
@@ -347,7 +280,7 @@ class Universe:
         for old, new in zip(done, ok):
             new[:] = old
         good_prime = rule.admissible(self)
-        step = ffield._CHUNK_ENTRIES
+        step = _row_step(1)
         for d in range(len(done), degree + 1):
             for lo in range(0, q**d, step):
                 part = slice(lo, lo + step)

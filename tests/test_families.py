@@ -138,6 +138,13 @@ def test_arith_matches_enumeration():
     )
     for n in range(6):
         assert table.value(n) == oracle_count(field, spec, n)
+    # deg m > n and 3^(deg m) > 2^53: each prime is its own residue, so
+    # the members are the powers of T+1
+    big = MonicPoly((2, 1) + (0,) * 32 + (1,))
+    table = count_arith(field, (1, 1), big, 6)
+    spec = FamilySpec(canonical_family("arith"), q=3, m=big.coeffs, a=(1, 1))
+    for n in range(7):
+        assert table.value(n) == oracle_count(field, spec, n) == 1
 
 
 def test_arith_rejects_non_coprime_residue():

@@ -361,14 +361,21 @@ _FACTOR_GRID = [(2, 10), (3, 7), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3), (25, 2)
 
 
 @pytest.mark.parametrize("q, max_deg", _FACTOR_GRID)
-def test_factor_many_and_irreducibles_match_trial_division(q, max_deg):
+def test_factor_many_and_irreducibles_match_trial_division(monkeypatch, q, max_deg):
     field = field_for_order(q)
+    expected = {}
     for n in range(1, max_deg + 1):
         polys = enumerate_monic(field, n)
-        expected = [trial_division_factor(field, f) for f in polys]
-        assert ffield.factor_many(field, polys) == expected
+        expected[n] = [trial_division_factor(field, f) for f in polys]
+        assert ffield.factor_many(field, polys) == expected[n]
         assert ffield.irreducibles(field, n) == trial_division_primes(field, n)
-        assert all(fac.expand(field) == f for f, fac in zip(polys, expected))
+        assert all(fac.expand(field) == f for f, fac in zip(polys, expected[n]))
+    # chunks of one or a few rows, with the primes found again through them
+    monkeypatch.setattr(ffield, "_CHUNK_ENTRIES", 50)
+    monkeypatch.setattr(ffield, "_IRR_CACHE", {})
+    for n in range(1, max_deg + 1):
+        assert ffield.factor_many(field, enumerate_monic(field, n)) == expected[n]
+        assert ffield.irreducibles(field, n) == trial_division_primes(field, n)
 
 
 def _factor_degree_bound(q):
@@ -379,7 +386,7 @@ def _factor_degree_bound(q):
     return min(2 * d, 10)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_factor_many_is_exact_in_every_plan_dtype(monkeypatch, dtype):
     monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
     monkeypatch.setattr(ffield, "_digit_dtype", lambda field, in_deg: dtype)

@@ -152,6 +152,10 @@ def test_phi_m_against_enumeration():
                     if ffield.poly_gcd(field, coeffs, m.coeffs) == (1,):
                         units += 1
                 assert phi_m(field, m) == units
+    # a linear modulus has a remainder plan with no columns: no digit product
+    huge, m = ffield.build_field(2**31 - 1), MonicPoly((5, 1))
+    assert ffield.factor(huge, m).factors == ((m, 1),)
+    assert phi_m(huge, m) == 2**31 - 2
 
 
 def test_pi_arith_against_brute_force():

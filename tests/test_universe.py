@@ -252,9 +252,9 @@ def test_digit_dtype_keeps_digit_products_exact():
     assert _digit_dtype(field_for_order(4001), 0) is np.float32  # 4000^2 < 2^24
     assert _digit_dtype(field_for_order(4001), 1) is np.float64  # 2 * 4000^2 > 2^24
     huge = ffield.FieldSpec(p=2**31 - 1, k=1, modulus=(0, 1))
-    assert _digit_dtype(huge, 0) is np.int64  # (2^31 - 2)^2 > 2^53, < 2^63
-    with pytest.raises(ResourceLimit):
-        _digit_dtype(huge, 3)  # 4 * (2^31 - 2)^2 > 2^63
+    for degree in (0, 3):
+        with pytest.raises(ResourceLimit):
+            _digit_dtype(huge, degree)  # (2^31 - 2)^2 > 2^53: no exact float type
 
 
 @pytest.mark.parametrize("q, max_deg", [
@@ -288,7 +288,7 @@ def _digits_of(code, p, width):
 def test_reduce_and_encode_is_exact_at_the_float_bounds(q, degree, code_dtype, sum_dtype, limit):
     field = field_for_order(q)
     p, width = field.p, ffield._digit_count(field, degree)
-    powers = universe._code_powers(field, degree)
+    powers = ffield._code_powers(field, degree)
     assert powers.dtype == code_dtype
     top = q ** (degree + 1)
     codes = [c for c in (0, 1, p, top - 1, 2**24 - 1, 2**24, 2**24 + 1) if c < top]
@@ -298,19 +298,19 @@ def test_reduce_and_encode_is_exact_at_the_float_bounds(q, degree, code_dtype, s
     sums = np.array([[x + p * m for x in row] for row in digits], dtype=sum_dtype)
     assert all(int(c) == x + p * m for row, srow in zip(digits, sums.tolist())
                for x, c in zip(row, srow))  # the sums themselves are exact
-    out = universe._codes_of_products(sums, p, powers)
+    # the sums pass an identity matrix unchanged: sums @ I == sums exactly
+    out = ffield._digit_product(sums, np.eye(width, dtype=sum_dtype), p, powers)
     assert out.dtype == np.int64
     assert out.tolist() == codes
-    assert sums.tolist() == digits  # reduced in place
 
 
 def test_monic_digits_match_division():
     for q, degree in ((2, 5), (3, 4), (4, 3), (9, 2), (25, 1), (263, 1)):
         field = field_for_order(q)
         codes = q**degree + np.arange(q**degree, dtype=np.int64)
-        expected = universe._digits_of_codes(field, codes, degree)
+        expected = ffield._digits(codes, field.p, ffield._digit_count(field, degree))
         got = universe._monic_digits(field, degree)
-        assert got.dtype == (np.uint8 if field.p <= 256 else np.uint16)
+        assert got.dtype == expected.dtype == (np.uint8 if field.p <= 256 else np.uint16)
         assert np.array_equal(got, expected)
 
 
@@ -395,6 +395,9 @@ def test_row_chunks_of_a_few_rows_change_no_array_mask_or_residue(monkeypatch, q
         code_of(field, ffield.poly_mod(field, poly_of_code(field, c).coeffs, m.coeffs))
         for c in chunked.prime_codes.tolist()
     ]
+    # deg m > max_deg and q^(deg m) > 2^53: each prime is its own residue
+    big = MonicPoly((1, 1) + (0,) * 52 + (1,))
+    assert np.array_equal(chunked.prime_residues(big), chunked.prime_codes)
 
 
 def test_masks_are_evaluated_only_to_the_degree_counted():
@@ -434,6 +437,10 @@ def test_digit_and_index_types_at_their_edges():
         digits = universe._monic_digits(field_for_order(p), 1)
         assert digits.dtype == dtype
         assert digits[-1].tolist() == [p - 1, 1]
+    for p, dtype in {**top, 65537: np.uint32}.items():
+        digits = ffield._digits([p * p - 1, p], p, 3)
+        assert digits.dtype == dtype
+        assert digits.tolist() == [[p - 1, p - 1, 0], [0, 1, 0]]
     assert universe._index_dtype(2**31 - 1) is np.int32
     assert universe._index_dtype(2**31 + 1) is np.int64
     # under the default cap of 10^8 every cofactor index is int32
