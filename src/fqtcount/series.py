@@ -9,8 +9,7 @@ coefficient (it only sizes the prime set below, with a proved margin).
 Besides ring operations and exp/log, this module houses the transforms
 the counting pipeline is made of: the psi <-> generator-count transform
 (Moebius inversion), infinite products prod (1-x^n)^{-g(n)} and their
-squarefree variant, the generalized binomial series, and the power-of-2
-product decomposition together with its exact verifier.
+squarefree variant, and the generalized binomial series.
 
 Every count table is exp(sum psi_n x^n / n) for integer psi_n, the
 recurrence n f_n = sum_{j=1..n} psi_j f_{n-j} (Brent & Kung, J. ACM 25,
@@ -40,6 +39,24 @@ recurrence n f_n = sum_{j=1..n} psi_j f_{n-j} (Brent & Kung, J. ACM 25,
   limbs of the M/p_i.  Each product is below 2^42 and each sum has at
   most 2^11 of them, so it is below 2^53, exact in any summation order;
   the limb sums are carried into an int and reduced mod M.
+* Join points.  f is rebuilt in chunks of 64 coefficients, each from the
+  prefix of the primes that its largest b_m asks for.  The primes run
+  the recurrence in groups of 64, and a group joins at the first chunk
+  that needs it: f_0..f_(s-1), already rebuilt exactly from the earlier
+  groups, seed its table as residues, and it runs only for m >= s.  A
+  chunk before s needs only earlier groups, so every chunk is exact.  A
+  group stays once joined, as a later chunk may need fewer primes (the
+  bounds are not monotone when psi has runs of zeros).
+* Reduction.  psi_j and the seeds become residues as a float64 matrix
+  product of their signed 16-bit limbs against 2^(16 l) mod p, in blocks
+  of 64 limbs.  A block sum c has |c| < 2^6 2^16 2^26 = 2^48, exact in
+  any summation order, and is floor-reduced to c - p floor(c/p): for an
+  integer |c| < 2^52 and 2^25 < p < 2^26, q = c/p has |q| < 2^27, so
+  fl(c/p) is off by at most 2^-53 |q| < 2^-26 < 1/p; any integer other
+  than q itself lies at least 1/p from q, so floor(fl(c/p)) = floor(q),
+  and p floor(q) and the remainder in [0, p) are exact.  A value below
+  2^(2^25) has under 2^21 limbs, so at most 2^15 block residues are
+  summed, below 2^41, and reduced the same way.
 
 ``series_exp`` serves every other exact ring with one common-denominator
 recurrence.  For H = exp(sum a_j x^j) to order N, m H_m = sum_j j a_j
@@ -340,7 +357,7 @@ _MAX_BITS = 1 << 25  # coefficients below 2^(2^25): fewer primes than lie above 
 _LOG_UNIT = 1 << 16  # size bounds in units of 2^-16 bit
 _NO_TERM = -(1 << 60)  # "log2 0" in those units; sums of two stay in int64
 _PRIMES: list[int] = []  # the largest primes below 2^26, descending, sieved as needed
-_CHUNK = 64  # values per residue conversion and per CRT prime count
+_CHUNK = 64  # values per residue conversion and per CRT prime count; limbs per residue block
 _GROUP = 64  # primes per run of the recurrence and per CRT product
 
 
@@ -378,20 +395,27 @@ def _limb_count(values: list[int]) -> int:
     return max(1, -(-max(abs(v).bit_length() for v in values) // 16))
 
 
-def _residue_rows(values: list[int], p: np.ndarray, radix: np.ndarray) -> np.ndarray:
-    """values mod each prime (rows x primes); radix[l] = 2^(16 l) mod p.
+def _floor_mod(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """c mod p as c - p floor(c / p), for float64 integers |c| < 2^52 and 2^25 < p < 2^26."""
+    return c - p * np.floor(c / p)
 
-    Each |v| becomes a row of 16-bit limbs, low limb first, times the
-    columns of radix: products stay below 2^42, and a row sum below 2^63
-    for any width under 2^21 limbs, which every value below 2^(2^25) has.
+
+def _residue_rows(values: list[int], p: np.ndarray, radix: np.ndarray) -> np.ndarray:
+    """values mod each prime of p (rows x primes); p, radix and the result are
+    float64, with radix[l] = 2^(16 l) mod p.
+
+    Each v becomes a row of 16-bit limbs, low limb first, signed as v.
+    The rows multiply the float64 radix _CHUNK limbs at a time, and each
+    block product is floor-reduced before the blocks are summed and
+    reduced again (exact as the module docstring shows).
     """
     width = _limb_count(values)
     data = b"".join(abs(v).to_bytes(2 * width, "little") for v in values)
-    limbs = np.frombuffer(data, dtype="<u2").reshape(len(values), width).astype(np.int64)
-    res = limbs @ radix[:width] % p
-    negative = np.array([v < 0 for v in values])
-    res[negative] = (p - res[negative]) % p
-    return res
+    limbs = np.frombuffer(data, dtype="<u2").reshape(len(values), width).astype(np.float64)
+    limbs *= np.array([-1.0 if v < 0 else 1.0 for v in values])[:, None]
+    radix = radix[:width]
+    return _floor_mod(sum(_floor_mod(limbs[:, lo:lo + _CHUNK] @ radix[lo:lo + _CHUNK], p)
+                          for lo in range(0, width, _CHUNK)), p)
 
 
 def _crt_rows(res: np.ndarray, primes: list[int]) -> list[int]:
@@ -434,27 +458,33 @@ def _dot_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return acc % p
 
 
-def _exp_mod(psi: list[int], p: np.ndarray, inv: np.ndarray) -> np.ndarray:
+def _exp_mod(psi: list[int], known: list[int], p: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """f_0..f_N modulo each prime of p (one row per prime), f = exp(sum psi_j x^j / j).
 
-    inv[m] holds 1/m modulo each prime.
+    known holds f_0..f_(s-1) exactly (s >= 1): their residues seed the
+    table, and the recurrence runs for m >= s.  inv[m] holds 1/m modulo
+    each prime.  psi and the seeds are reduced by _residue_rows, _CHUNK
+    values at a time, straight into their table columns.
     """
     N = len(psi) - 1
-    radix = np.ones((_limb_count(psi), len(p)), dtype=np.int64)
+    radix = np.ones((max(_limb_count(psi), _limb_count(known)), len(p)), dtype=np.int64)
     n = 1
     while n < len(radix):  # radix[n + l] = radix[l] * 2^(16 n), doubling n
         k = min(n, len(radix) - n)
         radix[n:n + k] = radix[:k] * (radix[n - 1] * ((1 << 16) % p) % p) % p
         n *= 2
+    radix, pf = radix.astype(np.float64), p.astype(np.float64)
     # column j of psi_res holds psi_j and column N - m of f_rev holds f_m,
     # so each inner sum reads two contiguous slices
     psi_res = np.zeros((len(p), N + 1), dtype=np.int64)
     for j in range(1, N + 1, _CHUNK):
         rows = psi[j:j + _CHUNK]
-        psi_res[:, j:j + len(rows)] = _residue_rows(rows, p, radix).T
+        psi_res[:, j:j + len(rows)] = _residue_rows(rows, pf, radix).T
     f_rev = np.zeros_like(psi_res)
-    f_rev[:, N] = 1
-    for m in range(1, N + 1):
+    for m in range(0, len(known), _CHUNK):
+        rows = known[m:m + _CHUNK]
+        f_rev[:, N - m - len(rows) + 1:N - m + 1] = _residue_rows(rows, pf, radix).T[:, ::-1]
+    for m in range(len(known), N + 1):
         f_rev[:, N - m] = _dot_mod(psi_res[:, 1:m + 1], f_rev[:, N - m + 1:], p) * inv[m] % p
     return f_rev[:, ::-1]
 
@@ -462,12 +492,14 @@ def _exp_mod(psi: list[int], p: np.ndarray, inv: np.ndarray) -> np.ndarray:
 def _exp_integral(psi: list[int]) -> tuple[int, ...]:
     """f_0..f_N of exp(sum psi_j x^j / j) (psi[0] unused), known to be integers.
 
-    The recurrence runs on groups of _GROUP primes below 2^26, whose int64
-    tables stay small; each inner sum is taken in blocks of 2^11 products
-    below 2^52 (_dot_mod), and the residues of f and the inverses 1/m are
-    kept as int32.  Each chunk of f is rebuilt from only as many primes as
-    its size bound needs (a prefix of the primes) by _crt_rows, whose
-    float64 sums are exact below 2^53.
+    f is rebuilt in chunks of _CHUNK coefficients, each by _crt_rows from
+    only as many primes as its size bound needs (a prefix of the primes);
+    its float64 sums are exact below 2^53.  The recurrence runs on groups
+    of _GROUP primes below 2^26, whose int64 tables stay small; each inner
+    sum is taken in blocks of 2^11 products below 2^52 (_dot_mod), and
+    the residues of f and the inverses 1/m are kept as int32.  A group
+    joins at the first chunk that needs its primes, seeded with the
+    coefficients already rebuilt, so it runs only from there to N.
     """
     N = len(psi) - 1
     if N >= _MAX_ORDER:
@@ -475,45 +507,16 @@ def _exp_integral(psi: list[int]) -> tuple[int, ...]:
     bits = _size_bounds(psi)
     primes = _crt_primes(int(bits.max()) + 1)
     p = np.array(primes, dtype=np.int64)
+    columns = np.arange(len(primes))
     inv = np.ones((N + 1, len(primes)), dtype=np.int32)  # 1/m = -(p // m) / (p mod m)
     for m in range(2, N + 1):
-        inv[m] = (p - p // m) * inv[p % m, np.arange(len(primes))] % p
+        inv[m] = (p - p // m) * inv[p % m, columns] % p
     f_res = np.empty((len(primes), N + 1), dtype=np.int32)
-    for g in range(0, len(primes), _GROUP):
-        f_res[g:g + _GROUP] = _exp_mod(psi, p[g:g + _GROUP], inv[:, g:g + _GROUP])
-    del inv
-    out = [1]
+    out, run = [1], 0  # f_res holds the residues of f modulo primes[:run]
     for m in range(1, N + 1, _CHUNK):
         used = len(_crt_primes(int(bits[m:m + _CHUNK].max()) + 1))
+        while run < used:  # the next group joins here, seeded with f_0..f_(m-1)
+            f_res[run:run + _GROUP] = _exp_mod(psi, out, p[run:run + _GROUP], inv[:, run:run + _GROUP])
+            run += _GROUP
         out += _crt_rows(f_res[:used, m:m + _CHUNK].T, primes[:used])
     return tuple(out)
-
-
-def power2_transform(a_exponents: dict[int, Fraction], N: int) -> dict[int, Fraction]:
-    """b_n = a_n - a_{n/2} for even n, a_n for odd n (n = 1..N)."""
-    out = {}
-    for n in range(1, N + 1):
-        a_n = a_exponents.get(n, 0)
-        if n % 2 == 0:
-            out[n] = a_n - a_exponents.get(n // 2, 0)
-        else:
-            out[n] = a_n
-    return out
-
-
-def verify_power2_product(A: TruncatedSeries, B: TruncatedSeries, N: int) -> bool:
-    """Check A(x) = prod_{k: 2^k <= N} B(x^{2^k})^(2^-k) exactly to order N.
-
-    Both sides are compared through their logarithms, so A and B must
-    have constant term 1; powers of series are exact rational ops.
-    """
-    log_a = series_log(A.truncate(N) if A.order > N else A)
-    log_b = series_log(B.truncate(N) if B.order > N else B)
-    if log_a.order != N or log_b.order != N:
-        raise TruncationMismatch("series shorter than the requested check order")
-    rhs = TruncatedSeries.from_coeffs((0,), N)
-    k = 0
-    while 2**k <= N:
-        rhs = rhs + log_b.compose_xpow(2**k).scale(Fraction(1, 2**k))
-        k += 1
-    return all(x == y for x, y in zip(log_a.coeffs, rhs.coeffs))

@@ -44,9 +44,9 @@ from fqtcount.series import (
     product_form,
     series_exp,
     series_log,
-    verify_power2_product,
 )
 from fqtcount.verify import run_all
+from power2 import verify_power2_product
 
 ODD_PRIME_POWERS_TO_101 = [
     3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49,

@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqtcount import series
 from fqtcount.errors import BadConstantTerm, NotInvertible, TruncationMismatch
 from fqtcount.families import (
     FamilySpec,
@@ -28,10 +29,10 @@ from fqtcount.series import (
     _exp_integral,
     _exp_psi_over_n,
     _mobius_table,
+    _residue_rows,
     _size_bounds,
     binomial_series,
     g_from_psi,
-    power2_transform,
     product_form,
     psi_from_g,
     series_exp,
@@ -39,8 +40,8 @@ from fqtcount.series import (
     series_mul,
     series_pow,
     squarefree_product_form,
-    verify_power2_product,
 )
+from power2 import power2_transform, verify_power2_product
 
 x = sympy.Symbol("x")
 
@@ -367,6 +368,90 @@ def test_exp_of_huge_values_crosses_prime_groups_and_windows():
     psi = {n: v for n in range(1, 4)}  # (1 - x)^(-v)
     assert _exp_psi_over_n(psi, 3).coeffs == (
         1, v, v * (v + 1) // 2, v * (v + 1) * (v + 2) // 6)
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 2 * 64 + 3])
+def test_residue_rows_are_exact_at_the_block_edges(width):
+    # every limb 0xFFFF: each block product is as large as a block of 64 limbs allows
+    primes = _crt_primes(60000)
+    primes = primes[:3] + primes[-3:]
+    radix = np.array([[pow(2, 16 * l, q) for q in primes] for l in range(3 * 64)], dtype=np.float64)
+    top = 2 ** (16 * width) - 1
+    values = [top, -top, top - 1, 1 - top, top >> 16, -(top >> 16), 1, -1, 0]
+    got = _residue_rows(values, np.array(primes, dtype=np.float64), radix)
+    assert got.tolist() == [[v % q for q in primes] for v in values]
+
+
+# -- prime groups joining the recurrence at later chunks -------------------
+
+
+@pytest.fixture(params=[2, 3], ids=lambda g: f"group{g}")
+def join_points(request, monkeypatch):
+    """Groups of 2 or 3 primes and chunks of 8 values, so that many groups
+    join at different chunks; the list collects the m each group joins at."""
+    monkeypatch.setattr(series, "_GROUP", request.param)
+    monkeypatch.setattr(series, "_CHUNK", 8)
+    joins = []
+    exp_mod = series._exp_mod
+
+    def recorded(psi, known, p, inv):
+        joins.append(len(known))
+        return exp_mod(psi, known, p, inv)
+
+    monkeypatch.setattr(series, "_exp_mod", recorded)
+    return joins
+
+
+@pytest.mark.parametrize("spec", list(_family_specs()), ids=lambda s: s.family)
+def test_joined_groups_match_schoolbook_for_every_family(spec, join_points):
+    N = 300
+    psi = {n: psi_value(spec, n).numerator for n in range(1, N + 1)}
+    assert _exp_psi_over_n(psi, N).coeffs == schoolbook_exp(psi, N)
+    assert len(set(join_points)) > 3 and join_points == sorted(join_points)
+
+
+def test_joined_groups_with_signed_psi(join_points):
+    assert _exp_psi_over_n({n: -1 for n in range(1, 41)}, 40).coeffs == (1, -1) + (0,) * 39
+    assert squarefree_product_form({1: 3, 2: 2}, 12).coeffs == (1, 3, 5, 7, 7, 5, 3, 1) + (0,) * 5
+    v, N = 10**30, 60
+    for psi, expected in (
+        ({n: -v for n in range(1, N + 1)}, [(-1) ** m * math.comb(v, m) for m in range(N + 1)]),
+        ({n: (-1) ** n * v for n in range(1, N + 1)},
+         [(-1) ** m * math.comb(v + m - 1, m) for m in range(N + 1)]),
+    ):
+        assert _exp_psi_over_n(psi, N).coeffs == tuple(expected) == schoolbook_exp(psi, N)
+    assert len(set(join_points)) > 3
+
+
+def test_joined_groups_with_zero_runs(join_points):
+    # psi_16k = 16 psi_k stretches exp(sum psi_k y^k / k) to y = x^16: runs
+    # of 15 zero coefficients, whose chunks need fewer primes than the last
+    spec, K = FamilySpec(canonical_family("s1"), q=27), 25
+    small = {k: psi_value(spec, k).numerator for k in range(1, K + 1)}
+    psi = {16 * k: 16 * v for k, v in small.items()}
+    bits = _size_bounds([0] + [psi.get(n, 0) for n in range(1, 16 * K + 1)])
+    assert bits[16 * K - 8] == 0 < bits[16 * K - 16]  # not monotone
+    got = _exp_psi_over_n(psi, 16 * K).coeffs
+    assert got == schoolbook_exp(psi, 16 * K)
+    assert len(set(join_points)) > 3 and join_points == sorted(join_points)
+    assert got[::16] == _exp_psi_over_n(small, K).coeffs
+
+
+def test_joined_groups_at_orders_0_and_1(join_points):
+    v = 3**200
+    assert _exp_psi_over_n({}, 0).coeffs == (1,)
+    assert _exp_psi_over_n({1: v}, 0).coeffs == (1,)
+    assert join_points == []
+    assert _exp_psi_over_n({1: v}, 1).coeffs == (1, v)
+    assert _exp_psi_over_n({1: -v}, 1).coeffs == (1, -v)
+    assert len(join_points) > 4 and set(join_points) == {1}
+
+
+def test_last_group_joins_at_the_last_chunk(join_points):
+    # 1 / ((1 - x) (1 - x^40)^v): f_m = 1 below 40, so only the last chunk needs many primes
+    v, N = 10**100, 40
+    assert product_form({1: 1, N: v}, N).coeffs == (1,) * N + (1 + v,)
+    assert join_points[0] == 1 and join_points[-1] == N - 7 and len(join_points) > 3
 
 
 # -- the common-denominator exp against the Fraction loop it replaced ------
