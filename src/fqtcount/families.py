@@ -15,7 +15,8 @@ table.  A table lives with the count_table call or estimator that asked
 for it: nothing here caches psi.  generator_counts and the membership
 oracles recount the same sets independently, as the reference the
 checks compare against; both oracles (the universe sieve and scalar
-factoring) run the family's one membership_rule.
+factoring) run the family's one membership_rule, and both read each
+prime's degree, character and residues from a universe.PrimeTable.
 
 Index conventions: the even-degree families s1/s2/s3 are tabulated by
 half-degree and the divisor families by degree/r; the landau and
@@ -28,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
+
+import numpy as np
 
 from . import ffield, series, universe
 from .errors import (
@@ -461,29 +464,17 @@ class MembershipRule:
     """An F_q[T] family's membership rule, in the one form both oracles run.
 
     f is a member when every prime power P^e exactly dividing it passes:
-    passes(admissible(P), e).  admissible reads P through prime_deg,
-    prime_chi2() and prime_residues(m), arrays over all primes on a
-    Universe (giving a bool array) or one prime's values on a _OnePrime
-    (giving a bool); passes works elementwise on arrays alike.  key
-    names the rule in a Universe's mask cache.
+    passes(admissible(P), e).  admissible reads a universe.PrimeTable
+    through prime_deg, prime_chi2() and prime_residues(m) and gives a
+    bool array over its primes; passes works elementwise on arrays.  Both
+    oracles hand it a PrimeTable: the Universe's own, or the one the
+    scalar oracle builds from its factorizations.  key names the rule in
+    a Universe's mask cache.
     """
 
     key: tuple
     admissible: Callable
     passes: Callable
-
-
-class _OnePrime:
-    """One prime, under the names of a Universe's per-prime tables."""
-
-    def __init__(self, field: FieldSpec, prime: MonicPoly):
-        self.field, self.prime, self.prime_deg = field, prime, prime.degree
-
-    def prime_chi2(self) -> int:
-        return ffield.chi2(self.field, self.prime)
-
-    def prime_residues(self, m: MonicPoly) -> int:
-        return _residue_code(self.field, self.prime, m)
 
 
 # which multiplicities e pass, given the prime's admissibility (default: good)
@@ -514,17 +505,55 @@ def membership_rule(field: FieldSpec, spec: FamilySpec) -> MembershipRule:
 
 def membership_oracle(field: FieldSpec, f: MonicPoly, spec: FamilySpec) -> bool:
     """Decide membership of f from its factorization."""
-    is_member = membership_test(field, spec)
+    rule = membership_rule(field, spec)
     if f.degree == 0:
         return True
-    return is_member(ffield.factor(field, f))
+    return bool(_members(field, rule, np.array([f.coeffs], dtype=np.int64))[0])
 
 
-def membership_test(field: FieldSpec, spec: FamilySpec):
-    """The family's membership predicate on a Factorization (F_q[T] families)."""
+def member_mask(field: FieldSpec, spec: FamilySpec, degree: int,
+                cap: int | None = None) -> np.ndarray:
+    """Membership of every monic polynomial of the degree, in canonical
+    order (enumerate_monic's), from scalar factoring; the cap is checked
+    before the rows are built."""
     rule = membership_rule(field, spec)
-    return lambda fac: all(rule.passes(rule.admissible(_OnePrime(field, P)), v)
-                           for P, v in fac.factors)
+    if degree == 0:
+        return np.ones(1, dtype=bool)
+    ffield.check_cap(field, degree, cap)
+    return _members(field, rule, ffield._monic_rows(field, degree))
+
+
+def _members(field: FieldSpec, rule: MembershipRule, rows: np.ndarray) -> np.ndarray:
+    """The member mask of coefficient rows of one degree n >= 1.
+
+    ffield._factor_rows gives each row's plan multiplicities and large
+    prime; one PrimeTable of the plan primes and the large primes gives
+    their admissibility, and a row is a member when every nonzero
+    multiplicity and its large prime (multiplicity 1) pass, tested in row
+    chunks.  Codes are int64, so q^(n+1) past 2^63 raises ResourceLimit.
+    """
+    n = rows.shape[1] - 1
+    if field.q ** (n + 1) >= 1 << 63:
+        raise ResourceLimit(f"prime codes of degree {n} over {field} exceed int64")
+    fac = ffield._factor_rows(field, rows)
+    plan, mult = fac.plan, fac.mult
+    has_large = fac.large_deg > 0
+    q_powers = field.q ** np.arange(n + 1, dtype=np.int64)
+    codes = [ffield.code_of(field, P.coeffs) for P in plan.primes]
+    table = universe.PrimeTable(
+        field,
+        np.concatenate([np.array(codes, dtype=np.int64), fac.large[has_large] @ q_powers]),
+        np.concatenate([plan.prime_deg, fac.large_deg[has_large]]),
+    )
+    good = rule.admissible(table)
+    small = len(plan.primes)
+    ok = np.empty(len(rows), dtype=bool)
+    step = ffield._row_step(small)  # row chunks bound the (rows, primes) temporaries
+    for lo in range(0, len(rows), step):
+        part = mult[lo : lo + step]
+        ok[lo : lo + step] = ((part == 0) | rule.passes(good[:small], part)).all(axis=1)
+    ok[has_large] &= rule.passes(good[small:], 1)
+    return ok
 
 
 def oracle_count(field: FieldSpec, spec: FamilySpec, degree: int,
@@ -532,18 +561,16 @@ def oracle_count(field: FieldSpec, spec: FamilySpec, degree: int,
     """Exhaustive count of degree-n members, independent of the series.
 
     method="sieve" factors the whole degree at once through the shared
-    Universe; method="scalar" factors the whole degree by one
-    ffield.factor_many call (remainders against the small prime powers,
-    independent of the sieve's products) and tests each factorization.
-    Both evaluate the family's one membership_rule.
+    Universe; method="scalar" sums member_mask, which factors the whole
+    degree by remainders against the small prime powers (independent of
+    the sieve's products) and reads the primes it finds from a PrimeTable
+    of its own.  Both evaluate the family's one membership_rule.
     """
     rule = membership_rule(field, spec)
     if degree == 0:
         return 1
     if method == "scalar":
-        is_member = membership_test(field, spec)
-        polys = ffield.enumerate_monic(field, degree, cap=cap)
-        return sum(map(is_member, ffield.factor_many(field, polys)))
+        return int(member_mask(field, spec, degree, cap).sum())
     if method != "sieve":
         raise ValueError("method must be 'sieve' or 'scalar'")
     return universe.get_universe(field, degree, cap=cap).count(rule, degree)

@@ -41,14 +41,26 @@ plan of degree n holds, for every monic prime P with 2 deg P <= n and
 every e with e deg P <= n, the digit matrix of that map, so one matrix
 product over a batch of polynomials gives every such remainder at once.
 The multiplicity of P in f is the largest e whose remainder block is
-zero, since P^e | f implies P^(e-1) | f.  What the small prime powers
-leave has no prime factor of degree <= n/2, so it is 1 or one prime of
-degree > n/2; it comes from one exact division, whose remainder check
-is the guard that the plan and the arithmetic agree.
+zero, since P^e | f implies P^(e-1) | f: one reduceat over the plan's
+block columns marks the zero blocks, and a second over each prime's
+blocks takes the largest zero e (_multiplicities, which irreducibles
+reads as well).  What the small prime powers leave has no prime factor
+of degree <= n/2, so it is 1 or one prime of degree > n/2.
+
+The array core _factor_rows factors the coefficient rows of one degree
+at once: the multiplicity matrix, the product G of the small prime
+powers (one batched digit product per (prime, e), over the rows that
+have it), and the large prime, by one exact division batched over the
+rows that share deg G.  Its guards check that the plan and the
+arithmetic agree: G = f when there is no large prime, a zero remainder
+and a quotient of degree > n/2 otherwise; each raises ArithmeticError.
+factor_many is the object view over it, and families' scalar oracle
+reads its arrays directly.
 
 Every batched digit product in the package goes through _digit_product:
-factoring's multiplicities here, the enumeration sieve and the prime
-residues mod m in universe, and the unit-group table in primecounts.
+factoring's multiplicities and small parts here, the enumeration sieve
+and the prime residues mod m in universe, and the unit-group table in
+primecounts.
 Their matrices come from _digit_rows; their inputs are base-p digit
 rows (_digits, or universe's division-free _monic_digits) stored in the
 smallest unsigned type that holds p - 1.  One product casts a row chunk
@@ -73,13 +85,19 @@ once.  The product is reduced mod p in one of two ways:
   Its floor is k - 1 either way, and the product and difference after
   it are integers below 2^24.  A multiply by a rounded 1/p has no such
   bound.  The reduced digits of a degree-d polynomial make a code below
-  p^((d+1)k) = q^(d+1), so one product with p^j (_code_powers) gives
-  exact codes in float32 when q^(d+1) <= 2^24 and in float64 otherwise;
-  only that code vector is cast to int64.
-* Zero tests (multiplicities): the product is cast to the smallest
-  unsigned type that holds a digit sum and reduced there by
-  c - (c // p) * p, which measured faster than the float reduce on the
-  plan's wide products.
+  p^((d+1)k) = q^(d+1), so their products with p^j (_code_powers) and
+  every partial sum of them are exact in float32 when q^(d+1) <= 2^24
+  and in float64 otherwise; only the code vector is cast to int64.  The
+  encode is numpy's elementwise multiply and a sum over the digit axis,
+  never a BLAS product: a BLAS matrix-vector product of finite float32
+  digits (2 to 18 rows of 5) was seen to raise the invalid flag, which
+  the tests turn into an error, in one of about 200 fresh processes.
+  The product is made transposed, digits by rows, so that the sum adds
+  whole contiguous rows.
+* Digits (multiplicities' zero tests and factoring's small parts): the
+  product is cast to the smallest unsigned type that holds a digit sum
+  and reduced there by c - (c // p) * p, which measured faster than the
+  float reduce on the plan's wide products.
 
 Scalar arithmetic stays in Python ints, because indexing a numpy table
 costs more than the operation itself.  A prime field reduces mod p, so
@@ -87,8 +105,8 @@ it builds no q^2-entry structure for scalar work, digit rows or plans;
 its chi2 is Euler's criterion and its square_mask squares the q
 residues.  An extension field indexes the Python-list rows that _Tables
 keeps next to its numpy tables.  Loops that run many divisions
-(factor_many, _powers_of_x_mod) fetch these once per call through
-_ext_tables.
+(_powers_of_x_mod) fetch these once per call through _ext_tables; the
+batched division of _factor_rows indexes the numpy tables instead.
 """
 
 from __future__ import annotations
@@ -301,21 +319,26 @@ def _digit_product(digits: np.ndarray, matrix: np.ndarray, p: int,
                    powers: np.ndarray | None = None) -> np.ndarray:
     """digits @ matrix reduced mod p, by one BLAS product in the matrix's float type.
 
-    With powers (from _code_powers) the product is reduced in place in
-    that float type and encoded: the int64 codes are returned.  Without,
-    the reduced digits are returned in the smallest unsigned type that
-    holds a digit sum, for zero tests.  See the module docstring.
+    With powers (from _code_powers) the product is made transposed,
+    reduced in place in that float type and encoded: the int64 codes are
+    returned.  Without, the reduced digits are returned in the smallest
+    unsigned type that holds a digit sum, for zero tests and factoring's
+    small parts.  See the module docstring.
     """
-    prod = digits.astype(matrix.dtype) @ matrix
     if powers is None:
+        prod = digits.astype(matrix.dtype) @ matrix
         prod = prod.astype(np.min_scalar_type(digits.shape[-1] * (p - 1) ** 2))
         prod -= prod // p * p  # a floor division by a scalar is far cheaper than %
         return prod
+    # transposed, so that the encode sums whole digit rows, without BLAS
+    prod = matrix.T @ digits.T.astype(matrix.dtype)
     quot = prod / p
     np.floor(quot, out=quot)
     quot *= p
     prod -= quot
-    return (prod.astype(powers.dtype, copy=False) @ powers).astype(np.int64)
+    prod = prod.astype(powers.dtype, copy=False)
+    prod *= powers[:, None]  # in place: a new array per chunk measured slower
+    return prod.sum(axis=0).astype(np.int64)
 
 
 def _digit_rows(field: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -517,16 +540,9 @@ def irreducibles(field: FieldSpec, n: int, cap: int | None = None) -> tuple[Moni
     cached = _IRR_CACHE.get(key)
     if cached is not None:
         return cached
-    polys = enumerate_monic(field, n, cap)
-    if n == 1:
-        result = tuple(polys)
-    else:
-        plan = _remainder_plan(field, n)
-        result = tuple(
-            polys[lo + i]
-            for lo, mult in _multiplicity_chunks(field, plan, polys)
-            for i in np.flatnonzero(~mult.any(axis=1)).tolist()
-        )
+    rows = _monic_rows(field, n)
+    mult = _multiplicities(field, _remainder_plan(field, n), rows)
+    result = tuple(MonicPoly(tuple(row)) for row in rows[~mult.any(axis=1)].tolist())
     _IRR_CACHE[key] = result
     return result
 
@@ -544,8 +560,11 @@ class _RemainderPlan(NamedTuple):
 
     degree: int
     primes: tuple[MonicPoly, ...]
+    prime_deg: np.ndarray  # deg primes[j], int64
     powers: tuple[tuple[tuple[int, ...], ...], ...]  # powers[j][e-1] = primes[j]^e
-    sections: tuple[tuple[int, int], ...]  # (prime degree, number of primes), in column order
+    block_cols: np.ndarray  # first column of each block, in column order
+    block_e: np.ndarray  # e of each block, int8
+    prime_blocks: np.ndarray  # first block of each prime
     matrix: np.ndarray
 
 
@@ -565,22 +584,27 @@ def _remainder_plan(field: FieldSpec, n: int) -> _RemainderPlan:
     k = field.k
     # a plan with no columns multiplies nothing, so it needs no exact type
     matrix = np.empty((rows, cols), dtype=_digit_dtype(field, n) if cols else np.float32)
-    primes, powers, sections = [], [], []
+    primes, powers, block_cols, block_e, prime_blocks = [], [], [], [], []
     start = 0
     for d in range(1, n // 2 + 1):
         by_prime = irreducibles(field, d, _MAX_PLAN_DIGITS)
         for P in by_prime:
             power, by_power = (1,), []
+            prime_blocks.append(len(block_e))
             for e in range(1, n // d + 1):
                 power = poly_mul(field, power, P.coeffs)
                 by_power.append(power)
                 x_mod = _powers_of_x_mod(field, power, n)
                 matrix[:, start : start + e * d * k] = _digit_rows(field, x_mod)
+                block_cols.append(start)
+                block_e.append(e)
                 start += e * d * k
             powers.append(tuple(by_power))
         primes += by_prime
-        sections.append((d, len(by_prime)))
-    plan = _RemainderPlan(n, tuple(primes), tuple(powers), tuple(sections), matrix)
+    plan = _RemainderPlan(n, tuple(primes), np.array([P.degree for P in primes], dtype=np.int64),
+                          tuple(powers), np.array(block_cols, dtype=np.int64),
+                          np.array(block_e, dtype=np.int8), np.array(prime_blocks, dtype=np.int64),
+                          matrix)
     _PLAN_CACHE[key] = plan
     return plan
 
@@ -625,45 +649,157 @@ def _powers_of_x_mod(field: FieldSpec, modulus: tuple[int, ...], n: int,
     return out
 
 
-def _multiplicity_chunks(field: FieldSpec, plan: _RemainderPlan, polys: list[MonicPoly]):
-    """Yield (first row, multiplicities) per row chunk of polynomials of the plan's degree.
+def _monic_rows(field: FieldSpec, n: int) -> np.ndarray:
+    """Coefficient rows of every monic polynomial of degree n, in canonical order.
 
-    The multiplicity of P in f is the largest e whose block of
-    digits(f) @ matrix is zero mod p, since P^e | f implies P^(e-1) | f.
+    The order is enumerate_monic's: the coefficient of T^(n-1) varies
+    fastest, so row i holds the base-q digits of i, most significant first.
+    """
+    rows = np.ones((field.q**n, n + 1), dtype=np.int64)
+    rows[:, :n] = _digits(np.arange(field.q**n), field.q, n)[:, ::-1]
+    return rows
+
+
+def _mul_matrix(field: FieldSpec, w: tuple[int, ...], in_deg: int, out_deg: int) -> np.ndarray:
+    """Digit-space matrix of multiplication by the fixed polynomial w.
+
+    Maps digit vectors of polynomials of degree <= in_deg to digit
+    vectors of their products with w (degree <= out_deg): row j of the
+    coefficient matrix is x^j w, placed by index arithmetic.
+    """
+    coeffs = np.zeros((in_deg + 1, out_deg + 1), dtype=np.int64)
+    j = np.arange(in_deg + 1)[:, None]
+    coeffs[j, j + np.arange(len(w))] = w
+    return _digit_rows(field, coeffs).astype(_digit_dtype(field, in_deg))
+
+
+def _multiplicities(field: FieldSpec, plan: _RemainderPlan, coeffs: np.ndarray) -> np.ndarray:
+    """The (rows, primes) int8 multiplicity of each plan prime in each coefficient row.
+
+    Per row chunk, one digit product gives every remainder block; one
+    reduceat marks the zero blocks (P, e), and a second takes the largest
+    zero e of each prime, which is its multiplicity since P^e | f implies
+    P^(e-1) | f.  Zero everywhere marks a row with no prime factor of
+    degree <= n/2.
+    """
+    matrix, p = plan.matrix, field.p
+    mult = np.zeros((len(coeffs), len(plan.primes)), dtype=np.int8)
+    if not plan.primes:
+        return mult
+    step = _row_step(max(matrix.shape))
+    for lo in range(0, len(coeffs), step):
+        chunk = coeffs[lo : lo + step]
+        residue = _digit_product(_digits(chunk, p, field.k).reshape(len(chunk), -1), matrix, p)
+        zero = np.maximum.reduceat(residue, plan.block_cols, axis=1) == 0
+        mult[lo : lo + step] = np.maximum.reduceat(zero * plan.block_e, plan.prime_blocks, axis=1)
+    return mult
+
+
+class _Factored(NamedTuple):
+    """The factorizations of coefficient rows of one degree n, as arrays.
+
+    Row i is prod_j plan.primes[j]^mult[i, j] times its large prime: the
+    one prime factor of degree > n/2, whose coefficients large[i] holds
+    (zero-padded), or 1, of degree 0, if there is none.
+    """
+
+    plan: _RemainderPlan
+    mult: np.ndarray  # (rows, primes) int8
+    large: np.ndarray  # (rows, n + 1) int64
+    large_deg: np.ndarray  # (rows,) int64
+
+
+def _factor_rows(field: FieldSpec, coeffs: np.ndarray) -> _Factored:
+    """Factor (rows, n + 1) int64 coefficient rows of monic polynomials of one degree n >= 1.
+
+    The multiplicities come from the remainder plan (_multiplicities).
+    The product G of the small prime powers is built in digit form, one
+    batched product per (prime, e) over the rows that have it.  A row
+    whose G has degree n must equal G; any other row's quotient by G,
+    one exact division batched over the rows of each deg G, is its large
+    prime.  A remainder, a quotient of degree <= n/2 or a G of degree > n
+    means the plan and the arithmetic disagree and raises ArithmeticError.
     Raises ValueError on a coefficient that is not an element code.
     """
-    matrix, n, k, p = plan.matrix, plan.degree, field.k, field.p
-    step = _row_step(max(matrix.shape))
-    for lo in range(0, len(polys), step):
-        coeffs = np.array([f.coeffs for f in polys[lo : lo + step]], dtype=np.int64)
-        if coeffs.max() >= field.q:
-            raise ValueError(f"coefficient out of range for {field}")
-        rows = len(coeffs)
-        residue = _digit_product(_digits(coeffs, p, k).reshape(rows, -1), matrix, p)
-        mult = np.zeros((rows, len(plan.primes)), dtype=np.int8)
-        col = first = 0
-        for d, m in plan.sections:
-            width = _section_width(field, n, d)
-            section = residue[:, col : col + m * width].reshape(rows, m, width)
-            off = 0
-            for e in range(1, n // d + 1):
-                zero = ~section[:, :, off : off + e * d * k].any(axis=2)
-                np.copyto(mult[:, first : first + m], e, where=zero)  # rising e: largest wins
-                off += e * d * k
-            col += m * width
-            first += m
-        yield lo, mult
+    if coeffs.size and coeffs.max() >= field.q:
+        raise ValueError(f"coefficient out of range for {field}")
+    rows, n, p, k = len(coeffs), coeffs.shape[1] - 1, field.p, field.k
+    plan = _remainder_plan(field, n)
+    mult = _multiplicities(field, plan, coeffs)
+    # the nonzero multiplicities grouped by (prime, e)
+    row_of, prime_of = np.nonzero(mult)
+    e_of = mult[row_of, prime_of].astype(np.int64)
+    g_deg = np.bincount(row_of, weights=e_of * plan.prime_deg[prime_of], minlength=rows)
+    g_deg = g_deg.astype(np.int64)
+    if (g_deg > n).any():
+        i = int(np.argmax(g_deg > n))
+        raise ArithmeticError(f"prime powers of {poly_to_string(tuple(coeffs[i].tolist()))} "
+                              f"exceed its degree")
+    key = prime_of * (n + 1) + e_of
+    order = np.argsort(key, kind="stable")
+    key, row_of = key[order], row_of[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    g = np.zeros((rows, _digit_count(field, n)), dtype=np.min_scalar_type(p - 1))
+    g[:, 0] = 1
+    for lo, hi in zip(starts, starts[1:] + [len(key)]):
+        j, e = divmod(int(key[lo]), n + 1)
+        sel = row_of[lo:hi]
+        in_deg = n - e * int(plan.prime_deg[j])  # deg G stays <= n, so G so far fits
+        matrix = _mul_matrix(field, plan.powers[j][e - 1], in_deg, n)
+        g[sel] = _digit_product(g[sel, : _digit_count(field, in_deg)], matrix, p)
+    g = g.astype(np.int64)
+    if k > 1:
+        g = g.reshape(rows, n + 1, k) @ p ** np.arange(k, dtype=np.int64)
+    whole = g_deg == n
+    bad = np.flatnonzero(whole & (g != coeffs).any(axis=1))
+    if len(bad):
+        f, g_bad = (tuple(a[bad[0]].tolist()) for a in (coeffs, g))
+        raise ArithmeticError(f"prime powers of {poly_to_string(f)} multiply "
+                              f"to {poly_to_string(g_bad)}")
+    large = np.zeros_like(coeffs)
+    large[whole, 0] = 1
+    # the degrees of G below n (np.unique costs 29 ms and 1.6 MiB on its first call)
+    for dg in np.flatnonzero(np.bincount(g_deg[~whole], minlength=n)).tolist():
+        sel = np.flatnonzero(g_deg == dg)
+        quot, rem = _divide_rows(field, coeffs[sel], g[sel, : dg + 1])
+        bad = np.flatnonzero(rem.any(axis=1))
+        if len(bad) or 2 * (n - dg) <= n:
+            i = sel[bad[0]] if len(bad) else sel[0]
+            raise ArithmeticError(f"{poly_to_string(tuple(g[i, : dg + 1].tolist()))} does not "
+                                  f"leave a large prime in "
+                                  f"{poly_to_string(tuple(coeffs[i].tolist()))}")
+        large[sel, : n - dg + 1] = quot
+    return _Factored(plan, mult, large, n - g_deg)
+
+
+def _divide_rows(field: FieldSpec, f: np.ndarray, g: np.ndarray):
+    """Quotient and remainder rows of each row of f by the monic row of g beside it.
+
+    Schoolbook division, one quotient coefficient per step for all rows
+    at once: mod p in a prime field, by the numpy tables otherwise.
+    """
+    dg, top = g.shape[1] - 1, f.shape[1] - 1
+    rem = f.copy()
+    quot = np.zeros((len(f), top - dg + 1), dtype=np.int64)
+    t = _ext_tables(field)
+    for i in range(top - dg, -1, -1):
+        lead = rem[:, i + dg].copy()
+        quot[:, i] = lead
+        block = rem[:, i : i + dg + 1]
+        if t is None:
+            block -= lead[:, None] * g
+            block %= field.p
+        else:
+            block[:] = t.add[block, t.neg[t.mul[lead[:, None], g]]]
+    return quot, rem[:, :dg]
 
 
 def factor_many(field: FieldSpec, polys) -> list[Factorization]:
     """Canonical factorizations of monic polynomials of one degree n >= 1.
 
-    One digit product against the remainder plan of degree n gives the
-    multiplicity of every prime of degree <= n/2.  When those prime
-    powers fall short of degree n, the exact quotient of f by their
-    product is the one prime factor of degree > n/2; a nonzero remainder,
-    or a quotient of degree <= n/2, means the plan and the arithmetic
-    disagree and raises ArithmeticError.
+    The object view of _factor_rows: each row's plan primes in plan
+    order, which is canonical, then its large prime if it has one.  Its
+    guards raise ArithmeticError.
     """
     polys = list(polys)
     if not polys:
@@ -673,56 +809,19 @@ def factor_many(field: FieldSpec, polys) -> list[Factorization]:
         raise ValueError("factor_many needs polynomials of one degree")
     if n < 1:
         raise ValueError("factor requires degree >= 1")
-    plan = _remainder_plan(field, n)
-    p, t = field.p, _ext_tables(field)
-    # multiplicity row -> its sorted factors, their product and their Factorization
-    by_row: dict[bytes, tuple] = {}
-    by_pairs: dict[tuple, tuple] = {}
-    out: list[Factorization] = []
-    for lo, mult in _multiplicity_chunks(field, plan, polys):
-        keys = (mult.view(np.dtype((np.void, mult.shape[1]))).ravel().tolist()
-                if mult.shape[1] else [b""] * len(mult))
-        for i, key in enumerate(keys):
-            part = by_row.get(key)
-            if part is None:
-                pairs = tuple((j, e) for j, e in enumerate(mult[i].tolist()) if e)
-                found, g = _small_part(field, plan, pairs, by_pairs)
-                found = tuple(sorted(found, key=_canonical_key))
-                part = by_row[key] = (found, g, Factorization(found))
-            found, g, whole = part
-            f = polys[lo + i].coeffs
-            if len(g) == len(f):
-                if g != f:
-                    raise ArithmeticError(f"prime powers of {poly_to_string(f)} multiply "
-                                          f"to {poly_to_string(g)}")
-                out.append(whole)
-                continue
-            quot, rem = _divmod(p, t, f, g)
-            if rem or 2 * (len(quot) - 1) <= n:
-                raise ArithmeticError(f"{poly_to_string(g)} does not leave a large prime "
-                                      f"in {poly_to_string(f)}")
-            out.append(Factorization(found + ((MonicPoly(quot), 1),)))
+    fac = _factor_rows(field, np.array([f.coeffs for f in polys], dtype=np.int64))
+    # the nonzero multiplicities in row-major order: each row's primes in plan order
+    row_of, prime_of = np.nonzero(fac.mult)
+    pairs = list(zip(map(fac.plan.primes.__getitem__, prime_of.tolist()),
+                     fac.mult[row_of, prime_of].tolist()))
+    cuts = np.searchsorted(row_of, np.arange(len(polys) + 1)).tolist()
+    out = []
+    for i, (large, d) in enumerate(zip(fac.large.tolist(), fac.large_deg.tolist())):
+        found = tuple(pairs[cuts[i] : cuts[i + 1]])
+        if d:
+            found += ((MonicPoly(tuple(large[: d + 1])), 1),)
+        out.append(Factorization(found))
     return out
-
-
-def _canonical_key(pm: tuple[MonicPoly, int]):
-    return pm[0].degree, pm[0].coeffs
-
-
-def _small_part(field: FieldSpec, plan: _RemainderPlan, pairs: tuple, memo: dict):
-    """The (prime, e) factors named by (plan index, e) pairs, and their product.
-
-    Built on the part of pairs[:-1] (memoized), so each new part costs one product.
-    """
-    part = memo.get(pairs)
-    if part is None:
-        if not pairs:
-            return (), (1,)
-        head, g = _small_part(field, plan, pairs[:-1], memo)
-        j, e = pairs[-1]
-        part = memo[pairs] = (head + ((plan.primes[j], e),),
-                              poly_mul(field, g, plan.powers[j][e - 1]))
-    return part
 
 
 def factor(field: FieldSpec, f: MonicPoly) -> Factorization:
@@ -741,6 +840,29 @@ def chi2(field: FieldSpec, f: MonicPoly) -> int:
     if field.k == 1:  # Euler's criterion
         return 1 if pow(c0, (field.q - 1) // 2, field.q) == 1 else -1
     return 1 if bool(square_mask(field)[c0]) else -1
+
+
+def _chi2_codes(field: FieldSpec, c0: np.ndarray) -> np.ndarray:
+    """chi2 of polynomials with int64 constant terms c0, as int8 in {-1, 0, +1}.
+
+    A prime field runs Euler's criterion by repeated squaring mod p,
+    exact in int64 while p^2 < 2^63, so it builds nothing of size q; an
+    extension field reads its square table.
+    """
+    if field.k > 1:
+        square = tables(field).is_square[c0]
+    else:
+        p, e = field.p, (field.p - 1) // 2
+        power, base = np.ones_like(c0), c0
+        while e:
+            if e & 1:
+                power = power * base % p
+            base = base * base % p
+            e >>= 1
+        square = power == 1
+    chi = np.where(square, 1, -1).astype(np.int8)
+    chi[c0 == 0] = 0
+    return chi
 
 
 def square_mask(field: FieldSpec) -> np.ndarray:

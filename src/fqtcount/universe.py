@@ -45,6 +45,10 @@ asked (the oracles count n = 0, 1, ... in turn, one degree more each
 time), the computed degrees are copied into a longer buffer and only
 the new degrees are evaluated.
 
+The per-prime values a membership rule reads (degree, chi2, residue
+mod m) live on a PrimeTable of prime codes.  The Universe holds one for
+its primes, and families' scalar oracle builds one for the primes that
+ffield._factor_rows finds, so both oracles read them from one place.
 Residues mod m (for the progression family) use the remainder plan's
 map as well: f -> f mod m is F_p-linear in f's digits, with digit rows
 Y^s x^j mod m (the scalar rows x^j mod m from _powers_of_x_mod, spread
@@ -73,6 +77,7 @@ from .ffield import (
     _digit_product,
     _digit_rows,
     _digits,
+    _mul_matrix,
     _powers_of_x_mod,
     _row_step,
 )
@@ -105,19 +110,6 @@ def _index_dtype(count: int) -> type:
     return np.int32 if count <= 1 << 31 else np.int64
 
 
-def _mul_matrix(field: FieldSpec, w: tuple[int, ...], in_deg: int, out_deg: int) -> np.ndarray:
-    """Digit-space matrix of multiplication by the fixed polynomial w.
-
-    Maps digit vectors of polynomials of degree <= in_deg to digit
-    vectors of their products with w (degree <= out_deg): row j of the
-    coefficient matrix is x^j w, placed by index arithmetic.
-    """
-    coeffs = np.zeros((in_deg + 1, out_deg + 1), dtype=np.int64)
-    j = np.arange(in_deg + 1)[:, None]
-    coeffs[j, j + np.arange(len(w))] = w
-    return _digit_rows(field, coeffs).astype(_digit_dtype(field, in_deg))
-
-
 def _product_indices(digits: np.ndarray, sel: np.ndarray, matrix: np.ndarray,
                      p: int, powers: np.ndarray, size: int):
     """Yield (target indices, cofactor rows) per row chunk of the selected cofactors.
@@ -133,6 +125,52 @@ def _product_indices(digits: np.ndarray, sel: np.ndarray, matrix: np.ndarray,
         yield tgt, rows
 
 
+class PrimeTable:
+    """Monic primes by code, with the per-prime values a membership rule reads.
+
+    codes are polynomial codes (leading term included) in int64 and
+    prime_deg their degrees; prime_chi2() and prime_residues(m) are
+    computed once per table.  A Universe holds one for its primes (a new
+    one per degree built), and the scalar oracle one for the primes its
+    factorizations name (families.member_mask), so both oracles read the
+    same per-prime values.
+    """
+
+    def __init__(self, field: FieldSpec, codes: np.ndarray, prime_deg: np.ndarray):
+        self.field, self.codes, self.prime_deg = field, codes, prime_deg
+        self._chi = None
+        self._residues: dict[tuple, np.ndarray] = {}
+
+    def prime_chi2(self) -> np.ndarray:
+        """Quadratic character of each prime, in {-1, 0, +1}."""
+        if self.field.p == 2:
+            raise EvenCharacteristic("quadratic character needs odd q")
+        if self._chi is None:
+            self._chi = ffield._chi2_codes(self.field, self.codes % self.field.q)
+        return self._chi
+
+    def prime_residues(self, m: MonicPoly) -> np.ndarray:
+        """Residue code of each prime modulo m, by one digit product (see above),
+        over row chunks of the primes as in the sieve."""
+        cached = self._residues.get(m.coeffs)
+        if cached is not None:
+            return cached
+        field, p = self.field, self.field.p
+        n = int(self.prime_deg.max(initial=0))
+        # a residue of degree <= n has min(n + 1, deg m) coefficients
+        width = min(n + 1, m.degree)
+        matrix = _digit_rows(field, _powers_of_x_mod(field, m.coeffs, n)[:, :width])
+        matrix = matrix.astype(_digit_dtype(field, n))
+        powers = _code_powers(field, width - 1)
+        out = np.empty(len(self.codes), dtype=np.int64)
+        step = _row_step(max(matrix.shape))
+        for lo in range(0, len(out), step):
+            digits = _digits(self.codes[lo : lo + step], p, _digit_count(field, n))
+            out[lo : lo + step] = _digit_product(digits, matrix, p, powers)
+        self._residues[m.coeffs] = out
+        return out
+
+
 class Universe:
     """Smallest-prime-factor tables for all monic polynomials up to a degree."""
 
@@ -144,11 +182,8 @@ class Universe:
         self.e1: list[np.ndarray] = [np.empty(0, np.int8)]
         self.cof_deg: list[np.ndarray] = [np.empty(0, np.int8)]
         self.cof_idx: list[np.ndarray] = [np.empty(0, np.int32)]
-        self.prime_codes = np.empty(0, np.int64)
-        self.prime_deg = np.empty(0, np.int16)
+        self.primes = PrimeTable(field, np.empty(0, np.int64), np.empty(0, np.int16))
         self._prime_slices: list[slice] = [slice(0, 0)]
-        self._chi = None
-        self._residues: dict[tuple, np.ndarray] = {}
         self._masks: dict[tuple, list[np.ndarray]] = {}  # views into one flat buffer
         self.extend_to(max_degree, cap)
 
@@ -175,7 +210,7 @@ class Universe:
         for p_deg in range(1, d // 2 + 1):
             sl = self._prime_slices[p_deg]
             for gid in range(sl.start, sl.stop):
-                prime = poly_of_code(field, int(self.prime_codes[gid]))
+                prime = poly_of_code(field, int(self.primes.codes[gid]))
                 w = (1,)
                 for e in range(1, d // p_deg + 1):
                     w = ffield.poly_mul(field, w, prime.coeffs)
@@ -199,59 +234,22 @@ class Universe:
                         cof_deg[tgt] = k_deg
                         cof_idx[tgt] = rows
         prime_idx = np.flatnonzero(spf < 0)
-        start = len(self.prime_codes)
+        start = len(self.primes.codes)
         gids = np.arange(start, start + len(prime_idx), dtype=np.int32)
         spf[prime_idx] = gids
         e1[prime_idx] = 1
         cof_deg[prime_idx] = 0
         cof_idx[prime_idx] = 0
-        self.prime_codes = np.concatenate(
-            [self.prime_codes, prime_idx.astype(np.int64) + q**d]
-        )
-        self.prime_deg = np.concatenate(
-            [self.prime_deg, np.full(len(prime_idx), d, dtype=np.int16)]
+        self.primes = PrimeTable(
+            field,
+            np.concatenate([self.primes.codes, prime_idx.astype(np.int64) + q**d]),
+            np.concatenate([self.primes.prime_deg, np.full(len(prime_idx), d, dtype=np.int16)]),
         )
         self._prime_slices.append(slice(start, start + len(prime_idx)))
         self.spf_gid.append(spf)
         self.e1.append(e1)
         self.cof_deg.append(cof_deg)
         self.cof_idx.append(cof_idx)
-        self._chi = None  # refresh lazily over the longer prime list
-        self._residues.clear()
-
-    # -- per-prime attributes -----------------------------------------
-
-    def prime_chi2(self) -> np.ndarray:
-        """Quadratic character of each prime, in {-1, 0, +1}."""
-        if self.field.p == 2:
-            raise EvenCharacteristic("quadratic character needs odd q")
-        if self._chi is None or len(self._chi) != len(self.prime_codes):
-            c0 = (self.prime_codes % self.field.q).astype(np.int64)
-            chi = np.where(ffield.square_mask(self.field)[c0], 1, -1).astype(np.int8)
-            chi[c0 == 0] = 0
-            self._chi = chi
-        return self._chi
-
-    def prime_residues(self, m: MonicPoly) -> np.ndarray:
-        """Residue code of each prime modulo m, by one digit product (see above),
-        over row chunks of the primes as in the sieve."""
-        key = m.coeffs
-        cached = self._residues.get(key)
-        if cached is not None and len(cached) == len(self.prime_codes):
-            return cached
-        field, p, n = self.field, self.field.p, self.max_degree
-        # a residue of degree <= n has min(n + 1, deg m) coefficients
-        width = min(n + 1, m.degree)
-        matrix = _digit_rows(field, _powers_of_x_mod(field, m.coeffs, n)[:, :width])
-        matrix = matrix.astype(_digit_dtype(field, n))
-        powers = _code_powers(field, width - 1)
-        out = np.empty(len(self.prime_codes), dtype=np.int64)
-        step = _row_step(max(matrix.shape))
-        for lo in range(0, len(out), step):
-            digits = _digits(self.prime_codes[lo : lo + step], p, _digit_count(field, n))
-            out[lo : lo + step] = _digit_product(digits, matrix, p, powers)
-        self._residues[key] = out
-        return out
 
     # -- membership masks ---------------------------------------------
 
@@ -260,11 +258,11 @@ class Universe:
         through at least the given degree (at most max_degree).
 
         rule (a families.MembershipRule) marks the admissible primes by
-        rule.admissible(self), from prime_deg, prime_chi2 or
-        prime_residues; a polynomial P^e * h (P its smallest prime factor)
-        is a member when rule.passes(admissible at P, e) and h is one.
-        Index d of the returned list covers the monic polynomials of
-        degree d in canonical order; index 0 is the constant 1.  The
+        rule.admissible(self.primes), from prime_deg, prime_chi2 or
+        prime_residues; a polynomial P^e * h (P its smallest prime
+        factor) is a member when rule.passes(admissible at P, e) and h is
+        one.  Index d of the returned list covers the monic polynomials
+        of degree d in code order; index 0 is the constant 1.  The
         degrees are views into one flat buffer, degree k starting at
         q^0 + ... + q^(k-1); a rule's degrees are computed once, in row
         chunks of _CHUNK_ENTRIES polynomials, and a higher degree only
@@ -279,7 +277,7 @@ class Universe:
         ok = [flat[offsets[k] : offsets[k + 1]] for k in range(degree + 1)]
         for old, new in zip(done, ok):
             new[:] = old
-        good_prime = rule.admissible(self)
+        good_prime = rule.admissible(self.primes)
         step = _row_step(1)
         for d in range(len(done), degree + 1):
             for lo in range(0, q**d, step):
@@ -302,7 +300,7 @@ class Universe:
     # -- diagnostics ---------------------------------------------------
 
     def primes_of_degree(self, d: int) -> np.ndarray:
-        return self.prime_codes[self._prime_slices[d]]
+        return self.primes.codes[self._prime_slices[d]]
 
     def factor_chain(self, degree: int, idx: int) -> list[tuple[int, int]]:
         """Factorization of one polynomial as (prime code, multiplicity) pairs."""
@@ -310,7 +308,7 @@ class Universe:
         d, i = degree, idx
         while d > 0:
             gid = int(self.spf_gid[d][i])
-            out.append((int(self.prime_codes[gid]), int(self.e1[d][i])))
+            out.append((int(self.primes.codes[gid]), int(self.e1[d][i])))
             d, i = int(self.cof_deg[d][i]), int(self.cof_idx[d][i])
         return out
 

@@ -3,7 +3,7 @@
 Each suite runs a fixed list of checks, some on seeded random samples,
 and renders a deterministic text report: same seed, same bytes.  The
 oracle suite compares generating-function tables against independent
-enumeration (the bulk factorization sieve, and membership tests on
+enumeration (the bulk factorization sieve, and member masks from
 remainder-plan factorizations); identities exercises exact algebraic
 relations; bounds the certified envelopes and estimator enclosures;
 constants the multi-method consensus values.
@@ -23,7 +23,6 @@ from .ffield import (
     MonicPoly,
     chi2,
     enumerate_monic,
-    factor_many,
     field_for_order,
     poly_mul,
     poly_to_string,
@@ -107,11 +106,9 @@ def _oracle_checks(rng: random.Random) -> list[CheckResult]:
     field = field_for_order(3)
     fam = FamilySpec(families.FAMILY_LANDAU, q=3)
     deg = rng.randint(3, 5)
-    polys = enumerate_monic(field, deg)
-    is_member = families.membership_test(field, fam)
-    good = all(
-        families.rep_search_membership(field, f) == is_member(fac)
-        for f, fac in zip(polys, factor_many(field, polys)))
+    members = families.member_mask(field, fam, deg).tolist()
+    good = members == [families.rep_search_membership(field, f)
+                       for f in enumerate_monic(field, deg)]
     out.append(_result("representation-search q=3", good,
                        f"all degree-{deg} polynomials agree"))
     # progression family against the sieve

@@ -315,6 +315,26 @@ def test_membership_oracle_agrees_with_representation_search():
             )
 
 
+def test_membership_oracle_over_a_large_prime_field_stays_small():
+    import tracemalloc
+
+    # q^2 < 2^63 <= q'^2: degree-1 prime codes fit in int64 over F_q only
+    for q in (10**6 + 3, 3037000493):
+        spec = FamilySpec("landau", q=q)
+        field = spec.field()
+        tracemalloc.start()
+        try:
+            got = [membership_oracle(field, MonicPoly((c, 1)), spec) for c in (0, 2, 5, q - 1)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert got == [ffield.chi2(field, MonicPoly((c, 1))) != -1 for c in (0, 2, 5, q - 1)]
+    spec = FamilySpec("landau", q=3037000507)
+    with pytest.raises(ResourceLimit, match="exceed int64"):
+        membership_oracle(spec.field(), MonicPoly((5, 1)), spec)
+
+
 def test_count_table_serialization():
     table = count_landau(3, 3)
     data = table.to_json()

@@ -1,6 +1,7 @@
 """Finite fields, monic polynomials, and their arithmetic."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from fqtcount import ffield
 from fqtcount.errors import NonPrime, ReducibleModulus, ResourceLimit
+from fqtcount.families import FamilySpec, membership_oracle, oracle_count
 from fqtcount.ffield import (
     MonicPoly,
     build_field,
@@ -357,25 +359,37 @@ def test_chi2_prime_field_stays_small():
 # -- factoring against the trial-division reference ---------------------
 
 # (q, n): every monic polynomial of degree 1..n is factored exhaustively
-_FACTOR_GRID = [(2, 10), (3, 7), (4, 5), (5, 4), (7, 3), (8, 3), (9, 3), (25, 2), (27, 2)]
+_FACTOR_GRID = [(2, 10), (3, 7), (4, 6), (5, 6), (7, 4), (8, 4), (9, 4), (25, 2), (27, 2)]
 
 
 @pytest.mark.parametrize("q, max_deg", _FACTOR_GRID)
 def test_factor_many_and_irreducibles_match_trial_division(monkeypatch, q, max_deg):
     field = field_for_order(q)
-    expected = {}
+    expected, primes = {}, {}
     for n in range(1, max_deg + 1):
         polys = enumerate_monic(field, n)
         expected[n] = [trial_division_factor(field, f) for f in polys]
+        # the primes are the polynomials that trial division leaves whole
+        primes[n] = tuple(f for f, fac in zip(polys, expected[n]) if fac.factors == ((f, 1),))
         assert ffield.factor_many(field, polys) == expected[n]
-        assert ffield.irreducibles(field, n) == trial_division_primes(field, n)
+        assert ffield.irreducibles(field, n) == primes[n]
         assert all(fac.expand(field) == f for f, fac in zip(polys, expected[n]))
     # chunks of one or a few rows, with the primes found again through them
     monkeypatch.setattr(ffield, "_CHUNK_ENTRIES", 50)
     monkeypatch.setattr(ffield, "_IRR_CACHE", {})
     for n in range(1, max_deg + 1):
         assert ffield.factor_many(field, enumerate_monic(field, n)) == expected[n]
-        assert ffield.irreducibles(field, n) == trial_division_primes(field, n)
+        assert ffield.irreducibles(field, n) == primes[n]
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_factor_many_matches_trial_division_on_samples_of_degrees_5_and_6(q):
+    # all of degree 6 is 7^6 to 9^6 polynomials, too many for the reference
+    field = field_for_order(q)
+    rng = random.Random(q)
+    for n in (5, 6):
+        polys = [MonicPoly(tuple(rng.randrange(q) for _ in range(n)) + (1,)) for _ in range(400)]
+        assert ffield.factor_many(field, polys) == [trial_division_factor(field, f) for f in polys]
 
 
 def _factor_degree_bound(q):
@@ -487,6 +501,26 @@ def test_corrupted_plan_fails_the_exact_quotient_guard(monkeypatch):
         ffield.factor(field, f)
     with pytest.raises(ArithmeticError):
         ffield.factor_many(field, enumerate_monic(field, 4))
+
+
+def test_swapped_prime_power_fails_each_guard(monkeypatch):
+    field = field_for_order(3)
+    plan = ffield._remainder_plan(field, 4)
+    assert plan.primes[0].coeffs == (0, 1) and plan.powers[0][0] == (0, 1)
+    # T^1 becomes T + 1 in the products; the remainder matrix still finds T
+    powers = (((1, 1),) + plan.powers[0][1:],) + plan.powers[1:]
+    monkeypatch.setitem(ffield._PLAN_CACHE, (field, 4), plan._replace(powers=powers))
+    small = MonicPoly((0, 1, 1, 1, 1))  # T (T + 1) (T^2 + 1): prime powers multiply to G = f
+    large = MonicPoly((0, 1, 2, 0, 1))  # T (T^3 + 2T + 1): f / G is the large prime
+    with pytest.raises(ArithmeticError, match="multiply to"):
+        ffield.factor_many(field, [small])
+    with pytest.raises(ArithmeticError, match="does not leave a large prime"):
+        ffield.factor_many(field, [large])
+    spec = FamilySpec("s1", q=3)
+    with pytest.raises(ArithmeticError, match="does not leave a large prime"):
+        membership_oracle(field, large, spec)
+    with pytest.raises(ArithmeticError):
+        oracle_count(field, spec, 4, method="scalar")
 
 
 def test_first_large_prime_field_factor_is_quick_and_small():

@@ -5,18 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fqtcount import ffield, universe
+from fqtcount import families, ffield, universe
 from fqtcount.errors import EvenCharacteristic, ResourceLimit
 from fqtcount.families import (
     FamilySpec,
     canonical_family,
     membership_rule,
-    membership_test,
+    member_mask,
     oracle_count,
 )
 from fqtcount.ffield import MonicPoly, code_of, field_for_order
 from fqtcount.primecounts import pi_q
-from fqtcount.universe import Universe, get_universe, poly_of_code
+from fqtcount.universe import PrimeTable, Universe, get_universe, poly_of_code
 from trial_division import trial_division_factor
 
 
@@ -26,7 +26,7 @@ def first_write_sieve(field, max_degree):
     It writes P^e * h for every prime P of degree <= d/2 in gid order, e
     descending, and every cofactor h of degree d - e*deg P; a slot keeps
     its first write.  Returns spf_gid, e1, cof_deg, cof_idx (per degree)
-    and prime_codes, laid out as in Universe.
+    and prime_codes, laid out as in Universe (its primes.codes).
     """
     q, p = field.q, field.p
     spf_gid = [np.empty(0, np.int32)]
@@ -95,8 +95,8 @@ def test_prime_residues_match_poly_mod(q, max_deg, moduli):
     for text in moduli:
         m = ffield.poly_from_string(field, text)
         expected = [code_of(field, ffield.poly_mod(field, poly_of_code(field, c).coeffs, m.coeffs))
-                    for c in uni.prime_codes.tolist()]
-        assert uni.prime_residues(m).tolist() == expected, text
+                    for c in uni.primes.codes.tolist()]
+        assert uni.primes.prime_residues(m).tolist() == expected, text
 
 
 def test_prime_counts_match_census():
@@ -160,6 +160,35 @@ def test_arith_counts_match_scalar_oracle():
         fast = oracle_count(field, spec, degree, method="sieve")
         slow = oracle_count(field, spec, degree, method="scalar")
         assert fast == slow
+
+
+@pytest.mark.parametrize("q, max_deg", [(3, 6), (4, 4), (5, 4)])
+def test_scalar_and_sieve_masks_agree_for_every_family(q, max_deg):
+    field = field_for_order(q)
+    specs = [FamilySpec(name, q=q) for name in ("s1", "s2", "s3")]
+    if q % 2:
+        specs.append(FamilySpec("landau", q=q))
+    # T^2 + T = T (T + 1) is reducible: its units are the residues nonzero at 0 and -1
+    specs += [FamilySpec("arith", q=q, m=(0, 1, 1), a=a) for a in ((1,), (q - 1, 1))]
+    for spec in specs:
+        rule = membership_rule(field, spec)
+        sieve = get_universe(field, max_deg).masks(rule, max_deg)
+        for d in range(1, max_deg + 1):
+            assert np.array_equal(_scalar_members(field, spec, d), sieve[d]), (spec, d)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_prime_table_matches_scalar_chi2_and_residues(q):
+    field = field_for_order(q)
+    primes = [P for d in range(1, 5) for P in ffield.irreducibles(field, d)]
+    table = PrimeTable(field, np.array([code_of(field, P.coeffs) for P in primes]),
+                       np.array([P.degree for P in primes]))
+    if q % 2:
+        assert table.prime_chi2().tolist() == [ffield.chi2(field, P) for P in primes]
+    # a reducible modulus, and one of degree past every prime's
+    for m in (MonicPoly((0, 1, 1)), MonicPoly((1, 2, 0, 0, 0, 1))):
+        expected = [families._residue_code(field, P, m) for P in primes]
+        assert table.prime_residues(m).tolist() == expected
 
 
 def test_universe_is_cached_and_extends():
@@ -226,7 +255,7 @@ def test_landau_oracle_needs_odd_q():
             oracle_count(field, spec, 2, method=method)
     # the character table itself refuses even q as well
     with pytest.raises(EvenCharacteristic):
-        get_universe(field, 2).prime_chi2()
+        get_universe(field, 2).primes.prime_chi2()
 
 
 def test_mask_counts_sum_to_totals():
@@ -266,7 +295,7 @@ def test_linear_sieve_matches_first_write_reference(q, max_deg):
     uni = Universe(field, max_deg)
     spf_gid, e1, cof_deg, cof_idx, prime_codes = first_write_sieve(field, max_deg)
     for mine, ref in ((uni.spf_gid, spf_gid), (uni.e1, e1), (uni.cof_deg, cof_deg),
-                      (uni.cof_idx, cof_idx), ([uni.prime_codes], [prime_codes])):
+                      (uni.cof_idx, cof_idx), ([uni.primes.codes], [prime_codes])):
         assert len(mine) == len(ref)
         for a, b in zip(mine, ref):
             assert a.dtype == b.dtype
@@ -323,14 +352,14 @@ def test_sieve_slots_hold_smallest_prime_exact_power_and_full_factorization(q, m
         cdeg, cidx = uni.cof_deg[d], uni.cof_idx[d]
         composite = (cdeg > 0) | (e1 > 1)
         # a prime slot holds a prime of its own degree with multiplicity 1
-        assert (uni.prime_deg[spf[~composite]] == d).all()
+        assert (uni.primes.prime_deg[spf[~composite]] == d).all()
         assert (e1[~composite] == 1).all()
         for kk in range(1, d):
             sel = composite & (cdeg == kk)
             # the cofactor's smallest prime comes after the slot's
             assert (uni.spf_gid[kk][cidx[sel]] > spf[sel]).all()
         for idx in np.flatnonzero(composite & (cdeg > 0)):
-            prime = poly_of_code(field, int(uni.prime_codes[spf[idx]]))
+            prime = poly_of_code(field, int(uni.primes.codes[spf[idx]]))
             cof = poly_of_code(field, q ** int(cdeg[idx]) + int(cidx[idx]))
             # P does not divide the cofactor, so e1 is exact
             assert ffield.poly_mod(field, cof.coeffs, prime.coeffs) != ()
@@ -346,9 +375,9 @@ def test_prime_chi2_matches_scalar_chi2(q, max_deg):
     field = field_for_order(q)
     uni = Universe(field, max_deg)
     squares = {ffield.element_mul(field, x, x) for x in range(1, q)}
-    chi = uni.prime_chi2()
-    assert chi.dtype == np.int8 and len(chi) == len(uni.prime_codes)
-    for code, c in zip(uni.prime_codes.tolist(), chi.tolist()):
+    chi = uni.primes.prime_chi2()
+    assert chi.dtype == np.int8 and len(chi) == len(uni.primes.codes)
+    for code, c in zip(uni.primes.codes.tolist(), chi.tolist()):
         prime = poly_of_code(field, code)
         c0 = prime.coeffs[0]
         assert c == (0 if c0 == 0 else (1 if c0 in squares else -1))
@@ -356,10 +385,9 @@ def test_prime_chi2_matches_scalar_chi2(q, max_deg):
 
 
 def _scalar_members(field, spec, degree):
-    """Membership of every monic polynomial of the degree, in code order, by factor_many."""
-    is_member = membership_test(field, spec)
-    polys = [poly_of_code(field, field.q**degree + i) for i in range(field.q**degree)]
-    return np.array([is_member(fac) for fac in ffield.factor_many(field, polys)])
+    """member_mask of the degree, moved from canonical order (the coefficient
+    of T^(degree-1) fastest) to code order (the constant term fastest)."""
+    return member_mask(field, spec, degree).reshape((field.q,) * degree).transpose().ravel()
 
 
 @pytest.mark.parametrize("q, max_deg", [(2, 10), (3, 6), (4, 5), (9, 3)])
@@ -373,7 +401,7 @@ def test_row_chunks_of_a_few_rows_change_no_array_mask_or_residue(monkeypatch, q
     for mine, ref, unpatched in (
         (chunked.spf_gid, spf_gid, whole.spf_gid), (chunked.e1, e1, whole.e1),
         (chunked.cof_deg, cof_deg, whole.cof_deg), (chunked.cof_idx, cof_idx, whole.cof_idx),
-        ([chunked.prime_codes], [prime_codes], [whole.prime_codes]),
+        ([chunked.primes.codes], [prime_codes], [whole.primes.codes]),
     ):
         for a, b, c in zip(mine, ref, unpatched, strict=True):
             assert a.dtype == b.dtype == c.dtype
@@ -389,15 +417,15 @@ def test_row_chunks_of_a_few_rows_change_no_array_mask_or_residue(monkeypatch, q
         for d, (a, b) in enumerate(zip(masks, whole.masks(rule, max_deg), strict=True)):
             assert np.array_equal(a, b), (spec.family, d)
         assert np.array_equal(masks[max_deg], _scalar_members(field, spec, max_deg))
-    residues = chunked.prime_residues(m)
-    assert np.array_equal(residues, whole.prime_residues(m))
+    residues = chunked.primes.prime_residues(m)
+    assert np.array_equal(residues, whole.primes.prime_residues(m))
     assert residues.tolist() == [
         code_of(field, ffield.poly_mod(field, poly_of_code(field, c).coeffs, m.coeffs))
-        for c in chunked.prime_codes.tolist()
+        for c in chunked.primes.codes.tolist()
     ]
     # deg m > max_deg and q^(deg m) > 2^53: each prime is its own residue
     big = MonicPoly((1, 1) + (0,) * 52 + (1,))
-    assert np.array_equal(chunked.prime_residues(big), chunked.prime_codes)
+    assert np.array_equal(chunked.primes.prime_residues(big), chunked.primes.codes)
 
 
 def test_masks_are_evaluated_only_to_the_degree_counted():
@@ -423,7 +451,7 @@ def test_sieve_memory_is_its_arrays_digits_and_one_row_chunk(monkeypatch):
     finally:
         tracemalloc.stop()
     arrays = sum(a.nbytes for table in (uni.spf_gid, uni.e1, uni.cof_deg, uni.cof_idx)
-                 for a in table) + uni.prime_codes.nbytes + uni.prime_deg.nbytes
+                 for a in table) + uni.primes.codes.nbytes + uni.primes.prime_deg.nbytes
     # the uint8 cofactor digits of degrees 1..10, live while degree 11 is built
     digits = sum(3**k * (k + 1) for k in range(1, 11))
     # the slack covers the cofactor selection (int64, 3^10 entries at most),
