@@ -195,10 +195,11 @@ def _resolve_field(args) -> FieldSpec:
 
 def _load_l_poly(path: str) -> LPolynomial:
     with open(path, encoding="utf-8") as fh:
-        L = LPolynomial.from_json(fh.read())
+        text = fh.read()
     try:
+        L = LPolynomial.from_json(text)
         L.check_rh()
-    except RHViolation as exc:
+    except (ValueError, RHViolation) as exc:
         raise ValueError(f"l-polynomial in {path} is invalid: {exc}") from exc
     return L
 

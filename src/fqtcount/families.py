@@ -380,7 +380,7 @@ def psi_table(spec: FamilySpec, N: int, cap: int | None = None) -> list[int]:
     if family == FAMILY_ARITH:
         field, m = spec.field(), MonicPoly(spec.m)
         a_code = _unit_residue(field, spec.a, m)
-        counts = {d: _class_count(field, d, a_code, m, cap)
+        counts = {d: _class_count(field, d, a_code, m, cap, N)
                   for d in range(1, N + 1)}
         return [0, *series._weighted_divisor_sums(counts, N).values()]
     counts = {d: pi_K(spec.l_poly, spec.r * d) for d in range(1, N + 1)}

@@ -9,10 +9,53 @@ Four kinds of counts, all exact integers:
 * ``pi_K(L, n)``: degree-n places of a function field given the integer
   coefficients of its zeta numerator; power sums of inverse roots come
   from Newton's identities, so no root extraction touches the exact path.
-* ``pi_arith(field, n, a, m)``: monic irreducibles congruent to a mod m,
-  by an exact group-ring recurrence on the residue classes (any n) when
-  the residue ring and its unit group fit its limits, else by direct
-  enumeration (small n).
+* ``pi_arith(field, n, a, m)``: monic irreducibles congruent to a mod m.
+  When the residue ring and its unit group fit the group-ring limits, a
+  square-free m is counted in the character basis (below, any n) and an
+  m with a repeated factor by an exact group-ring recurrence on dense
+  class vectors (_ArithTable, any n); otherwise the degree-n primes are
+  enumerated (small n).
+
+The character basis (module characters).  For square-free
+m = P_1...P_r the unit group G = (F_q[T]/m)^* is the product of the
+cyclic groups (F_q[T]/P_i)^* of orders n_i = q^(deg P_i) - 1.  A
+generator of each and its log table give every unit its log vector
+(l_i), and the characters are
+chi_k(f) = prod_i zeta_(n_i)^(k_i l_i(f)), k_i mod n_i, with values in
+Z[zeta_e], e = lcm(n_i).  For chi != chi_0, L(u, chi) = sum_f chi(f)
+u^(deg f) over the monic f is a polynomial of degree < deg m (Rosen,
+Number Theory in Function Fields, GTM 210, Prop. 4.3): its coefficients
+c_j(chi) are the character sums over the monic f of degree j coprime to
+m, read off the log histograms of those f.  Its log-derivative
+u L'/L = sum_n psi_n(chi) u^n, psi_n(chi) = sum over P^k with
+k deg P = n of deg P chi(P)^k, obeys Newton's identities
+psi_n = n c_n - sum_{i=1}^{n-1} c_i psi_(n-i), with c_i = 0 for
+i >= deg m; psi_n(chi_0) = q^n - sum_{P | m, deg P | n} deg P exactly.
+Moebius inversion over the prime powers gives
+n Pi_n(chi) = sum_{e | n} mu(e) psi_(n/e)(chi^e) for
+Pi_n(chi) = sum_{deg P = n} chi(P), and orthogonality gives
+phi n pi(n; a) = sum_chi conj(chi(a)) n Pi_n(chi).  Per degree this is
+O(phi deg m) work, against O(phi^2 deg m) in the group ring.  It runs
+exactly:
+
+* Reduction.  Each identity above holds in Z[zeta_e].  For a prime
+  l = 1 (mod e) and w of order e mod l, x^e - 1 is separable mod l, so
+  w is a root of the cyclotomic polynomial Phi_e and zeta_e -> w is a
+  ring map Z[zeta_e] -> F_l.  The identities hold for the images, and
+  an integer maps to its residue.  Orthogonality holds in F_l too, and
+  phi is invertible there, as l > 2^25 > phi.  So n pi(n; a) is known
+  modulo each of the largest primes l < 2^26 with l = 1 (mod e).
+* Arithmetic.  Residues are below 2^26, so a product is below 2^52.
+  The int64 sums of products in the character transform and the class
+  sum are reduced at least every 2^11 terms, as series._dot_mod does,
+  so they stay below 2^63; Newton's sums have fewer than deg m <= 16
+  terms and the Moebius sums d(n) terms below 2^26.
+* Size.  0 <= n pi(n; a) <= sum_{d | n} d pi_q(d) = q^n.  Each block of
+  64 degrees is rebuilt by series._crt_rows from the prefix of primes
+  whose product M exceeds 2 q^n at the block's largest n, so the value
+  lies in [0, M/2) and is the residue that _crt_rows returns.  A
+  remainder mod n or a negative value means the arithmetic went wrong
+  and raises NegativeCount.
 """
 
 from __future__ import annotations
@@ -21,6 +64,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +78,9 @@ from .errors import (
 )
 from .ffield import FieldSpec, MonicPoly
 from .numtheory import divisors, mobius
+
+if TYPE_CHECKING:
+    from .characters import CharacterTable
 
 CHI2_MINUS = "minus"
 CHI2_ZERO_OR_PLUS = "zero-or-plus"
@@ -85,6 +132,11 @@ def pi_chi2(q: int, n: int, cls: str) -> int:
     return count
 
 
+def _is_integer(value) -> bool:
+    """An int that is not a bool (JSON true/false parse as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LPolynomial:
     """Integer-coefficient zeta numerator of a function field.
@@ -98,7 +150,11 @@ class LPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        if not _is_integer(self.q):
+            raise ValueError(f'"q" must be an integer, got {self.q!r}')
+        if not isinstance(self.coeffs, (tuple, list)) or not all(map(_is_integer, self.coeffs)):
+            raise ValueError(f'"coefficients" must be a list of integers, got {self.coeffs!r}')
+        coeffs = tuple(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if not coeffs or coeffs[0] != 1:
             raise ValueError("constant term must be 1")
@@ -185,8 +241,16 @@ class LPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "LPolynomial":
+        """Read {"q": q, "coefficients": [c_0, c_1, ...]}; q and every c_i
+        must be JSON integers, not booleans, floats or strings (checked
+        in __post_init__).  Bad input raises ValueError naming the field."""
         data = json.loads(text)
-        return cls(q=int(data["q"]), coeffs=tuple(data["coefficients"]))
+        if not isinstance(data, dict):
+            raise ValueError('expected a JSON object with "q" and "coefficients"')
+        for field in ("q", "coefficients"):
+            if field not in data:
+                raise ValueError(f'missing field "{field}"')
+        return cls(q=data["q"], coeffs=data["coefficients"])
 
 
 def pi_K(L: LPolynomial, n: int) -> int:
@@ -227,6 +291,15 @@ def _residue_code(field: FieldSpec, a, m: MonicPoly) -> int:
     return ffield.code_of(field, ffield.poly_mod_general(field, coeffs, m.coeffs))
 
 
+def _times_matrix(field: FieldSpec, modulus: tuple[int, ...], n: int,
+                  r: tuple[int, ...] = (1,)) -> np.ndarray:
+    """Digit matrix of f -> f r mod modulus for f of degree <= n (r of
+    degree < deg modulus): rows Y^s x^j r mod modulus, as in ffield's
+    remainder plan, in the float type of ffield._digit_product."""
+    rows = ffield._powers_of_x_mod(field, modulus, n, r)
+    return ffield._digit_rows(field, rows).astype(ffield._digit_dtype(field, n))
+
+
 class _ResidueGroup:
     """The unit group of F_q[T]/(m), with dense-vector group-ring helpers."""
 
@@ -264,16 +337,13 @@ class _ResidueGroup:
         remainder plan), so row i is one digit product over every unit.
         """
         field, d, p = self.field, self.m.degree, self.field.p
-        dtype = ffield._digit_dtype(field, d - 1)
         powers = ffield._code_powers(field, d - 1)
         units = ffield._digits(self.codes, p, ffield._digit_count(field, d - 1))
         position = np.zeros(field.q**d, dtype=np.int32)
         position[self.codes] = np.arange(self.order)
         table = np.empty((self.order, self.order), dtype=np.int32)
         for i, a in enumerate(self.codes):
-            rows = ffield._powers_of_x_mod(field, self.m.coeffs, d - 1,
-                                           ffield.coeffs_of_code(field, a))
-            matrix = ffield._digit_rows(field, rows).astype(dtype)
+            matrix = _times_matrix(field, self.m.coeffs, d - 1, ffield.coeffs_of_code(field, a))
             table[i] = position[ffield._digit_product(units, matrix, p, powers)]
         return table
 
@@ -387,24 +457,36 @@ class _ArithTable:
         self._primes[n] = vec
         return vec
 
-    def count(self, n: int, a_code: int) -> int:
+    def count(self, n: int, a_code: int, upto: int = 0) -> int:
+        """pi(n; a); psi is extended to degree upto first, as the caller
+        will ask for the degrees up to there."""
+        self._extend_psi(upto)
         idx = self.group.index.get(a_code)
         if idx is None:
             raise NotCoprime("residue is not coprime to the modulus")
         return int(self.prime_vector(n)[idx])
 
 
-_ARITH_CACHE: dict[tuple, _ArithTable] = {}
+_ARITH_CACHE: dict[tuple, _ArithTable | CharacterTable] = {}
 
 
-def _arith_table(field: FieldSpec, m: MonicPoly, cap: int | None = None) -> _ArithTable:
+def _arith_table(field: FieldSpec, m: MonicPoly,
+                 cap: int | None = None) -> _ArithTable | CharacterTable:
+    """The class table of m: in the character basis if m is square-free,
+    else the dense group ring."""
     # building the table enumerates degree deg m - 1; a cached table
     # answers to the cap as well, so a capped call fails either way
     ffield.check_cap(field, m.degree - 1, cap)
     key = (field.p, field.k, field.modulus, m.coeffs)
     table = _ARITH_CACHE.get(key)
     if table is None:
-        table = _ArithTable(field, m, cap=cap)
+        factors = ffield.factor(field, m).factors
+        if all(mult == 1 for _, mult in factors):
+            # imported here: a CLI run that counts no progression never compiles it
+            from .characters import CharacterTable
+            table = CharacterTable(field, m, [prime for prime, _ in factors])
+        else:
+            table = _ArithTable(field, m, cap=cap)
         _ARITH_CACHE[key] = table
     return table
 
@@ -427,10 +509,11 @@ def _group_ring_fits(field: FieldSpec, m: MonicPoly) -> bool:
 
 
 def _class_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
-                 cap: int | None) -> int:
-    """pi_arith for a residue code already checked by _unit_residue."""
+                 cap: int | None, upto: int = 0) -> int:
+    """pi_arith for a residue code already checked by _unit_residue; upto
+    is the largest degree the caller will ask for, if it knows."""
     if _group_ring_fits(field, m):
-        return _arith_table(field, m, cap=cap).count(n, a_code)
+        return _arith_table(field, m, cap=cap).count(n, a_code, upto)
     count = 0
     for prime in ffield.irreducibles(field, n, cap):
         if _residue_code(field, prime, m) == a_code:
@@ -441,10 +524,19 @@ def _class_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
 def pi_arith(field: FieldSpec, n: int, a, m: MonicPoly, cap: int | None = None) -> int:
     """Monic irreducibles of degree n congruent to a modulo m.
 
-    The exact group-ring recurrence (_ArithTable, any n) runs when the
-    residue ring and its unit group fit its limits (_group_ring_fits);
-    otherwise the degree-n irreducibles are enumerated, which needs q^n
-    within the cap (and the remainder plan of degree n within its limit).
+    Three paths, by m:
+
+    * square-free m whose residue ring and unit group fit the group-ring
+      limits (_group_ring_fits): the character basis
+      (characters.CharacterTable, any n), exact modulo primes 1 mod the
+      group exponent;
+    * m with a repeated prime factor, within the same limits: the exact
+      group-ring recurrence on dense class vectors (_ArithTable, any n);
+    * past the limits: the degree-n irreducibles are enumerated, which
+      needs q^n within the cap (and the remainder plan of degree n
+      within its limit).
+
+    Both tables enumerate the monic f of degree < deg m, within the cap.
     """
     if n < 1:
         raise ValueError("degree must be positive")

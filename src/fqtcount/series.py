@@ -427,11 +427,17 @@ def _crt_rows(res: np.ndarray, primes: list[int]) -> list[int]:
     each product y_i limb is below 2^42 and each sum has at most 2^11 of
     them, so it stays below 2^53 and is exact in any summation order.
     The group sums add up in int64 (below 2^63 for fewer than 2^21
-    primes) and are carried into one int per row.
+    primes) and are carried into one int for all rows at once: row i
+    gets a slot of K bits, K a whole number of 64-bit words above the
+    16 width + 63 bits its value needs, and the sum for its limb l sits
+    at bit i K + 16 l.  So every fourth limb of every row is a 64-bit
+    word of its own, four from_bytes and three shifts carry all of them,
+    and each row's value is read back from its slot.
     """
     modulus = math.prod(primes)
     width = _limb_count([modulus])
-    sums = np.zeros((len(res), width), dtype="<i8")
+    words = width // 4 + 2  # K / 64: 4 words >= width + 4 limbs
+    sums = np.zeros((len(res), 4 * words), dtype="<i8")
     for g in range(0, len(primes), _GROUP):
         group = primes[g:g + _GROUP]
         cofactors = [modulus // q for q in group]
@@ -439,12 +445,13 @@ def _crt_rows(res: np.ndarray, primes: list[int]) -> list[int]:
         y %= np.array(group, dtype=np.int64)
         data = b"".join(c.to_bytes(2 * width, "little") for c in cofactors)
         limbs = np.frombuffer(data, dtype="<u2").reshape(len(group), width)
-        sums += (y.astype(np.float64) @ limbs.astype(np.float64)).astype(np.int64)
+        sums[:, :width] += (y.astype(np.float64) @ limbs.astype(np.float64)).astype(np.int64)
+    total = sum(int.from_bytes(sums[:, r::4].tobytes(), "little") << (16 * r) for r in range(4))
+    slot = 8 * words
+    data = total.to_bytes(slot * len(res), "little")
     out = []
-    for row in sums:
-        # the sum for limb l sits at bit 16 l, so every fourth one is a 64-bit word of its own
-        value = sum(int.from_bytes(row[r::4].tobytes(), "little") << (16 * r)
-                    for r in range(4)) % modulus
+    for i in range(0, len(data), slot):
+        value = int.from_bytes(data[i:i + slot], "little") % modulus
         out.append(value - modulus if 2 * value > modulus else value)
     return out
 

@@ -122,6 +122,30 @@ def test_count_divisors_bad_lpoly_exits_2(capsys, tmp_path):
     assert "invalid" in err
 
 
+@pytest.mark.parametrize("text, field", [
+    ('[3, [1]]', "JSON object"),
+    ('{"coefficients": [1]}', '"q"'),
+    ('{"q": 3}', '"coefficients"'),
+    ('{"q": 3, "coefficients": null}', '"coefficients"'),
+    ('{"q": 5, "coefficients": [1, 1.5, 5]}', '"coefficients"'),
+    ('{"q": 5, "coefficients": [1, true, 5]}', '"coefficients"'),
+    ('{"q": 5, "coefficients": "105"}', '"coefficients"'),
+    ('{"q": 5.0, "coefficients": [1, 1, 5]}', '"q"'),
+    ('{"q": 5, "coefficients": [1, 1, 5', "invalid"),
+], ids=["list", "no-q", "no-coefficients", "null", "float", "bool", "string", "float-q",
+        "truncated"])
+def test_malformed_lpoly_exits_2_naming_file_and_field(capsys, tmp_path, text, field):
+    # each is bad input, never read as some other polynomial: exit 2, no traceback
+    lfile = tmp_path / "bad.json"
+    lfile.write_text(text)
+    code, out, err = run(
+        capsys, "count", "divisors", "--l-poly", str(lfile), "--r", "2", "--max-n", "3",
+    )
+    assert code == 2, (out, err)
+    assert out == "" and "Traceback" not in err
+    assert str(lfile) in err and field in err
+
+
 def test_count_oracle_rejected_for_divisors(capsys, tmp_path):
     lfile = tmp_path / "l.json"
     lfile.write_text('{"q": 3, "coefficients": [1]}')

@@ -1,13 +1,18 @@
 """Prime-polynomial and place counting, against brute-force oracles."""
 
+import itertools
+import math
+import random
+
 import numpy as np
 import pytest
 
-from fqtcount import ffield, primecounts
+from fqtcount import characters, ffield, primecounts
 from fqtcount.constants import constant_Cam
 from fqtcount.errors import NotCoprime, ResourceLimit, RHViolation
 from fqtcount.families import count_arith
 from fqtcount.ffield import MonicPoly, chi2, field_for_order
+from fqtcount.cli import main
 from fqtcount.primecounts import (
     CHI2_MINUS,
     CHI2_ZERO_OR_PLUS,
@@ -175,15 +180,19 @@ def test_pi_arith_against_brute_force():
                 assert pi_arith(field, n, rem, m) == expected
 
 
-@pytest.mark.parametrize("group_ring", [True, False])
-def test_pi_arith_paths_match_trial_division(monkeypatch, group_ring):
-    # per-class prime counts mod T^2+1 over F_3, from the group ring and,
-    # with _group_ring_fits forced False, from enumeration
+@pytest.mark.parametrize("path", ["characters", "group-ring", "enumeration"])
+def test_pi_arith_paths_match_trial_division(monkeypatch, path):
+    # per-class prime counts mod T^2+1 over F_3, in the character basis, from
+    # the dense group ring (forced through the dispatch) and, with
+    # _group_ring_fits forced False, from enumeration
     field = field_for_order(3)
     m = MonicPoly((1, 0, 1))
     cache = {}
     monkeypatch.setattr(primecounts, "_ARITH_CACHE", cache)
-    if not group_ring:
+    if path == "group-ring":
+        monkeypatch.setattr(characters, "CharacterTable",
+                            lambda field, m, primes: primecounts._ArithTable(field, m))
+    if path == "enumeration":
         monkeypatch.setattr(primecounts, "_group_ring_fits", lambda field, m: False)
     for n in range(1, 6):
         per_class = {}
@@ -192,7 +201,8 @@ def test_pi_arith_paths_match_trial_division(monkeypatch, group_ring):
             per_class[rem] = per_class.get(rem, 0) + 1
         for a in ((1,), (2,), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)):
             assert pi_arith(field, n, a, m) == per_class.get(a, 0), (n, a)
-    assert bool(cache) == group_ring
+    kind = {"characters": characters.CharacterTable, "group-ring": primecounts._ArithTable}
+    assert [type(table) for table in cache.values()] == [kind[path]] if path in kind else not cache
 
 
 def test_pi_arith_enumerates_past_the_unit_group_limit():
@@ -365,3 +375,155 @@ def test_horner_psi_matches_the_quadratic_recurrence(q, m):
     want = quadratic_psi(table, n)
     assert [v.tolist() for v in table._psi] == [v.tolist() for v in want]
     assert table._psi_sums == [int(sum(v)) for v in want]
+
+
+# -- the character basis for square-free m ------------------------------
+
+
+def _square_free_moduli(field, sample, seed):
+    """Every square-free monic m over field with phi(m) <= 24, then a
+    seeded sample of square-free m with 24 < phi(m) <= 728 (and q^deg m
+    within the group-ring limit), each with phi(m)."""
+    q, out = field.q, []
+    for d in range(1, 6):
+        if (q - 1)**d > 24:  # every m of degree d has phi(m) >= (q - 1)^d
+            break
+        polys = [MonicPoly(tail + (1,)) for tail in itertools.product(range(q), repeat=d)]
+        for m, fact in zip(polys, ffield.factor_many(field, polys)):
+            phi = math.prod(q**P.degree - 1 for P, _ in fact.factors)
+            if phi <= 24 and all(e == 1 for _, e in fact.factors):
+                out.append((m, phi))
+    rng, drawn = random.Random(seed), 0
+    top = max(d for d in range(1, 17) if q**d <= 10**5 and q**d // 4 <= 728)
+    while drawn < sample:
+        m = MonicPoly(tuple(rng.randrange(q) for _ in range(rng.randint(2, top))) + (1,))
+        fact = ffield.factor(field, m).factors
+        phi = math.prod(q**P.degree - 1 for P, _ in fact)
+        if 24 < phi <= 728 and all(e == 1 for _, e in fact) and q**m.degree <= 10**5:
+            out.append((m, phi))
+            drawn += 1
+    return out
+
+
+def _units(field, m):
+    """Coefficient tuples of the units mod m, by code."""
+    codes = (ffield.coeffs_of_code(field, c) for c in range(1, field.q**m.degree))
+    return [a for a in codes if ffield.poly_gcd(field, a, m.coeffs) == (1,)]
+
+
+def _class_lists(field, m, units, N):
+    """pi_arith(field, n, a, m) for n = 1..N and every unit a, from a fresh
+    table; the residue of a is checked once (pi_arith's own first step)."""
+    primecounts._ARITH_CACHE.clear()
+    out = {}
+    for a in units:
+        code = primecounts._unit_residue(field, a, m)
+        out[a] = [primecounts._class_count(field, n, code, m, None) for n in range(1, N + 1)]
+        assert out[a][-1] == pi_arith(field, N, a, m)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_character_basis_matches_the_group_ring_and_trial_division(monkeypatch, q):
+    # every square-free m with phi <= 24 and a seeded sample up to phi = 728:
+    # the character basis against the dense ring (forced by the dispatch,
+    # fewer degrees as phi grows) and against trial division for q^n <= 2000
+    field = field_for_order(q)
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    rng = random.Random(q)
+    for m, phi in _square_free_moduli(field, sample=3, seed=q):
+        units = _units(field, m)
+        assert len(units) == phi
+        if phi > 64:  # a seeded sample of the classes
+            units = rng.sample(units, 16)
+        got = _class_lists(field, m, units, 30)
+        table = primecounts._ARITH_CACHE[(field.p, field.k, field.modulus, m.coeffs)]
+        assert isinstance(table, characters.CharacterTable) and table.group.order == phi
+        assert len(table._psi) >= 30
+        dense_n = 30 if phi <= 64 else 12 if phi <= 256 else m.degree + 1
+        with monkeypatch.context() as patch:
+            patch.setattr(characters, "CharacterTable",
+                          lambda field, m, primes: primecounts._ArithTable(field, m))
+            want = _class_lists(field, m, units, dense_n)
+        assert {a: counts[:dense_n] for a, counts in got.items()} == want, m
+        for n in range(1, 31):
+            if q**n > 2000:
+                break
+            per_class = {}
+            for prime in trial_division_primes(field, n):
+                rem = ffield.poly_mod_general(field, prime.coeffs, m.coeffs)
+                per_class[rem] = per_class.get(rem, 0) + 1
+            assert [got[a][n - 1] for a in units] == [per_class.get(a, 0) for a in units], (m, n)
+
+
+def test_character_basis_past_the_dense_range(monkeypatch):
+    # T^7+2T+1 over F_3 is (degree 2)(degree 5): units C8 x C242, phi = 1936,
+    # a group the dense ring takes half a minute over at n = 30
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    field, m = field_for_order(3), MonicPoly((1, 2, 0, 0, 0, 0, 0, 1))
+    assert [P.degree for P, _ in ffield.factor(field, m).factors] == [2, 5]
+    units = random.Random(7).sample(_units(field, m), 12)
+    got = _class_lists(field, m, units, 30)
+    table = primecounts._ARITH_CACHE[(field.p, field.k, field.modulus, m.coeffs)]
+    assert table.group.orders == [8, 242] and table.group.order == 1936
+    for n in range(1, 7):
+        per_class = {}
+        for prime in trial_division_primes(field, n):
+            rem = ffield.poly_mod_general(field, prime.coeffs, m.coeffs)
+            per_class[rem] = per_class.get(rem, 0) + 1
+        assert [got[a][n - 1] for a in units] == [per_class.get(a, 0) for a in units], n
+
+
+def test_square_free_moduli_never_build_the_group_ring(monkeypatch, capsys):
+    def refuse(self, field, m):
+        raise AssertionError("square-free m built a _ResidueGroup")
+
+    monkeypatch.setattr(primecounts._ResidueGroup, "__init__", refuse)
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    for argv in (["count", "arith", "--max-n", "40"],
+                 ["estimate", "arith", "--n", "30"],
+                 ["constants", "cam", "--digits", "30"]):
+        code = main(argv + ["--q", "3", "--m", "T^2+1", "--a", "T+1"])
+        assert code == 0, capsys.readouterr().err
+    assert {type(t) for t in primecounts._ARITH_CACHE.values()} == {characters.CharacterTable}
+
+
+def test_repeated_factor_takes_the_group_ring(monkeypatch):
+    # T^2(T+1) over F_3: the 1-unit group of T^2 is not cyclic
+    field, m = field_for_order(3), MonicPoly((0, 0, 1, 1))
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    units = _units(field, m)
+    got = _class_lists(field, m, units, 6)
+    assert [type(t) for t in primecounts._ARITH_CACHE.values()] == [primecounts._ArithTable]
+    for n in range(1, 7):
+        per_class = {}
+        for prime in trial_division_primes(field, n):
+            rem = ffield.poly_mod_general(field, prime.coeffs, m.coeffs)
+            per_class[rem] = per_class.get(rem, 0) + 1
+        assert [got[a][n - 1] for a in units] == [per_class.get(a, 0) for a in units], n
+
+
+def test_character_table_reports_its_size_to_the_cache(monkeypatch):
+    # the benchmark reads group.order and len(_psi) off each cached table
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    field, m = field_for_order(3), MonicPoly((1, 0, 1))
+    for n in range(1, 13):
+        pi_arith(field, n, (1, 1), m)
+    (table,) = primecounts._ARITH_CACHE.values()
+    assert table.group.order == 8
+    assert len(table._psi) >= 12
+
+
+def test_character_table_rebuilds_for_a_larger_degree(monkeypatch):
+    # a table built to 20 answers to 20 and is rebuilt, with more primes,
+    # when a degree past it is asked; the counts agree on the overlap
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    field, m = field_for_order(3), MonicPoly((1, 2, 0, 1))
+    code = primecounts._unit_residue(field, (1,), m)
+    short = [primecounts._class_count(field, n, code, m, None, 20) for n in range(1, 21)]
+    (table,) = primecounts._ARITH_CACHE.values()
+    assert len(table._psi) == 20
+    primes = len(table._ells)
+    assert primecounts._class_count(field, 150, code, m, None, 150) >= 0
+    assert len(table._psi) == 150 and len(table._ells) > primes
+    assert [primecounts._class_count(field, n, code, m, None) for n in range(1, 21)] == short
