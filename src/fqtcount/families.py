@@ -51,7 +51,6 @@ from .primecounts import (
     _unit_residue,
     phi_m,
     pi_K,
-    pi_arith,
     pi_chi2,
     pi_q,
 )
@@ -247,8 +246,10 @@ class FamilySpec:
         elif family == FAMILY_ARITH:
             field = self.field()
             m = MonicPoly(self.m)
+            # one residue check, and the class table built to N at once
+            a_code = _unit_residue(field, self.a, m)
             for n in range(1, N + 1):
-                g[n] = pi_arith(field, n, self.a, m, cap=cap)
+                g[n] = _class_count(field, n, a_code, m, cap, N)
         elif family == FAMILY_DIVISORS:
             for n in range(1, N + 1):
                 g[n] = pi_K(self.l_poly, self.r * n)

@@ -69,11 +69,18 @@ is float32 when no digit sum can pass 2^24 and float64 when none can
 pass 2^53 (_digit_dtype); past that no BLAS type is exact, and
 _digit_dtype raises ResourceLimit.  A remainder plan with no columns
 (degree 1) multiplies nothing and takes no type, so linear factoring
-works over any p.  The sieve, residues and multiplicities run in row
-chunks of _row_step(width) rows, about _CHUNK_ENTRIES entries each, so
-their working memory does not grow with the batch; the unit-group table
-(at most primecounts' _MAX_UNIT_GROUP rows) multiplies all units at
-once.  The product is reduced mod p in one of two ways:
+works over any p.  A stack of s matrices of one shape (the sieve's
+powers P^e of the primes of one degree, from _mul_matrix of s
+polynomials) is one product too: their transposes lie end to end, s *
+out rows of in digits, which _mul_matrix stores contiguously, and the
+codes come back as one row per matrix.  Each entry is the one a single
+matrix would give, so every bound below holds for a stack as well.  The
+sieve, residues and multiplicities run in row chunks of _row_step(width)
+rows, width the larger side of the matrix (s * out for a stack), about
+_CHUNK_ENTRIES entries each, so their working memory does not grow with
+the batch; the unit-group table (at most primecounts'
+_MAX_UNIT_GROUP rows) multiplies all units at once.  The product is
+reduced mod p in one of two ways:
 
 * Codes (sieve, residues, unit group): each digit sum c becomes
   c - p * floor(c / p), in place, by true division.  This is exact for
@@ -321,24 +328,29 @@ def _digit_product(digits: np.ndarray, matrix: np.ndarray, p: int,
 
     With powers (from _code_powers) the product is made transposed,
     reduced in place in that float type and encoded: the int64 codes are
-    returned.  Without, the reduced digits are returned in the smallest
-    unsigned type that holds a digit sum, for zero tests and factoring's
-    small parts.  See the module docstring.
+    returned, one per digit row.  A stack of matrices (shape (s, in,
+    out), from _mul_matrix of s polynomials) is one product as well, and
+    gives one code row per matrix.  Without powers, the reduced digits
+    are returned in the smallest unsigned type that holds a digit sum,
+    for zero tests and factoring's small parts.  See the module docstring.
     """
     if powers is None:
         prod = digits.astype(matrix.dtype) @ matrix
         prod = prod.astype(np.min_scalar_type(digits.shape[-1] * (p - 1) ** 2))
         prod -= prod // p * p  # a floor division by a scalar is far cheaper than %
         return prod
-    # transposed, so that the encode sums whole digit rows, without BLAS
-    prod = matrix.T @ digits.T.astype(matrix.dtype)
+    # transposed, so that the encode sums whole digit rows, without BLAS;
+    # a stack of matrices is one product of their transposes laid end to end
+    stacked = np.swapaxes(matrix, -1, -2).reshape(-1, matrix.shape[-2])
+    prod = stacked @ digits.T.astype(matrix.dtype)
     quot = prod / p
     np.floor(quot, out=quot)
     quot *= p
     prod -= quot
     prod = prod.astype(powers.dtype, copy=False)
+    prod = prod.reshape(*matrix.shape[:-2], len(powers), len(digits))
     prod *= powers[:, None]  # in place: a new array per chunk measured slower
-    return prod.sum(axis=0).astype(np.int64)
+    return prod.sum(axis=-2).astype(np.int64)
 
 
 def _digit_rows(field: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -660,17 +672,23 @@ def _monic_rows(field: FieldSpec, n: int) -> np.ndarray:
     return rows
 
 
-def _mul_matrix(field: FieldSpec, w: tuple[int, ...], in_deg: int, out_deg: int) -> np.ndarray:
+def _mul_matrix(field: FieldSpec, w: tuple[int, ...] | list[tuple[int, ...]], in_deg: int,
+                out_deg: int) -> np.ndarray:
     """Digit-space matrix of multiplication by the fixed polynomial w.
 
     Maps digit vectors of polynomials of degree <= in_deg to digit
     vectors of their products with w (degree <= out_deg): row j of the
-    coefficient matrix is x^j w, placed by index arithmetic.
+    coefficient matrix is x^j w, placed by index arithmetic.  w may be a
+    sequence of s polynomials of one degree, which gives a stack of s
+    matrices.  Each is stored transposed, so _digit_product's transposed
+    product reads the stack without a copy.
     """
-    coeffs = np.zeros((in_deg + 1, out_deg + 1), dtype=np.int64)
+    w = np.asarray(w, dtype=np.int64)
+    coeffs = np.zeros(w.shape[:-1] + (in_deg + 1, out_deg + 1), dtype=np.int64)
     j = np.arange(in_deg + 1)[:, None]
-    coeffs[j, j + np.arange(len(w))] = w
-    return _digit_rows(field, coeffs).astype(_digit_dtype(field, in_deg))
+    coeffs[..., j, j + np.arange(w.shape[-1])] = w[..., None, :]
+    rows = np.swapaxes(_digit_rows(field, coeffs), -1, -2)
+    return np.swapaxes(rows.astype(_digit_dtype(field, in_deg), order="C"), -1, -2)
 
 
 def _multiplicities(field: FieldSpec, plan: _RemainderPlan, coeffs: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ A monic polynomial of degree d over F_q is identified with an integer
 code sum c_i q^i (leading term q^d included), so the q^d polynomials of
 degree d map to the index range 0..q^d-1.  For each degree this module
 records, per polynomial: its smallest prime factor (as an index into a
-global prime list), that prime's exact multiplicity, and the index of
-the coprime cofactor.  A family's membership rule (families.
+global prime list), that prime's exact multiplicity, and the position
+of the coprime cofactor.  A family's membership rule (families.
 membership_rule: which primes are admissible, which multiplicities pass)
 is then one vectorized pass over these arrays, giving an independent
 exhaustive check of every generating-function count.
@@ -23,20 +23,40 @@ after P.  So for each prime P of degree <= d/2 and each e, the sieve
 writes P^e * h for h = 1 and for those h of degree d - e*deg P with
 spf_gid[h] > gid(P).  All of them have degree < d, so their tables are
 complete.  The slots left unwritten are the primes of degree d.
-Products are computed in base-p digit form, where multiplication by a
-fixed polynomial is a matrix product (_mul_matrix).  Each (P, e) block
-runs on row chunks of the selected cofactors (_product_indices): a
-chunk is gathered from the stored digits, then multiplied, reduced mod
-p and encoded to codes by one ffield._digit_product, whose exactness
-proof and chunk rule (_row_step) are in ffield's docstring.  So the
-sieve's transient memory is one chunk, not q^(d-1) rows.  The cofactor
-digits of each degree come from _monic_digits, which writes the monic
-range without a division, in the same unsigned type as ffield._digits;
-they are built once per _build_degree call and dropped with it.
 
-A cofactor index is below q^(d-1), so cof_idx is int32 whenever
-q^(d-1) <= 2^31 (_index_dtype), which the default cap of 10^8 always
-meets, and int64 past it.
+Products are computed in base-p digit form, where multiplication by a
+fixed polynomial is a matrix product (_mul_matrix).  The sieve makes
+one pass per (prime degree j, e), not one per (P, e): the powers P^e of
+the degree-j primes form one stack of matrices, taken in sub-slices of
+_row_step(in digits * out digits) primes, so a stack holds about
+_CHUNK_ENTRIES entries (Universe._products).  The cofactors h of a
+sub-slice with gids lo..hi-1 are split by their smallest prime factor:
+
+* spf(h) >= hi: h pairs with every prime of the sub-slice, and its
+  products are scattered by broadcasting the gids against them;
+* lo < spf(h) < hi: h pairs with the primes before spf(h).  Only these
+  rows are multiplied by the whole stack and masked by gid(P) < spf(h);
+* spf(h) <= lo: h pairs with none of them.
+
+Each part runs on row chunks (_product_indices): a chunk is gathered
+from the stored digits by np.take, then multiplied by the stack,
+reduced mod p and encoded by one ffield._digit_product, one code row
+per prime; its exactness proof and chunk rule (_row_step) are in
+ffield's docstring.  So the sieve's transient memory is one stack and
+one chunk, not q^(d-1) rows.  The cofactor digits of each degree come
+from _monic_digits, which writes the monic range without a division,
+in the same unsigned type as ffield._digits; they are built once per
+_build_degree call and dropped with it.
+
+A cofactor is stored as cof_pos, its position in the all-degrees flat
+layout: degree k starts at q^0 + ... + q^(k-1) (_flat_offsets), so
+position 0 is the constant 1.  masks reads a cofactor's mask with one
+gather at that position, and factor_chain decodes it back to (degree,
+index).  A degree-d position is below q^0 + ... + q^(d-1) < q^d, so
+cof_pos is int32 whenever that is <= 2^31 (_index_dtype), which the
+default cap of 10^8 always meets, and int64 past it.  e1 starts at 1
+and is written only for e >= 2; cof_pos starts at 0 and is never
+written for primes and prime powers, whose cofactor is 1.
 
 A rule's membership masks (masks) are kept per rule as views into one
 flat buffer, and are evaluated only through the degree count asks for,
@@ -63,6 +83,9 @@ extend_to checks the requested degree against the live enumeration cap
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -110,17 +133,24 @@ def _index_dtype(count: int) -> type:
     return np.int32 if count <= 1 << 31 else np.int64
 
 
+def _flat_offsets(q: int, degree: int) -> list[int]:
+    """Where each degree 0..degree starts in the all-degrees flat layout:
+    degree k starts at q^0 + ... + q^(k-1)."""
+    return list(accumulate((q**k for k in range(degree)), initial=0))
+
+
 def _product_indices(digits: np.ndarray, sel: np.ndarray, matrix: np.ndarray,
                      p: int, powers: np.ndarray, size: int):
     """Yield (target indices, cofactor rows) per row chunk of the selected cofactors.
 
     Each chunk of sel is gathered from the stored digits and encoded by
-    one _digit_product; the target index is the product's code less size.
+    one _digit_product, one target row per matrix of the stack; the
+    target index is the product's code less size.
     """
-    step = _row_step(max(matrix.shape))
+    step = _row_step(matrix.size // matrix.shape[-2])  # the product's entries per row
     for lo in range(0, len(sel), step):
         rows = sel[lo : lo + step]
-        tgt = _digit_product(digits[rows], matrix, p, powers)
+        tgt = _digit_product(np.take(digits, rows, axis=0), matrix, p, powers)
         tgt -= size  # in place: a new array per chunk measured slower
         yield tgt, rows
 
@@ -180,8 +210,7 @@ class Universe:
         # per degree d >= 1, arrays of length q^d
         self.spf_gid: list[np.ndarray] = [np.empty(0, np.int32)]
         self.e1: list[np.ndarray] = [np.empty(0, np.int8)]
-        self.cof_deg: list[np.ndarray] = [np.empty(0, np.int8)]
-        self.cof_idx: list[np.ndarray] = [np.empty(0, np.int32)]
+        self.cof_pos: list[np.ndarray] = [np.empty(0, np.int32)]
         self.primes = PrimeTable(field, np.empty(0, np.int64), np.empty(0, np.int16))
         self._prime_slices: list[slice] = [slice(0, 0)]
         self._masks: dict[tuple, list[np.ndarray]] = {}  # views into one flat buffer
@@ -200,46 +229,40 @@ class Universe:
     def _build_degree(self, d: int) -> None:
         field, q = self.field, self.field.q
         size = q**d
+        offsets = _flat_offsets(q, d)
         spf = np.full(size, -1, dtype=np.int32)
-        e1 = np.zeros(size, dtype=np.int8)
-        cof_deg = np.zeros(size, dtype=np.int8)
-        cof_idx = np.zeros(size, dtype=_index_dtype(q ** (d - 1)))
+        e1 = np.ones(size, dtype=np.int8)
+        cof_pos = np.zeros(size, dtype=_index_dtype(offsets[d]))
         # degree 1 holds only primes; past it, products encode to codes
         powers = _code_powers(field, d) if d > 1 else None
         digit_cache: dict[int, np.ndarray] = {}
         for p_deg in range(1, d // 2 + 1):
             sl = self._prime_slices[p_deg]
-            for gid in range(sl.start, sl.stop):
-                prime = poly_of_code(field, int(self.primes.codes[gid]))
-                w = (1,)
-                for e in range(1, d // p_deg + 1):
-                    w = ffield.poly_mul(field, w, prime.coeffs)
-                    k_deg = d - e * p_deg
-                    if k_deg == 0:
-                        # h = 1: the prime power itself
-                        blocks = [(ffield.code_of(field, w) - size, 0)]
-                    elif k_deg < p_deg:
-                        continue  # every prime factor of h precedes P
-                    else:
-                        # cofactors whose smallest prime comes after P
-                        sel = np.flatnonzero(self.spf_gid[k_deg] > gid)
-                        digits = digit_cache.get(k_deg)
-                        if digits is None:
-                            digits = digit_cache[k_deg] = _monic_digits(field, k_deg)
-                        blocks = _product_indices(digits, sel, _mul_matrix(field, w, k_deg, d),
-                                                  field.p, powers, size)
-                    for tgt, rows in blocks:
-                        spf[tgt] = gid
+            primes = [ffield.coeffs_of_code(field, c) for c in self.primes.codes[sl].tolist()]
+            ws = primes
+            for e in range(1, d // p_deg + 1):
+                if e > 1:
+                    ws = [ffield.poly_mul(field, w, prime) for w, prime in zip(ws, primes)]
+                k_deg = d - e * p_deg
+                if k_deg == 0:
+                    # h = 1: the prime powers themselves (e >= 2, as p_deg <= d/2)
+                    tgt = np.array([ffield.code_of(field, w) for w in ws], dtype=np.int64) - size
+                    spf[tgt] = np.arange(sl.start, sl.stop)
+                    e1[tgt] = e
+                    continue
+                if k_deg < p_deg:
+                    continue  # every prime factor of h precedes P
+                digits = digit_cache.get(k_deg)
+                if digits is None:
+                    digits = digit_cache[k_deg] = _monic_digits(field, k_deg)
+                for gid, tgt, rows in self._products(d, ws, sl.start, k_deg, digits, powers):
+                    spf[tgt] = gid
+                    if e > 1:
                         e1[tgt] = e
-                        cof_deg[tgt] = k_deg
-                        cof_idx[tgt] = rows
+                    cof_pos[tgt] = rows + offsets[k_deg]
         prime_idx = np.flatnonzero(spf < 0)
         start = len(self.primes.codes)
-        gids = np.arange(start, start + len(prime_idx), dtype=np.int32)
-        spf[prime_idx] = gids
-        e1[prime_idx] = 1
-        cof_deg[prime_idx] = 0
-        cof_idx[prime_idx] = 0
+        spf[prime_idx] = np.arange(start, start + len(prime_idx), dtype=np.int32)
         self.primes = PrimeTable(
             field,
             np.concatenate([self.primes.codes, prime_idx.astype(np.int64) + q**d]),
@@ -248,8 +271,33 @@ class Universe:
         self._prime_slices.append(slice(start, start + len(prime_idx)))
         self.spf_gid.append(spf)
         self.e1.append(e1)
-        self.cof_deg.append(cof_deg)
-        self.cof_idx.append(cof_idx)
+        self.cof_pos.append(cof_pos)
+
+    def _products(self, d: int, ws: list, gid0: int, k_deg: int, digits: np.ndarray,
+                  powers: np.ndarray):
+        """Yield (gids, target indices, cofactor rows) for the products w * h of
+        degree d, w = ws[i] the power of the prime gid0 + i and h of degree
+        k_deg with a smallest prime after it.
+
+        The primes run in sub-slices of one stacked matrix each (about
+        _CHUNK_ENTRIES entries); gids broadcast against the targets.
+        """
+        field, spf_h = self.field, self.spf_gid[k_deg]
+        p, size = field.p, field.q**d
+        step = _row_step(_digit_count(field, k_deg) * _digit_count(field, d))
+        for lo in range(gid0, gid0 + len(ws), step):
+            hi = min(lo + step, gid0 + len(ws))
+            gids = np.arange(lo, hi, dtype=np.int32)[:, None]
+            matrix = _mul_matrix(field, ws[lo - gid0 : hi - gid0], k_deg, d)
+            # h whose smallest prime comes after the sub-slice pairs with all of it
+            full = np.flatnonzero(spf_h >= hi)
+            for tgt, rows in _product_indices(digits, full, matrix, p, powers, size):
+                yield gids, tgt, rows
+            # h whose smallest prime lies inside it pairs with the primes before that
+            inside = np.flatnonzero((spf_h > lo) & (spf_h < hi))
+            for tgt, rows in _product_indices(digits, inside, matrix, p, powers, size):
+                pair, col = np.nonzero(gids < spf_h[rows])
+                yield gids[pair, 0], tgt[pair, col], rows[col]
 
     # -- membership masks ---------------------------------------------
 
@@ -271,8 +319,7 @@ class Universe:
         done = self._masks.get(rule.key, [np.ones(1, dtype=bool)])
         if len(done) > degree:
             return done
-        q = self.field.q
-        offsets = np.cumsum([0] + [q**k for k in range(degree + 1)])
+        offsets = _flat_offsets(self.field.q, degree + 1)
         flat = np.empty(offsets[-1], dtype=bool)
         ok = [flat[offsets[k] : offsets[k + 1]] for k in range(degree + 1)]
         for old, new in zip(done, ok):
@@ -280,11 +327,10 @@ class Universe:
         good_prime = rule.admissible(self.primes)
         step = _row_step(1)
         for d in range(len(done), degree + 1):
-            for lo in range(0, q**d, step):
+            for lo in range(0, len(ok[d]), step):
                 part = slice(lo, lo + step)
                 pred = rule.passes(good_prime[self.spf_gid[d][part]], self.e1[d][part])
-                cofactor = flat[offsets[self.cof_deg[d][part]] + self.cof_idx[d][part]]
-                np.logical_and(pred, cofactor, out=ok[d][part])
+                np.logical_and(pred, flat[self.cof_pos[d][part]], out=ok[d][part])
         self._masks[rule.key] = ok
         return ok
 
@@ -303,13 +349,17 @@ class Universe:
         return self.primes.codes[self._prime_slices[d]]
 
     def factor_chain(self, degree: int, idx: int) -> list[tuple[int, int]]:
-        """Factorization of one polynomial as (prime code, multiplicity) pairs."""
+        """Factorization of one polynomial as (prime code, multiplicity) pairs;
+        each cofactor's flat position is decoded to its degree and index."""
+        offsets = _flat_offsets(self.field.q, degree)
         out = []
         d, i = degree, idx
         while d > 0:
             gid = int(self.spf_gid[d][i])
             out.append((int(self.primes.codes[gid]), int(self.e1[d][i])))
-            d, i = int(self.cof_deg[d][i]), int(self.cof_idx[d][i])
+            pos = int(self.cof_pos[d][i])
+            d = bisect_right(offsets, pos) - 1
+            i = pos - offsets[d]
         return out
 
 

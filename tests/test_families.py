@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fqtcount import families, ffield, primecounts
+from fqtcount import characters, families, ffield, primecounts
 from fqtcount.errors import EvenCharacteristic, NegativeCount, NotCoprime, ResourceLimit
 from fqtcount.families import (
     FamilySpec,
@@ -24,7 +24,7 @@ from fqtcount.families import (
     rep_search_membership,
 )
 from fqtcount.ffield import MonicPoly, field_for_order
-from fqtcount.primecounts import LPolynomial, pi_K
+from fqtcount.primecounts import LPolynomial, pi_K, pi_arith
 
 
 def capped_multisets(p, w, t):
@@ -240,6 +240,22 @@ def test_psi_value_matches_weighted_divisor_sums():
                     d * g[d] for d in range(1, n + 1) if n % d == 0
                 )
             assert psi_value(spec, n) == direct
+
+
+@pytest.mark.parametrize("m, a", [((1, 0, 1), (1,)), ((1, 0, 1), (2, 1)), ((0, 0, 1), (1, 1))])
+def test_arith_generator_counts_build_the_class_table_once(monkeypatch, m, a):
+    # T^2+1 over F_3 takes the character basis, T^2 the group ring
+    field, N = field_for_order(3), 200
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    builds = []
+    build = characters.CharacterTable._build
+    monkeypatch.setattr(characters.CharacterTable, "_build",
+                        lambda self, n: (builds.append(n), build(self, n)))
+    g = FamilySpec(canonical_family("arith"), q=3, m=m, a=a).generator_counts(N)
+    if m == (1, 0, 1):
+        assert builds == [N]
+    assert [g[n] for n in range(1, N + 1)] == [pi_arith(field, n, a, MonicPoly(m))
+                                               for n in range(1, N + 1)]
 
 
 def _psi_table_reference_specs():

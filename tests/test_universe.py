@@ -75,6 +75,30 @@ def first_write_sieve(field, max_degree):
     return spf_gid, e1s, cof_degs, cof_idxs, prime_codes
 
 
+def flat_offsets(q, max_degree):
+    """Where degree k starts in the all-degrees layout: q^0 + ... + q^(k-1), k <= max_degree."""
+    return np.cumsum([0] + [q**k for k in range(max_degree)])
+
+
+def reference_arrays(field, max_degree):
+    """first_write_sieve's spf_gid, e1 and prime codes, with each cofactor as its
+    flat position offsets[cof_deg] + cof_idx (degree k starts at q^0 + ... +
+    q^(k-1)), in cof_idx's type."""
+    spf_gid, e1, cof_deg, cof_idx, prime_codes = first_write_sieve(field, max_degree)
+    offsets = flat_offsets(field.q, max_degree)
+    cof_pos = [(offsets[deg] + idx).astype(idx.dtype) for deg, idx in zip(cof_deg, cof_idx)]
+    return spf_gid, e1, cof_pos, prime_codes
+
+
+def assert_matches_reference(uni, field, max_degree):
+    spf_gid, e1, cof_pos, prime_codes = reference_arrays(field, max_degree)
+    for mine, ref in ((uni.spf_gid, spf_gid), (uni.e1, e1), (uni.cof_pos, cof_pos),
+                      ([uni.primes.codes], [prime_codes])):
+        for a, b in zip(mine, ref, strict=True):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
 def test_code_roundtrip():
     for q in (2, 3, 9, 25):
         field = field_for_order(q)
@@ -289,17 +313,23 @@ def test_digit_dtype_keeps_digit_products_exact():
 @pytest.mark.parametrize("q, max_deg", [
     (2, 14), (3, 9), (4, 7), (5, 6), (7, 5), (8, 5), (9, 4),
     (263, 2),  # 263^3 > 2^24: degree 2 encodes in float64
+    (1009, 2),  # 1009 primes of degree 1 in one stacked matrix, uint16 digits
 ])
 def test_linear_sieve_matches_first_write_reference(q, max_deg):
     field = field_for_order(q)
-    uni = Universe(field, max_deg)
-    spf_gid, e1, cof_deg, cof_idx, prime_codes = first_write_sieve(field, max_deg)
-    for mine, ref in ((uni.spf_gid, spf_gid), (uni.e1, e1), (uni.cof_deg, cof_deg),
-                      (uni.cof_idx, cof_idx), ([uni.primes.codes], [prime_codes])):
-        assert len(mine) == len(ref)
-        for a, b in zip(mine, ref):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
+    assert_matches_reference(Universe(field, max_deg), field, max_deg)
+
+
+@pytest.mark.parametrize("q, max_deg, chunk", [
+    # degree 4 over F_3 (18 primes) runs in sub-slices of 300 // (5 * 9) = 6
+    # primes at degree 8, and each sub-slice masks the degree-4 cofactors
+    # whose smallest prime lies inside it
+    (3, 8, 300), (2, 12, 500), (4, 6, 400), (5, 5, 200), (9, 3, 100),
+])
+def test_sub_slices_of_one_prime_degree_change_no_array(monkeypatch, q, max_deg, chunk):
+    field = field_for_order(q)
+    monkeypatch.setattr(ffield, "_CHUNK_ENTRIES", chunk)
+    assert_matches_reference(Universe(field, max_deg), field, max_deg)
 
 
 def _digits_of(code, p, width):
@@ -343,13 +373,16 @@ def test_monic_digits_match_division():
         assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("q, max_deg", [(2, 10), (4, 5), (8, 3), (9, 3), (25, 3)])
+@pytest.mark.parametrize("q, max_deg", [(2, 10), (3, 7), (4, 5), (8, 3), (9, 3), (25, 3)])
 def test_sieve_slots_hold_smallest_prime_exact_power_and_full_factorization(q, max_deg):
     field = field_for_order(q)
     uni = Universe(field, max_deg)
+    offsets = flat_offsets(q, max_deg)
     for d in range(1, max_deg + 1):
         spf, e1 = uni.spf_gid[d], uni.e1[d]
-        cdeg, cidx = uni.cof_deg[d], uni.cof_idx[d]
+        # the cofactor's degree and index, decoded from its flat position
+        cdeg = np.searchsorted(offsets, uni.cof_pos[d], side="right") - 1
+        cidx = uni.cof_pos[d] - offsets[cdeg]
         composite = (cdeg > 0) | (e1 > 1)
         # a prime slot holds a prime of its own degree with multiplicity 1
         assert (uni.primes.prime_deg[spf[~composite]] == d).all()
@@ -397,10 +430,10 @@ def test_row_chunks_of_a_few_rows_change_no_array_mask_or_residue(monkeypatch, q
     # a sieve chunk holds 50 // ((d+1)k) rows, a mask chunk 50 polynomials
     monkeypatch.setattr(ffield, "_CHUNK_ENTRIES", 50)
     chunked = Universe(field, max_deg)
-    spf_gid, e1, cof_deg, cof_idx, prime_codes = first_write_sieve(field, max_deg)
+    spf_gid, e1, cof_pos, prime_codes = reference_arrays(field, max_deg)
     for mine, ref, unpatched in (
         (chunked.spf_gid, spf_gid, whole.spf_gid), (chunked.e1, e1, whole.e1),
-        (chunked.cof_deg, cof_deg, whole.cof_deg), (chunked.cof_idx, cof_idx, whole.cof_idx),
+        (chunked.cof_pos, cof_pos, whole.cof_pos),
         ([chunked.primes.codes], [prime_codes], [whole.primes.codes]),
     ):
         for a, b, c in zip(mine, ref, unpatched, strict=True):
@@ -450,12 +483,13 @@ def test_sieve_memory_is_its_arrays_digits_and_one_row_chunk(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = sum(a.nbytes for table in (uni.spf_gid, uni.e1, uni.cof_deg, uni.cof_idx)
+    arrays = sum(a.nbytes for table in (uni.spf_gid, uni.e1, uni.cof_pos)
                  for a in table) + uni.primes.codes.nbytes + uni.primes.prime_deg.nbytes
     # the uint8 cofactor digits of degrees 1..10, live while degree 11 is built
     digits = sum(3**k * (k + 1) for k in range(1, 11))
-    # the slack covers the cofactor selection (int64, 3^10 entries at most),
-    # its boolean test and a few chunks of 4096 entries
+    # the slack covers the two cofactor selections (int64, 3^10 entries at
+    # most between them), their boolean tests, a stacked matrix and a few
+    # chunks of 4096 entries
     assert peak < arrays + digits + (1 << 20)
 
 
