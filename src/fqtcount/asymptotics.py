@@ -20,7 +20,9 @@ alpha^-2 = q^s from the base q and degree step s, and sets atilde_n =
 psi_n - c1 beta^(-n), the same for every family.  The estimator holds
 these as integer numerators A_n = den(c1) psi_n - num(c1) q^(sn) over
 den(c1), for the largest n it was asked for, each checked against the
-envelope once; the table lives and dies with the estimator.
+envelope once.  estimator_for keeps one estimator per family and
+arguments for the life of the process (_ESTIMATOR_CACHE), so estimates
+and constants of one session grow one checked table per family.
 
 Exactness policy: hypothesis checks (r <= 1/sqrt(2), the coefficient
 envelope) compare squared rationals, so irrational alpha never meets
@@ -34,6 +36,7 @@ factors so the reported enclosures stay honest over-estimates.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -75,7 +78,7 @@ def _r_upper(r_squared: Fraction) -> float:
     return math.sqrt(float(r_squared)) * _PAD
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class EstimatorSpec:
     """Decomposition parameters plus the exact exponent coefficients.
 
@@ -85,7 +88,8 @@ class EstimatorSpec:
     numerators A[0..N] (A[0] = 0) over one denominator D, atilde_n =
     A[n] / D (estimator_for builds one from the family's psi_table).
     It is read only through numerators, which checks every entry
-    against the envelope.
+    against the envelope.  Frozen, as estimator_for hands one instance
+    to every caller of a session; only its table cache grows.
     """
 
     atilde_table: Callable[[int], tuple[list[int], int]]
@@ -436,14 +440,29 @@ def estimate_coefficient(spec: EstimatorSpec, n: int,
 # -- family decompositions -------------------------------------------
 
 
+# one estimator per (spec, m, error_constant, cap), kept for the life of
+# the process once it validates; unbounded, like primecounts._ARITH_CACHE
+_ESTIMATOR_CACHE: dict[tuple, EstimatorSpec] = {}
+
+
 def estimator_for(spec: FamilySpec, m: int = 0,
                   error_constant: Fraction | None = None,
                   cap: int | None = None) -> EstimatorSpec:
     """The certified decomposition of one family's series.
 
     atilde_n = psi_n - c1 beta^-n from the family's psi_table and its
-    (c1, c2) row; no family is special-cased here.
+    (c1, c2) row; no family is special-cased here.  Equal arguments get
+    the same estimator, so its checked numerators table is built once
+    and only grown: a longer call checks just the new entries.  An
+    estimator is kept only once validate() passes, and a table whose
+    check fails is not kept, so the failure repeats on the next call.
+    With cap None the table reads FQT_CAP at every enumeration, so the
+    key holds the variable's value in its place.
     """
+    key = (spec, m, error_constant, os.environ.get("FQT_CAP") if cap is None else cap)
+    est = _ESTIMATOR_CACHE.get(key)
+    if est is not None:
+        return est
     spec.validate()
     c1, c2 = families.decomposition(spec)
     q_s = spec.base_q**spec.degree_step  # beta = q^-s, alpha^-2 = q^s
@@ -459,7 +478,7 @@ def estimator_for(spec: FamilySpec, m: int = 0,
             A.append(D * psi[n] - c * power)
         return A, D
 
-    return EstimatorSpec(
+    est = EstimatorSpec(
         atilde_table=atilde_table,
         c1=c1,
         c2=c2,
@@ -469,6 +488,9 @@ def estimator_for(spec: FamilySpec, m: int = 0,
         error_constant=error_constant,
         label=spec.label,
     )
+    est.validate()
+    _ESTIMATOR_CACHE[key] = est
+    return est
 
 
 def exact_ratio(value: int, est: EstimatorSpec, n: int) -> Fraction:

@@ -443,10 +443,17 @@ def cmd_verify(args) -> tuple[str, int]:
 # -- entry point -----------------------------------------------------
 
 
+# built by the first main() call, not at import, and reused: parsing
+# leaves the parser unchanged
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

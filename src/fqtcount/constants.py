@@ -31,9 +31,14 @@ limiting ratio for primes in a residue class.
 
 The "series" method of every constant sums the family's exponent
 coefficients atilde_n, read as integer numerators from its estimator's
-table (asymptotics.estimator_for).  Each constant builds its estimators
-and so its tables afresh: sums over the same family within one constant
-(C_{q,3}'s two s1 sums, C_{a,m}'s two truncations) share one table.
+table (asymptotics.estimator_for).  estimator_for keeps one estimator
+per family for the session, so every sum over one family, within one
+constant or across constants (K_q and c_q; C_{q,1}, C_{q,3} and c'_q;
+C_{a,m}'s two truncations), reads one table, built once and grown.
+Each finished report is kept too, in _REPORT_CACHE, by constant and
+normalised arguments (q, which, digits; for C_{a,m} its kept estimator
+and digits): a repeated call, positional or by keyword, returns the same
+report, and C_{q,2}'s reciprocal method reads the kept C_{q,1} report.
 """
 
 from __future__ import annotations
@@ -116,6 +121,17 @@ class ConstantReport:
             }
 
 
+# one report per constant and normalised arguments, for the life of the
+# process; unbounded, like primecounts._ARITH_CACHE.  Only finished
+# reports are stored, so a call that raises raises again.
+_REPORT_CACHE: dict[tuple, ConstantReport] = {}
+
+
+def _keep(key: tuple, report: ConstantReport) -> ConstantReport:
+    _REPORT_CACHE[key] = report
+    return report
+
+
 def _exp_method(tag: str, log_value, log_tail: float, digits: int) -> ConstantMethod:
     """exp(log_value), where the mpf log_value is within log_tail of the true log."""
     value = mpmath.e**log_value
@@ -176,6 +192,9 @@ def constant_Kq(q: int, digits: int = 30) -> ConstantReport:
         raise EvenCharacteristic("this constant needs odd q")
     if q < 3:
         raise ValueError("need a prime power q >= 3")
+    key = ("K_q", q, digits)
+    if key in _REPORT_CACHE:
+        return _REPORT_CACHE[key]
     with mpmath.workdps(digits + 15):
         # series: log K = sum atilde_n q^-n / n, 0 < atilde_n <= q^(n/2)
         N = _series_terms(q, digits, half=True)
@@ -205,7 +224,7 @@ def constant_Kq(q: int, digits: int = 30) -> ConstantReport:
                  + float(ledger))
         euler = _exp_method("euler-product", log_val, etail, digits)
 
-    return ConstantReport("K_q", q, (series, nested, euler))
+    return _keep(key, ConstantReport("K_q", q, (series, nested, euler)))
 
 
 def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
@@ -220,6 +239,9 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
         raise ValueError("need a prime power q >= 2")
     if which not in (1, 2, 3):
         raise ValueError("which must be 1, 2, or 3")
+    key = ("C_q", q, which, digits)
+    if key in _REPORT_CACHE:
+        return _REPORT_CACHE[key]
     with mpmath.workdps(digits + 15):
         N = _series_terms(q, digits, half=False)
         s_family = (families.FAMILY_S1, families.FAMILY_S2, families.FAMILY_S3)
@@ -245,7 +267,7 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
             etail = (float(q) ** -(D + 1) / (1 - 1 / q) / (D + 1) * 2 * _PAD
                      + float(ledger))
             euler = _exp_method("euler-product", _to_mpf(S), etail, digits)
-            return ConstantReport("C_{q,1}", q, (series, nested, euler))
+            return _keep(key, ConstantReport("C_{q,1}", q, (series, nested, euler)))
 
         if which == 2:
             c1 = constant_Cq(q, 1, digits)
@@ -254,7 +276,7 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
             value = 1 / base
             rtail = t_best * float(value) ** 2 / (1 - t_best * float(value)) * _PAD
             recip = ConstantMethod("reciprocal", value, _floor_tail(rtail, digits))
-            return ConstantReport("C_{q,2}", q, (series, recip))
+            return _keep(key, ConstantReport("C_{q,2}", q, (series, recip)))
 
         # which == 3, composed: sqrt(1 - q^-2) * a1(q^-4) / C_{q,1} with a1
         # the analytic factor of the s1 family, evaluated off the singularity
@@ -264,7 +286,7 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
         value = mpmath.sqrt(1 - mpmath.mpf(q) ** -2) * mpmath.e ** _to_mpf(S_a - S1)
         ctail = float(value) * math.expm1(ta + t1) * _PAD
         composed = ConstantMethod("composed", value, _floor_tail(ctail, digits))
-        return ConstantReport("C_{q,3}", q, (series, composed))
+        return _keep(key, ConstantReport("C_{q,3}", q, (series, composed)))
 
 
 def _half_series(est: EstimatorSpec, N: int, digits: int) -> ConstantMethod:
@@ -281,6 +303,9 @@ def constant_cq(q: int, digits: int = 30) -> ConstantReport:
     """
     if q % 2 == 0:
         raise EvenCharacteristic("this constant needs odd q")
+    key = ("c_q", q, digits)
+    if key in _REPORT_CACHE:
+        return _REPORT_CACHE[key]
     with mpmath.workdps(digits + 15):
         N = _series_terms(q, digits, half=True)
         est = estimator_for(FamilySpec(families.FAMILY_LANDAU, q=q))
@@ -293,7 +318,7 @@ def constant_cq(q: int, digits: int = 30) -> ConstantReport:
         C /= 4
         ctail = _floor_tail(2.0 * float(q) ** -(2.0 ** (J + 1) - 1) * _PAD, digits)
         closed = ConstantMethod("closed-form", _to_mpf(C), ctail)
-    return ConstantReport("c_q", q, (series, closed))
+    return _keep(key, ConstantReport("c_q", q, (series, closed)))
 
 
 def constant_cq_prime(q: int, digits: int = 30) -> ConstantReport:
@@ -305,6 +330,9 @@ def constant_cq_prime(q: int, digits: int = 30) -> ConstantReport:
     """
     if q < 2:
         raise ValueError("need a prime power q >= 2")
+    key = ("c'_q", q, digits)
+    if key in _REPORT_CACHE:
+        return _REPORT_CACHE[key]
     with mpmath.workdps(digits + 15):
         N = _series_terms(q, digits, half=False)
         est = estimator_for(FamilySpec(families.FAMILY_S1, q=q))
@@ -318,7 +346,7 @@ def constant_cq_prime(q: int, digits: int = 30) -> ConstantReport:
         C /= 4
         ctail = _floor_tail(float(q) ** -(2.0 ** (J + 2) - 1) * _PAD, digits)
         closed = ConstantMethod("closed-form", _to_mpf(C), ctail)
-    return ConstantReport("c'_q", q, (series, closed))
+    return _keep(key, ConstantReport("c'_q", q, (series, closed)))
 
 
 def constant_Cam(field: FieldSpec, a, m: MonicPoly, digits: int = 30
@@ -337,6 +365,10 @@ def constant_Cam(field: FieldSpec, a, m: MonicPoly, digits: int = 30
     spec = FamilySpec(families.FAMILY_ARITH, q=field.q, m=m.coeffs,
                       a=_residue_coeffs(field, a))
     est = estimator_for(spec)
+    # the kept estimator stands for the family and the cap it answers to
+    key = ("C_{a,m}", est, digits)
+    if key in _REPORT_CACHE:
+        return _REPORT_CACHE[key]
     with mpmath.workdps(digits + 15):
         N = _series_terms(field.q, digits, half=True)
         est.numerators(2 * N)  # one table serves both truncations
@@ -344,4 +376,4 @@ def constant_Cam(field: FieldSpec, a, m: MonicPoly, digits: int = 30
             _series_method(tag, est, length, digits)
             for length, tag in ((N, "series"), (2 * N, "series-doubled"))
         )
-    return ConstantReport("C_{a,m}", field.q, methods)
+    return _keep(key, ConstantReport("C_{a,m}", field.q, methods))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from fqtcount import asymptotics, families
 from fqtcount.asymptotics import (
     EstimatorSpec,
     _default_eval_terms,
@@ -240,6 +241,69 @@ def test_table_source_envelope_checked_at_every_n(q):
     est.numerators(40)
     with pytest.raises(HypothesisViolation, match="n = 45:"):
         est.exp_series(50)
+
+
+def test_estimator_for_keeps_one_estimator_per_key(monkeypatch):
+    monkeypatch.setattr(asymptotics, "_ESTIMATOR_CACHE", {})
+    monkeypatch.delenv("FQT_CAP", raising=False)
+    est = estimator_for(landau_spec(3))
+    assert estimator_for(landau_spec(3), 0, None, None) is est
+    others = [
+        estimator_for(landau_spec(3), m=1),
+        estimator_for(landau_spec(3), m=1, error_constant=Fraction(24)),
+        estimator_for(landau_spec(3), cap=10**6),
+        estimator_for(landau_spec(5)),
+        estimator_for(FamilySpec(canonical_family("s1"), q=3)),
+    ]
+    # cap None reads FQT_CAP at every enumeration, so its value is part of the key
+    monkeypatch.setenv("FQT_CAP", "50")
+    others.append(estimator_for(landau_spec(3)))
+    assert len({id(e) for e in [est, *others]}) == 7
+    assert estimator_for(landau_spec(3)) is others[-1]
+    monkeypatch.delenv("FQT_CAP")
+    assert estimator_for(landau_spec(3)) is est
+
+
+def test_kept_estimator_checks_only_new_entries(monkeypatch):
+    monkeypatch.setattr(asymptotics, "_ESTIMATOR_CACHE", {})
+    checked, tables = [], []
+    check, psi_table = EstimatorSpec._check_envelope, families.psi_table
+
+    def recorded(self, numerators, D, start):
+        checked.append((start, len(numerators)))
+        return check(self, numerators, D, start)
+
+    monkeypatch.setattr(EstimatorSpec, "_check_envelope", recorded)
+    monkeypatch.setattr(families, "psi_table",
+                        lambda spec, N, cap=None: tables.append(N) or psi_table(spec, N, cap))
+    short = estimator_for(landau_spec(3)).numerators(20)
+    long = estimator_for(landau_spec(3)).numerators(50)
+    assert long[0][:21] == short[0] and long[1] == short[1]
+    assert estimator_for(landau_spec(3)).numerators(40)[0] is long[0]
+    assert checked == [(1, 20), (21, 30)]
+    assert tables == [20, 50]
+
+
+def test_failed_checks_are_not_kept(monkeypatch):
+    monkeypatch.setattr(asymptotics, "_ESTIMATOR_CACHE", {})
+    row = families.decomposition
+    # c2 = 1/100 puts the envelope under landau's atilde_n from n = 1
+    monkeypatch.setattr(families, "decomposition",
+                        lambda spec: (row(spec)[0], Fraction(1, 100)))
+    est = estimator_for(landau_spec(3))
+    for _ in range(2):
+        with pytest.raises(HypothesisViolation, match="envelope breached"):
+            estimator_for(landau_spec(3)).numerators(6)
+    assert estimator_for(landau_spec(3)) is est and not est._cache
+    # an estimator that fails validate() is never stored
+    monkeypatch.setattr(families, "decomposition", lambda spec: (Fraction(1), Fraction(1)))
+    for _ in range(2):
+        with pytest.raises(HypothesisViolation, match="c1 = 1"):
+            estimator_for(landau_spec(5))
+    monkeypatch.setattr(families, "decomposition", row)
+    with pytest.raises(ValueError, match="nonnegative"):
+        estimator_for(landau_spec(3), m=-1)
+    assert list(asymptotics._ESTIMATOR_CACHE.values()) == [est]
 
 
 def test_estimate_encloses_exact_ratio_all_families():

@@ -376,3 +376,25 @@ def test_benchmark_hooks_install_and_run_an_estimate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSER", None)
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    argv = ("constants", "kq", "--q", "3", "--digits", "20")
+    first = run(capsys, *argv)
+    assert run(capsys, *argv) == first
+    assert builds == [1]
+    # a parse error leaves the kept parser as a fresh process would find it
+    code, out, err = run(capsys, "estimate", "landau", "--q", "3")
+    assert code == 2 and "--n" in err
+    argv = ("estimate", "landau", "--q", "3", "--n", "40", "--format", "csv")
+    code, out, err = run(capsys, *argv)
+    assert builds == [1]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fqtcount.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "fqtcount.cli", *argv],
+                           env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                           text=True, timeout=120)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)

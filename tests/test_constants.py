@@ -1,5 +1,6 @@
 """Limiting constants by independent methods with declared tail bounds."""
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -7,7 +8,7 @@ from functools import lru_cache
 import mpmath
 import pytest
 
-from fqtcount import families
+from fqtcount import asymptotics, constants, families
 from fqtcount.asymptotics import GUARD_BITS, _atilde_sum, _to_mpf, estimator_for
 from fqtcount.constants import (
     ConstantReport,
@@ -222,7 +223,14 @@ def test_atilde_sum_fixed_point_ledger(family, i, x):
     assert tail >= N * 2.0**-P
 
 
+def cold_caches(monkeypatch):
+    """Empty the estimator and report caches for one test, so it builds afresh."""
+    monkeypatch.setattr(asymptotics, "_ESTIMATOR_CACHE", {})
+    monkeypatch.setattr(constants, "_REPORT_CACHE", {})
+
+
 def test_cq3_builds_the_s1_coefficients_once(monkeypatch):
+    cold_caches(monkeypatch)
     calls = []
     psi_table = families.psi_table
 
@@ -238,6 +246,7 @@ def test_cq3_builds_the_s1_coefficients_once(monkeypatch):
 
 
 def test_cam_computes_each_atilde_once(monkeypatch):
+    cold_caches(monkeypatch)
     tables, degrees = [], []
     psi_table, class_count = families.psi_table, families._class_count
 
@@ -256,3 +265,37 @@ def test_cam_computes_each_atilde_once(monkeypatch):
     assert [m.tag for m in report.methods] == ["series", "series-doubled"]
     assert len(tables) == 1
     assert sorted(degrees) == list(range(1, tables[0] + 1))
+
+
+def test_cq2_reads_the_kept_cq1_report(monkeypatch):
+    cold_caches(monkeypatch)
+    cold = json.dumps(constant_Cq(3, 2, 100).to_json(digits=100))
+    cold_caches(monkeypatch)
+    calls = []
+    psi_table = families.psi_table
+
+    def counted(spec, N, cap=None):
+        calls.append(spec.family)
+        return psi_table(spec, N, cap=cap)
+
+    monkeypatch.setattr(families, "psi_table", counted)
+    c1 = constant_Cq(3, 1, digits=100)
+    assert constant_Cq(3, 1, 100) is c1  # one entry, positional or by keyword
+    calls.clear()
+    warm = constant_Cq(3, 2, 100)
+    assert calls == [families.FAMILY_S2]  # no s1 table: C_{q,1} is kept
+    assert json.dumps(warm.to_json(digits=100)) == cold
+    assert constant_Cq(3, 2, digits=100) is warm
+    assert constant_Cq(3, 2, 30) is not warm
+
+
+def test_cam_report_is_kept_per_cap(monkeypatch):
+    # the progression family may enumerate, so FQT_CAP is part of the key
+    cold_caches(monkeypatch)
+    monkeypatch.delenv("FQT_CAP", raising=False)
+    field, m = field_for_order(3), MonicPoly((1, 0, 1))
+    report = constant_Cam(field, 1, m, 15)
+    assert constant_Cam(field, (1,), m, digits=15) is report
+    monkeypatch.setenv("FQT_CAP", "50")
+    capped = constant_Cam(field, 1, m, 15)
+    assert capped is not report and capped.to_json(15) == report.to_json(15)
