@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 internal mismatch (an oracle disagreement, a
 failed verification check, or an exact ratio outside its certified
 enclosure), 2 parameter errors, 3 resource cap exceeded: an enumeration
 of more than ``--cap`` (else ``FQT_CAP``, else 10^8) polynomials of one
-degree, or a table over its fixed limit (factoring has its own).
+degree, or a table over its fixed limit.  Factoring one polynomial
+enumerates nothing and has no limit.
 
 Polynomials on the command line use the grammar ``T^2+2T+1``: terms
 joined by ``+`` or ``-``, each a coefficient code in 0..q-1 times an
@@ -59,7 +60,7 @@ from .verify import SUITES, run_all, run_suite
 _EXACT_COMPARISON_LIMIT = 400
 
 _CAP_HELP = ("most monic polynomials of one degree (q^n) an enumeration may list "
-             "(default FQT_CAP, else 10^8); factoring has its own fixed limit")
+             "(default FQT_CAP, else 10^8)")
 
 _CONSTANT_NAMES = ("kq", "cq1", "cq2", "cq3", "cq", "cqprime", "cam")
 

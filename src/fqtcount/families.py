@@ -14,9 +14,10 @@ constants all derive from these two; psi_value is one entry of the
 table.  A table lives with the count_table call or estimator that asked
 for it: nothing here caches psi.  generator_counts and the membership
 oracles recount the same sets independently, as the reference the
-checks compare against; both oracles (the universe sieve and scalar
-factoring) run the family's one membership_rule, and both read each
-prime's degree, character and residues from a universe.PrimeTable.
+checks compare against; both oracles (the universe sieve over a whole
+degree, and ffield.factor of one polynomial) run the family's one
+membership_rule, and both read each prime's degree, character and
+residues from a universe.PrimeTable.
 
 Index conventions: the even-degree families s1/s2/s3 are tabulated by
 half-degree and the divisor families by degree/r; the landau and
@@ -468,9 +469,9 @@ class MembershipRule:
     passes(admissible(P), e).  admissible reads a universe.PrimeTable
     through prime_deg, prime_chi2() and prime_residues(m) and gives a
     bool array over its primes; passes works elementwise on arrays.  Both
-    oracles hand it a PrimeTable: the Universe's own, or the one the
-    scalar oracle builds from its factorizations.  key names the rule in
-    a Universe's mask cache.
+    oracles hand it a PrimeTable: the Universe's own, or the one
+    membership_oracle builds from one factorization.  key names the rule
+    in a Universe's mask cache.
     """
 
     key: tuple
@@ -505,75 +506,33 @@ def membership_rule(field: FieldSpec, spec: FamilySpec) -> MembershipRule:
 
 
 def membership_oracle(field: FieldSpec, f: MonicPoly, spec: FamilySpec) -> bool:
-    """Decide membership of f from its factorization."""
+    """Decide membership of f from its factorization.
+
+    ffield.factor gives f's primes, and the family's rule runs on a
+    PrimeTable of them, as the sieve's does on its own.  Prime codes are
+    int64, so q^(deg f + 1) past 2^63 raises ResourceLimit.
+    """
     rule = membership_rule(field, spec)
     if f.degree == 0:
         return True
-    return bool(_members(field, rule, np.array([f.coeffs], dtype=np.int64))[0])
-
-
-def member_mask(field: FieldSpec, spec: FamilySpec, degree: int,
-                cap: int | None = None) -> np.ndarray:
-    """Membership of every monic polynomial of the degree, in canonical
-    order (enumerate_monic's), from scalar factoring; the cap is checked
-    before the rows are built."""
-    rule = membership_rule(field, spec)
-    if degree == 0:
-        return np.ones(1, dtype=bool)
-    ffield.check_cap(field, degree, cap)
-    return _members(field, rule, ffield._monic_rows(field, degree))
-
-
-def _members(field: FieldSpec, rule: MembershipRule, rows: np.ndarray) -> np.ndarray:
-    """The member mask of coefficient rows of one degree n >= 1.
-
-    ffield._factor_rows gives each row's plan multiplicities and large
-    prime; one PrimeTable of the plan primes and the large primes gives
-    their admissibility, and a row is a member when every nonzero
-    multiplicity and its large prime (multiplicity 1) pass, tested in row
-    chunks.  Codes are int64, so q^(n+1) past 2^63 raises ResourceLimit.
-    """
-    n = rows.shape[1] - 1
-    if field.q ** (n + 1) >= 1 << 63:
-        raise ResourceLimit(f"prime codes of degree {n} over {field} exceed int64")
-    fac = ffield._factor_rows(field, rows)
-    plan, mult = fac.plan, fac.mult
-    has_large = fac.large_deg > 0
-    q_powers = field.q ** np.arange(n + 1, dtype=np.int64)
-    codes = [ffield.code_of(field, P.coeffs) for P in plan.primes]
+    if field.q ** (f.degree + 1) >= 1 << 63:
+        raise ResourceLimit(f"prime codes of degree {f.degree} over {field} exceed int64")
+    factors = ffield.factor(field, f).factors
     table = universe.PrimeTable(
-        field,
-        np.concatenate([np.array(codes, dtype=np.int64), fac.large[has_large] @ q_powers]),
-        np.concatenate([plan.prime_deg, fac.large_deg[has_large]]),
-    )
-    good = rule.admissible(table)
-    small = len(plan.primes)
-    ok = np.empty(len(rows), dtype=bool)
-    step = ffield._row_step(small)  # row chunks bound the (rows, primes) temporaries
-    for lo in range(0, len(rows), step):
-        part = mult[lo : lo + step]
-        ok[lo : lo + step] = ((part == 0) | rule.passes(good[:small], part)).all(axis=1)
-    ok[has_large] &= rule.passes(good[small:], 1)
-    return ok
+        field, np.array([ffield.code_of(field, P.coeffs) for P, _ in factors], dtype=np.int64),
+        np.array([P.degree for P, _ in factors], dtype=np.int64))
+    mult = np.array([e for _, e in factors], dtype=np.int64)
+    return bool(rule.passes(rule.admissible(table), mult).all())
 
 
 def oracle_count(field: FieldSpec, spec: FamilySpec, degree: int,
-                 cap: int | None = None, method: str = "sieve") -> int:
-    """Exhaustive count of degree-n members, independent of the series.
-
-    method="sieve" factors the whole degree at once through the shared
-    Universe; method="scalar" sums member_mask, which factors the whole
-    degree by remainders against the small prime powers (independent of
-    the sieve's products) and reads the primes it finds from a PrimeTable
-    of its own.  Both evaluate the family's one membership_rule.
-    """
+                 cap: int | None = None) -> int:
+    """Exhaustive count of degree-n members, independent of the series:
+    the shared Universe's sieve factors the whole degree at once, and the
+    family's one membership_rule runs on its masks."""
     rule = membership_rule(field, spec)
     if degree == 0:
         return 1
-    if method == "scalar":
-        return int(member_mask(field, spec, degree, cap).sum())
-    if method != "sieve":
-        raise ValueError("method must be 'sieve' or 'scalar'")
     return universe.get_universe(field, degree, cap=cap).count(rule, degree)
 
 

@@ -12,7 +12,7 @@ modulus test trial-divides by poly_mod, and _Tables reduces by poly_mod.
 Polynomials have two representations.  Coefficient tuples of element
 codes carry all scalar arithmetic (poly_mul, poly_divmod).  Base-p digit
 matrices carry the batched linear maps: multiplication by a fixed
-polynomial, the remainder plan and the residues in universe.  They meet
+polynomial and the residues in universe.  They meet
 in digit_mul, one k x k digit matrix per element c whose row s holds the
 digits of Y^s * c; _Tables gets it from the prime field's poly_mod of the
 shifted c by the modulus (q*k reductions), and every other table of the
@@ -31,97 +31,71 @@ The enumeration cap bounds the q^n monic polynomials of one degree that
 a call enumerates.  check_cap reads it live (the caller's cap, else
 FQT_CAP, else 10^8) at the entry of every enumeration, before any cache
 (here, in universe and in primecounts' class table), so a capped call
-answers the same warm or cold.  Factoring enumerates nothing: its
-remainder plan has the fixed limit _MAX_PLAN_DIGITS instead.
+answers the same warm or cold.  Factoring enumerates nothing and has
+no size limit.
 
-Factoring runs one remainder product per degree (the linear algebra
-behind Berlekamp, Bell Syst. Tech. J. 46, 1967): f -> f mod P^e is
-F_p-linear in the base-p digits of f's coefficients.  The remainder
-plan of degree n holds, for every monic prime P with 2 deg P <= n and
-every e with e deg P <= n, the digit matrix of that map, so one matrix
-product over a batch of polynomials gives every such remainder at once.
-The multiplicity of P in f is the largest e whose remainder block is
-zero, since P^e | f implies P^(e-1) | f: one reduceat over the plan's
-block columns marks the zero blocks, and a second over each prime's
-blocks takes the largest zero e (_multiplicities, which irreducibles
-reads as well).  What the small prime powers leave has no prime factor
-of degree <= n/2, so it is 1 or one prime of degree > n/2.
-
-The array core _factor_rows factors the coefficient rows of one degree
-at once: the multiplicity matrix, the product G of the small prime
-powers (one batched digit product per (prime, e), over the rows that
-have it), and the large prime, by one exact division batched over the
-rows that share deg G.  Its guards check that the plan and the
-arithmetic agree: G = f when there is no large prime, a zero remainder
-and a quotient of degree > n/2 otherwise; each raises ArithmeticError.
-factor_many is the object view over it, and families' scalar oracle
-reads its arrays directly.
+factor splits one polynomial by distinct-degree and equal-degree
+(Cantor-Zassenhaus) factorization, in the scalar arithmetic below: a
+number of products mod f polynomial in deg f and log q, and no table
+that grows with q^deg f.  The one engine that factors every
+polynomial of a degree at once is universe's sieve; factor shares no
+code with its digit products, so each checks the other.
 
 Every batched digit product in the package goes through _digit_product:
-factoring's multiplicities and small parts here, the enumeration sieve
-and the prime residues mod m in universe, and the unit-group table in
-primecounts.
+the enumeration sieve and the prime residues mod m in universe, and the
+unit-group table in primecounts.
 Their matrices come from _digit_rows; their inputs are base-p digit
 rows (_digits, or universe's division-free _monic_digits) stored in the
 smallest unsigned type that holds p - 1.  One product casts a row chunk
 of digits to the matrix's float type and multiplies by BLAS.  That type
 is float32 when no digit sum can pass 2^24 and float64 when none can
 pass 2^53 (_digit_dtype); past that no BLAS type is exact, and
-_digit_dtype raises ResourceLimit.  A remainder plan with no columns
-(degree 1) multiplies nothing and takes no type, so linear factoring
-works over any p.  A stack of s matrices of one shape (the sieve's
+_digit_dtype raises ResourceLimit.  A stack of s matrices of one shape (the sieve's
 powers P^e of the primes of one degree, from _mul_matrix of s
 polynomials) is one product too: their transposes lie end to end, s *
 out rows of in digits, which _mul_matrix stores contiguously, and the
 codes come back as one row per matrix.  Each entry is the one a single
 matrix would give, so every bound below holds for a stack as well.  The
-sieve, residues and multiplicities run in row chunks of _row_step(width)
+sieve and the residues run in row chunks of _row_step(width)
 rows, width the larger side of the matrix (s * out for a stack), about
 _CHUNK_ENTRIES entries each, so their working memory does not grow with
 the batch; the unit-group table (at most primecounts'
-_MAX_UNIT_GROUP rows) multiplies all units at once.  The product is
-reduced mod p in one of two ways:
+_MAX_UNIT_GROUP rows) multiplies all units at once.
 
-* Codes (sieve, residues, unit group): each digit sum c becomes
-  c - p * floor(c / p), in place, by true division.  This is exact for
-  every integer c <= 2^24 in float32 (c <= 2^53 in float64, with 2^-53
-  for 2^-24 below).  If p divides c, c / p is an integer below 2^24 and
-  exact.  Otherwise c = kp - j with 1 <= j < p; k - 1 is representable
-  and below c / p, so the rounded quotient is at least k - 1, and its
-  error is below (c / p) * 2^-24 <= 1 / p <= j / p, so it is below k.
-  Its floor is k - 1 either way, and the product and difference after
-  it are integers below 2^24.  A multiply by a rounded 1/p has no such
-  bound.  The reduced digits of a degree-d polynomial make a code below
-  p^((d+1)k) = q^(d+1), so their products with p^j (_code_powers) and
-  every partial sum of them are exact in float32 when q^(d+1) <= 2^24
-  and in float64 otherwise; only the code vector is cast to int64.  The
-  encode is numpy's elementwise multiply and a sum over the digit axis,
-  never a BLAS product: a BLAS matrix-vector product of finite float32
-  digits (2 to 18 rows of 5) was seen to raise the invalid flag, which
-  the tests turn into an error, in one of about 200 fresh processes.
-  The product is made transposed, digits by rows, so that the sum adds
-  whole contiguous rows.
-* Digits (multiplicities' zero tests and factoring's small parts): the
-  product is cast to the smallest unsigned type that holds a digit sum
-  and reduced there by c - (c // p) * p, which measured faster than the
-  float reduce on the plan's wide products.
+Each digit sum c of the product becomes c - p * floor(c / p), in place,
+by true division.  This is exact for every integer c <= 2^24 in float32
+(c <= 2^53 in float64, with 2^-53 for 2^-24 below).  If p divides c,
+c / p is an integer below 2^24 and exact.  Otherwise c = kp - j with
+1 <= j < p; k - 1 is representable and below c / p, so the rounded
+quotient is at least k - 1, and its error is below
+(c / p) * 2^-24 <= 1 / p <= j / p, so it is below k.  Its floor is k - 1
+either way, and the product and difference after it are integers below
+2^24.  A multiply by a rounded 1/p has no such bound.  The reduced
+digits of a degree-d polynomial make a code below p^((d+1)k) = q^(d+1),
+so their products with p^j (_code_powers) and every partial sum of them
+are exact in float32 when q^(d+1) <= 2^24 and in float64 otherwise; only
+the code vector is cast to int64.  The encode is numpy's elementwise
+multiply and a sum over the digit axis, never a BLAS product: a BLAS
+matrix-vector product of finite float32 digits (2 to 18 rows of 5) was
+seen to raise the invalid flag, which the tests turn into an error, in
+one of about 200 fresh processes.  The product is made transposed,
+digits by rows, so that the sum adds whole contiguous rows.
 
 Scalar arithmetic stays in Python ints, because indexing a numpy table
 costs more than the operation itself.  A prime field reduces mod p, so
-it builds no q^2-entry structure for scalar work, digit rows or plans;
+it builds no q^2-entry structure for scalar work or digit rows;
 its chi2 is Euler's criterion and its square_mask squares the q
 residues.  An extension field indexes the Python-list rows that _Tables
 keeps next to its numpy tables.  Loops that run many divisions
-(_powers_of_x_mod) fetch these once per call through _ext_tables; the
-batched division of _factor_rows indexes the numpy tables instead.
+(_powers_of_x_mod) fetch these once per call through _ext_tables.
 """
 
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -138,9 +112,6 @@ DEFAULT_CAP = 10**8
 # Largest q for which elementwise add/mul tables are built (q*q entries);
 # scalar arithmetic in a prime field needs none.
 _MAX_TABLE_Q = 4096
-
-# Largest remainder plan (rows x columns digits) that factoring builds
-_MAX_PLAN_DIGITS = 10**8
 
 
 def default_cap() -> int:
@@ -252,8 +223,6 @@ class _Tables:
 
 
 _TABLE_CACHE: dict[FieldSpec, _Tables] = {}
-_IRR_CACHE: dict[tuple[FieldSpec, int], tuple[MonicPoly, ...]] = {}
-_PLAN_CACHE: dict[tuple[FieldSpec, int], "_RemainderPlan"] = {}
 
 # batched work runs in row chunks of about this many entries (_row_step),
 # so its working memory does not grow with the batch
@@ -323,22 +292,15 @@ def _row_step(width: int) -> int:
 
 
 def _digit_product(digits: np.ndarray, matrix: np.ndarray, p: int,
-                   powers: np.ndarray | None = None) -> np.ndarray:
-    """digits @ matrix reduced mod p, by one BLAS product in the matrix's float type.
+                   powers: np.ndarray) -> np.ndarray:
+    """digits @ matrix reduced mod p and encoded, by one BLAS product in the matrix's float type.
 
-    With powers (from _code_powers) the product is made transposed,
-    reduced in place in that float type and encoded: the int64 codes are
+    The product is made transposed, reduced in place in that float type
+    and encoded with powers (from _code_powers): the int64 codes are
     returned, one per digit row.  A stack of matrices (shape (s, in,
     out), from _mul_matrix of s polynomials) is one product as well, and
-    gives one code row per matrix.  Without powers, the reduced digits
-    are returned in the smallest unsigned type that holds a digit sum,
-    for zero tests and factoring's small parts.  See the module docstring.
+    gives one code row per matrix.  See the module docstring.
     """
-    if powers is None:
-        prod = digits.astype(matrix.dtype) @ matrix
-        prod = prod.astype(np.min_scalar_type(digits.shape[-1] * (p - 1) ** 2))
-        prod -= prod // p * p  # a floor division by a scalar is far cheaper than %
-        return prod
     # transposed, so that the encode sums whole digit rows, without BLAS;
     # a stack of matrices is one product of their transposes laid end to end
     stacked = np.swapaxes(matrix, -1, -2).reshape(-1, matrix.shape[-2])
@@ -357,8 +319,8 @@ def _digit_rows(field: FieldSpec, coeffs: np.ndarray) -> np.ndarray:
     """Digit matrix whose row (j, s) holds the digits of Y^s times row j of coeffs.
 
     coeffs holds element codes with shape (..., J, L); the result has
-    shape (..., J*k, L*k).  Multiplication by a fixed polynomial, the
-    remainder plan and the residues in universe are all built this way:
+    shape (..., J*k, L*k).  Multiplication by a fixed polynomial and the
+    residues in universe are both built this way:
     a prime field by placing the codes themselves, an extension field by
     placing the k x k digit matrices of its elements (digit_mul).
     """
@@ -537,115 +499,6 @@ def check_cap(field: FieldSpec, n: int, cap: int | None = None) -> None:
         raise ResourceLimit(f"q^n = {field.q**n} exceeds cap {cap}")
 
 
-def irreducibles(field: FieldSpec, n: int, cap: int | None = None) -> tuple[MonicPoly, ...]:
-    """Monic irreducibles of degree n in canonical order (cached).
-
-    They are the polynomials of degree n that no prime of degree <= n/2
-    divides: the rows of the remainder plan with no zero e = 1 block.
-    The cap is checked before the cache, so a capped call answers the
-    same whether or not the primes were found before.
-    """
-    if n < 1:
-        raise ValueError("irreducibles have degree >= 1")
-    check_cap(field, n, cap)
-    key = (field, n)
-    cached = _IRR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rows = _monic_rows(field, n)
-    mult = _multiplicities(field, _remainder_plan(field, n), rows)
-    result = tuple(MonicPoly(tuple(row)) for row in rows[~mult.any(axis=1)].tolist())
-    _IRR_CACHE[key] = result
-    return result
-
-
-class _RemainderPlan(NamedTuple):
-    """Digit matrix of f -> (f mod P^e for every small prime power), at one degree.
-
-    There is one block (P, e) for every monic prime P with 2 deg P <= n
-    and every e with e deg P <= n, ordered by degree, then prime, then
-    rising e; the block is e deg P coefficients, k digits each, wide.
-    Row (j, s) of matrix holds the base-p digits of Y^s x^j mod P^e (the
-    element Y^s has code p^s), so digits(f) @ matrix reduced mod p is the
-    digit vector of every remainder of f.
-    """
-
-    degree: int
-    primes: tuple[MonicPoly, ...]
-    prime_deg: np.ndarray  # deg primes[j], int64
-    powers: tuple[tuple[tuple[int, ...], ...], ...]  # powers[j][e-1] = primes[j]^e
-    block_cols: np.ndarray  # first column of each block, in column order
-    block_e: np.ndarray  # e of each block, int8
-    prime_blocks: np.ndarray  # first block of each prime
-    matrix: np.ndarray
-
-
-def _remainder_plan(field: FieldSpec, n: int) -> _RemainderPlan:
-    """The remainder plan of degree n (cached by field and degree).
-
-    Each prime power P^e is formed by poly_mul, as the enumeration sieve
-    forms its prime powers, and its block is the _digit_rows of the
-    scalar rows x^j mod P^e (_powers_of_x_mod).  The size is checked
-    before the cache, so a cached plan answers to _MAX_PLAN_DIGITS too.
-    """
-    rows, cols = _check_plan_size(field, n)
-    key = (field, n)
-    plan = _PLAN_CACHE.get(key)
-    if plan is not None:
-        return plan
-    k = field.k
-    # a plan with no columns multiplies nothing, so it needs no exact type
-    matrix = np.empty((rows, cols), dtype=_digit_dtype(field, n) if cols else np.float32)
-    primes, powers, block_cols, block_e, prime_blocks = [], [], [], [], []
-    start = 0
-    for d in range(1, n // 2 + 1):
-        by_prime = irreducibles(field, d, _MAX_PLAN_DIGITS)
-        for P in by_prime:
-            power, by_power = (1,), []
-            prime_blocks.append(len(block_e))
-            for e in range(1, n // d + 1):
-                power = poly_mul(field, power, P.coeffs)
-                by_power.append(power)
-                x_mod = _powers_of_x_mod(field, power, n)
-                matrix[:, start : start + e * d * k] = _digit_rows(field, x_mod)
-                block_cols.append(start)
-                block_e.append(e)
-                start += e * d * k
-            powers.append(tuple(by_power))
-        primes += by_prime
-    plan = _RemainderPlan(n, tuple(primes), np.array([P.degree for P in primes], dtype=np.int64),
-                          tuple(powers), np.array(block_cols, dtype=np.int64),
-                          np.array(block_e, dtype=np.int8), np.array(prime_blocks, dtype=np.int64),
-                          matrix)
-    _PLAN_CACHE[key] = plan
-    return plan
-
-
-def _check_plan_size(field: FieldSpec, n: int) -> tuple[int, int]:
-    """The (rows, cols) of the remainder plan of degree n; ResourceLimit if
-    its digits exceed _MAX_PLAN_DIGITS.
-
-    The plan has at least as many digits as every plan of lower degree
-    and more than q^d for each d <= n/2, so the irreducibles and plans it
-    is built from pass the same limit: which of them are cached does not
-    change the answer.
-    """
-    from .primecounts import pi_q  # primecounts imports this module
-
-    rows = _digit_count(field, n)
-    cols = sum(_section_width(field, n, d) * pi_q(field.q, d) for d in range(1, n // 2 + 1))
-    if rows * cols > _MAX_PLAN_DIGITS:
-        raise ResourceLimit(f"remainder plan of degree {n} over {field} has "
-                            f"{rows} x {cols} digits, over the limit {_MAX_PLAN_DIGITS}")
-    return rows, cols
-
-
-def _section_width(field: FieldSpec, n: int, d: int) -> int:
-    """Plan columns per prime of degree d: blocks d*k, 2*d*k, ..., (n // d)*d*k wide."""
-    top = n // d
-    return d * field.k * top * (top + 1) // 2
-
-
 def _powers_of_x_mod(field: FieldSpec, modulus: tuple[int, ...], n: int,
                      r: tuple[int, ...] = (1,)) -> np.ndarray:
     """x^j r mod a monic modulus M for j = 0..n (r of degree < deg M, by
@@ -659,18 +512,6 @@ def _powers_of_x_mod(field: FieldSpec, modulus: tuple[int, ...], n: int,
         out[j, : len(r)] = r
         r = _divmod(p, t, (0,) + r, modulus)[1]
     return out
-
-
-def _monic_rows(field: FieldSpec, n: int) -> np.ndarray:
-    """Coefficient rows of every monic polynomial of degree n, in canonical order.
-
-    The order is enumerate_monic's: the coefficient of T^(n-1) varies
-    fastest, so row i holds the base-q digits of i, most significant first.
-    """
-    rows = np.ones((field.q**n, n + 1), dtype=np.int64)
-    rows[:, :n] = _digits(np.arange(field.q**n), field.q, n)[:, ::-1]
-    return rows
-
 
 def _mul_matrix(field: FieldSpec, w: tuple[int, ...] | list[tuple[int, ...]], in_deg: int,
                 out_deg: int) -> np.ndarray:
@@ -691,160 +532,89 @@ def _mul_matrix(field: FieldSpec, w: tuple[int, ...] | list[tuple[int, ...]], in
     return np.swapaxes(rows.astype(_digit_dtype(field, in_deg), order="C"), -1, -2)
 
 
-def _multiplicities(field: FieldSpec, plan: _RemainderPlan, coeffs: np.ndarray) -> np.ndarray:
-    """The (rows, primes) int8 multiplicity of each plan prime in each coefficient row.
+def factor(field: FieldSpec, f: MonicPoly) -> Factorization:
+    """Canonical factorization of a monic polynomial of degree >= 1.
 
-    Per row chunk, one digit product gives every remainder block; one
-    reduceat marks the zero blocks (P, e), and a second takes the largest
-    zero e of each prime, which is its multiplicity since P^e | f implies
-    P^(e-1) | f.  Zero everywhere marks a row with no prime factor of
-    degree <= n/2.
+    Distinct-degree splitting (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 14): step d sets h = x^(q^d) mod the unfactored rest r,
+    the q-th power of the last h.  x^(q^d) - x is the square-free product
+    of the monic primes whose degree divides d, and r has no prime of
+    degree < d left, so gcd(r, h - x) is the product of r's distinct
+    primes of degree d.  _equal_degree splits it, and each of its primes
+    is divided out of r as often as it divides, so no square-free split
+    is needed.  Once 2d > deg r, r is 1 or a prime.  Raises ValueError
+    on a coefficient that is not an element code.
     """
-    matrix, p = plan.matrix, field.p
-    mult = np.zeros((len(coeffs), len(plan.primes)), dtype=np.int8)
-    if not plan.primes:
-        return mult
-    step = _row_step(max(matrix.shape))
-    for lo in range(0, len(coeffs), step):
-        chunk = coeffs[lo : lo + step]
-        residue = _digit_product(_digits(chunk, p, field.k).reshape(len(chunk), -1), matrix, p)
-        zero = np.maximum.reduceat(residue, plan.block_cols, axis=1) == 0
-        mult[lo : lo + step] = np.maximum.reduceat(zero * plan.block_e, plan.prime_blocks, axis=1)
-    return mult
-
-
-class _Factored(NamedTuple):
-    """The factorizations of coefficient rows of one degree n, as arrays.
-
-    Row i is prod_j plan.primes[j]^mult[i, j] times its large prime: the
-    one prime factor of degree > n/2, whose coefficients large[i] holds
-    (zero-padded), or 1, of degree 0, if there is none.
-    """
-
-    plan: _RemainderPlan
-    mult: np.ndarray  # (rows, primes) int8
-    large: np.ndarray  # (rows, n + 1) int64
-    large_deg: np.ndarray  # (rows,) int64
-
-
-def _factor_rows(field: FieldSpec, coeffs: np.ndarray) -> _Factored:
-    """Factor (rows, n + 1) int64 coefficient rows of monic polynomials of one degree n >= 1.
-
-    The multiplicities come from the remainder plan (_multiplicities).
-    The product G of the small prime powers is built in digit form, one
-    batched product per (prime, e) over the rows that have it.  A row
-    whose G has degree n must equal G; any other row's quotient by G,
-    one exact division batched over the rows of each deg G, is its large
-    prime.  A remainder, a quotient of degree <= n/2 or a G of degree > n
-    means the plan and the arithmetic disagree and raises ArithmeticError.
-    Raises ValueError on a coefficient that is not an element code.
-    """
-    if coeffs.size and coeffs.max() >= field.q:
-        raise ValueError(f"coefficient out of range for {field}")
-    rows, n, p, k = len(coeffs), coeffs.shape[1] - 1, field.p, field.k
-    plan = _remainder_plan(field, n)
-    mult = _multiplicities(field, plan, coeffs)
-    # the nonzero multiplicities grouped by (prime, e)
-    row_of, prime_of = np.nonzero(mult)
-    e_of = mult[row_of, prime_of].astype(np.int64)
-    g_deg = np.bincount(row_of, weights=e_of * plan.prime_deg[prime_of], minlength=rows)
-    g_deg = g_deg.astype(np.int64)
-    if (g_deg > n).any():
-        i = int(np.argmax(g_deg > n))
-        raise ArithmeticError(f"prime powers of {poly_to_string(tuple(coeffs[i].tolist()))} "
-                              f"exceed its degree")
-    key = prime_of * (n + 1) + e_of
-    order = np.argsort(key, kind="stable")
-    key, row_of = key[order], row_of[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
-    g = np.zeros((rows, _digit_count(field, n)), dtype=np.min_scalar_type(p - 1))
-    g[:, 0] = 1
-    for lo, hi in zip(starts, starts[1:] + [len(key)]):
-        j, e = divmod(int(key[lo]), n + 1)
-        sel = row_of[lo:hi]
-        in_deg = n - e * int(plan.prime_deg[j])  # deg G stays <= n, so G so far fits
-        matrix = _mul_matrix(field, plan.powers[j][e - 1], in_deg, n)
-        g[sel] = _digit_product(g[sel, : _digit_count(field, in_deg)], matrix, p)
-    g = g.astype(np.int64)
-    if k > 1:
-        g = g.reshape(rows, n + 1, k) @ p ** np.arange(k, dtype=np.int64)
-    whole = g_deg == n
-    bad = np.flatnonzero(whole & (g != coeffs).any(axis=1))
-    if len(bad):
-        f, g_bad = (tuple(a[bad[0]].tolist()) for a in (coeffs, g))
-        raise ArithmeticError(f"prime powers of {poly_to_string(f)} multiply "
-                              f"to {poly_to_string(g_bad)}")
-    large = np.zeros_like(coeffs)
-    large[whole, 0] = 1
-    # the degrees of G below n (np.unique costs 29 ms and 1.6 MiB on its first call)
-    for dg in np.flatnonzero(np.bincount(g_deg[~whole], minlength=n)).tolist():
-        sel = np.flatnonzero(g_deg == dg)
-        quot, rem = _divide_rows(field, coeffs[sel], g[sel, : dg + 1])
-        bad = np.flatnonzero(rem.any(axis=1))
-        if len(bad) or 2 * (n - dg) <= n:
-            i = sel[bad[0]] if len(bad) else sel[0]
-            raise ArithmeticError(f"{poly_to_string(tuple(g[i, : dg + 1].tolist()))} does not "
-                                  f"leave a large prime in "
-                                  f"{poly_to_string(tuple(coeffs[i].tolist()))}")
-        large[sel, : n - dg + 1] = quot
-    return _Factored(plan, mult, large, n - g_deg)
-
-
-def _divide_rows(field: FieldSpec, f: np.ndarray, g: np.ndarray):
-    """Quotient and remainder rows of each row of f by the monic row of g beside it.
-
-    Schoolbook division, one quotient coefficient per step for all rows
-    at once: mod p in a prime field, by the numpy tables otherwise.
-    """
-    dg, top = g.shape[1] - 1, f.shape[1] - 1
-    rem = f.copy()
-    quot = np.zeros((len(f), top - dg + 1), dtype=np.int64)
-    t = _ext_tables(field)
-    for i in range(top - dg, -1, -1):
-        lead = rem[:, i + dg].copy()
-        quot[:, i] = lead
-        block = rem[:, i : i + dg + 1]
-        if t is None:
-            block -= lead[:, None] * g
-            block %= field.p
-        else:
-            block[:] = t.add[block, t.neg[t.mul[lead[:, None], g]]]
-    return quot, rem[:, :dg]
-
-
-def factor_many(field: FieldSpec, polys) -> list[Factorization]:
-    """Canonical factorizations of monic polynomials of one degree n >= 1.
-
-    The object view of _factor_rows: each row's plan primes in plan
-    order, which is canonical, then its large prime if it has one.  Its
-    guards raise ArithmeticError.
-    """
-    polys = list(polys)
-    if not polys:
-        return []
-    n = polys[0].degree
-    if any(f.degree != n for f in polys):
-        raise ValueError("factor_many needs polynomials of one degree")
-    if n < 1:
+    validate_poly(field, f)
+    if f.degree < 1:
         raise ValueError("factor requires degree >= 1")
-    fac = _factor_rows(field, np.array([f.coeffs for f in polys], dtype=np.int64))
-    # the nonzero multiplicities in row-major order: each row's primes in plan order
-    row_of, prime_of = np.nonzero(fac.mult)
-    pairs = list(zip(map(fac.plan.primes.__getitem__, prime_of.tolist()),
-                     fac.mult[row_of, prime_of].tolist()))
-    cuts = np.searchsorted(row_of, np.arange(len(polys) + 1)).tolist()
-    out = []
-    for i, (large, d) in enumerate(zip(fac.large.tolist(), fac.large_deg.tolist())):
-        found = tuple(pairs[cuts[i] : cuts[i + 1]])
-        if d:
-            found += ((MonicPoly(tuple(large[: d + 1])), 1),)
-        out.append(Factorization(found))
+    minus_x = (0, element_neg(field, 1))
+    rng = random.Random(0)  # a fixed seed: the same splitting steps every call
+    rest, h, d, found = f.coeffs, (0, 1), 0, []
+    while 2 * (d + 1) <= len(rest) - 1:
+        d += 1
+        h = _pow_mod(field, h, field.q, rest)
+        for prime in _equal_degree(field, poly_gcd(field, rest, _poly_add(field, h, minus_x)),
+                                   d, rng):
+            e = 0
+            while not (split := poly_divmod(field, rest, prime))[1]:
+                rest, e = split[0], e + 1
+            found.append((MonicPoly(prime), e))
+        h = poly_mod(field, h, rest)
+    if len(rest) > 1:
+        found.append((MonicPoly(rest), 1))
+    return Factorization(tuple(sorted(found, key=lambda pe: (pe[0].degree, pe[0].coeffs))))
+
+
+def _equal_degree(field: FieldSpec, g: tuple[int, ...], d: int,
+                  rng: random.Random) -> list[tuple[int, ...]]:
+    """The monic primes of degree d whose product is the square-free monic g.
+
+    Cantor-Zassenhaus: take a random a of degree < deg g, and
+    b = a^((q^d-1)/2) - 1 for odd q, or the trace
+    b = a + a^2 + ... + a^(2^(kd-1)) for q = 2^k.  b vanishes modulo each
+    prime of g for about half of the residues of a there, independently,
+    so gcd(g, b) is a proper factor of g with probability about 1/2 or
+    more whenever g has two primes.
+    """
+    q, primes, todo = field.q, [], [g] if len(g) > 1 else []
+    minus_one = (element_neg(field, 1),)
+    while todo:
+        g = todo.pop()
+        if len(g) - 1 == d:
+            primes.append(g)
+            continue
+        a = _strip(tuple(rng.randrange(q) for _ in range(len(g) - 1)))
+        if q % 2:
+            b = _poly_add(field, _pow_mod(field, a, (q**d - 1) // 2, g), minus_one)
+        else:
+            b = power = a
+            for _ in range(field.k * d - 1):
+                power = poly_mod(field, poly_mul(field, power, power), g)
+                b = _poly_add(field, b, power)
+        u = poly_gcd(field, g, b)
+        todo += [u, poly_divmod(field, g, u)[0]] if 1 < len(u) < len(g) else [g]
+    return primes
+
+
+def _pow_mod(field: FieldSpec, a: tuple[int, ...], e: int, g: tuple[int, ...]) -> tuple[int, ...]:
+    """a^e mod a monic g, by repeated squaring."""
+    out = (1,)
+    while e:
+        if e & 1:
+            out = poly_mod(field, poly_mul(field, out, a), g)
+        e >>= 1
+        if e:
+            a = poly_mod(field, poly_mul(field, a, a), g)
     return out
 
 
-def factor(field: FieldSpec, f: MonicPoly) -> Factorization:
-    """Canonical factorization of a monic polynomial of degree >= 1."""
-    return factor_many(field, [f])[0]
+def _poly_add(field: FieldSpec, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Sum of two coefficient tuples, with no leading zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _strip(tuple(element_add(field, c, b[i]) if i < len(b) else c
+                        for i, c in enumerate(a)))
 
 
 def chi2(field: FieldSpec, f: MonicPoly) -> int:

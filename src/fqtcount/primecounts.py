@@ -14,7 +14,7 @@ Four kinds of counts, all exact integers:
   square-free m is counted in the character basis (below, any n) and an
   m with a repeated factor by an exact group-ring recurrence on dense
   class vectors (_ArithTable, any n); otherwise the degree-n primes are
-  enumerated (small n).
+  read from the enumeration sieve (universe, small n).
 
 The character basis (module characters).  For square-free
 m = P_1...P_r the unit group G = (F_q[T]/m)^* is the product of the
@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import ffield
+from . import ffield, universe
 from .errors import (
     EvenCharacteristic,
     NegativeCount,
@@ -294,8 +294,8 @@ def _residue_code(field: FieldSpec, a, m: MonicPoly) -> int:
 def _times_matrix(field: FieldSpec, modulus: tuple[int, ...], n: int,
                   r: tuple[int, ...] = (1,)) -> np.ndarray:
     """Digit matrix of f -> f r mod modulus for f of degree <= n (r of
-    degree < deg modulus): rows Y^s x^j r mod modulus, as in ffield's
-    remainder plan, in the float type of ffield._digit_product."""
+    degree < deg modulus): rows Y^s x^j r mod modulus, as for the prime
+    residues in universe, in the float type of ffield._digit_product."""
     rows = ffield._powers_of_x_mod(field, modulus, n, r)
     return ffield._digit_rows(field, rows).astype(ffield._digit_dtype(field, n))
 
@@ -333,8 +333,8 @@ class _ResidueGroup:
         """Index of the product of units i and j, at [i, j].
 
         Multiplication by a unit a is F_p-linear in the base-p digits of
-        a residue code, with digit rows Y^s x^j a mod m (as in ffield's
-        remainder plan), so row i is one digit product over every unit.
+        a residue code, with digit rows Y^s x^j a mod m (_times_matrix),
+        so row i is one digit product over every unit.
         """
         field, d, p = self.field, self.m.degree, self.field.p
         powers = ffield._code_powers(field, d - 1)
@@ -514,11 +514,13 @@ def _class_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
     is the largest degree the caller will ask for, if it knows."""
     if _group_ring_fits(field, m):
         return _arith_table(field, m, cap=cap).count(n, a_code, upto)
-    count = 0
-    for prime in ffield.irreducibles(field, n, cap):
-        if _residue_code(field, prime, m) == a_code:
-            count += 1
-    return count
+    # fail on the cap before any degree is sieved
+    ffield.check_cap(field, max(n, upto), cap)
+    primes = universe.get_universe(field, n, cap).primes_of_degree(n)
+    # one residue per prime in scalar arithmetic: PrimeTable.prime_residues
+    # would need exact digit products, which stop past p of about 6.7e7
+    return sum(_residue_code(field, ffield.coeffs_of_code(field, code), m) == a_code
+               for code in primes.tolist())
 
 
 def pi_arith(field: FieldSpec, n: int, a, m: MonicPoly, cap: int | None = None) -> int:
@@ -532,9 +534,9 @@ def pi_arith(field: FieldSpec, n: int, a, m: MonicPoly, cap: int | None = None) 
       group exponent;
     * m with a repeated prime factor, within the same limits: the exact
       group-ring recurrence on dense class vectors (_ArithTable, any n);
-    * past the limits: the degree-n irreducibles are enumerated, which
-      needs q^n within the cap (and the remainder plan of degree n
-      within its limit).
+    * past the limits: the degree-n primes are read from the shared
+      enumeration sieve (universe.get_universe), which needs q^n within
+      the cap.
 
     Both tables enumerate the monic f of degree < deg m, within the cap.
     """

@@ -67,10 +67,10 @@ the new degrees are evaluated.
 
 The per-prime values a membership rule reads (degree, chi2, residue
 mod m) live on a PrimeTable of prime codes.  The Universe holds one for
-its primes, and families' scalar oracle builds one for the primes that
-ffield._factor_rows finds, so both oracles read them from one place.
-Residues mod m (for the progression family) use the remainder plan's
-map as well: f -> f mod m is F_p-linear in f's digits, with digit rows
+its primes, and families.membership_oracle builds one for the primes
+that ffield.factor finds, so both oracles read them from one place.
+Residues mod m (for the progression family) are a linear map too:
+f -> f mod m is F_p-linear in f's digits, with digit rows
 Y^s x^j mod m (the scalar rows x^j mod m from _powers_of_x_mod, spread
 into digits by _digit_rows), so one _digit_product per row chunk of
 primes reduces and encodes them all.  A residue of a polynomial of
@@ -161,9 +161,9 @@ class PrimeTable:
     codes are polynomial codes (leading term included) in int64 and
     prime_deg their degrees; prime_chi2() and prime_residues(m) are
     computed once per table.  A Universe holds one for its primes (a new
-    one per degree built), and the scalar oracle one for the primes its
-    factorizations name (families.member_mask), so both oracles read the
-    same per-prime values.
+    one per degree built), and families.membership_oracle one for the
+    primes of one factorization, so both oracles read the same per-prime
+    values.
     """
 
     def __init__(self, field: FieldSpec, codes: np.ndarray, prime_deg: np.ndarray):

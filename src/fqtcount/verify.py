@@ -3,8 +3,9 @@
 Each suite runs a fixed list of checks, some on seeded random samples,
 and renders a deterministic text report: same seed, same bytes.  The
 oracle suite compares generating-function tables against independent
-enumeration (the bulk factorization sieve, and member masks from
-remainder-plan factorizations); identities exercises exact algebraic
+enumeration (the bulk factorization sieve), and the sieve's
+factorizations and member masks against ffield.factor and
+membership_oracle on seeded samples; identities exercises exact algebraic
 relations; bounds the certified envelopes and estimator enclosures;
 constants the multi-method consensus values.
 """
@@ -22,14 +23,20 @@ from .families import FamilySpec
 from .ffield import (
     MonicPoly,
     chi2,
+    code_of,
     enumerate_monic,
+    factor,
     field_for_order,
     poly_mul,
     poly_to_string,
 )
 from .primecounts import LPolynomial, pi_arith, progression_gap_squared
+from .universe import get_universe, poly_of_code
 
 SUITES = ("oracle", "identities", "bounds", "constants")
+
+# polynomials per drawn degree whose factorizations the oracle suite compares
+_SAMPLE = 64
 
 _TEST_LPOLYS = (
     LPolynomial(3, (1,)),
@@ -92,23 +99,27 @@ def _oracle_checks(rng: random.Random) -> list[CheckResult]:
         out.append(_result(
             f"sieve-vs-series {name} q={q}", good,
             f"indices 1..{max_deg} agree" if good else f"mismatch at {n}"))
-    # scalar membership at one random degree per family
-    for name, q in (("landau", 3), ("s1", 3), ("s3", 5)):
-        fam = FamilySpec(name, q=q)
-        step = fam.degree_step
-        n = rng.randint(2, 4)
-        a = families.oracle_count(fam.field(), fam, step * n, method="scalar")
+    # the sieve at one random degree per family, and a representation
+    # search degree; all four are drawn before any sample
+    drawn = [(name, FamilySpec(name, q=q), rng.randint(2, 4))
+             for name, q in (("landau", 3), ("s1", 3), ("s3", 5))]
+    deg = rng.randint(3, 5)
+    for name, fam, n in drawn:
+        field, degree = fam.field(), fam.degree_step * n
+        a = families.oracle_count(field, fam, degree)
         b = families.count_table(fam, n).value(n)
+        agree, sample = _sample_agrees(rng, fam, degree)
         out.append(_result(
-            f"membership-vs-series {name} q={q}", a == b,
-            f"degree {step * n}: {a} vs {b}"))
+            f"membership-vs-series {name} q={fam.q}", a == b and agree == sample,
+            f"degree {degree}: {a} vs {b}; "
+            f"{agree}/{sample} sampled factorizations and memberships agree"))
     # representation search for the quadratic-form family
     field = field_for_order(3)
     fam = FamilySpec(families.FAMILY_LANDAU, q=3)
-    deg = rng.randint(3, 5)
-    members = families.member_mask(field, fam, deg).tolist()
-    good = members == [families.rep_search_membership(field, f)
-                       for f in enumerate_monic(field, deg)]
+    mask = get_universe(field, deg).masks(families.membership_rule(field, fam), deg)[deg]
+    good = mask.tolist() == [
+        families.rep_search_membership(field, poly_of_code(field, 3**deg + i))
+        for i in range(3**deg)]
     out.append(_result("representation-search q=3", good,
                        f"all degree-{deg} polynomials agree"))
     # progression family against the sieve
@@ -121,6 +132,24 @@ def _oracle_checks(rng: random.Random) -> list[CheckResult]:
         out.append(_result(f"sieve-vs-series arith q={q} m={poly_to_string(m)}", good,
                            "degrees 1..5 agree"))
     return out
+
+
+def _sample_agrees(rng: random.Random, fam: FamilySpec, degree: int) -> tuple[int, int]:
+    """On a seeded sample of at most _SAMPLE monic polynomials of the
+    degree: how many ffield.factor and membership_oracle treat as the
+    sieve does (Universe.factor_chain and the family's mask), and the
+    sample size.  factor shares no code with the sieve's digit products."""
+    field = fam.field()
+    q, uni = field.q, get_universe(field, degree)
+    mask = uni.masks(families.membership_rule(field, fam), degree)[degree]
+    picks = rng.sample(range(q**degree), min(_SAMPLE, q**degree))
+    agree = 0
+    for idx in picks:
+        f = poly_of_code(field, q**degree + idx)
+        chain = sorted((code_of(field, P.coeffs), e) for P, e in factor(field, f).factors)
+        agree += (chain == sorted(uni.factor_chain(degree, idx))
+                  and families.membership_oracle(field, f, fam) == bool(mask[idx]))
+    return agree, len(picks)
 
 
 # -- identities suite ------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 import fqtcount
-from fqtcount import cli, ffield, primecounts
+from fqtcount import cli, primecounts, universe
 from fqtcount.cli import main
 
 
@@ -44,18 +44,31 @@ def test_count_arith_with_a_large_unit_group_enumerates(capsys):
 
 def test_count_arith_cap_bounds_enumeration_not_factoring(capsys, monkeypatch):
     # --cap 5000 covers the 3^4 degree-4 enumeration; factoring m for phi(m)
-    # needs a 9 x 456 digit remainder plan and answers to neither cap
+    # enumerates nothing and answers to neither cap
     argv = ("count", "arith", "--q", "3", "--m", "T^8+T^6+T^5+1", "--a", "1",
             "--max-n", "4")
     code, uncapped, err = run(capsys, *argv)
     assert code == 0, err
     monkeypatch.setenv("FQT_CAP", "50")
-    monkeypatch.setattr(ffield, "_IRR_CACHE", {})
-    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
+    monkeypatch.setattr(universe, "_UNIVERSE_CACHE", {})
     primecounts._group_ring_fits.cache_clear()
     code, out, err = run(capsys, *argv, "--cap", "5000")
     assert code == 0, err
     assert out == uncapped
+
+
+def test_estimate_arith_over_f27_stops_at_the_enumeration_cap_first(capsys, monkeypatch):
+    # factoring m = T^8+T+2 over F_27 for phi(m) has no size limit; the
+    # primes to the largest degree asked are over the default cap, so the
+    # call fails before any degree is sieved
+    monkeypatch.delenv("FQT_CAP", raising=False)
+    monkeypatch.setattr(universe, "_UNIVERSE_CACHE", {})
+    code, out, err = run(capsys, "estimate", "arith", "--q", "27", "--m", "T^8+T+2",
+                         "--a", "1", "--n", "60")
+    assert code == 3
+    assert "exceeds cap 100000000" in err
+    assert "plan" not in err
+    assert universe._UNIVERSE_CACHE == {}
 
 
 def test_verify_takes_no_cap(capsys):

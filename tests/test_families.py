@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fqtcount import characters, families, ffield, primecounts
+from fqtcount import characters, families, ffield, primecounts, universe
 from fqtcount.errors import EvenCharacteristic, NegativeCount, NotCoprime, ResourceLimit
 from fqtcount.families import (
     FamilySpec,
@@ -177,11 +177,10 @@ def test_arith_cap_holds_whether_or_not_the_table_is_cached(monkeypatch):
 
 def test_arith_cap_holds_from_cold_caches(monkeypatch):
     # a cap of 9 covers the table's degree-2 enumeration; factoring the
-    # modulus for _group_ring_fits is not an enumeration and keeps the
-    # default cap, so an empty plan cache does not change the answer
+    # modulus for _group_ring_fits is not an enumeration and answers to
+    # no cap, so empty caches do not change the answer
     monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
-    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
-    monkeypatch.setattr(ffield, "_IRR_CACHE", {})
+    monkeypatch.setattr(universe, "_UNIVERSE_CACHE", {})
     primecounts._group_ring_fits.cache_clear()
     field, m = field_for_order(3), MonicPoly((1, 2, 0, 1))
     capped = count_arith(field, 1, m, 8, cap=9)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fqtcount import ffield
 from fqtcount.errors import NonPrime, ReducibleModulus, ResourceLimit
-from fqtcount.families import FamilySpec, membership_oracle, oracle_count
+from fqtcount.primecounts import phi_m
 from fqtcount.ffield import (
     MonicPoly,
     build_field,
@@ -363,33 +363,58 @@ _FACTOR_GRID = [(2, 10), (3, 7), (4, 6), (5, 6), (7, 4), (8, 4), (9, 4), (25, 2)
 
 
 @pytest.mark.parametrize("q, max_deg", _FACTOR_GRID)
-def test_factor_many_and_irreducibles_match_trial_division(monkeypatch, q, max_deg):
+def test_factor_matches_trial_division(q, max_deg):
     field = field_for_order(q)
-    expected, primes = {}, {}
     for n in range(1, max_deg + 1):
-        polys = enumerate_monic(field, n)
-        expected[n] = [trial_division_factor(field, f) for f in polys]
-        # the primes are the polynomials that trial division leaves whole
-        primes[n] = tuple(f for f, fac in zip(polys, expected[n]) if fac.factors == ((f, 1),))
-        assert ffield.factor_many(field, polys) == expected[n]
-        assert ffield.irreducibles(field, n) == primes[n]
-        assert all(fac.expand(field) == f for f, fac in zip(polys, expected[n]))
-    # chunks of one or a few rows, with the primes found again through them
-    monkeypatch.setattr(ffield, "_CHUNK_ENTRIES", 50)
-    monkeypatch.setattr(ffield, "_IRR_CACHE", {})
-    for n in range(1, max_deg + 1):
-        assert ffield.factor_many(field, enumerate_monic(field, n)) == expected[n]
-        assert ffield.irreducibles(field, n) == primes[n]
+        for f in enumerate_monic(field, n):
+            expected = trial_division_factor(field, f)
+            assert ffield.factor(field, f) == expected
+            assert expected.expand(field) == f
 
 
 @pytest.mark.parametrize("q", [7, 8, 9])
-def test_factor_many_matches_trial_division_on_samples_of_degrees_5_and_6(q):
+def test_factor_matches_trial_division_on_samples_of_degrees_5_and_6(q):
     # all of degree 6 is 7^6 to 9^6 polynomials, too many for the reference
     field = field_for_order(q)
     rng = random.Random(q)
     for n in (5, 6):
-        polys = [MonicPoly(tuple(rng.randrange(q) for _ in range(n)) + (1,)) for _ in range(400)]
-        assert ffield.factor_many(field, polys) == [trial_division_factor(field, f) for f in polys]
+        for _ in range(400):
+            f = MonicPoly(tuple(rng.randrange(q) for _ in range(n)) + (1,))
+            assert ffield.factor(field, f) == trial_division_factor(field, f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_factor_matches_sympy_over_prime_fields(p):
+    # an independent reference: sympy's factor_list over GF(p), test-only
+    field, rng = field_for_order(p), random.Random(p)
+    x = sympy.Symbol("x")
+    for _ in range(40):
+        n = rng.randint(1, 20)
+        f = MonicPoly(tuple(rng.randrange(p) for _ in range(n)) + (1,))
+        _, pairs = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
+        expected = sorted((tuple(int(c) % p for c in reversed(g.all_coeffs())), e)
+                          for g, e in pairs)
+        got = ffield.factor(field, f).factors
+        assert sorted((P.coeffs, e) for P, e in got) == expected, f
+        assert [P.degree for P, _ in got] == sorted(P.degree for P, _ in got)
+
+
+def test_factor_has_no_size_limit():
+    # degree 8 over F_27 needed a remainder plan of 27 x 4977288 digits,
+    # over its limit of 10^8, so factoring and phi_m raised ResourceLimit
+    field = field_for_order(27)
+    P, Q = trial_division_primes(field, 1)[3], trial_division_primes(field, 2)[0]
+    coeffs = (1,)
+    for prime in (P, P, Q, Q, Q):
+        coeffs = ffield.poly_mul(field, coeffs, prime.coeffs)
+    fac = ffield.factor(field, MonicPoly(coeffs))
+    assert fac.factors == ((P, 2), (Q, 3))
+    assert fac.expand(field) == MonicPoly(coeffs)
+    m = poly_from_string(field, "T^8+T+2")
+    fac = ffield.factor(field, m)
+    assert fac.expand(field) == m
+    assert [P.degree for P, _ in fac.factors] == [1, 1, 1, 5]
+    assert phi_m(field, m) == 26**3 * (27**5 - 1)
 
 
 def _factor_degree_bound(q):
@@ -398,17 +423,6 @@ def _factor_degree_bound(q):
     while q ** (d + 1) <= 800:
         d += 1
     return min(2 * d, 10)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_factor_many_is_exact_in_every_plan_dtype(monkeypatch, dtype):
-    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
-    monkeypatch.setattr(ffield, "_digit_dtype", lambda field, in_deg: dtype)
-    for q, n in ((3, 6), (4, 4), (9, 3)):
-        field = field_for_order(q)
-        polys = enumerate_monic(field, n)
-        assert ffield._remainder_plan(field, n).matrix.dtype == dtype
-        assert ffield.factor_many(field, polys) == [trial_division_factor(field, f) for f in polys]
 
 
 @st.composite
@@ -438,10 +452,10 @@ def test_factor_of_repeated_prime_powers_matches_trial_division(q, data):
     f = data.draw(_structured_poly(field))
     expected = trial_division_factor(field, f)
     assert ffield.factor(field, f) == expected
-    # a batch of one degree: f, its neighbours with other constant terms, f again
-    others = [MonicPoly((c,) + f.coeffs[1:]) for c in range(min(q, 4))]
-    batch = [f] + others + [f]
-    assert ffield.factor_many(field, batch) == [trial_division_factor(field, g) for g in batch]
+    # its neighbours with other constant terms
+    for c in range(min(q, 4)):
+        g = MonicPoly((c,) + f.coeffs[1:])
+        assert ffield.factor(field, g) == trial_division_factor(field, g)
 
 
 def test_factor_finds_high_multiplicities():
@@ -462,65 +476,12 @@ def test_factor_finds_high_multiplicities():
             assert got.factors == case
 
 
-def test_factor_many_rejects_mixed_degrees_and_bad_input():
+def test_factor_rejects_bad_input():
     field = field_for_order(3)
-    assert ffield.factor_many(field, []) == []
-    with pytest.raises(ValueError):
-        ffield.factor_many(field, [MonicPoly((1, 1)), MonicPoly((1, 0, 1))])
     with pytest.raises(ValueError):
         ffield.factor(field, MonicPoly((3, 1)))  # coefficient out of range
     with pytest.raises(ValueError):
         ffield.factor(field, MonicPoly((1,)))  # degree 0
-
-
-def test_remainder_plan_over_cap_raises(monkeypatch):
-    field = field_for_order(3)
-    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
-    # 7 digit rows x 171 block columns > 1000, while 3^3 <= 1000
-    monkeypatch.setattr(ffield, "_MAX_PLAN_DIGITS", 1000)
-    with pytest.raises(ResourceLimit, match="over the limit 1000"):
-        ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1)))
-    assert (field, 6) not in ffield._PLAN_CACHE
-    monkeypatch.setattr(ffield, "_MAX_PLAN_DIGITS", 2000)
-    assert ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1))).factors
-    monkeypatch.setattr(ffield, "_MAX_PLAN_DIGITS", 1000)
-    with pytest.raises(ResourceLimit):  # the cached plan answers to the limit as well
-        ffield.factor(field, MonicPoly((1, 0, 0, 0, 0, 0, 1)))
-
-
-def test_corrupted_plan_fails_the_exact_quotient_guard(monkeypatch):
-    field = field_for_order(5)
-    plan = ffield._remainder_plan(field, 4)
-    f = MonicPoly((2, 0, 0, 0, 1))  # T^4 + 2 has no linear factor over F_5
-    assert ffield.factor(field, f) == trial_division_factor(field, f)
-    # zero the block of (T, e = 1): every polynomial now looks divisible by T
-    matrix = plan.matrix.copy()
-    matrix[:, 0] = 0  # the first block is (T, 1), one digit wide
-    monkeypatch.setitem(ffield._PLAN_CACHE, (field, 4), plan._replace(matrix=matrix))
-    with pytest.raises(ArithmeticError):
-        ffield.factor(field, f)
-    with pytest.raises(ArithmeticError):
-        ffield.factor_many(field, enumerate_monic(field, 4))
-
-
-def test_swapped_prime_power_fails_each_guard(monkeypatch):
-    field = field_for_order(3)
-    plan = ffield._remainder_plan(field, 4)
-    assert plan.primes[0].coeffs == (0, 1) and plan.powers[0][0] == (0, 1)
-    # T^1 becomes T + 1 in the products; the remainder matrix still finds T
-    powers = (((1, 1),) + plan.powers[0][1:],) + plan.powers[1:]
-    monkeypatch.setitem(ffield._PLAN_CACHE, (field, 4), plan._replace(powers=powers))
-    small = MonicPoly((0, 1, 1, 1, 1))  # T (T + 1) (T^2 + 1): prime powers multiply to G = f
-    large = MonicPoly((0, 1, 2, 0, 1))  # T (T^3 + 2T + 1): f / G is the large prime
-    with pytest.raises(ArithmeticError, match="multiply to"):
-        ffield.factor_many(field, [small])
-    with pytest.raises(ArithmeticError, match="does not leave a large prime"):
-        ffield.factor_many(field, [large])
-    spec = FamilySpec("s1", q=3)
-    with pytest.raises(ArithmeticError, match="does not leave a large prime"):
-        membership_oracle(field, large, spec)
-    with pytest.raises(ArithmeticError):
-        oracle_count(field, spec, 4, method="scalar")
 
 
 def test_first_large_prime_field_factor_is_quick_and_small():

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from fqtcount import characters, ffield, primecounts
+from fqtcount import characters, ffield, primecounts, universe
 from fqtcount.constants import constant_Cam
 from fqtcount.errors import NotCoprime, ResourceLimit, RHViolation
 from fqtcount.families import count_arith
@@ -157,7 +157,7 @@ def test_phi_m_against_enumeration():
                     if ffield.poly_gcd(field, coeffs, m.coeffs) == (1,):
                         units += 1
                 assert phi_m(field, m) == units
-    # a linear modulus has a remainder plan with no columns: no digit product
+    # a linear modulus is prime at once: no power mod m, over any p
     huge, m = ffield.build_field(2**31 - 1), MonicPoly((5, 1))
     assert ffield.factor(huge, m).factors == ((m, 1),)
     assert phi_m(huge, m) == 2**31 - 2
@@ -224,9 +224,9 @@ def test_pi_arith_enumerates_past_the_unit_group_limit():
 def test_pi_arith_enumeration_takes_the_callers_cap(monkeypatch):
     # T^8+T^6+T^5+1 over F_3 has too many units for the group ring, so
     # degree-4 classes are counted by enumerating the 3^4 degree-4
-    # polynomials, within the caller's cap.  Under FQT_CAP=50 with cold
-    # prime and plan caches, the default cap stops it and cap=1000 lets
-    # it through; factoring m for _group_ring_fits answers to no cap.
+    # polynomials, within the caller's cap.  Under FQT_CAP=50 with a cold
+    # sieve, the default cap stops it and cap=1000 lets it through;
+    # factoring m for _group_ring_fits answers to no cap.
     field = field_for_order(3)
     m = MonicPoly((1, 0, 0, 0, 0, 1, 1, 0, 1))
     primes = trial_division_primes(field, 4)
@@ -235,8 +235,7 @@ def test_pi_arith_enumeration_takes_the_callers_cap(monkeypatch):
         rem = ffield.poly_mod_general(field, f.coeffs, m.coeffs)
         per_class[rem] = per_class.get(rem, 0) + 1
     monkeypatch.setenv("FQT_CAP", "50")
-    monkeypatch.setattr(ffield, "_IRR_CACHE", {})
-    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
+    monkeypatch.setattr(universe, "_UNIVERSE_CACHE", {})
     with pytest.raises(ResourceLimit):
         pi_arith(field, 4, (1,), m)
     for a in ((1,), primes[0].coeffs, primes[-1].coeffs):
@@ -247,15 +246,13 @@ def test_pi_arith_enumeration_takes_the_callers_cap(monkeypatch):
 
 
 def test_phi_m_answers_to_no_enumeration_cap(monkeypatch):
-    # factoring m needs a 9 x 456 digit remainder plan, far over FQT_CAP=50
+    # factoring m enumerates nothing, so FQT_CAP=50 does not stop it
     field = field_for_order(3)
     m = MonicPoly((1, 0, 0, 0, 0, 1, 1, 0, 1))
     expected = 1
     for prime, mult in trial_division_factor(field, m).factors:
         expected *= 3 ** (prime.degree * mult) - 3 ** (prime.degree * (mult - 1))
     monkeypatch.setenv("FQT_CAP", "50")
-    monkeypatch.setattr(ffield, "_IRR_CACHE", {})
-    monkeypatch.setattr(ffield, "_PLAN_CACHE", {})
     assert phi_m(field, m) == expected == 6560
 
 
@@ -388,8 +385,9 @@ def _square_free_moduli(field, sample, seed):
     for d in range(1, 6):
         if (q - 1)**d > 24:  # every m of degree d has phi(m) >= (q - 1)^d
             break
-        polys = [MonicPoly(tail + (1,)) for tail in itertools.product(range(q), repeat=d)]
-        for m, fact in zip(polys, ffield.factor_many(field, polys)):
+        for tail in itertools.product(range(q), repeat=d):
+            m = MonicPoly(tail + (1,))
+            fact = ffield.factor(field, m)
             phi = math.prod(q**P.degree - 1 for P, _ in fact.factors)
             if phi <= 24 and all(e == 1 for _, e in fact.factors):
                 out.append((m, phi))

@@ -1,5 +1,7 @@
 """The self-check suites: all pass, deterministically."""
 
+import random
+
 import pytest
 
 from fqtcount.verify import SUITES, run_all, run_suite
@@ -51,3 +53,12 @@ def test_identities_pass_when_a_generator_count_is_zero():
     # seed 3 draws a zero among the Moebius roundtrip's generator counts
     report = run_suite("identities", seed=3)
     assert report.ok, report.render()
+
+
+def test_oracle_suite_passes_where_it_draws_s3_at_degree_8():
+    # the third draw is the s3 q=5 index: 4 at seed 3, so degree 8
+    draws = random.Random(3)
+    assert [draws.randint(2, 4) for _ in range(3)] == [2, 4, 4]
+    report = run_suite("oracle", seed=3)
+    assert report.ok, report.render()
+    assert "membership-vs-series s3 q=5: degree 8: 92685 vs 92685; 64/64 " in report.render()

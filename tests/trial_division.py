@@ -1,8 +1,9 @@
 """Trial-division references for monic primes and factorizations.
 
-ffield factors by one remainder product per degree; these loops divide
-by one candidate at a time, the way ffield did before, and are kept as
-the reference that ffield and the enumeration sieve are checked against.
+ffield.factor splits one polynomial by distinct degree and then by
+Cantor-Zassenhaus, and the enumeration sieve factors whole degrees;
+these loops divide by one candidate at a time, and are kept as the
+reference that both are checked against.
 """
 
 from functools import lru_cache
