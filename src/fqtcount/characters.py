@@ -1,9 +1,38 @@
-"""Per-class prime counts for a square-free modulus, in the character basis.
+"""Per-class prime counts for any modulus m, in the character basis.
 
 The method and the proof that it is exact are in the primecounts module
-docstring ("The character basis").  primecounts imports this module when
-it first tabulates a square-free m, so a run that counts no progression
-does not compile it.
+docstring ("The character basis"); this module builds the unit group
+and its characters.  primecounts imports it when it first tabulates an
+m, so a run that counts no progression does not compile it.
+
+The unit group.  By CRT, G = (F_q[T]/m)^* is the product over the P^e
+exactly dividing m of U = (F_q[T]/P^e)^*, and U is the direct product of
+these cyclic groups (d = deg P, q = p^k, Y the generator of F_q over F_p,
+so Y^s has element code p^s):
+
+* <h>, h = g^(q^(d(e-1))) mod P^e, of order q^d - 1, for g a generator
+  of the units mod P;
+* <1 + Y^s T^i P^j> for s < k, i < d and 1 <= j < e with p not dividing
+  j, of order p^(c_j), c_j the least c with j p^c >= e (so c_j >= 1).
+
+Proof.  h = g mod P, as x^(q^d) = x in F_(q^d), and h^(q^d - 1) = g^|U|
+= 1, so h has order q^d - 1.  U_1 = 1 + P F_q[T]/P^e has q^(d(e-1))
+elements, prime to q^d - 1, so U = <h> x U_1.  Let U_i = 1 + P^i F_q[T]/P^e;
+1 + a P^i -> a mod P maps U_i/U_(i+1) isomorphically onto the additive
+group of F_(q^d).  In characteristic p, (1 + a P^j)^(p^c) =
+1 + a^(p^c) P^(j p^c), which is 1 once j p^c >= e and otherwise lies in
+U_(j p^c) with image a^(p^c) mod P.  Every i in [1, e) is j p^c for one j
+prime to p and one c < c_j, and as Frobenius is a field automorphism the
+p^c-th powers of the F_p-basis Y^s T^i of F_(q^d) are again a basis.  So
+the p^c-th powers of the generators of index j cover U_i/U_(i+1), and
+dividing out their product, level by level down to U_e = 1, writes any
+element of U_1 in the generators: they generate U_1.  Their orders
+divide p^(c_j), and multiply to p^(kd sum_j c_j) = q^(d(e-1)) = |U_1|, as
+the pairs (j, c) with c < c_j are the e - 1 levels.  The exponent map from
+the product of the cyclic groups onto U_1 is thus a bijection: U_1 is
+their direct product and each generator has order exactly p^(c_j).
+CharacterGroup asserts the same of the tables it builds: the products of
+the generators' powers are |U| distinct residues.
 """
 
 from __future__ import annotations
@@ -19,15 +48,29 @@ from . import ffield, series
 from .errors import NegativeCount, NotCoprime
 from .ffield import FieldSpec, MonicPoly
 from .numtheory import _factor, is_prime
-from .primecounts import _times_matrix
 
 
 def _times(field: FieldSpec, modulus: tuple[int, ...], codes: np.ndarray, n: int,
            r: tuple[int, ...] = (1,)) -> np.ndarray:
-    """Codes of f r mod modulus for the polynomials f of degree <= n with the given codes."""
+    """Codes of f r mod modulus for the polynomials f of degree <= n with
+    the given codes, by one digit product: the matrix rows are the digits
+    of Y^s x^j r mod modulus, as for the prime residues in universe."""
     digits = ffield._digits(codes, field.p, ffield._digit_count(field, n))
-    return ffield._digit_product(digits, _times_matrix(field, modulus, n, r), field.p,
+    rows = ffield._digit_rows(field, ffield._powers_of_x_mod(field, modulus, n, r))
+    return ffield._digit_product(digits, rows.astype(ffield._digit_dtype(field, n)), field.p,
                                  ffield._code_powers(field, len(modulus) - 2))
+
+
+def _walk(field: FieldSpec, modulus: tuple[int, ...], walk: np.ndarray,
+          r: tuple[int, ...], n: int) -> np.ndarray:
+    """The codes of walk times r^t mod modulus for t < n, with t the leading
+    axis, by doubling: the products for t in [s, 2s) are those for t < s
+    times r^s, one digit product."""
+    size = len(walk)
+    while len(walk) < n * size:
+        walk = np.concatenate([walk, _times(field, modulus, walk, len(modulus) - 2, r)])
+        r = ffield.poly_mod(field, ffield.poly_mul(field, r, r), modulus)
+    return walk[:n * size]
 
 
 _CHARACTER_FLOOR = 1 << 25  # every prime l lies in (2^25, 2^26): l > phi
@@ -90,51 +133,73 @@ def _contract_mod(spec: str, a: np.ndarray, b: np.ndarray, ell) -> np.ndarray:
 
 
 class CharacterGroup:
-    """The unit group of F_q[T]/(m) for square-free m, as the product of
-    the cyclic groups (F_q[T]/P)^*, of orders n_i, over the primes P | m.
+    """The unit group of F_q[T]/(m), as the product over the P^e exactly
+    dividing m of the cyclic factors of (F_q[T]/P^e)^* (see the module
+    docstring), of orders n_i in one flat list.
 
-    A unit's index is its log vector (l_i), each log to a generator of
+    A unit's index is its log vector (l_i), each log to the generator of
     its factor, flattened in C order.  The character of index (k_i)
     sends it to w^(sum_i k_i l_i e / n_i), for w of order e = lcm(n_i).
     """
 
-    def __init__(self, field: FieldSpec, m: MonicPoly, primes: list[MonicPoly]):
-        self.field, self.m, self.primes = field, m, primes
-        self.orders = [field.q**P.degree - 1 for P in primes]
+    def __init__(self, field: FieldSpec, m: MonicPoly,
+                 factors: tuple[tuple[MonicPoly, int], ...]):
+        self.field, self.m = field, m
+        self.primes = [P for P, _ in factors]
+        self._tables = [self._unit_table(P, e) for P, e in factors]  # (P^e, orders, log)
+        self.orders = [n for _, orders, _ in self._tables for n in orders]
         self.order = math.prod(self.orders)
         self.exponent = math.lcm(*self.orders)
-        self._logs = [self._log_table(P.coeffs, n) for P, n in zip(primes, self.orders)]
-        self._k = np.indices(self.orders).reshape(len(primes), -1)  # k_i of each character
+        self._k = np.indices(self.orders).reshape(len(self.orders), -1)  # k_i of each character
 
-    def _log_table(self, P: tuple[int, ...], n: int) -> np.ndarray:
-        """log[c] = the log of the residue of code c mod P (-1 for 0).
+    def _unit_table(self, P: MonicPoly, e: int) -> tuple[tuple[int, ...], list[int], np.ndarray]:
+        """P^e, the cyclic orders of (F_q[T]/P^e)^* (the 1-units' first, h's
+        last) and the index of each residue code mod P^e (-1 for a non-unit).
 
-        Candidates g run by code; the powers g^t, t < n, come by doubling,
-        each half one digit product, and g generates when no power but
-        g^0 is 1.
+        Candidates g run by code, and g generates the units mod P when no
+        power of its lift h but h^0 is 1.  The walk then starts from the
+        powers of h and takes each 1-unit generator, last first, as its new
+        leading axis, so a unit's place in it is its index.  The assertion
+        checks that the walk holds every unit once.
         """
-        field, deg = self.field, len(P) - 1
-        for code in range(1, field.q**deg):
-            g = ffield.coeffs_of_code(field, code)
-            walk, r = np.ones(1, dtype=np.int64), g
-            while len(walk) < n:
-                walk = np.concatenate([walk, _times(field, P, walk, deg - 1, r)])
-                r = ffield.poly_mod(field, ffield.poly_mul(field, r, r), P)
-            walk = walk[:n]
+        field, p, q, d = self.field, self.field.p, self.field.q, P.degree
+        one_units, P_j = [], (1,)
+        for j in range(1, e):
+            P_j = ffield.poly_mul(field, P_j, P.coeffs)
+            if j % p:
+                c = 1
+                while j * p**c < e:
+                    c += 1
+                one_units += [(ffield._poly_add(field, (1,), ffield.poly_mul(
+                    field, (0,) * i + (p**s,), P_j)), p**c)
+                    for i in range(d) for s in range(field.k)]
+        modulus, n = ffield.poly_mul(field, P_j, P.coeffs), q**d - 1
+        for code in range(1, q**d):
+            h = ffield._pow_mod(field, ffield.coeffs_of_code(field, code), q**(d * (e - 1)),
+                                modulus)
+            walk = _walk(field, modulus, np.ones(1, dtype=np.int64), h, n)
             if not (walk[1:] == 1).any():
-                log = np.full(field.q**deg, -1, dtype=np.int64)
-                log[walk] = np.arange(n)
-                return log
-        raise AssertionError(f"no generator of the units mod {ffield.poly_to_string(P)}")
+                break
+        else:
+            raise AssertionError(f"no generator of the units mod {ffield.poly_to_string(P)}")
+        for r, order in reversed(one_units):
+            walk = _walk(field, modulus, walk, r, order)
+        index = np.arange(len(walk))
+        log = np.full(q**(d * e), -1, dtype=np.int64)
+        log[walk] = index
+        # a residue the walk meets twice keeps only one of its places
+        assert len(walk) == q**(d * e) - q**(d * (e - 1)) and (log[walk] == index).all(), \
+            f"the generators mod ({ffield.poly_to_string(P)})^{e} do not index each unit once"
+        return modulus, [order for _, order in one_units] + [n], log
 
     def index(self, codes: np.ndarray) -> np.ndarray:
         """The unit index of each residue code (degree < deg m), -1 for a non-unit."""
         flat = np.zeros(len(codes), dtype=np.int64)
         unit = np.ones(len(codes), dtype=bool)
-        for P, n, log in zip(self.primes, self.orders, self._logs):
-            logs = log[_times(self.field, P.coeffs, codes, self.m.degree - 1)]
+        for modulus, orders, log in self._tables:
+            logs = log[_times(self.field, modulus, codes, self.m.degree - 1)]
             unit &= logs >= 0
-            flat = flat * n + logs
+            flat = flat * math.prod(orders) + logs
         return np.where(unit, flat, -1)
 
     def exponents(self, index: int) -> np.ndarray:
@@ -150,16 +215,17 @@ class CharacterGroup:
 
 
 class CharacterTable:
-    """Exact prime counts per coprime residue class for square-free m, in
-    the character basis (see the primecounts module docstring).
+    """Exact prime counts per coprime residue class mod m, in the
+    character basis (see the primecounts module docstring).
 
     The table keeps psi_n(chi) modulo its primes for every character and
     n = 1..N, built in one pass, and rebuilt when a larger N is asked;
     the counts of one class are kept until then.
     """
 
-    def __init__(self, field: FieldSpec, m: MonicPoly, primes: list[MonicPoly]):
-        self.group = group = CharacterGroup(field, m, primes)
+    def __init__(self, field: FieldSpec, m: MonicPoly,
+                 factors: tuple[tuple[MonicPoly, int], ...]):
+        self.group = group = CharacterGroup(field, m, factors)
         self.field, self.m = field, m
         sizes = [field.q**j for j in range(m.degree)]
         codes = np.concatenate([np.arange(s, 2 * s) for s in sizes])  # the monic f, deg f < deg m

@@ -41,7 +41,7 @@ from .errors import (
     NotCoprime,
     ResourceLimit,
 )
-from .ffield import FieldSpec, MonicPoly
+from .ffield import Factorization, FieldSpec, MonicPoly
 from .primecounts import (
     CHI2_MINUS,
     CHI2_ZERO_OR_PLUS,
@@ -505,19 +505,21 @@ def membership_rule(field: FieldSpec, spec: FamilySpec) -> MembershipRule:
     return MembershipRule((spec.family,), lambda primes: primes.prime_deg % 2 == 0, passes)
 
 
-def membership_oracle(field: FieldSpec, f: MonicPoly, spec: FamilySpec) -> bool:
-    """Decide membership of f from its factorization.
+def membership_oracle(field: FieldSpec, fact: Factorization, spec: FamilySpec) -> bool:
+    """Decide membership of f from its factorization, which the caller
+    made with ffield.factor.
 
-    ffield.factor gives f's primes, and the family's rule runs on a
-    PrimeTable of them, as the sieve's does on its own.  Prime codes are
-    int64, so q^(deg f + 1) past 2^63 raises ResourceLimit.
+    The family's rule runs on a PrimeTable of f's primes, as the sieve's
+    does on its own.  Prime codes are int64, so q^(deg f + 1) past 2^63
+    raises ResourceLimit.
     """
     rule = membership_rule(field, spec)
-    if f.degree == 0:
+    factors = fact.factors
+    degree = sum(P.degree * e for P, e in factors)
+    if degree == 0:
         return True
-    if field.q ** (f.degree + 1) >= 1 << 63:
-        raise ResourceLimit(f"prime codes of degree {f.degree} over {field} exceed int64")
-    factors = ffield.factor(field, f).factors
+    if field.q ** (degree + 1) >= 1 << 63:
+        raise ResourceLimit(f"prime codes of degree {degree} over {field} exceed int64")
     table = universe.PrimeTable(
         field, np.array([ffield.code_of(field, P.coeffs) for P, _ in factors], dtype=np.int64),
         np.array([P.degree for P, _ in factors], dtype=np.int64))

@@ -43,7 +43,7 @@ code with its digit products, so each checks the other.
 
 Every batched digit product in the package goes through _digit_product:
 the enumeration sieve and the prime residues mod m in universe, and the
-unit-group table in primecounts.
+unit-group log tables and residue indices in characters.
 Their matrices come from _digit_rows; their inputs are base-p digit
 rows (_digits, or universe's division-free _monic_digits) stored in the
 smallest unsigned type that holds p - 1.  One product casts a row chunk
@@ -59,8 +59,8 @@ matrix would give, so every bound below holds for a stack as well.  The
 sieve and the residues run in row chunks of _row_step(width)
 rows, width the larger side of the matrix (s * out for a stack), about
 _CHUNK_ENTRIES entries each, so their working memory does not grow with
-the batch; the unit-group table (at most primecounts'
-_MAX_UNIT_GROUP rows) multiplies all units at once.
+the batch; characters multiplies all its codes at once, at most
+primecounts' _MAX_RESIDUE_RING residues mod m.
 
 Each digit sum c of the product becomes c - p * floor(c / p), in place,
 by true division.  This is exact for every integer c <= 2^24 in float32

@@ -10,17 +10,17 @@ Four kinds of counts, all exact integers:
   coefficients of its zeta numerator; power sums of inverse roots come
   from Newton's identities, so no root extraction touches the exact path.
 * ``pi_arith(field, n, a, m)``: monic irreducibles congruent to a mod m.
-  When the residue ring and its unit group fit the group-ring limits, a
-  square-free m is counted in the character basis (below, any n) and an
-  m with a repeated factor by an exact group-ring recurrence on dense
-  class vectors (_ArithTable, any n); otherwise the degree-n primes are
-  read from the enumeration sieve (universe, small n).
+  When the residue ring and its unit group fit the character table's
+  limits, m is counted in the character basis (below, any n); otherwise
+  the degree-n primes are read from the enumeration sieve (universe,
+  small n).
 
-The character basis (module characters).  For square-free
-m = P_1...P_r the unit group G = (F_q[T]/m)^* is the product of the
-cyclic groups (F_q[T]/P_i)^* of orders n_i = q^(deg P_i) - 1.  A
-generator of each and its log table give every unit its log vector
-(l_i), and the characters are
+The character basis (module characters).  The unit group
+G = (F_q[T]/m)^* of any m is a product of cyclic groups of orders n_i:
+one of order q^(deg P) - 1 for each prime P | m, and those of the
+1-unit group of each P^e with e >= 2 (the decomposition and its proof
+are in the characters module docstring).  A generator of each and its
+log table give every unit its log vector (l_i), and the characters are
 chi_k(f) = prod_i zeta_(n_i)^(k_i l_i(f)), k_i mod n_i, with values in
 Z[zeta_e], e = lcm(n_i).  For chi != chi_0, L(u, chi) = sum_f chi(f)
 u^(deg f) over the monic f is a polynomial of degree < deg m (Rosen,
@@ -35,8 +35,8 @@ Moebius inversion over the prime powers gives
 n Pi_n(chi) = sum_{e | n} mu(e) psi_(n/e)(chi^e) for
 Pi_n(chi) = sum_{deg P = n} chi(P), and orthogonality gives
 phi n pi(n; a) = sum_chi conj(chi(a)) n Pi_n(chi).  Per degree this is
-O(phi deg m) work, against O(phi^2 deg m) in the group ring.  It runs
-exactly:
+O(phi deg m) work, against O(phi^2 deg m) for a recurrence on dense
+class vectors in the group ring Z[G].  It runs exactly:
 
 * Reduction.  Each identity above holds in Z[zeta_e].  For a prime
   l = 1 (mod e) and w of order e mod l, x^e - 1 is separable mod l, so
@@ -73,7 +73,6 @@ from .errors import (
     EvenCharacteristic,
     NegativeCount,
     NotCoprime,
-    ResourceLimit,
     RHViolation,
 )
 from .ffield import FieldSpec, MonicPoly
@@ -85,7 +84,9 @@ if TYPE_CHECKING:
 CHI2_MINUS = "minus"
 CHI2_ZERO_OR_PLUS = "zero-or-plus"
 
-# limits for the group-ring method (residue classes kept in dense vectors)
+# limits for the character table: its histograms and log tables run over
+# the q^deg m residues, and it keeps psi_n(chi) for each of the phi(m)
+# characters, with one dense n_i x n_i transform per cyclic factor
 _MAX_UNIT_GROUP = 4096
 _MAX_RESIDUE_RING = 10**5
 
@@ -291,203 +292,20 @@ def _residue_code(field: FieldSpec, a, m: MonicPoly) -> int:
     return ffield.code_of(field, ffield.poly_mod_general(field, coeffs, m.coeffs))
 
 
-def _times_matrix(field: FieldSpec, modulus: tuple[int, ...], n: int,
-                  r: tuple[int, ...] = (1,)) -> np.ndarray:
-    """Digit matrix of f -> f r mod modulus for f of degree <= n (r of
-    degree < deg modulus): rows Y^s x^j r mod modulus, as for the prime
-    residues in universe, in the float type of ffield._digit_product."""
-    rows = ffield._powers_of_x_mod(field, modulus, n, r)
-    return ffield._digit_rows(field, rows).astype(ffield._digit_dtype(field, n))
+_ARITH_CACHE: dict[tuple, CharacterTable] = {}
 
 
-class _ResidueGroup:
-    """The unit group of F_q[T]/(m), with dense-vector group-ring helpers."""
-
-    def __init__(self, field: FieldSpec, m: MonicPoly):
-        if m.degree < 1:
-            raise ValueError("modulus must have positive degree")
-        q = field.q
-        ring_size = q**m.degree
-        if ring_size > _MAX_RESIDUE_RING:
-            raise ResourceLimit(
-                f"residue ring size {ring_size} exceeds {_MAX_RESIDUE_RING}"
-            )
-        self.field = field
-        self.m = m
-        codes = []
-        for code in range(1, ring_size):
-            coeffs = ffield.coeffs_of_code(field, code)
-            if ffield.poly_gcd(field, coeffs, m.coeffs) == (1,):
-                codes.append(code)
-        if len(codes) > _MAX_UNIT_GROUP:
-            raise ResourceLimit(
-                f"unit group order {len(codes)} exceeds {_MAX_UNIT_GROUP}"
-            )
-        self.codes = codes
-        self.order = len(codes)
-        self.index = {code: i for i, code in enumerate(codes)}
-        self._pow_maps: dict[int, np.ndarray] = {}
-
-    @cached_property
-    def mul_index(self) -> np.ndarray:
-        """Index of the product of units i and j, at [i, j].
-
-        Multiplication by a unit a is F_p-linear in the base-p digits of
-        a residue code, with digit rows Y^s x^j a mod m (_times_matrix),
-        so row i is one digit product over every unit.
-        """
-        field, d, p = self.field, self.m.degree, self.field.p
-        powers = ffield._code_powers(field, d - 1)
-        units = ffield._digits(self.codes, p, ffield._digit_count(field, d - 1))
-        position = np.zeros(field.q**d, dtype=np.int32)
-        position[self.codes] = np.arange(self.order)
-        table = np.empty((self.order, self.order), dtype=np.int32)
-        for i, a in enumerate(self.codes):
-            matrix = _times_matrix(field, self.m.coeffs, d - 1, ffield.coeffs_of_code(field, a))
-            table[i] = position[ffield._digit_product(units, matrix, p, powers)]
-        return table
-
-    def pow_map(self, k: int) -> np.ndarray:
-        """Index array sending each unit to its k-th power.
-
-        x^|G| = 1 for every unit x (Lagrange), so k is reduced mod the
-        group order first; square-and-multiply then runs on whole index
-        arrays through mul_index.
-        """
-        k %= self.order
-        cached = self._pow_maps.get(k)
-        if cached is not None:
-            return cached
-        table = self.mul_index
-        out = np.full(self.order, self.index[1], dtype=np.int32)
-        base, e = np.arange(self.order, dtype=np.int32), k
-        while e:
-            if e & 1:
-                out = table[out, base]
-            base = table[base, base]
-            e >>= 1
-        self._pow_maps[k] = out
-        return out
-
-    def convolve(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        table = self.mul_index
-        out = np.zeros(self.order, dtype=object)
-        for i in range(self.order):
-            if x[i]:
-                np.add.at(out, table[i], x[i] * y)
-        return out
-
-    def push_power(self, k: int, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.order, dtype=object)
-        np.add.at(out, self.pow_map(k), x)
-        return out
-
-
-class _ArithTable:
-    """Exact prime counts per coprime residue class, all degrees at once.
-
-    Splitting the zeta product over residue classes gives a power series
-    with group-ring coefficients: degree-n terms are q^(n-deg m) copies
-    of every coprime class once n >= deg m, and enumerable below that.
-    A Newton-style recurrence extracts the weighted prime sums, and a
-    divisor peel-off recovers the per-class prime counts themselves.
-    """
-
-    def __init__(self, field: FieldSpec, m: MonicPoly, cap: int | None = None):
-        self.group = _ResidueGroup(field, m)
-        self.field = field
-        self.m = m
-        order = self.group.order
-        self._z: list[np.ndarray | None] = []  # dense only below deg m
-        for n in range(m.degree):
-            vec = np.zeros(order, dtype=object)
-            for f in ffield.enumerate_monic(field, n, cap=cap):
-                code = _residue_code(field, f, m)
-                idx = self.group.index.get(code)
-                if idx is not None:
-                    vec[idx] += 1
-            self._z.append(vec)
-        self._psi: list[np.ndarray] = []  # psi_1, psi_2, ...
-        self._psi_sums: list[int] = []
-        self._scalar_terms = 0  # S_k of _extend_psi for the last k computed
-        self._primes: dict[int, np.ndarray] = {}
-
-    def _extend_psi(self, n: int) -> None:
-        """psi_k = k Z_k - sum_{j<k} Z_(k-j) psi_j in the group ring, k <= n.
-
-        For k - j >= deg m, Z_(k-j) psi_j is sum(psi_j) q^(k-j-deg m) times
-        all-ones, so those terms add up to S_k times all-ones, S_k = sum over
-        j <= k - deg m of sum(psi_j) q^(k-j-deg m).  Horner keeps S_k:
-        S_(k+1) = q S_k + sum(psi_(k+1-deg m)).  Only the deg m - 1 terms
-        with k - j < deg m are dense convolutions.
-        """
-        d, q = self.m.degree, self.field.q
-        while len(self._psi) < n:
-            k = len(self._psi) + 1
-            if k < d:
-                acc = k * self._z[k]
-            else:
-                if k > d:
-                    self._scalar_terms = q * self._scalar_terms + self._psi_sums[k - d - 1]
-                acc = np.full(self.group.order, k * q ** (k - d) - self._scalar_terms,
-                              dtype=object)
-            for j in range(max(1, k - d + 1), k):
-                acc = acc - self.group.convolve(self._psi[j - 1], self._z[k - j])
-            self._psi.append(acc)
-            self._psi_sums.append(int(sum(acc)))
-
-    def prime_vector(self, n: int) -> np.ndarray:
-        """Counts of degree-n primes in each coprime class, as a dense vector."""
-        cached = self._primes.get(n)
-        if cached is not None:
-            return cached
-        self._extend_psi(n)
-        acc = self._psi[n - 1].copy()
-        for d in divisors(n):
-            if d < n:
-                acc = acc - d * self.group.push_power(n // d, self.prime_vector(d))
-        vec = np.empty(self.group.order, dtype=object)
-        for i, value in enumerate(acc):
-            count, rem = divmod(int(value), n)
-            if rem or count < 0:
-                raise NegativeCount(
-                    f"class prime count at degree {n} is not a nonnegative integer"
-                )
-            vec[i] = count
-        self._primes[n] = vec
-        return vec
-
-    def count(self, n: int, a_code: int, upto: int = 0) -> int:
-        """pi(n; a); psi is extended to degree upto first, as the caller
-        will ask for the degrees up to there."""
-        self._extend_psi(upto)
-        idx = self.group.index.get(a_code)
-        if idx is None:
-            raise NotCoprime("residue is not coprime to the modulus")
-        return int(self.prime_vector(n)[idx])
-
-
-_ARITH_CACHE: dict[tuple, _ArithTable | CharacterTable] = {}
-
-
-def _arith_table(field: FieldSpec, m: MonicPoly,
-                 cap: int | None = None) -> _ArithTable | CharacterTable:
-    """The class table of m: in the character basis if m is square-free,
-    else the dense group ring."""
+def _arith_table(field: FieldSpec, m: MonicPoly, cap: int | None = None) -> CharacterTable:
+    """The class table of m, in the character basis."""
     # building the table enumerates degree deg m - 1; a cached table
     # answers to the cap as well, so a capped call fails either way
     ffield.check_cap(field, m.degree - 1, cap)
     key = (field.p, field.k, field.modulus, m.coeffs)
     table = _ARITH_CACHE.get(key)
     if table is None:
-        factors = ffield.factor(field, m).factors
-        if all(mult == 1 for _, mult in factors):
-            # imported here: a CLI run that counts no progression never compiles it
-            from .characters import CharacterTable
-            table = CharacterTable(field, m, [prime for prime, _ in factors])
-        else:
-            table = _ArithTable(field, m, cap=cap)
-        _ARITH_CACHE[key] = table
+        # imported here: a CLI run that counts no progression never compiles it
+        from .characters import CharacterTable
+        table = _ARITH_CACHE[key] = CharacterTable(field, m, ffield.factor(field, m).factors)
     return table
 
 
@@ -503,8 +321,8 @@ def _unit_residue(field: FieldSpec, a, m: MonicPoly) -> int:
 
 
 @lru_cache(maxsize=None)
-def _group_ring_fits(field: FieldSpec, m: MonicPoly) -> bool:
-    """Are both the residue ring and its unit group within _ResidueGroup's limits?"""
+def _character_table_fits(field: FieldSpec, m: MonicPoly) -> bool:
+    """Are both the residue ring and its unit group within the character table's limits?"""
     return field.q**m.degree <= _MAX_RESIDUE_RING and phi_m(field, m) <= _MAX_UNIT_GROUP
 
 
@@ -512,7 +330,7 @@ def _class_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
                  cap: int | None, upto: int = 0) -> int:
     """pi_arith for a residue code already checked by _unit_residue; upto
     is the largest degree the caller will ask for, if it knows."""
-    if _group_ring_fits(field, m):
+    if _character_table_fits(field, m):
         return _arith_table(field, m, cap=cap).count(n, a_code, upto)
     # fail on the cap before any degree is sieved
     ffield.check_cap(field, max(n, upto), cap)
@@ -526,19 +344,16 @@ def _class_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
 def pi_arith(field: FieldSpec, n: int, a, m: MonicPoly, cap: int | None = None) -> int:
     """Monic irreducibles of degree n congruent to a modulo m.
 
-    Three paths, by m:
+    Two paths, by m:
 
-    * square-free m whose residue ring and unit group fit the group-ring
-      limits (_group_ring_fits): the character basis
+    * m whose residue ring and unit group fit the character table's
+      limits (_character_table_fits): the character basis
       (characters.CharacterTable, any n), exact modulo primes 1 mod the
-      group exponent;
-    * m with a repeated prime factor, within the same limits: the exact
-      group-ring recurrence on dense class vectors (_ArithTable, any n);
+      group exponent; the table enumerates the monic f of degree
+      < deg m, within the cap;
     * past the limits: the degree-n primes are read from the shared
       enumeration sieve (universe.get_universe), which needs q^n within
       the cap.
-
-    Both tables enumerate the monic f of degree < deg m, within the cap.
     """
     if n < 1:
         raise ValueError("degree must be positive")

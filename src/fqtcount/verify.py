@@ -138,7 +138,9 @@ def _sample_agrees(rng: random.Random, fam: FamilySpec, degree: int) -> tuple[in
     """On a seeded sample of at most _SAMPLE monic polynomials of the
     degree: how many ffield.factor and membership_oracle treat as the
     sieve does (Universe.factor_chain and the family's mask), and the
-    sample size.  factor shares no code with the sieve's digit products."""
+    sample size.  Each polynomial is factored once, and membership_oracle
+    reads that factorization.  factor shares no code with the sieve's
+    digit products."""
     field = fam.field()
     q, uni = field.q, get_universe(field, degree)
     mask = uni.masks(families.membership_rule(field, fam), degree)[degree]
@@ -146,9 +148,10 @@ def _sample_agrees(rng: random.Random, fam: FamilySpec, degree: int) -> tuple[in
     agree = 0
     for idx in picks:
         f = poly_of_code(field, q**degree + idx)
-        chain = sorted((code_of(field, P.coeffs), e) for P, e in factor(field, f).factors)
+        fact = factor(field, f)
+        chain = sorted((code_of(field, P.coeffs), e) for P, e in fact.factors)
         agree += (chain == sorted(uni.factor_chain(degree, idx))
-                  and families.membership_oracle(field, f, fam) == bool(mask[idx]))
+                  and families.membership_oracle(field, fact, fam) == bool(mask[idx]))
     return agree, len(picks)
 
 

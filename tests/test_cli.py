@@ -51,7 +51,7 @@ def test_count_arith_cap_bounds_enumeration_not_factoring(capsys, monkeypatch):
     assert code == 0, err
     monkeypatch.setenv("FQT_CAP", "50")
     monkeypatch.setattr(universe, "_UNIVERSE_CACHE", {})
-    primecounts._group_ring_fits.cache_clear()
+    primecounts._character_table_fits.cache_clear()
     code, out, err = run(capsys, *argv, "--cap", "5000")
     assert code == 0, err
     assert out == uncapped

@@ -177,11 +177,11 @@ def test_arith_cap_holds_whether_or_not_the_table_is_cached(monkeypatch):
 
 def test_arith_cap_holds_from_cold_caches(monkeypatch):
     # a cap of 9 covers the table's degree-2 enumeration; factoring the
-    # modulus for _group_ring_fits is not an enumeration and answers to
+    # modulus for _character_table_fits is not an enumeration and answers to
     # no cap, so empty caches do not change the answer
     monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
     monkeypatch.setattr(universe, "_UNIVERSE_CACHE", {})
-    primecounts._group_ring_fits.cache_clear()
+    primecounts._character_table_fits.cache_clear()
     field, m = field_for_order(3), MonicPoly((1, 2, 0, 1))
     capped = count_arith(field, 1, m, 8, cap=9)
     assert capped.values == count_arith(field, 1, m, 8).values
@@ -243,7 +243,7 @@ def test_psi_value_matches_weighted_divisor_sums():
 
 @pytest.mark.parametrize("m, a", [((1, 0, 1), (1,)), ((1, 0, 1), (2, 1)), ((0, 0, 1), (1, 1))])
 def test_arith_generator_counts_build_the_class_table_once(monkeypatch, m, a):
-    # T^2+1 over F_3 takes the character basis, T^2 the group ring
+    # T^2+1 over F_3 is square-free, T^2 a prime power: one build each
     field, N = field_for_order(3), 200
     monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
     builds = []
@@ -251,8 +251,7 @@ def test_arith_generator_counts_build_the_class_table_once(monkeypatch, m, a):
     monkeypatch.setattr(characters.CharacterTable, "_build",
                         lambda self, n: (builds.append(n), build(self, n)))
     g = FamilySpec(canonical_family("arith"), q=3, m=m, a=a).generator_counts(N)
-    if m == (1, 0, 1):
-        assert builds == [N]
+    assert builds == [N]
     assert [g[n] for n in range(1, N + 1)] == [pi_arith(field, n, a, MonicPoly(m))
                                                for n in range(1, N + 1)]
 
@@ -325,7 +324,7 @@ def test_membership_oracle_agrees_with_representation_search():
 
     for degree in (1, 2, 3):
         for f in ffield.enumerate_monic(field, degree):
-            assert membership_oracle(field, f, spec) == rep_search_membership(
+            assert membership_oracle(field, ffield.factor(field, f), spec) == rep_search_membership(
                 field, f
             )
 
@@ -339,7 +338,8 @@ def test_membership_oracle_over_a_large_prime_field_stays_small():
         field = spec.field()
         tracemalloc.start()
         try:
-            got = [membership_oracle(field, MonicPoly((c, 1)), spec) for c in (0, 2, 5, q - 1)]
+            got = [membership_oracle(field, ffield.factor(field, MonicPoly((c, 1))), spec)
+                   for c in (0, 2, 5, q - 1)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,7 +347,7 @@ def test_membership_oracle_over_a_large_prime_field_stays_small():
         assert got == [ffield.chi2(field, MonicPoly((c, 1))) != -1 for c in (0, 2, 5, q - 1)]
     spec = FamilySpec("landau", q=3037000507)
     with pytest.raises(ResourceLimit, match="exceed int64"):
-        membership_oracle(spec.field(), MonicPoly((5, 1)), spec)
+        membership_oracle(spec.field(), ffield.factor(spec.field(), MonicPoly((5, 1))), spec)
 
 
 def test_count_table_serialization():

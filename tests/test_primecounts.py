@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from fqtcount import characters, ffield, primecounts, universe
@@ -25,6 +24,7 @@ from fqtcount.primecounts import (
     psi_chi2,
     progression_gap_squared,
 )
+from group_ring import GroupRing
 from trial_division import trial_division_factor, trial_division_primes
 
 
@@ -182,38 +182,37 @@ def test_pi_arith_against_brute_force():
 
 @pytest.mark.parametrize("path", ["characters", "group-ring", "enumeration"])
 def test_pi_arith_paths_match_trial_division(monkeypatch, path):
-    # per-class prime counts mod T^2+1 over F_3, in the character basis, from
-    # the dense group ring (forced through the dispatch) and, with
-    # _group_ring_fits forced False, from enumeration
+    # per-class prime counts mod T^2+1 over F_3: in the character basis,
+    # from the dense group-ring reference and, with _character_table_fits
+    # forced False, from enumeration
     field = field_for_order(3)
     m = MonicPoly((1, 0, 1))
     cache = {}
     monkeypatch.setattr(primecounts, "_ARITH_CACHE", cache)
-    if path == "group-ring":
-        monkeypatch.setattr(characters, "CharacterTable",
-                            lambda field, m, primes: primecounts._ArithTable(field, m))
     if path == "enumeration":
-        monkeypatch.setattr(primecounts, "_group_ring_fits", lambda field, m: False)
+        monkeypatch.setattr(primecounts, "_character_table_fits", lambda field, m: False)
+    ring = GroupRing(field, m)
     for n in range(1, 6):
         per_class = {}
         for f in trial_division_primes(field, n):
             rem = ffield.poly_mod_general(field, f.coeffs, m.coeffs)
             per_class[rem] = per_class.get(rem, 0) + 1
         for a in ((1,), (2,), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)):
-            assert pi_arith(field, n, a, m) == per_class.get(a, 0), (n, a)
-    kind = {"characters": characters.CharacterTable, "group-ring": primecounts._ArithTable}
-    assert [type(table) for table in cache.values()] == [kind[path]] if path in kind else not cache
+            got = (ring.count(n, ffield.code_of(field, a)) if path == "group-ring"
+                   else pi_arith(field, n, a, m))
+            assert got == per_class.get(a, 0), (n, a)
+    kinds = [type(table) for table in cache.values()]
+    assert kinds == ([characters.CharacterTable] if path == "characters" else [])
 
 
 def test_pi_arith_enumerates_past_the_unit_group_limit():
     # T^8+T^6+T^5+1 is irreducible over F_3: a ring of 6561 classes within
-    # the group-ring limit, but 6560 units, more than the group ring accepts
+    # the residue-ring limit, but 6560 units, more than the character
+    # table accepts
     field = field_for_order(3)
     m = MonicPoly((1, 0, 0, 0, 0, 1, 1, 0, 1))
-    assert phi_m(field, m) == 6560
-    assert not primecounts._group_ring_fits(field, m)
-    with pytest.raises(ResourceLimit):
-        primecounts._ResidueGroup(field, m)
+    assert phi_m(field, m) == 6560 > primecounts._MAX_UNIT_GROUP
+    assert not primecounts._character_table_fits(field, m)
     # below deg m a prime is its own residue: each class holds one prime
     for n in range(1, 5):
         for prime in trial_division_primes(field, n)[:4]:
@@ -222,11 +221,11 @@ def test_pi_arith_enumerates_past_the_unit_group_limit():
 
 
 def test_pi_arith_enumeration_takes_the_callers_cap(monkeypatch):
-    # T^8+T^6+T^5+1 over F_3 has too many units for the group ring, so
-    # degree-4 classes are counted by enumerating the 3^4 degree-4
+    # T^8+T^6+T^5+1 over F_3 has too many units for the character table,
+    # so degree-4 classes are counted by enumerating the 3^4 degree-4
     # polynomials, within the caller's cap.  Under FQT_CAP=50 with a cold
     # sieve, the default cap stops it and cap=1000 lets it through;
-    # factoring m for _group_ring_fits answers to no cap.
+    # factoring m for _character_table_fits answers to no cap.
     field = field_for_order(3)
     m = MonicPoly((1, 0, 0, 0, 0, 1, 1, 0, 1))
     primes = trial_division_primes(field, 4)
@@ -291,106 +290,31 @@ def test_pi_q_small_values():
     assert pi_q(2, 4) == 3
 
 
-def _residue_product(group, code_a, code_b):
-    """Scalar reference: the code of a*b mod m, by poly_mul and poly_mod_general."""
-    field = group.field
-    prod = ffield.poly_mul(field, ffield.coeffs_of_code(field, code_a),
-                           ffield.coeffs_of_code(field, code_b))
-    return ffield.code_of(field, ffield.poly_mod_general(field, prod, group.m.coeffs))
+# -- the character basis --------------------------------------------------
 
 
-def test_pow_map_composite_from_cached_maps():
-    from fqtcount.primecounts import _ResidueGroup
-
-    field = field_for_order(3)
-    group = _ResidueGroup(field, MonicPoly((1, 2, 0, 1)))
-    for k in range(0, 61):
-        expected = []
-        for code in group.codes:
-            acc = 1
-            for _ in range(k):
-                acc = _residue_product(group, acc, code)
-            expected.append(group.index[acc])
-        assert group.pow_map(k).tolist() == expected
-    assert group.pow_map(12) is group.pow_map(12)
-
-
-@pytest.mark.parametrize("q, m, order", [
-    (3, (0, 1, 1), 4),  # T(T+1) over F_3: C2 x C2
-    (5, (0, 1, 1), 16),  # T(T+1) over F_5: C4 x C4
-    (3, (1, 2, 0, 1), 26),  # irreducible: cyclic of order 26
-    (9, (3, 1), 8),  # T+3 over F_9: the field's own units
-    (4, (0, 0, 1), 12),  # T^2 over F_4: not square-free
-])
-def test_pow_map_reduces_k_mod_the_group_order(q, m, order):
-    from fqtcount.primecounts import _ResidueGroup
-
-    group = _ResidueGroup(field_for_order(q), MonicPoly(m))
-    assert group.order == order
-    assert group.mul_index.tolist() == [
-        [group.index[_residue_product(group, a, b)] for b in group.codes]
-        for a in group.codes]
-    for k in range(3 * order + 6):
-        row = []
-        for code in group.codes:
-            acc = 1
-            for _ in range(k):
-                acc = _residue_product(group, acc, code)
-            row.append(group.index[acc])
-        assert group.pow_map(k).tolist() == row, k
-    # every k > |G| was served by the map of k mod |G|
-    assert sorted(group._pow_maps) == list(range(order))
-
-
-def quadratic_psi(table, n):
-    """psi_1..psi_n by psi_k = k Z_k - sum_{j<k} Z_(k-j) psi_j, one product per term."""
-    d, q, order = table.m.degree, table.field.q, table.group.order
-
-    def zeta_times(x, k):
-        if k < d:
-            return table.group.convolve(x, table._z[k])
-        return np.full(order, int(sum(x)) * q ** (k - d), dtype=object)
-
-    psi = []
-    for k in range(1, n + 1):
-        acc = k * table._z[k] if k < d else np.full(order, k * q ** (k - d), dtype=object)
-        for j in range(1, k):
-            acc = acc - zeta_times(psi[j - 1], k - j)
-        psi.append(acc)
-    return psi
-
-
-@pytest.mark.parametrize("q", [2, 3, 5])
-@pytest.mark.parametrize("m", [(1, 1), (1, 0, 1), (1, 1, 0, 1)], ids=["deg1", "deg2", "deg3"])
-def test_horner_psi_matches_the_quadratic_recurrence(q, m):
-    from fqtcount.primecounts import _ArithTable
-
-    table = _ArithTable(field_for_order(q), MonicPoly(m))
-    n = 24
-    table._extend_psi(7)  # extending in two steps carries the Horner sum across calls
-    table._extend_psi(n)
-    want = quadratic_psi(table, n)
-    assert [v.tolist() for v in table._psi] == [v.tolist() for v in want]
-    assert table._psi_sums == [int(sum(v)) for v in want]
-
-
-# -- the character basis for square-free m ------------------------------
+def _moduli(field, repeated):
+    """Every monic m over field with phi(m) <= 24, square-free or with a
+    repeated prime factor as asked, each with phi(m)."""
+    q, out = field.q, []
+    for d in itertools.count(1):
+        # phi(m) >= q^d prod (1 - q^-deg P) over every prime P of degree
+        # <= d, a bound that does not fall as d grows
+        if q**d * math.prod((1 - q**-j) ** pi_q(q, j) for j in range(1, d + 1)) > 24:
+            return out
+        for tail in itertools.product(range(q), repeat=d):
+            m = MonicPoly(tail + (1,))
+            fact = ffield.factor(field, m).factors
+            phi = math.prod(q**(P.degree * e) - q**(P.degree * (e - 1)) for P, e in fact)
+            if phi <= 24 and any(e > 1 for _, e in fact) == repeated:
+                out.append((m, phi))
 
 
 def _square_free_moduli(field, sample, seed):
     """Every square-free monic m over field with phi(m) <= 24, then a
     seeded sample of square-free m with 24 < phi(m) <= 728 (and q^deg m
-    within the group-ring limit), each with phi(m)."""
-    q, out = field.q, []
-    for d in range(1, 6):
-        if (q - 1)**d > 24:  # every m of degree d has phi(m) >= (q - 1)^d
-            break
-        for tail in itertools.product(range(q), repeat=d):
-            m = MonicPoly(tail + (1,))
-            fact = ffield.factor(field, m)
-            phi = math.prod(q**P.degree - 1 for P, _ in fact.factors)
-            if phi <= 24 and all(e == 1 for _, e in fact.factors):
-                out.append((m, phi))
+    within the residue-ring limit), each with phi(m)."""
+    q, out = field.q, _moduli(field, repeated=False)
     rng, drawn = random.Random(seed), 0
     top = max(d for d in range(1, 17) if q**d <= 10**5 and q**d // 4 <= 728)
     while drawn < sample:
@@ -421,42 +345,84 @@ def _class_lists(field, m, units, N):
     return out
 
 
+def _trial_division_classes(field, m, n):
+    """The degree-n primes in each class mod m, by trial division."""
+    per_class = {}
+    for prime in trial_division_primes(field, n):
+        rem = ffield.poly_mod_general(field, prime.coeffs, m.coeffs)
+        per_class[rem] = per_class.get(rem, 0) + 1
+    return per_class
+
+
+def _check_class_counts(field, m, phi, rng):
+    """pi_arith mod m to n = 30 against the dense group-ring reference
+    (fewer degrees as phi grows) and against trial division for
+    q^n <= 2000; past phi = 64 on a seeded sample of 16 classes.  Returns
+    the character table that answered."""
+    units = _units(field, m)
+    assert len(units) == phi
+    if phi > 64:
+        units = rng.sample(units, 16)
+    got = _class_lists(field, m, units, 30)
+    table = primecounts._ARITH_CACHE[(field.p, field.k, field.modulus, m.coeffs)]
+    assert isinstance(table, characters.CharacterTable) and table.group.order == phi
+    assert len(table._psi) >= 30
+    dense_n = 30 if phi <= 64 else 12 if phi <= 256 else m.degree + 1
+    ring = GroupRing(field, m)
+    want = {a: [ring.count(n, ffield.code_of(field, a)) for n in range(1, dense_n + 1)]
+            for a in units}
+    assert {a: counts[:dense_n] for a, counts in got.items()} == want, m
+    for n in range(1, 31):
+        if field.q**n > 2000:
+            break
+        per_class = _trial_division_classes(field, m, n)
+        assert [got[a][n - 1] for a in units] == [per_class.get(a, 0) for a in units], (m, n)
+    return table
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_character_basis_matches_the_group_ring_and_trial_division(monkeypatch, q):
-    # every square-free m with phi <= 24 and a seeded sample up to phi = 728:
-    # the character basis against the dense ring (forced by the dispatch,
-    # fewer degrees as phi grows) and against trial division for q^n <= 2000
-    field = field_for_order(q)
+    # every square-free m with phi <= 24 and a seeded sample up to phi = 728
     monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
     rng = random.Random(q)
-    for m, phi in _square_free_moduli(field, sample=3, seed=q):
-        units = _units(field, m)
-        assert len(units) == phi
-        if phi > 64:  # a seeded sample of the classes
-            units = rng.sample(units, 16)
-        got = _class_lists(field, m, units, 30)
-        table = primecounts._ARITH_CACHE[(field.p, field.k, field.modulus, m.coeffs)]
-        assert isinstance(table, characters.CharacterTable) and table.group.order == phi
-        assert len(table._psi) >= 30
-        dense_n = 30 if phi <= 64 else 12 if phi <= 256 else m.degree + 1
-        with monkeypatch.context() as patch:
-            patch.setattr(characters, "CharacterTable",
-                          lambda field, m, primes: primecounts._ArithTable(field, m))
-            want = _class_lists(field, m, units, dense_n)
-        assert {a: counts[:dense_n] for a, counts in got.items()} == want, m
-        for n in range(1, 31):
-            if q**n > 2000:
-                break
-            per_class = {}
-            for prime in trial_division_primes(field, n):
-                rem = ffield.poly_mod_general(field, prime.coeffs, m.coeffs)
-                per_class[rem] = per_class.get(rem, 0) + 1
-            assert [got[a][n - 1] for a in units] == [per_class.get(a, 0) for a in units], (m, n)
+    for m, phi in _square_free_moduli(field_for_order(q), sample=3, seed=q):
+        _check_class_counts(field_for_order(q), m, phi, rng)
+
+
+@pytest.mark.parametrize("q, count", [(2, 53), (3, 15), (4, 4), (5, 5), (9, 0)])
+def test_repeated_factors_match_the_group_ring_and_trial_division(monkeypatch, q, count):
+    # every m with a repeated prime factor and phi <= 24; over F_9 there is
+    # none, as (T-a)^2 has 72 units
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    field, rng = field_for_order(q), random.Random(q)
+    moduli = _moduli(field, repeated=True)
+    assert len(moduli) == count
+    for m, phi in moduli:
+        _check_class_counts(field, m, phi, rng)
+
+
+@pytest.mark.parametrize("q, m, orders", [
+    (2, (0, 0, 0, 0, 1), [4, 2, 1]),  # T^4: c_1 = 2, and j = 2 is skipped
+    (2, (0,) * 5 + (1,), [8, 2, 1]),  # T^5: c_1 = 3
+    (2, (0,) * 9 + (1,), [16, 4, 2, 2, 1]),  # T^9: j = 1, 3, 5, 7
+    (3, (0,) * 4 + (1,), [9, 3, 2]),  # T^4: j = 3 is skipped
+    (3, (0,) * 7 + (1,), [9, 9, 3, 3, 2]),  # T^7: j = 3 and 6 are skipped
+    (4, (0, 0, 0, 1), [4, 4, 3]),  # T^3 over F_4: Y^0 and Y^1 for j = 1
+    (9, (0, 0, 1), [3, 3, 8]),  # T^2 over F_9: Y^0 and Y^1 for j = 1
+    (3, (1, 0, 2, 0, 1), [3, 3, 8]),  # (T^2+1)^2: T^0 and T^1 for j = 1
+])
+def test_prime_power_unit_groups(monkeypatch, q, m, orders):
+    # the 1-unit generators 1 + Y^s T^i P^j (orders p^c_j) and h (order
+    # q^d - 1), whose products give every unit one index
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    field = field_for_order(q)
+    table = _check_class_counts(field, MonicPoly(m), math.prod(orders), random.Random(q))
+    assert table.group.orders == orders
 
 
 def test_character_basis_past_the_dense_range(monkeypatch):
     # T^7+2T+1 over F_3 is (degree 2)(degree 5): units C8 x C242, phi = 1936,
-    # a group the dense ring takes half a minute over at n = 30
+    # a group a dense group-ring recurrence takes half a minute over at n = 30
     monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
     field, m = field_for_order(3), MonicPoly((1, 2, 0, 0, 0, 0, 0, 1))
     assert [P.degree for P, _ in ffield.factor(field, m).factors] == [2, 5]
@@ -465,39 +431,33 @@ def test_character_basis_past_the_dense_range(monkeypatch):
     table = primecounts._ARITH_CACHE[(field.p, field.k, field.modulus, m.coeffs)]
     assert table.group.orders == [8, 242] and table.group.order == 1936
     for n in range(1, 7):
-        per_class = {}
-        for prime in trial_division_primes(field, n):
-            rem = ffield.poly_mod_general(field, prime.coeffs, m.coeffs)
-            per_class[rem] = per_class.get(rem, 0) + 1
+        per_class = _trial_division_classes(field, m, n)
         assert [got[a][n - 1] for a in units] == [per_class.get(a, 0) for a in units], n
 
 
-def test_square_free_moduli_never_build_the_group_ring(monkeypatch, capsys):
-    def refuse(self, field, m):
-        raise AssertionError("square-free m built a _ResidueGroup")
-
-    monkeypatch.setattr(primecounts._ResidueGroup, "__init__", refuse)
+@pytest.mark.parametrize("m", ["T^2+1", "T^4+2T^2+1"])
+def test_cli_progressions_build_character_tables(monkeypatch, capsys, m):
+    # a square-free m and a square, through count, estimate and constants
     monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
     for argv in (["count", "arith", "--max-n", "40"],
                  ["estimate", "arith", "--n", "30"],
                  ["constants", "cam", "--digits", "30"]):
-        code = main(argv + ["--q", "3", "--m", "T^2+1", "--a", "T+1"])
+        code = main(argv + ["--q", "3", "--m", m, "--a", "T+1"])
         assert code == 0, capsys.readouterr().err
     assert {type(t) for t in primecounts._ARITH_CACHE.values()} == {characters.CharacterTable}
 
 
-def test_repeated_factor_takes_the_group_ring(monkeypatch):
-    # T^2(T+1) over F_3: the 1-unit group of T^2 is not cyclic
+def test_repeated_factor_takes_the_character_basis(monkeypatch):
+    # T^2(T+1) over F_3: the 1-unit group of T^2 is C3, and the units are
+    # C3 x C2 x C2, not cyclic
     field, m = field_for_order(3), MonicPoly((0, 0, 1, 1))
     monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
     units = _units(field, m)
     got = _class_lists(field, m, units, 6)
-    assert [type(t) for t in primecounts._ARITH_CACHE.values()] == [primecounts._ArithTable]
+    assert all(isinstance(t, characters.CharacterTable)
+               for t in primecounts._ARITH_CACHE.values())
     for n in range(1, 7):
-        per_class = {}
-        for prime in trial_division_primes(field, n):
-            rem = ffield.poly_mod_general(field, prime.coeffs, m.coeffs)
-            per_class[rem] = per_class.get(rem, 0) + 1
+        per_class = _trial_division_classes(field, m, n)
         assert [got[a][n - 1] for a in units] == [per_class.get(a, 0) for a in units], n
 
 

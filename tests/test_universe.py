@@ -273,7 +273,7 @@ def test_landau_oracle_needs_odd_q():
     with pytest.raises(EvenCharacteristic):
         oracle_count(field, spec, 2)
     with pytest.raises(EvenCharacteristic):
-        membership_oracle(field, MonicPoly((1, 1)), spec)
+        membership_oracle(field, ffield.factor(field, MonicPoly((1, 1))), spec)
     # the character table itself refuses even q as well
     with pytest.raises(EvenCharacteristic):
         get_universe(field, 2).primes.prime_chi2()
@@ -415,11 +415,12 @@ def test_prime_chi2_matches_scalar_chi2(q, max_deg):
 
 
 def _scalar_members(field, spec, degree):
-    """membership_oracle of every monic polynomial of the degree, one at a
-    time, in code order (the constant term fastest)."""
+    """membership_oracle of every monic polynomial of the degree (>= 1),
+    one at a time from ffield.factor, in code order (the constant term
+    fastest)."""
     q = field.q
-    return np.array([membership_oracle(field, poly_of_code(field, q**degree + i), spec)
-                     for i in range(q**degree)])
+    polys = (poly_of_code(field, q**degree + i) for i in range(q**degree))
+    return np.array([membership_oracle(field, ffield.factor(field, f), spec) for f in polys])
 
 
 @pytest.mark.parametrize("q, max_deg", [(2, 10), (3, 6), (4, 5), (9, 3)])

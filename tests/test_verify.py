@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from fqtcount import ffield, verify
+from fqtcount.families import FamilySpec
+from fqtcount.ffield import factor
 from fqtcount.verify import SUITES, run_all, run_suite
 
 
@@ -62,3 +65,17 @@ def test_oracle_suite_passes_where_it_draws_s3_at_degree_8():
     report = run_suite("oracle", seed=3)
     assert report.ok, report.render()
     assert "membership-vs-series s3 q=5: degree 8: 92685 vs 92685; 64/64 " in report.render()
+
+
+def test_a_sampled_round_factors_each_polynomial_once(monkeypatch):
+    # membership_oracle reads the factorization _sample_agrees already made
+    calls = []
+
+    def counting(field, f):
+        calls.append(f)
+        return factor(field, f)
+
+    monkeypatch.setattr(verify, "factor", counting)
+    monkeypatch.setattr(ffield, "factor", counting)
+    agree, size = verify._sample_agrees(random.Random(0), FamilySpec("landau", q=3), 4)
+    assert agree == size == len(calls) == len(set(calls)) == 64
