@@ -121,17 +121,6 @@ def _fill_powers(out: np.ndarray, base: np.ndarray, ell: np.ndarray) -> None:
         s *= 2
 
 
-def _contract_mod(spec: str, a: np.ndarray, b: np.ndarray, ell) -> np.ndarray:
-    """np.einsum(spec, a, b) mod ell, for a spec that sums the last axis of
-    both a and b (int64 residues below 2^26), in blocks of 2^11 products:
-    a block plus a reduced partial sum stays below 2^63."""
-    step = series._BLOCK
-    acc = np.einsum(spec, a[..., :step], b[..., :step])
-    for lo in range(step, a.shape[-1], step):
-        acc = acc % ell + np.einsum(spec, a[..., lo:lo + step], b[..., lo:lo + step])
-    return acc % ell
-
-
 class CharacterGroup:
     """The unit group of F_q[T]/(m), as the product over the P^e exactly
     dividing m of the cyclic factors of (F_q[T]/P^e)^* (see the module
@@ -253,7 +242,7 @@ class CharacterTable:
             step = max(1, (1 << 20) // n)
             for lo in range(0, n, step):
                 matrix = wpow[np.outer(t[lo:lo + step], t) % n * (e // n)]
-                res[:, lo:lo + step] = _contract_mod("rl,kl->rk", rows, matrix, ell)
+                res[:, lo:lo + step] = series._contract_mod("rl,kl->rk", rows, matrix, ell)
             out = np.moveaxis(res.reshape(moved.shape), -1, axis)
         return out.reshape(len(self._hist), group.order)
 
@@ -310,8 +299,8 @@ class CharacterTable:
                 if r not in inner:  # in chunks of rows, as psi is cast to int64
                     power, rows = group.power(r), self._psi[:N // e]
                     inner[r] = np.concatenate([
-                        _contract_mod("tpx,px->tp", rows[lo:lo + series._CHUNK][:, :, power],
-                                      conj, ell)
+                        series._contract_mod("tpx,px->tp",
+                                             rows[lo:lo + series._CHUNK][:, :, power], conj, ell)
                         for lo in range(0, len(rows), series._CHUNK)])
                 sums[e::e] += mu[e] * inner[r][:N // e]
         sums = sums[1:] % ell * np.array([pow(group.order, -1, l) for l in self._ells]) % ell

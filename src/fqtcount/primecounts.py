@@ -47,7 +47,7 @@ class vectors in the group ring Z[G].  It runs exactly:
   modulo each of the largest primes l < 2^26 with l = 1 (mod e).
 * Arithmetic.  Residues are below 2^26, so a product is below 2^52.
   The int64 sums of products in the character transform and the class
-  sum are reduced at least every 2^11 terms, as series._dot_mod does,
+  sum are reduced at least every 2^11 terms, by series._contract_mod,
   so they stay below 2^63; Newton's sums have fewer than deg m <= 16
   terms and the Moebius sums d(n) terms below 2^26.
 * Size.  0 <= n pi(n; a) <= sum_{d | n} d pi_q(d) = q^n.  Each block of

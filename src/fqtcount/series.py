@@ -8,12 +8,12 @@ coefficient (it only sizes the prime set below, with a proved margin).
 
 Besides ring operations and exp/log, this module houses the transforms
 the counting pipeline is made of: the psi <-> generator-count transform
-(Moebius inversion), infinite products prod (1-x^n)^{-g(n)} and their
-squarefree variant, and the generalized binomial series.
+(Moebius inversion) and infinite products prod (1-x^n)^{-g(n)} and their
+squarefree variant.
 
 Every count table is exp(sum psi_n x^n / n) for integer psi_n, the
 recurrence n f_n = sum_{j=1..n} psi_j f_{n-j} (Brent & Kung, J. ACM 25,
-1978).  ``_exp_psi_over_n`` runs it in three exact steps:
+1978).  ``_exp_psi_over_n`` runs it in exact steps:
 
 * Integrality.  f_1..f_N are integers if and only if n divides
   sum_{d | n} mu(n/d) psi_d for every n <= N: F = prod (1-x^n)^(-g_n)
@@ -30,33 +30,58 @@ recurrence n f_n = sum_{j=1..n} psi_j f_{n-j} (Brent & Kung, J. ACM 25,
   the fewest whose product M exceeds 2^(b+1) for b >= max_m b_m,
   vectorised across the primes in numpy.  They are sieved in windows of
   8192 downwards from 2^26, as many as needed.  Each prime exceeds
-  2^25 > N, so n is invertible; residues are below 2^26, so a product is
-  below 2^52, and an inner sum is taken in blocks of 2^11 products, each
-  block below 2^63 (exact in int64) and reduced mod p before the next.
-  Then |f_m| < M/2, and CRT into (-M/2, M/2) returns f_m: with
-  y_i = r_i (M/p_i)^-1 mod p_i < 2^26, f_m = sum_i y_i M/p_i mod M, and
-  that sum is a float64 matrix product of the y_i against the 16-bit
-  limbs of the M/p_i.  Each product is below 2^42 and each sum has at
-  most 2^11 of them, so it is below 2^53, exact in any summation order;
-  the limb sums are carried into an int and reduced mod M.
-* Join points.  f is rebuilt in chunks of 64 coefficients, each from the
-  prefix of the primes that its largest b_m asks for.  The primes run
-  the recurrence in groups of 64, and a group joins at the first chunk
-  that needs it: f_0..f_(s-1), already rebuilt exactly from the earlier
-  groups, seed its table as residues, and it runs only for m >= s.  A
-  chunk before s needs only earlier groups, so every chunk is exact.  A
-  group stays once joined, as a later chunk may need fewer primes (the
-  bounds are not monotone when psi has runs of zeros).
-* Reduction.  psi_j and the seeds become residues as a float64 matrix
-  product of their signed 16-bit limbs against 2^(16 l) mod p, in blocks
-  of 64 limbs.  A block sum c has |c| < 2^6 2^16 2^26 = 2^48, exact in
-  any summation order, and is floor-reduced to c - p floor(c/p): for an
-  integer |c| < 2^52 and 2^25 < p < 2^26, q = c/p has |q| < 2^27, so
-  fl(c/p) is off by at most 2^-53 |q| < 2^-26 < 1/p; any integer other
-  than q itself lies at least 1/p from q, so floor(fl(c/p)) = floor(q),
-  and p floor(q) and the remainder in [0, p) are exact.  A value below
-  2^(2^25) has under 2^21 limbs, so at most 2^15 block residues are
-  summed, below 2^41, and reduced the same way.
+  2^25 > N, so m is invertible.  Residues rest as int32 and are below
+  2^26, so a product is below 2^52.  f is built in chunks of 64
+  coefficients m = s + t.  A chunk's prefix, sum_{i<s} psi_(s+t-i) f_i
+  for all its t at once, is one contraction of a sliding window of psi
+  against f_0..f_(s-1); what is left of each f_m, the triangle
+  sum_{s<=i<m} psi_(m-i) f_i, is one short sum per m.  Every such sum
+  is taken in int64 in blocks of 2^11 products, and reduced mod p
+  before the next block: a block plus the reduced sum before it is at
+  most 2^11 (2^26 - 1)^2 + 2^26 < 2^63.  Then |f_m| < M/2, and CRT into
+  (-M/2, M/2) returns f_m: with y_i = r_i (M/p_i)^-1 mod p_i < 2^26,
+  f_m = sum_i y_i M/p_i mod M, and that sum is a float64 matrix product
+  of the y_i against the 16-bit limbs of the M/p_i.  Each product is
+  below 2^42 and each sum has at most 2^11 of them, so it is below 2^53,
+  exact in any summation order; the limb sums are carried into an int
+  and reduced mod M.
+* Join points.  Each chunk is rebuilt by CRT from every prime joined so
+  far, which includes the prefix of primes that its largest b_m asks
+  for; more primes give the same integer, as |f_m| < M/2 holds for the
+  larger M too.  Primes join in batches of 16 at the first chunk that
+  needs them: f_0..f_(s-1), already rebuilt exactly from the earlier
+  primes, seed their rows as residues, and they run only for m >= s.  A
+  chunk before s needs only earlier batches, so every chunk is exact.
+  A batch stays once joined, as a later chunk may need fewer primes (the
+  bounds are not monotone when psi has runs of zeros).  One pass over
+  the chunks runs every joined prime at once, so a coefficient is one
+  step for all of them.
+* Inverses.  1/m modulo each prime comes from product trees, with no
+  table of them kept.  The m of a chunk are multiplied in pairs, pairs
+  of pairs, and so on up to the chunk's product; given its inverse, the
+  tree is walked back down, as a node's inverse times its sibling is
+  the inverse of the other sibling.  The chunks' products get their
+  inverses from one more tree, over the chunks, whose root is inverted
+  by one pow per prime.  Every step multiplies two residues, below 2^52.
+* Audit.  One more prime, 2^25 - 39 (the largest below 2^25, outside
+  every CRT set), runs the recurrence as row 0 from f_0 = 1, with no
+  seed and no join.  Each rebuilt f_m is reduced modulo it, from the
+  same limbs that seed later joins, and must equal that row, else
+  TruncationMismatch is raised.  A size bound or a join one chunk too
+  late rebuilds some f_m from too few primes, and a residue left
+  unreduced corrupts every later f_m; either shows up as a mismatch
+  instead of a wrong table.
+* Reduction.  psi_j, the chunk products and the seeds become residues as
+  a float64 matrix product of their 16-bit limbs against 2^(16 l) mod p,
+  in blocks of 64 limbs, with the sign applied after.  A block sum c has
+  0 <= c < 2^6 2^16 2^26 = 2^48, exact in any summation order, and is
+  floor-reduced to c - p floor(c/p): for an integer |c| < 2^52 and a
+  prime p < 2^26, fl(c/p) is off by at most 2^-53 |c|/p < 1/(2p), while
+  c/p is either an integer (then fl(c/p) is exact) or at least 1/p from
+  every integer, so floor(fl(c/p)) = floor(c/p), and p floor(c/p) and
+  the remainder in [0, p) are exact.  A value below 2^(2^25) has under
+  2^21 limbs, so at most 2^15 block residues are summed, below 2^41, and
+  reduced the same way.
 
 ``series_exp`` serves every other exact ring with one common-denominator
 recurrence.  For H = exp(sum a_j x^j) to order N, m H_m = sum_j j a_j
@@ -235,27 +260,6 @@ def series_log(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(g))
 
 
-def series_pow(a: TruncatedSeries, exponent: Fraction) -> TruncatedSeries:
-    """Rational power of a series with constant term 1, via exp(r*log)."""
-    return series_exp(series_log(a).scale(_exact(exponent)))
-
-
-def binomial_series(beta_inv, c1: Fraction, order: int) -> TruncatedSeries:
-    """(1 - x/beta)^(-c1) with beta_inv = 1/beta: coefficients binom(n+c1-1, n) * beta_inv^n.
-
-    beta_inv may be an exact rational or a QPoly (symbolic q).
-    """
-    c1 = Fraction(c1)
-    if c1 == 0:
-        raise ValueError("binomial exponent c1 must be nonzero")
-    coeffs = [_exact(1)]
-    current = _exact(1)
-    for n in range(1, order + 1):
-        current = current * (Fraction(n - 1) + c1) / n * beta_inv
-        coeffs.append(current)
-    return TruncatedSeries(tuple(coeffs))
-
-
 def _weighted_divisor_sums(counts: dict, N: int, alternating: bool = False) -> dict[int, int]:
     """sum_{d | n} d * counts(d) for n = 1..N, each term signed
     (-1)^(n/d + 1) if alternating; one pass over the multiples of each d."""
@@ -350,6 +354,7 @@ def _exp_psi_over_n(psi: dict[int, int], N: int) -> TruncatedSeries:
 # -- the multimodular exp; the module docstring says why each step is exact
 
 _PRIME_CEILING = 1 << 26  # residues below 2^26: products below 2^52
+_AUDIT_PRIME = (1 << 25) - 39  # the largest prime below 2^25, outside every CRT set
 _WINDOW = 8192  # numbers sieved at a time, downwards from 2^26
 _BLOCK = 1 << 11  # products per exact int64 inner sum
 _MAX_ORDER = 1 << 19  # N < 2^19 < every prime
@@ -357,8 +362,8 @@ _MAX_BITS = 1 << 25  # coefficients below 2^(2^25): fewer primes than lie above 
 _LOG_UNIT = 1 << 16  # size bounds in units of 2^-16 bit
 _NO_TERM = -(1 << 60)  # "log2 0" in those units; sums of two stay in int64
 _PRIMES: list[int] = []  # the largest primes below 2^26, descending, sieved as needed
-_CHUNK = 64  # values per residue conversion and per CRT prime count; limbs per residue block
-_GROUP = 64  # primes per run of the recurrence and per CRT product
+_CHUNK = 64  # coefficients per chunk of the recurrence and per CRT; limbs per float product
+_GROUP = 16  # primes per join; also rows per prefix contraction
 
 
 def _crt_primes(bits: int) -> list[int]:
@@ -377,16 +382,31 @@ def _crt_primes(bits: int) -> list[int]:
 
 def _size_bounds(psi: list[int]) -> np.ndarray:
     """Whole bits b_m with |f_m| <= 2^b_m (0 if f_m is provably 0), where
-    f = exp(sum psi_j x^j / j)."""
+    f = exp(sum psi_j x^j / j).
+
+    b_m = max_j (l_j + b_(m-j)) is taken in chunks of _CHUNK values of m,
+    as the exp recurrence is: the terms with m - j below the chunk are one
+    sliding-window maximum, and the terms inside it come from the closure
+    star[t, u], the largest sum of l over the ways to step from u up to t
+    within a chunk (0 for t = u).  Sums of two values at least _NO_TERM
+    stay in int64, and every result is raised back to _NO_TERM.
+    """
     N = len(psi) - 1
-    logs = np.full(N + 1, _NO_TERM, dtype=np.int64)
-    for j in range(1, N + 1):
-        if psi[j]:
-            logs[j] = math.ceil(_LOG_UNIT * math.log2(abs(psi[j]))) + 1
+    logs = np.array([_NO_TERM] + [math.ceil(_LOG_UNIT * math.log2(abs(v))) + 1 if v else _NO_TERM
+                                  for v in psi[1:]], dtype=np.int64)
+    C = min(_CHUNK, N + 1)
+    star = np.full((C, C), _NO_TERM, dtype=np.int64)
+    np.fill_diagonal(star, 0)
+    for t in range(1, C):
+        star[t] = np.maximum(star[t], (logs[t:0:-1, None] + star[:t]).max(axis=0))
     b = np.full(N + 1, _NO_TERM, dtype=np.int64)
     b[0] = 0
-    for m in range(1, N + 1):
-        b[m] = max(_NO_TERM, int((logs[1:m + 1] + b[m - 1::-1]).max()))
+    for s in range(1, N + 1, _CHUNK):
+        e = min(s + _CHUNK, N + 1)
+        window = _windows(logs[1:e], s)  # logs[t+1..t+s]
+        pre = np.concatenate([(window[lo:lo + _GROUP] + b[s - 1::-1]).max(axis=1)
+                              for lo in range(0, e - s, _GROUP)])
+        b[s:e] = np.maximum((star[:e - s, :e - s] + pre).max(axis=1), _NO_TERM)
     return np.maximum(-(-b // _LOG_UNIT), 0)
 
 
@@ -395,135 +415,234 @@ def _limb_count(values: list[int]) -> int:
     return max(1, -(-max(abs(v).bit_length() for v in values) // 16))
 
 
+def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The 16-bit limbs of each |v| (rows x limbs, uint16, low limb first)
+    and whether each v is negative."""
+    width = _limb_count(values)
+    data = b"".join(abs(v).to_bytes(2 * width, "little") for v in values)
+    return (np.frombuffer(data, dtype="<u2").reshape(len(values), width),
+            np.array([v < 0 for v in values]))
+
+
+def _from_limbs(limbs: tuple[np.ndarray, np.ndarray]) -> list[int]:
+    """The values whose _limbs are given."""
+    magnitude, negative = limbs
+    size = 2 * magnitude.shape[1]
+    data = magnitude.tobytes()
+    return [-v if neg else v for neg, v in zip(
+        negative.tolist(), (int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)))]
+
+
+def _radix(p: np.ndarray, width: int) -> np.ndarray:
+    """radix[l] = 2^(16 l) mod p for l < width (limbs x primes), as float64."""
+    radix = np.ones((width, len(p)), dtype=np.int64)
+    n = 1
+    while n < width:  # radix[n + l] = radix[l] * 2^(16 n), doubling n
+        k = min(n, width - n)
+        radix[n:n + k] = radix[:k] * (radix[n - 1] * ((1 << 16) % p) % p) % p
+        n *= 2
+    return radix.astype(np.float64)
+
+
 def _floor_mod(c: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """c mod p as c - p floor(c / p), for float64 integers |c| < 2^52 and 2^25 < p < 2^26."""
+    """c mod p as c - p floor(c / p), for float64 integers |c| < 2^52 and primes p < 2^26."""
     return c - p * np.floor(c / p)
 
 
-def _residue_rows(values: list[int], p: np.ndarray, radix: np.ndarray) -> np.ndarray:
-    """values mod each prime of p (rows x primes); p, radix and the result are
-    float64, with radix[l] = 2^(16 l) mod p.
+def _residue_rows(limbs: tuple[np.ndarray, np.ndarray], p: np.ndarray,
+                  radix: np.ndarray) -> np.ndarray:
+    """The values whose _limbs are given, modulo each prime of p (rows x
+    primes); p, radix and the result are float64, with radix as _radix.
 
-    Each v becomes a row of 16-bit limbs, low limb first, signed as v.
-    The rows multiply the float64 radix _CHUNK limbs at a time, and each
-    block product is floor-reduced before the blocks are summed and
-    reduced again (exact as the module docstring shows).
+    The limb rows multiply the radix _CHUNK limbs at a time, and each
+    block product is floor-reduced before the blocks are summed, signed
+    and reduced again (exact as the module docstring shows).
     """
-    width = _limb_count(values)
-    data = b"".join(abs(v).to_bytes(2 * width, "little") for v in values)
-    limbs = np.frombuffer(data, dtype="<u2").reshape(len(values), width).astype(np.float64)
-    limbs *= np.array([-1.0 if v < 0 else 1.0 for v in values])[:, None]
+    magnitude, negative = limbs
+    width = magnitude.shape[1]
     radix = radix[:width]
-    return _floor_mod(sum(_floor_mod(limbs[:, lo:lo + _CHUNK] @ radix[lo:lo + _CHUNK], p)
-                          for lo in range(0, width, _CHUNK)), p)
+    total = sum(_floor_mod(magnitude[:, lo:lo + _CHUNK].astype(np.float64) @ radix[lo:lo + _CHUNK], p)
+                for lo in range(0, width, _CHUNK))
+    total[negative] *= -1
+    return _floor_mod(total, p)
+
+
+class _CrtPlan:
+    """The constants that rebuild integers from their residues modulo primes:
+    M, the cofactors c_i = M/p_i as 16-bit limbs, and (c_i)^-1 mod p_i."""
+
+    def __init__(self, primes: list[int]):
+        self.modulus = math.prod(primes)
+        self.width = _limb_count([self.modulus])
+        cofactors = [self.modulus // q for q in primes]
+        self.primes = np.array(primes, dtype=np.int64)
+        self.inverses = np.array([pow(c, -1, q) for c, q in zip(cofactors, primes)], dtype=np.int64)
+        self.limbs = _limbs(cofactors)[0]
+
+    def rows(self, res: np.ndarray) -> list[int]:
+        """Each row of residues (rows x primes, below 2^26) as the integer in (-M/2, M/2).
+
+        With y_i = r_i c_i^-1 mod p_i, the row is sum_i y_i c_i mod M.
+        The sum is formed limb by limb, as float64 matrix products of the
+        y_i against the limbs of the c_i, 2^11 primes and _CHUNK limbs at
+        a time: each product y_i limb is below 2^42 and each sum has at
+        most 2^11 of them, so it stays below 2^53 and is exact in any
+        summation order.  The block sums add up in int64 (below 2^63 for
+        fewer than 2^21 primes) and are carried into one int for all rows
+        at once: row i gets a slot of K bits, K a whole number of 64-bit
+        words above the 16 width + 63 bits its value needs, and the sum
+        for its limb l sits at bit i K + 16 l.  So every fourth limb of
+        every row is a 64-bit word of its own, four from_bytes and three
+        shifts carry all of them, and each row's value is read back from
+        its slot.
+        """
+        modulus = self.modulus
+        words = self.width // 4 + 2  # K / 64: 4 words >= width + 4 limbs
+        y = (res * self.inverses % self.primes).astype(np.float64)
+        sums = np.zeros((len(res), 4 * words), dtype="<i8")
+        for lo in range(0, len(self.primes), _BLOCK):
+            for w in range(0, self.limbs.shape[1], _CHUNK):
+                block = self.limbs[lo:lo + _BLOCK, w:w + _CHUNK].astype(np.float64)
+                sums[:, w:w + block.shape[1]] += (y[:, lo:lo + _BLOCK] @ block).astype(np.int64)
+        del y  # the tables go before the ints are made
+        total = sum(int.from_bytes(sums[:, r::4].tobytes(), "little") << (16 * r) for r in range(4))
+        del sums
+        slot = 8 * words
+        data = total.to_bytes(slot * len(res), "little")
+        out = []
+        for i in range(0, len(data), slot):
+            value = int.from_bytes(data[i:i + slot], "little") % modulus
+            out.append(value - modulus if 2 * value > modulus else value)
+        return out
 
 
 def _crt_rows(res: np.ndarray, primes: list[int]) -> list[int]:
-    """Each row of residues (rows x primes) as the integer in (-M/2, M/2).
-
-    With c_i = M/p_i and y_i = r_i / c_i mod p_i, the row is sum_i y_i c_i
-    mod M.  The sum is formed limb by limb, as float64 matrix products of
-    the y_i against the 16-bit limbs of the c_i, _GROUP primes at a time:
-    each product y_i limb is below 2^42 and each sum has at most 2^11 of
-    them, so it stays below 2^53 and is exact in any summation order.
-    The group sums add up in int64 (below 2^63 for fewer than 2^21
-    primes) and are carried into one int for all rows at once: row i
-    gets a slot of K bits, K a whole number of 64-bit words above the
-    16 width + 63 bits its value needs, and the sum for its limb l sits
-    at bit i K + 16 l.  So every fourth limb of every row is a 64-bit
-    word of its own, four from_bytes and three shifts carry all of them,
-    and each row's value is read back from its slot.
-    """
-    modulus = math.prod(primes)
-    width = _limb_count([modulus])
-    words = width // 4 + 2  # K / 64: 4 words >= width + 4 limbs
-    sums = np.zeros((len(res), 4 * words), dtype="<i8")
-    for g in range(0, len(primes), _GROUP):
-        group = primes[g:g + _GROUP]
-        cofactors = [modulus // q for q in group]
-        y = res[:, g:g + _GROUP] * np.array([pow(c, -1, q) for c, q in zip(cofactors, group)])
-        y %= np.array(group, dtype=np.int64)
-        data = b"".join(c.to_bytes(2 * width, "little") for c in cofactors)
-        limbs = np.frombuffer(data, dtype="<u2").reshape(len(group), width)
-        sums[:, :width] += (y.astype(np.float64) @ limbs.astype(np.float64)).astype(np.int64)
-    total = sum(int.from_bytes(sums[:, r::4].tobytes(), "little") << (16 * r) for r in range(4))
-    slot = 8 * words
-    data = total.to_bytes(slot * len(res), "little")
-    out = []
-    for i in range(0, len(data), slot):
-        value = int.from_bytes(data[i:i + slot], "little") % modulus
-        out.append(value - modulus if 2 * value > modulus else value)
-    return out
+    """Each row of residues (rows x primes) as the integer in (-M/2, M/2), M = prod primes."""
+    return _CrtPlan(primes).rows(res)
 
 
-def _dot_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_j a[k, j] b[k, j] mod p[k] for residues below 2^26, in blocks of
-    2^11 products: a block plus a reduced partial sum stays below 2^63."""
-    acc = np.einsum("kj,kj->k", a[:, :_BLOCK], b[:, :_BLOCK])
-    for lo in range(_BLOCK, a.shape[1], _BLOCK):
-        acc = acc % p + np.einsum("kj,kj->k", a[:, lo:lo + _BLOCK], b[:, lo:lo + _BLOCK])
+def _contract_mod(spec: str, a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """np.einsum(spec, a, b) mod p, for a spec that sums the last axis of
+    both a and b (int residues below 2^26, at least one of them int64), in
+    blocks of 2^11 products: a block plus a reduced partial sum stays
+    below 2^63."""
+    if a.shape[-1] <= _BLOCK:
+        return np.einsum(spec, a, b) % p
+    acc = np.einsum(spec, a[..., :_BLOCK], b[..., :_BLOCK])
+    for lo in range(_BLOCK, a.shape[-1], _BLOCK):
+        acc = acc % p + np.einsum(spec, a[..., lo:lo + _BLOCK], b[..., lo:lo + _BLOCK])
     return acc % p
 
 
-def _exp_mod(psi: list[int], known: list[int], p: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """f_0..f_N modulo each prime of p (one row per prime), f = exp(sum psi_j x^j / j).
+def _inverses(leaves: np.ndarray, p: np.ndarray, root: np.ndarray | None = None) -> np.ndarray:
+    """1/x modulo p[k] for each x in row k of leaves (a power of two wide,
+    every x a unit), by a product tree: the product of each row is
+    inverted, by one pow unless root holds its inverse (rows x 1), and the
+    tree is walked back down, each node's inverse times its sibling."""
+    col = p[:, None]
+    tree = [leaves]
+    while tree[-1].shape[1] > 1:
+        tree.append(tree[-1][:, 0::2] * tree[-1][:, 1::2] % col)
+    top = tree.pop()
+    inv = root if root is not None else np.array(
+        [[pow(int(v), -1, int(q))] for v, q in zip(top[:, 0], p)], dtype=np.int64)
+    for level in reversed(tree):
+        down = np.empty_like(level)
+        down[:, 0::2] = inv * level[:, 1::2] % col
+        down[:, 1::2] = inv * level[:, 0::2] % col
+        inv = down
+    return inv
 
-    known holds f_0..f_(s-1) exactly (s >= 1): their residues seed the
-    table, and the recurrence runs for m >= s.  inv[m] holds 1/m modulo
-    each prime.  psi and the seeds are reduced by _residue_rows, _CHUNK
-    values at a time, straight into their table columns.
-    """
-    N = len(psi) - 1
-    radix = np.ones((max(_limb_count(psi), _limb_count(known)), len(p)), dtype=np.int64)
-    n = 1
-    while n < len(radix):  # radix[n + l] = radix[l] * 2^(16 n), doubling n
-        k = min(n, len(radix) - n)
-        radix[n:n + k] = radix[:k] * (radix[n - 1] * ((1 << 16) % p) % p) % p
-        n *= 2
-    radix, pf = radix.astype(np.float64), p.astype(np.float64)
-    # column j of psi_res holds psi_j and column N - m of f_rev holds f_m,
-    # so each inner sum reads two contiguous slices
-    psi_res = np.zeros((len(p), N + 1), dtype=np.int64)
-    for j in range(1, N + 1, _CHUNK):
-        rows = psi[j:j + _CHUNK]
-        psi_res[:, j:j + len(rows)] = _residue_rows(rows, pf, radix).T
-    f_rev = np.zeros_like(psi_res)
-    for m in range(0, len(known), _CHUNK):
-        rows = known[m:m + _CHUNK]
-        f_rev[:, N - m - len(rows) + 1:N - m + 1] = _residue_rows(rows, pf, radix).T[:, ::-1]
-    for m in range(len(known), N + 1):
-        f_rev[:, N - m] = _dot_mod(psi_res[:, 1:m + 1], f_rev[:, N - m + 1:], p) * inv[m] % p
-    return f_rev[:, ::-1]
+
+def _windows(x: np.ndarray, n: int) -> np.ndarray:
+    """The windows of n consecutive entries along the last axis of a
+    contiguous array, as a read-only view: out[..., u, i] = x[..., u + i]."""
+    step = x.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        x, x.shape[:-1] + (x.shape[-1] - n + 1, n), x.strides[:-1] + (step, step), writeable=False)
+
+
+def _seed_rows(known: list[tuple[np.ndarray, np.ndarray]], p: np.ndarray) -> np.ndarray:
+    """f_0..f_(s-1), given as the _limbs of each chunk rebuilt so far, modulo
+    each prime of p (primes x s, float64)."""
+    radix = _radix(p, max(magnitude.shape[1] for magnitude, _ in known))
+    pf = p.astype(np.float64)
+    return np.concatenate([_residue_rows(limbs, pf, radix) for limbs in known]).T
 
 
 def _exp_integral(psi: list[int]) -> tuple[int, ...]:
     """f_0..f_N of exp(sum psi_j x^j / j) (psi[0] unused), known to be integers.
 
-    f is rebuilt in chunks of _CHUNK coefficients, each by _crt_rows from
-    only as many primes as its size bound needs (a prefix of the primes);
-    its float64 sums are exact below 2^53.  The recurrence runs on groups
-    of _GROUP primes below 2^26, whose int64 tables stay small; each inner
-    sum is taken in blocks of 2^11 products below 2^52 (_dot_mod), and
-    the residues of f and the inverses 1/m are kept as int32.  A group
-    joins at the first chunk that needs its primes, seeded with the
-    coefficients already rebuilt, so it runs only from there to N.
+    One pass over chunks of _CHUNK coefficients runs the recurrence for
+    every joined prime at once: each chunk's prefix sum is one windowed
+    contraction per _GROUP rows, and its triangle one short sum per
+    coefficient.  Each chunk is rebuilt by CRT from every prime joined so
+    far, at least as many as its size bound needs.  Primes join _GROUP at
+    a time at the first chunk that needs them, seeded with the
+    coefficients already rebuilt.  Row 0 runs modulo _AUDIT_PRIME from
+    f_0 = 1, and every rebuilt coefficient must agree with it, else
+    TruncationMismatch.  Residues rest as int32 and are multiplied in
+    int64; the rebuilt coefficients rest as limbs until the end.
     """
     N = len(psi) - 1
     if N >= _MAX_ORDER:
         raise ValueError(f"order {N} exceeds the multimodular range N < 2^19")
     bits = _size_bounds(psi)
     primes = _crt_primes(int(bits.max()) + 1)
-    p = np.array(primes, dtype=np.int64)
-    columns = np.arange(len(primes))
-    inv = np.ones((N + 1, len(primes)), dtype=np.int32)  # 1/m = -(p // m) / (p mod m)
-    for m in range(2, N + 1):
-        inv[m] = (p - p // m) * inv[p % m, columns] % p
-    f_res = np.empty((len(primes), N + 1), dtype=np.int32)
-    out, run = [1], 0  # f_res holds the residues of f modulo primes[:run]
-    for m in range(1, N + 1, _CHUNK):
-        used = len(_crt_primes(int(bits[m:m + _CHUNK].max()) + 1))
-        while run < used:  # the next group joins here, seeded with f_0..f_(m-1)
-            f_res[run:run + _GROUP] = _exp_mod(psi, out, p[run:run + _GROUP], inv[:, run:run + _GROUP])
-            run += _GROUP
-        out += _crt_rows(f_res[:used, m:m + _CHUNK].T, primes[:used])
-    return tuple(out)
+    starts = range(1, N + 1, _CHUNK)
+    needs = [len(_crt_primes(int(bits[s:s + _CHUNK].max()) + 1)) for s in starts]
+    products = [math.prod(range(s, min(s + _CHUNK, N + 1))) for s in starts]  # of each chunk's m
+    p = np.array([_AUDIT_PRIME] + primes, dtype=np.int64)
+    pf = p.astype(np.float64)
+    radix = _radix(p, _limb_count(psi + products + [math.prod(primes)]))  # and any value CRT returns
+    # column N - j of psi_rev holds psi_j, so every sum reads contiguous slices:
+    # psi_(t-u) for u < t is psi_rev[:, N-t:], and f_0..f_(s-1) is f[:, :s]
+    psi_rev = np.zeros((len(p), N), dtype=np.int32)
+    for j in range(1, N + 1, _CHUNK):
+        rows = psi[j:j + _CHUNK]
+        psi_rev[:, N - j - len(rows) + 1:N - j + 1] = _residue_rows(_limbs(rows), pf, radix).T[:, ::-1]
+    head = psi_rev[:, N - min(_CHUNK - 1, N):].astype(np.int64)  # psi_(_CHUNK - 1)..psi_1
+    product_inv = np.ones((len(p), 1 << max(len(products) - 1, 0).bit_length()), dtype=np.int64)
+    if products:
+        product_inv[:, :len(products)] = _residue_rows(_limbs(products), pf, radix).T
+    product_inv = _inverses(product_inv, p)
+    audit_radix = radix[:, :1].copy()
+    del radix
+    f = np.zeros((len(p), N + 1), dtype=np.int32)
+    f[:, 0] = 1
+    known, run = [_limbs([1])], 0  # the limbs of each chunk rebuilt; rows 1..run hold the joined primes
+    for c, (s, used) in enumerate(zip(starts, needs)):
+        e = min(s + _CHUNK, N + 1)
+        if run < used:
+            while run < used:  # the next batch joins here, seeded with f_0..f_(s-1)
+                batch = slice(1 + run, 1 + min(run + _GROUP, len(primes)))
+                f[batch, :s] = _seed_rows(known, p[batch])
+                run = batch.stop - 1
+            plan = None  # the old plan goes before the new one is made
+            plan = _CrtPlan(primes[:run])
+        r, L = 1 + run, e - s - 1
+        pr = p[:r]
+        # g[:, t] gets the prefix, sum_{i<s} psi_(s+t-i) f_i, read from windows of psi
+        g = np.empty((r, e - s), dtype=np.int64)
+        for lo in range(0, r, _GROUP):
+            rows = slice(lo, min(lo + _GROUP, r))
+            window = _windows(psi_rev[rows, N - s - L:].astype(np.int64), s)
+            g[rows, ::-1] = _contract_mod("ktj,kj->kt", window, f[rows, :s], pr[rows, None])
+        # then the triangle, sum_{s<=i<m} psi_(m-i) f_i, and the division by m
+        leaves = np.ones((r, _CHUNK), dtype=np.int64)
+        leaves[:, :e - s] = np.arange(s, e)
+        inv = _inverses(leaves, pr, product_inv[:r, c:c + 1])
+        H, hd = head.shape[1], head[:r]
+        g[:, 0] = g[:, 0] * inv[:, 0] % pr
+        for t in range(1, e - s):
+            g[:, t] = (g[:, t] + _contract_mod("kj,kj->k", g[:, :t], hd[:, H - t:], pr)) * inv[:, t] % pr
+        f[:r, s:e] = g
+        del g, inv, leaves
+        limbs = _limbs(plan.rows(f[1:r, s:e].T))
+        audit = _residue_rows(limbs, pf[:1], audit_radix)[:, 0]
+        if not np.array_equal(audit, f[0, s:e]):
+            m = s + int(np.flatnonzero(audit != f[0, s:e])[0])
+            raise TruncationMismatch(f"f_{m} disagrees with its residue modulo {_AUDIT_PRIME}")
+        known.append(limbs)
+    del psi_rev, f, head  # the tables go before the ints are made
+    return tuple(v for limbs in known for v in _from_limbs(limbs))

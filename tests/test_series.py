@@ -1,6 +1,8 @@
 """Truncated power series with exact rational coefficients."""
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +11,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqtcount import series
+from fqtcount import cli, series
 from fqtcount.errors import BadConstantTerm, NotInvertible, TruncationMismatch
 from fqtcount.families import (
     FamilySpec,
     canonical_family,
     count_landau_poly_in_q,
     e_n_poly,
+    psi_table,
     psi_value,
 )
 from fqtcount.primecounts import LPolynomial
@@ -23,25 +26,25 @@ from fqtcount.qpoly import QPoly
 from fqtcount.series import (
     GeneratorCounts,
     TruncatedSeries,
+    _contract_mod,
     _crt_primes,
-    _dot_mod,
     _exact_quotient,
     _exp_integral,
     _exp_psi_over_n,
+    _limbs,
     _mobius_table,
     _residue_rows,
     _size_bounds,
-    binomial_series,
     g_from_psi,
     product_form,
     psi_from_g,
     series_exp,
     series_log,
     series_mul,
-    series_pow,
     squarefree_product_form,
 )
 from power2 import power2_transform, verify_power2_product
+from series_powers import binomial_series, series_pow
 
 x = sympy.Symbol("x")
 
@@ -337,19 +340,30 @@ def test_crt_primes_range_is_asserted():
         _crt_primes(2**25)
 
 
-def test_dot_mod_blocks_stay_exact():
+def test_contract_mod_blocks_stay_exact():
     # all residues p - 1: each product is within 2^40 of 2^52, so a block
     # of 2^12 products, or two unreduced blocks of 2^11, would pass 2^63
     p = np.array(_crt_primes(60), dtype=np.int64)
     width = 2 * 2**11 + 3
     top = np.repeat((p - 1)[:, None], width, axis=1)
-    assert _dot_mod(top, top, p).tolist() == [width % q for q in p.tolist()]
+    assert _contract_mod("kj,kj->k", top, top, p).tolist() == [width % q for q in p.tolist()]
     rng = np.random.default_rng(0)
     a, b = (rng.integers(0, p[:, None], size=(len(p), width)) for _ in range(2))
-    assert _dot_mod(a, b, p).tolist() == [
+    assert _contract_mod("kj,kj->k", a, b, p).tolist() == [
         sum(x * y for x, y in zip(ra, rb)) % q
         for ra, rb, q in zip(a.tolist(), b.tolist(), p.tolist())
     ]
+    # the prefix sums read windows of one row: window[k, t] = a[k, t:t + width - 3]
+    window = series._windows(a, width - 3)
+    assert window.shape == (len(p), 4, width - 3)
+    got = _contract_mod("ktj,kj->kt", window, b[:, :width - 3], p[:, None])
+    assert got.tolist() == [
+        [sum(x * y for x, y in zip(ra[t:t + width - 3], rb)) % q for t in range(4)]
+        for ra, rb, q in zip(a.tolist(), b.tolist(), p.tolist())
+    ]
+    top_window = series._windows(top, width - 3)
+    assert _contract_mod("ktj,kj->kt", top_window, top[:, 3:], p[:, None]).tolist() == [
+        [(width - 3) % q] * 4 for q in p.tolist()]
 
 
 def test_exp_integral_crosses_an_inner_block():
@@ -378,27 +392,29 @@ def test_residue_rows_are_exact_at_the_block_edges(width):
     radix = np.array([[pow(2, 16 * l, q) for q in primes] for l in range(3 * 64)], dtype=np.float64)
     top = 2 ** (16 * width) - 1
     values = [top, -top, top - 1, 1 - top, top >> 16, -(top >> 16), 1, -1, 0]
-    got = _residue_rows(values, np.array(primes, dtype=np.float64), radix)
+    got = _residue_rows(_limbs(values), np.array(primes, dtype=np.float64), radix)
     assert got.tolist() == [[v % q for q in primes] for v in values]
 
 
-# -- prime groups joining the recurrence at later chunks -------------------
+# -- batches of primes joining the recurrence at later chunks ---------------
 
 
 @pytest.fixture(params=[2, 3], ids=lambda g: f"group{g}")
 def join_points(request, monkeypatch):
-    """Groups of 2 or 3 primes and chunks of 8 values, so that many groups
-    join at different chunks; the list collects the m each group joins at."""
+    """Batches of 2 or 3 primes and chunks of 8 values, so that many batches
+    join at different chunks; the list collects the m each batch joins at,
+    the number of coefficients that seed it."""
     monkeypatch.setattr(series, "_GROUP", request.param)
     monkeypatch.setattr(series, "_CHUNK", 8)
     joins = []
-    exp_mod = series._exp_mod
+    seed_rows = series._seed_rows
 
-    def recorded(psi, known, p, inv):
-        joins.append(len(known))
-        return exp_mod(psi, known, p, inv)
+    def recorded(known, p):
+        seeds = seed_rows(known, p)
+        joins.append(seeds.shape[1])
+        return seeds
 
-    monkeypatch.setattr(series, "_exp_mod", recorded)
+    monkeypatch.setattr(series, "_seed_rows", recorded)
     return joins
 
 
@@ -452,6 +468,94 @@ def test_last_group_joins_at_the_last_chunk(join_points):
     v, N = 10**100, 40
     assert product_form({1: 1, N: v}, N).coeffs == (1,) * N + (1 + v,)
     assert join_points[0] == 1 and join_points[-1] == N - 7 and len(join_points) > 3
+
+
+def test_staggered_joins_past_an_inner_block(join_points):
+    # 1 / ((1 - x) (1 - x^700)^v): f_m = sum_{k <= m/700} binom(v + k - 1, k), so
+    # batches join near 700, 1400 and 2100, and the late prefix sums take two
+    # blocks of 2^11 products
+    v, N = 10**30, 2100
+    expected = [sum(math.comb(v + k - 1, k) for k in range(m // 700 + 1)) for m in range(N + 1)]
+    assert product_form({1: 1, 700: v}, N).coeffs == tuple(expected)
+    assert join_points == sorted(join_points) and join_points[0] == 1
+    assert sum(1 for s in set(join_points) if s > 2**11) and len(set(join_points)) > 3
+
+
+# -- size bounds, the audit residue and the engine's memory -----------------
+
+
+def step_size_bounds(psi):
+    """b_m = max_j (l_j + b_(m-j)) one m at a time, in the units of _size_bounds."""
+    N = len(psi) - 1
+    logs = [None] + [math.ceil(series._LOG_UNIT * math.log2(abs(v))) + 1 if v else None
+                     for v in psi[1:]]
+    b = [0] + [None] * N
+    for m in range(1, N + 1):
+        terms = [logs[j] + b[m - j] for j in range(1, m + 1)
+                 if logs[j] is not None and b[m - j] is not None]
+        b[m] = max(terms, default=None)
+    return [max(-(-v // series._LOG_UNIT), 0) if v is not None else 0 for v in b]
+
+
+@pytest.mark.parametrize("chunk", [8, 64])
+def test_blocked_size_bounds_match_the_step_recurrence(chunk, monkeypatch):
+    monkeypatch.setattr(series, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for _ in range(40):
+        N = rng.randint(0, 200)
+        psi = [0] + [rng.choice([0, 0, 1, -1, rng.randint(-10**9, 10**9), 3**rng.randint(0, 300)])
+                     for _ in range(N)]
+        assert _size_bounds(psi).tolist() == step_size_bounds(psi)
+
+
+def _landau_psi(q, N):
+    return psi_table(FamilySpec(canonical_family("landau"), q=q), N)
+
+
+def test_audit_residue_catches_a_short_size_bound(monkeypatch, capsys):
+    # one prime per batch, and the last chunk's bound halved: that chunk is
+    # rebuilt from too few primes, and the audit prime sees it
+    monkeypatch.setattr(series, "_GROUP", 1)
+    bounds = series._size_bounds
+
+    def short(psi):
+        bits = bounds(psi)
+        last = (len(psi) - 2) // series._CHUNK * series._CHUNK + 1
+        bits[last:] //= 2
+        return bits
+
+    monkeypatch.setattr(series, "_size_bounds", short)
+    with pytest.raises(TruncationMismatch, match=f"f_1[0-9]+ disagrees .* modulo {2**25 - 39}"):
+        _exp_integral(_landau_psi(3, 200))
+    assert cli.main(["count", "landau", "--q", "3", "--max-n", "200"]) == 1
+    assert "internal mismatch" in capsys.readouterr().err
+
+
+def test_audit_residue_catches_wrong_seeds(monkeypatch):
+    monkeypatch.setattr(series, "_GROUP", 1)
+    seed_rows = series._seed_rows
+    monkeypatch.setattr(series, "_seed_rows", lambda known, p: seed_rows(known, p) + (len(known) > 1))
+    with pytest.raises(TruncationMismatch):
+        _exp_integral(_landau_psi(3, 200))
+
+
+@pytest.mark.parametrize("q, N, group_engine_peak", [(3, 1500, 2.63), (101, 700, 2.04)])
+def test_exact_table_memory_stays_below_the_group_engine(q, N, group_engine_peak):
+    # the two tables that set the exact-tables peak_rss_mb; the bounds are
+    # the tracemalloc peaks (MiB) of the engine that ran 64 primes at a time
+    psi = _landau_psi(q, N)
+    _exp_integral(psi)  # sieve the primes first, as a warm process has them
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        _exp_integral(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= group_engine_peak * 2**20
 
 
 # -- the common-denominator exp against the Fraction loop it replaced ------
