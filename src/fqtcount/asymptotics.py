@@ -60,17 +60,25 @@ _PAD = 1 + 1e-9  # multiplicative safety margin on floating-point bounds
 GUARD_BITS = 64  # fixed-point bits beyond the working precision
 
 
+def _falling_product(x: Fraction, j: int, den: int = 1) -> Fraction:
+    """(x)_j / den, for x = a/b the integer product of the a - t b, t < j,
+    over b^j den: one Fraction, reduced by one gcd."""
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    return Fraction(math.prod(range(a, a - j * b, -b)), b**j * den)
+
+
 def falling_factorial(x: Fraction, j: int) -> Fraction:
-    """(x)_j = x (x-1) ... (x-j+1)."""
-    out = Fraction(1)
-    for t in range(j):
-        out *= x - t
-    return out
+    """(x)_j = x (x-1) ... (x-j+1), formed as the single product
+    prod_{t<j} (a - t b) / b^j for x = a/b; a Fraction is canonical, so
+    this is the value of the step-by-step product, and (x)_0 = 1."""
+    return _falling_product(x, j)
 
 
 def binom_frac(x: Fraction, j: int) -> Fraction:
-    """Generalized binomial coefficient with an exact rational top."""
-    return falling_factorial(Fraction(x), j) / factorial(j)
+    """Generalized binomial coefficient with an exact rational top: (x)_j
+    with j! folded into its denominator."""
+    return _falling_product(x, j, factorial(j))
 
 
 def _r_upper(r_squared: Fraction) -> float:

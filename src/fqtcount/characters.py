@@ -318,13 +318,18 @@ class CharacterTable:
                 out.append(count)
         return out
 
-    def count(self, n: int, a_code: int, upto: int = 0) -> int:
-        """pi(n; a); a table too short is rebuilt to degree upto, or
-        failing that to twice its length, and at least to n."""
-        built = len(self._psi)
-        if n > built:
-            self._build(upto if upto >= n else max(n, 2 * built))
+    def counts(self, a_code: int, N: int) -> list[int]:
+        """pi(n; a) for n = 1..N; a table shorter than N is rebuilt to N."""
+        if N > len(self._psi):
+            self._build(N)
         counts = self._counts.get(a_code)
         if counts is None:
             counts = self._counts[a_code] = self._class_counts(a_code)
-        return counts[n - 1]
+        return counts[:N]
+
+    def count(self, n: int, a_code: int) -> int:
+        """pi(n; a) alone; a table too short is rebuilt to twice its
+        length, and at least to n, so degrees asked one at a time rebuild
+        it O(log n) times."""
+        built = len(self._psi)
+        return self.counts(a_code, n if n <= built else max(n, 2 * built))[n - 1]

@@ -11,7 +11,10 @@ Long sums run in integer fixed point at scale 2^P, P = mpmath.mp.prec +
 GUARD_BITS, i.e. 64 bits beyond the working precision.  Each term is a
 Python int floor((numerator << P) // denominator) of an exact rational,
 so a sum of k terms falls short of the exact one by less than k ulps of
-2^-P.  These ulps form a rounding ledger that is added to the tail of
+2^-P.  (_euler_log_sum reaches the same floors through running quotients,
+floor(floor(x / a) / b) = floor(x / (a b)), dividing by q^(2d) and by k
+rather than by k q^(2dk); its terms, and so its ledger, are the direct
+floors'.)  These ulps form a rounding ledger that is added to the tail of
 the sum it belongs to:
 
 * asymptotics._atilde_sum (every "series" method, C_{q,3}'s composed
@@ -155,6 +158,13 @@ def _euler_log_sum(q: int, weights) -> tuple[Fraction, Fraction]:
     ulps.  With one ulp per floor, the returned S and the exact ledger,
     both over 2^(P+1) for the factor 1/2, satisfy
     S <= true value < S + ledger.
+
+    The terms are formed by small divisions: with y = q^(2d), the running
+    quotient R_k = floor(w_d 2^P / y^k) is R_1 = (w_d << P) // y and
+    R_(k+1) = R_k // y, and term k is R_k // k.  For an integer x and
+    integers a, b >= 1, floor(floor(x / a) / b) = floor(x / (a b)), so
+    each term, the stopping k and the ledger are those of the direct
+    floor; only the divisors shrink from k y^k to y and k.
     """
     P = mpmath.mp.prec + GUARD_BITS
     total = ulps = 0
@@ -162,10 +172,10 @@ def _euler_log_sum(q: int, weights) -> tuple[Fraction, Fraction]:
         if w == 0:
             continue
         y = q ** (2 * d)
-        k, y_k = 1, y
-        while term := (w << P) // (k * y_k):
+        k, R = 1, (w << P) // y
+        while term := R // k:
             total += term
-            k, y_k = k + 1, y_k * y
+            k, R = k + 1, R // y
         ulps += k + 1  # k - 1 floors, two for the remainder
     return Fraction(total, 1 << (P + 1)), Fraction(ulps, 1 << (P + 1))
 

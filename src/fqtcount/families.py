@@ -46,7 +46,7 @@ from .primecounts import (
     CHI2_MINUS,
     CHI2_ZERO_OR_PLUS,
     LPolynomial,
-    _class_count,
+    _class_counts,
     _residue_code,
     _residue_coeffs,
     _unit_residue,
@@ -247,10 +247,9 @@ class FamilySpec:
         elif family == FAMILY_ARITH:
             field = self.field()
             m = MonicPoly(self.m)
-            # one residue check, and the class table built to N at once
+            # one residue check, and one class-count pass over 1..N
             a_code = _unit_residue(field, self.a, m)
-            for n in range(1, N + 1):
-                g[n] = _class_count(field, n, a_code, m, cap, N)
+            g = dict(enumerate(_class_counts(field, N, a_code, m, cap), start=1))
         elif family == FAMILY_DIVISORS:
             for n in range(1, N + 1):
                 g[n] = pi_K(self.l_poly, self.r * n)
@@ -363,7 +362,8 @@ def psi_table(spec: FamilySpec, N: int, cap: int | None = None) -> list[int]:
     squarefree variant.  landau and s1-s3 use their closed forms over one
     running list of powers of q; every halving is checked exact, and an
     odd numerator raises NegativeCount.  arith counts the class primes
-    once per degree, the divisor families the places once per degree,
+    of degrees 1..N in one pass (primecounts._class_counts), the divisor
+    families the places once per degree,
     and one weighted divisor pass sums them; the ell variant subtracts
     (ell+1) psi_(n/(ell+1)) of the unbounded family.
     """
@@ -382,8 +382,7 @@ def psi_table(spec: FamilySpec, N: int, cap: int | None = None) -> list[int]:
     if family == FAMILY_ARITH:
         field, m = spec.field(), MonicPoly(spec.m)
         a_code = _unit_residue(field, spec.a, m)
-        counts = {d: _class_count(field, d, a_code, m, cap, N)
-                  for d in range(1, N + 1)}
+        counts = dict(enumerate(_class_counts(field, N, a_code, m, cap), start=1))
         return [0, *series._weighted_divisor_sums(counts, N).values()]
     counts = {d: pi_K(spec.l_poly, spec.r * d) for d in range(1, N + 1)}
     unbounded = [0, *series._weighted_divisor_sums(counts, N).values()]

@@ -496,7 +496,7 @@ def check_cap(field: FieldSpec, n: int, cap: int | None = None) -> None:
     """Raise ResourceLimit if the q^n monic polynomials of degree n exceed the cap."""
     cap = default_cap() if cap is None else cap
     if field.q**n > cap:
-        raise ResourceLimit(f"q^n = {field.q**n} exceeds cap {cap}")
+        raise ResourceLimit(f"degree {n}: q^n = {field.q}^{n} exceeds cap {cap}")
 
 
 def _powers_of_x_mod(field: FieldSpec, modulus: tuple[int, ...], n: int,

@@ -13,7 +13,10 @@ Four kinds of counts, all exact integers:
   When the residue ring and its unit group fit the character table's
   limits, m is counted in the character basis (below, any n); otherwise
   the degree-n primes are read from the enumeration sieve (universe,
-  small n).
+  small n).  A whole table pi(1..N; a) comes from one call of
+  _class_counts, the entry the families module reads: it builds the
+  character table to N once and returns its kept counts, or checks the
+  cap for N once and reads each degree from the sieve.
 
 The character basis (module characters).  The unit group
 G = (F_q[T]/m)^* of any m is a product of cyclic groups of orders n_i:
@@ -326,14 +329,10 @@ def _character_table_fits(field: FieldSpec, m: MonicPoly) -> bool:
     return field.q**m.degree <= _MAX_RESIDUE_RING and phi_m(field, m) <= _MAX_UNIT_GROUP
 
 
-def _class_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
-                 cap: int | None, upto: int = 0) -> int:
-    """pi_arith for a residue code already checked by _unit_residue; upto
-    is the largest degree the caller will ask for, if it knows."""
-    if _character_table_fits(field, m):
-        return _arith_table(field, m, cap=cap).count(n, a_code, upto)
-    # fail on the cap before any degree is sieved
-    ffield.check_cap(field, max(n, upto), cap)
+def _sieved_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
+                  cap: int | None) -> int:
+    """pi(n; a) from the degree-n primes of the enumeration sieve, the cap
+    already checked."""
     primes = universe.get_universe(field, n, cap).primes_of_degree(n)
     # one residue per prime in scalar arithmetic: PrimeTable.prime_residues
     # would need exact digit products, which stop past p of about 6.7e7
@@ -341,23 +340,42 @@ def _class_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
                for code in primes.tolist())
 
 
+def _class_counts(field: FieldSpec, N: int, a_code: int, m: MonicPoly,
+                  cap: int | None) -> list[int]:
+    """pi(n; a) for n = 1..N, for a residue code already checked by
+    _unit_residue: the character table built to N at once, or past its
+    limits the cap checked for N and each degree read from the sieve."""
+    if N < 1:
+        return []  # no degree asks for no table
+    if _character_table_fits(field, m):
+        return _arith_table(field, m, cap=cap).counts(a_code, N)
+    # fail on the cap before any degree is sieved
+    ffield.check_cap(field, N, cap)
+    return [_sieved_count(field, n, a_code, m, cap) for n in range(1, N + 1)]
+
+
 def pi_arith(field: FieldSpec, n: int, a, m: MonicPoly, cap: int | None = None) -> int:
     """Monic irreducibles of degree n congruent to a modulo m.
 
-    Two paths, by m:
+    Two paths, by m, as for a whole table (_class_counts):
 
     * m whose residue ring and unit group fit the character table's
       limits (_character_table_fits): the character basis
       (characters.CharacterTable, any n), exact modulo primes 1 mod the
       group exponent; the table enumerates the monic f of degree
-      < deg m, within the cap;
+      < deg m, within the cap.  For one degree a short table is rebuilt
+      to at least twice its length (CharacterTable.count);
     * past the limits: the degree-n primes are read from the shared
       enumeration sieve (universe.get_universe), which needs q^n within
       the cap.
     """
     if n < 1:
         raise ValueError("degree must be positive")
-    return _class_count(field, n, _unit_residue(field, a, m), m, cap)
+    a_code = _unit_residue(field, a, m)
+    if _character_table_fits(field, m):
+        return _arith_table(field, m, cap=cap).count(n, a_code)
+    ffield.check_cap(field, n, cap)
+    return _sieved_count(field, n, a_code, m, cap)
 
 
 def progression_gap_squared(field: FieldSpec, n: int, a, m: MonicPoly, count: int) -> tuple[Fraction, Fraction]:

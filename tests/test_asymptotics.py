@@ -33,6 +33,7 @@ from fqtcount.families import FamilySpec, canonical_family, count_table
 from fqtcount.ffield import MonicPoly, field_for_order
 from fqtcount.primecounts import LPolynomial
 from fqtcount.series import TruncatedSeries
+from stepwise_arithmetic import stepwise_falling_factorials
 from test_series import fraction_exp
 
 
@@ -46,6 +47,24 @@ def test_falling_factorial_and_binom():
     assert falling_factorial(Fraction(3), 0) == 1
     assert binom_frac(Fraction(5), 2) == 10
     assert binom_frac(Fraction(-1, 2), 3) == Fraction(-5, 16)
+
+
+# integers, halves (the b_n tops n - 1/2), -1/2, and c1/c2 values of the
+# families' rows, alone and as the tops n + c - 1 of binom(n + c - 1, n)
+_FALLING_TOPS = sorted({Fraction(v) for v in range(-4, 8)}
+                       | {Fraction(v, 2) for v in (-7, -3, -1, 1, 3, 5, 179, 299, 359)}
+                       | {c + shift for c in (Fraction(1, 8), Fraction(1, 3), Fraction(1, 2),
+                                              Fraction(5), Fraction(16, 3), Fraction(21))
+                          for shift in (-1, 0, 149, 184)})
+
+
+@pytest.mark.parametrize("x", _FALLING_TOPS, ids=str)
+def test_falling_factorial_equals_the_stepwise_product(x):
+    # the single product over b^j (and j! for binom_frac) against one
+    # Fraction multiply per factor, for j = 0..250
+    for j, ref in enumerate(stepwise_falling_factorials(x, 250)):
+        assert falling_factorial(x, j) == ref, j
+        assert binom_frac(x, j) == ref / math.factorial(j), j
 
 
 def test_finite_difference_identity_exact_on_random_inputs():

@@ -365,6 +365,16 @@ def test_arith_psi_table_honours_the_cap(capsys, argv):
     assert "exceeds cap 5" in err
 
 
+def test_cap_error_names_the_degree_and_the_power(capsys):
+    # T^8+T^6+T^5+1 has too many units for the character table, so the
+    # estimate's table of 160 degrees would enumerate 3^160 polynomials:
+    # the message names the degree and q^n as a power, not its 77 digits
+    code, out, err = run(capsys, "estimate", "arith", "--q", "3", "--m", "T^8+T^6+T^5+1",
+                         "--a", "1", "--n", "4", "--cap", "5000")
+    assert code == 3 and out == ""
+    assert err == "resource cap exceeded: degree 160: q^n = 3^160 exceeds cap 5000\n"
+
+
 def test_cli_import_leaves_sympy_out():
     src = os.path.dirname(os.path.dirname(os.path.abspath(fqtcount.__file__)))
     code = "import sys, fqtcount.cli; print('sympy' in sys.modules)"

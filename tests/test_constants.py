@@ -8,8 +8,9 @@ from functools import lru_cache
 import mpmath
 import pytest
 
-from fqtcount import asymptotics, constants, families
+from fqtcount import asymptotics, constants, families, primecounts
 from fqtcount.asymptotics import GUARD_BITS, _atilde_sum, _to_mpf, estimator_for
+from fqtcount.cli import main
 from fqtcount.constants import (
     ConstantReport,
     _euler_log_sum,
@@ -23,6 +24,7 @@ from fqtcount.errors import EvenCharacteristic, HypothesisViolation
 from fqtcount.families import FamilySpec
 from fqtcount.ffield import MonicPoly, build_field, field_for_order, poly_from_string
 from fqtcount.primecounts import CHI2_MINUS, pi_chi2, pi_q
+from stepwise_arithmetic import direct_euler_log_sum
 
 
 def close(report, decimal_string, places=12):
@@ -200,6 +202,25 @@ def test_euler_log_sum_within_its_ledger(q, weights):
     assert ledger < Fraction(1, 2**scale)
 
 
+def _euler_weights(q):
+    """Euler-product weights: prime counts by degree, zeros, and weights
+    at and past y = q^(2d), one of them past 2^P at 100 bits."""
+    counts = [(d, pi_q(q, d)) for d in range(1, 13)]
+    zeros = [(d, 0) for d in (1, 2, 12)]
+    large = [(1, q**2), (2, 3 * q**4 + 1), (3, 7 ** 60)]
+    return counts + zeros + large
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 101])
+@pytest.mark.parametrize("prec", [100, 1664, 14000])
+def test_euler_log_sum_equals_the_direct_floors(q, prec):
+    # running quotients R_(k+1) = R_k // y, term R_k // k, against the
+    # direct (w << P) // (k y^k): the same S and the same ledger
+    weights = _euler_weights(q)
+    with mpmath.workprec(prec):
+        assert _euler_log_sum(q, weights) == direct_euler_log_sum(q, weights)
+
+
 @pytest.mark.parametrize("family, i, x", [
     (families.FAMILY_LANDAU, 0, None),
     (families.FAMILY_S1, 1, None),
@@ -245,26 +266,44 @@ def test_cq3_builds_the_s1_coefficients_once(monkeypatch):
                                                      families.FAMILY_S3]
 
 
-def test_cam_computes_each_atilde_once(monkeypatch):
-    cold_caches(monkeypatch)
-    tables, degrees = [], []
-    psi_table, class_count = families.psi_table, families._class_count
+def count_class_passes(monkeypatch):
+    """Record the N of each psi_table call and of each class-count pass."""
+    tables, passes = [], []
+    psi_table, class_counts = families.psi_table, families._class_counts
 
     def counted_table(spec, N, cap=None):
         tables.append(N)
         return psi_table(spec, N, cap=cap)
 
-    def counted_class_count(field, n, *args):
-        degrees.append(n)
-        return class_count(field, n, *args)
+    def counted_class_counts(field, N, *args):
+        passes.append(N)
+        return class_counts(field, N, *args)
 
     monkeypatch.setattr(families, "psi_table", counted_table)
-    monkeypatch.setattr(families, "_class_count", counted_class_count)
+    monkeypatch.setattr(families, "_class_counts", counted_class_counts)
+    return tables, passes
+
+
+def test_cam_computes_each_atilde_once(monkeypatch):
+    cold_caches(monkeypatch)
+    tables, passes = count_class_passes(monkeypatch)
     field = field_for_order(3)
     report = constant_Cam(field, 1, MonicPoly((1, 0, 1)), 30)
     assert [m.tag for m in report.methods] == ["series", "series-doubled"]
+    # one psi table, from one class-count pass over its degrees 1..N
     assert len(tables) == 1
-    assert sorted(degrees) == list(range(1, tables[0] + 1))
+    assert passes == tables
+
+
+def test_estimate_then_cam_take_one_class_pass_per_table(monkeypatch, capsys):
+    # one CLI session: the estimate grows the family's table, the constant
+    # grows it again, and each psi table reads its class counts in one call
+    cold_caches(monkeypatch)
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    tables, passes = count_class_passes(monkeypatch)
+    for argv in (["estimate", "arith", "--n", "150"], ["constants", "cam", "--digits", "60"]):
+        assert main(argv + ["--q", "3", "--m", "T^2+1", "--a", "1"]) == 0, capsys.readouterr().err
+    assert len(tables) >= 2 and passes == tables
 
 
 def test_cq2_reads_the_kept_cq1_report(monkeypatch):

@@ -334,14 +334,15 @@ def _units(field, m):
 
 
 def _class_lists(field, m, units, N):
-    """pi_arith(field, n, a, m) for n = 1..N and every unit a, from a fresh
-    table; the residue of a is checked once (pi_arith's own first step)."""
+    """pi(n; a) mod m for n = 1..N and every unit a, from a fresh table:
+    one class-count pass per a, its residue checked once (pi_arith's own
+    first step), and its last count read again by pi_arith."""
     primecounts._ARITH_CACHE.clear()
     out = {}
     for a in units:
         code = primecounts._unit_residue(field, a, m)
-        out[a] = [primecounts._class_count(field, n, code, m, None) for n in range(1, N + 1)]
-        assert out[a][-1] == pi_arith(field, N, a, m)
+        out[a] = primecounts._class_counts(field, N, code, m, None)
+        assert len(out[a]) == N and out[a][-1] == pi_arith(field, N, a, m)
     return out
 
 
@@ -474,14 +475,34 @@ def test_character_table_reports_its_size_to_the_cache(monkeypatch):
 
 def test_character_table_rebuilds_for_a_larger_degree(monkeypatch):
     # a table built to 20 answers to 20 and is rebuilt, with more primes,
-    # when a degree past it is asked; the counts agree on the overlap
+    # when a pass past it is asked; the counts agree on the overlap, and a
+    # shorter pass reads the kept counts without a rebuild
     monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
     field, m = field_for_order(3), MonicPoly((1, 2, 0, 1))
     code = primecounts._unit_residue(field, (1,), m)
-    short = [primecounts._class_count(field, n, code, m, None, 20) for n in range(1, 21)]
+    short = primecounts._class_counts(field, 20, code, m, None)
     (table,) = primecounts._ARITH_CACHE.values()
-    assert len(table._psi) == 20
+    assert len(short) == len(table._psi) == 20
     primes = len(table._ells)
-    assert primecounts._class_count(field, 150, code, m, None, 150) >= 0
-    assert len(table._psi) == 150 and len(table._ells) > primes
-    assert [primecounts._class_count(field, n, code, m, None) for n in range(1, 21)] == short
+    long = primecounts._class_counts(field, 150, code, m, None)
+    assert len(long) == len(table._psi) == 150 and len(table._ells) > primes
+    assert long[:20] == short
+    assert primecounts._class_counts(field, 20, code, m, None) == short
+    assert len(table._psi) == 150
+
+
+def test_pi_arith_grows_a_short_table_to_twice_its_length(monkeypatch):
+    # degrees asked one at a time by pi_arith rebuild the table to at
+    # least twice its length, and at least to the degree asked
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    field, m = field_for_order(3), MonicPoly((1, 2, 0, 1))
+    builds = []
+    build = characters.CharacterTable._build
+    monkeypatch.setattr(characters.CharacterTable, "_build",
+                        lambda self, n: (builds.append(n), build(self, n)))
+    counts = [pi_arith(field, n, (1,), m) for n in range(1, 41)]
+    assert builds == [1, 2, 4, 8, 16, 32, 64]
+    pi_arith(field, 200, (1,), m)
+    assert builds[-1] == 200
+    code = primecounts._unit_residue(field, (1,), m)
+    assert primecounts._class_counts(field, 40, code, m, None) == counts
