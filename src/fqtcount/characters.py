@@ -38,9 +38,6 @@ the generators' powers are |U| distinct residues.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import accumulate
-from operator import mul
 
 import numpy as np
 
@@ -275,15 +272,18 @@ class CharacterTable:
         self._counts = {}
 
     def _class_counts(self, a_code: int) -> list[int]:
-        """pi(n; a) for n = 1..N, rebuilt by CRT in blocks of 64 degrees from
+        """pi(n; a) for n = 1..N, rebuilt by one CRT plan over all the table's
+        primes, in blocks of 64 degrees, from
 
             phi n pi(n; a) = sum_chi conj(chi(a)) n Pi_n(chi)
                            = sum_{e t = n} mu(e) sum_chi conj(chi(a)) psi_t(chi^e)
 
         modulo each prime.  The inner sum depends on e only through chi^e,
         that is through e mod the exponent, so it is formed once per residue
-        of e, to the largest t that residue needs."""
-        group, q, exponent = self.group, self.field.q, self.group.exponent
+        of e, to the largest t that residue needs.  The primes' product M
+        exceeds 2 q^N, and |n pi(n; a)| <= q^n < M/2, so the one plan
+        rebuilds every degree."""
+        group, exponent = self.group, self.group.exponent
         index = int(group.index(np.array([a_code]))[0])
         if index < 0:
             raise NotCoprime("residue is not coprime to the modulus")
@@ -304,13 +304,9 @@ class CharacterTable:
                         for lo in range(0, len(rows), series._CHUNK)])
                 sums[e::e] += mu[e] * inner[r][:N // e]
         sums = sums[1:] % ell * np.array([pow(group.order, -1, l) for l in self._ells]) % ell
-        products = list(accumulate(self._ells, mul))
-        out = []
-        for lo in range(0, N, series._CHUNK):
-            hi = min(N, lo + series._CHUNK)
-            used = bisect_right(products, 2 * q**hi) + 1
-            for n, value in enumerate(series._crt_rows(sums[lo:hi, :used], self._ells[:used]),
-                                      start=lo + 1):
+        plan, out = series._CrtPlan(self._ells), []
+        for lo in range(0, N, series._CHUNK):  # in blocks, so the CRT's tables stay small
+            for n, value in enumerate(plan.rows(sums[lo:lo + series._CHUNK]), start=lo + 1):
                 count, rem = divmod(value, n)
                 if rem or count < 0:
                     raise NegativeCount(

@@ -11,17 +11,26 @@ Long sums run in integer fixed point at scale 2^P, P = mpmath.mp.prec +
 GUARD_BITS, i.e. 64 bits beyond the working precision.  Each term is a
 Python int floor((numerator << P) // denominator) of an exact rational,
 so a sum of k terms falls short of the exact one by less than k ulps of
-2^-P.  (_euler_log_sum reaches the same floors through running quotients,
-floor(floor(x / a) / b) = floor(x / (a b)), dividing by q^(2d) and by k
-rather than by k q^(2dk); its terms, and so its ledger, are the direct
-floors'.)  These ulps form a rounding ledger that is added to the tail of
-the sum it belongs to:
+2^-P.  (_euler_log_sum and _artanh_sum reach the same floors through
+running quotients, floor(floor(x / a) / b) = floor(x / (a b)), dividing
+by a small power and by the term's index rather than by their product;
+their terms, and so their ledgers, are the direct floors'.)  These ulps
+form a rounding ledger that is added to the tail of the sum it belongs
+to:
 
 * asymptotics._atilde_sum (every "series" method, C_{q,3}'s composed
   method, and the estimator's main terms) adds N * 2^-P;
 * _euler_log_sum (the Euler products of K_q and C_{q,1}) adds one ulp
   per term and two per degree for the truncated series in k, and the
-  caller adds that to the Euler product's log tail etail.
+  caller adds that to the Euler product's log tail etail;
+* _artanh_sum, artanh(1/y) = sum over odd j of y^-j / j, adds one ulp
+  per term and two for the truncated series.  Every other logarithm is
+  one of these: log((y + 1) / y) = 2 artanh(1/(2y + 1)), so the nested
+  products of K_q and C_{q,1} and K_q's prime-at-zero factor are
+  weighted artanh sums (_weighted_artanh), exact integers over one
+  power of two whose ledgers join the nested tail and etail.  mpmath
+  is left with the final exp, one sqrt (C_{q,3}), conversion and
+  printing.
 
 A ledger term is far below 10^-(digits + 8), the floor _floor_tail puts
 under every declared tail, and at high precision it underflows a float
@@ -180,6 +189,39 @@ def _euler_log_sum(q: int, weights) -> tuple[Fraction, Fraction]:
     return Fraction(total, 1 << (P + 1)), Fraction(ulps, 1 << (P + 1))
 
 
+def _artanh_sum(y: int) -> tuple[int, int]:
+    """S = sum over odd j of floor(2^P / (j y^j)) for an integer y >= 2, and
+    its ledger in ulps of 2^-P: S <= 2^P artanh(1/y) < S + ulps.
+
+    The running quotient R_j = floor(2^P / y^j) is R_1 = 2^P // y and
+    R_(j+2) = R_j // y^2, and term j is R_j // j, the direct floor, as
+    floor(floor(x / a) / b) = floor(x / (a b)).  The sum stops at the
+    first zero term; that term's exact value is below one ulp, and the
+    omitted remainder is at most y^2 / (y^2 - 1) <= 4/3 times it.  So the
+    ledger is one ulp per term added and two for the remainder.
+    """
+    P = mpmath.mp.prec + GUARD_BITS
+    y2 = y * y
+    total, j, R = 0, 1, (1 << P) // y
+    while term := R // j:
+        total += term
+        j, R = j + 2, R // y2
+    return total, (j - 1) // 2 + 2
+
+
+def _weighted_artanh(pairs: list[tuple[int, int]]) -> tuple[Fraction, Fraction]:
+    """sum of 2^-e artanh(1/y) over (y, e) pairs, e >= 0, as one exact
+    fraction over 2^(P + max e), and its ledger: S <= true value < S + ledger."""
+    P = mpmath.mp.prec + GUARD_BITS
+    top = max(e for _, e in pairs)
+    total = ulps = 0
+    for y, e in pairs:
+        S, u = _artanh_sum(y)
+        total += S << (top - e)
+        ulps += u << (top - e)
+    return Fraction(total, 1 << (P + top)), Fraction(ulps, 1 << (P + top))
+
+
 def _series_terms(q: int, digits: int, half: bool) -> int:
     """Terms so the geometric log tail drops below the precision goal."""
     scale = 2 if half else 1
@@ -195,8 +237,10 @@ def constant_Kq(q: int, digits: int = 30) -> ConstantReport:
     """The quadratic-form family constant, by three independent formulas.
 
     (i) exp of the exact exponent series; (ii) the nested product of
-    doubly-shrinking factors; (iii) the Euler product over primes with
-    residue character -1 plus the prime-at-zero factor.
+    doubly-shrinking factors, its log one weighted artanh sum; (iii) the
+    Euler product over primes with residue character -1 (_euler_log_sum)
+    plus the prime-at-zero factor, artanh(1/(2q - 1)) in its log.  Each
+    fixed-point ledger joins its method's log tail.
     """
     if q % 2 == 0:
         raise EvenCharacteristic("this constant needs odd q")
@@ -212,27 +256,29 @@ def constant_Kq(q: int, digits: int = 30) -> ConstantReport:
         series = _series_method("series", est, N, digits)
 
         # nested product: prod_k (1+x_k)^(2^-k-1) (1 - q x_k^2)^(-2^-k-2),
-        # x_k = q^(-2^k); omitted factors exceed 1, log bounded by 3x
+        # x_k = q^(-2^k); omitted factors exceed 1, log bounded by 3x.  With
+        # y_k = q^(2^k): log1p(x_k) = 2 artanh(1/(2 y_k + 1)), and
+        # -log1p(-q x_k^2) = 2 artanh(1/(2 y_k^2 / q - 1))
         K = _nested_depth(q, digits)
-        log_val = mpmath.mpf(0)
-        for k in range(K + 1):
-            x = mpmath.mpf(q) ** -(2**k)
-            w = mpmath.mpf(2) ** -(k + 1)
-            log_val += w * mpmath.log1p(x) - w / 2 * mpmath.log1p(-q * x * x)
+        S, ledger = _weighted_artanh(
+            [(2 * q ** (2**k) + 1, k) for k in range(K + 1)]
+            + [(2 * q ** (2 ** (k + 1) - 1) - 1, k + 1) for k in range(K + 1)])
         ntail = 0.0
         for k in range(K + 1, K + 4):
             xk = float(q) ** -(2.0**k)
             ntail += 2.0 ** -(k + 1) * (xk + 2 * q * xk * xk)
-        nested = _exp_method("nested-product", log_val, ntail * 2 * _PAD, digits)
+        nested = _exp_method("nested-product", _to_mpf(S),
+                             ntail * 2 * _PAD + float(ledger), digits)
 
         # Euler product over chi2 = -1 primes, grouped by degree
         D = _series_terms(q, digits, half=False)
         counts = g_from_psi({d: psi_chi2(q, d, CHI2_MINUS) for d in range(1, D + 1)}, D)
         S, ledger = _euler_log_sum(q, ((d, counts.count(d)) for d in range(1, D + 1)))
-        log_val = -mpmath.log(1 - mpmath.mpf(1) / q) / 2 + _to_mpf(S)
+        # the prime at zero: -log(1 - 1/q) / 2 = artanh(1/(2q - 1))
+        S0, ledger0 = _weighted_artanh([(2 * q - 1, 0)])
         etail = (float(q) ** -(D + 1) / (1 - 1 / q) / (D + 1) * 2 * _PAD
-                 + float(ledger))
-        euler = _exp_method("euler-product", log_val, etail, digits)
+                 + float(ledger + ledger0))
+        euler = _exp_method("euler-product", _to_mpf(S + S0), etail, digits)
 
     return _keep(key, ConstantReport("K_q", q, (series, nested, euler)))
 
@@ -240,8 +286,9 @@ def constant_Kq(q: int, digits: int = 30) -> ConstantReport:
 def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
     """The half-degree family constants C_{q,1}, C_{q,2}, C_{q,3}.
 
-    C_{q,1} gets three methods (series, nested product, Euler product
-    over odd-degree primes); C_{q,2} the series plus the reciprocal of
+    C_{q,1} gets three methods (series, nested product as one weighted
+    artanh sum, Euler product over odd-degree primes, each fixed-point
+    ledger in its log tail); C_{q,2} the series plus the reciprocal of
     C_{q,1}; C_{q,3} the series plus its factorization through the
     square-distinguishing product identity.
     """
@@ -258,17 +305,16 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
         est = estimator_for(FamilySpec(s_family[which - 1], q=q))
         series = _series_method("series", est, N, digits)
         if which == 1:
-            # nested: prod_k ((1+z_k)/(1-z_k))^(2^-k-2), z_k = q^(1-2^(k+1))
+            # nested: prod_k ((1+z_k)/(1-z_k))^(2^-k-2), z_k = q^(1-2^(k+1)),
+            # each factor's log 2 artanh(z_k) / 2^(k+2)
             K = _nested_depth(q, digits)
-            log_val = mpmath.mpf(0)
-            for k in range(K + 1):
-                z = mpmath.mpf(q) ** (1 - 2 ** (k + 1))
-                log_val += (mpmath.log1p(z) - mpmath.log1p(-z)) / 2 ** (k + 2)
+            S, ledger = _weighted_artanh([(q ** (2 ** (k + 1) - 1), k + 1) for k in range(K + 1)])
             ntail = 0.0
             for k in range(K + 1, K + 4):
                 zk = float(q) ** (1 - 2.0 ** (k + 1))
                 ntail += 3 * zk / 2.0 ** (k + 2)
-            nested = _exp_method("nested-product", log_val, 2 * ntail * _PAD, digits)
+            nested = _exp_method("nested-product", _to_mpf(S),
+                                 2 * ntail * _PAD + float(ledger), digits)
 
             # Euler product over odd-degree primes
             D = N

@@ -82,18 +82,21 @@ def is_prime(n: int) -> bool:
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
-    """The primes p with lo <= p < hi, in increasing order (a segmented sieve)."""
+    """The primes p with lo <= p < hi, in increasing order (a segmented sieve).
+
+    The primes up to sqrt(hi) are sieved first, and only they mark their
+    multiples in the window, each by one slice.
+    """
     lo = max(lo, 2)
     if hi <= lo:
         return []
     root = math.isqrt(hi - 1)
-    small = bytearray([1]) * (root + 1)
-    small[:2] = b"\x00\x00"
-    segment = bytearray([1]) * (hi - lo)
-    for p in range(2, root + 1):
-        if not small[p]:
-            continue
-        small[p * p::p] = bytes(len(range(p * p, root + 1, p)))
-        start = max(p * p, -(-lo // p) * p)
-        segment[start - lo::p] = bytes(len(range(start, hi, p)))
-    return (np.flatnonzero(np.frombuffer(segment, dtype=np.uint8)) + lo).tolist()
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p::p] = False
+    segment = np.ones(hi - lo, dtype=bool)
+    for p in np.flatnonzero(small).tolist():
+        segment[max(p * p, -(-lo // p) * p) - lo::p] = False
+    return (np.flatnonzero(segment) + lo).tolist()

@@ -53,12 +53,12 @@ class vectors in the group ring Z[G].  It runs exactly:
   sum are reduced at least every 2^11 terms, by series._contract_mod,
   so they stay below 2^63; Newton's sums have fewer than deg m <= 16
   terms and the Moebius sums d(n) terms below 2^26.
-* Size.  0 <= n pi(n; a) <= sum_{d | n} d pi_q(d) = q^n.  Each block of
-  64 degrees is rebuilt by series._crt_rows from the prefix of primes
-  whose product M exceeds 2 q^n at the block's largest n, so the value
-  lies in [0, M/2) and is the residue that _crt_rows returns.  A
-  remainder mod n or a negative value means the arithmetic went wrong
-  and raises NegativeCount.
+* Size.  0 <= n pi(n; a) <= sum_{d | n} d pi_q(d) = q^n.  The table's
+  primes are chosen so that their product M exceeds 2 q^N, so for every
+  n <= N the value lies in [0, M/2) and is the residue that one
+  series._CrtPlan over all of them returns.  A remainder mod n or a
+  negative value means the arithmetic went wrong and raises
+  NegativeCount.
 """
 
 from __future__ import annotations
@@ -199,8 +199,10 @@ class LPolynomial:
         return []
 
     @cached_property
-    def _place_counts(self) -> dict[int, int]:
-        return {}
+    def _place_counts(self) -> list[int | None]:
+        """pi(n) at index n for every degree filled so far; None at 0 and at
+        a degree whose count failed its checks."""
+        return [None]
 
     def _power_sum(self, n: int) -> int:
         """Sum of n-th powers of the inverse roots, by Newton's identities."""
@@ -225,18 +227,45 @@ class LPolynomial:
         return count
 
     def pi(self, n: int) -> int:
-        """Number of places of degree n (memoized)."""
-        cached = self._place_counts.get(n)
-        if cached is not None:
-            return cached
-        total = sum(
-            mobius(n // d) * self.point_count(d) for d in divisors(n)
-        )
-        count, rem = divmod(total, n)
-        if rem or count < 0:
+        """Number of places of degree n (memoized).
+
+        A degree past those kept fills every degree up to max(n, twice
+        those kept) in one pass (_fill_place_counts), so degrees asked one
+        at a time cost O(log n) passes.
+        """
+        if n < 1:
+            raise ValueError("degree must be positive")
+        counts = self._place_counts
+        if n >= len(counts):
+            self._fill_place_counts(max(n, 2 * (len(counts) - 1)))
+        if counts[n] is None:
+            for d in divisors(n):
+                self.point_count(d)  # raises at the first negative point count
             raise NegativeCount(f"place count at n={n} is not a nonnegative integer")
-        self._place_counts[n] = count
-        return count
+        return counts[n]
+
+    def _fill_place_counts(self, M: int) -> None:
+        """pi(n) for n = 1..M: the point counts N_k = q^k + 1 - s_k from a
+        running q^k and the Newton sums s_k, then one Moebius inversion of
+        N_n = sum_{d | n} d pi(d) for every n at once: in increasing d, the
+        entry at d is final and is taken from the entries of its multiples.
+        A degree with a negative N_d at some d | n, or whose n pi(n) is not
+        a nonnegative multiple of n, is kept as None, and pi raises for it."""
+        self._power_sum(M)
+        total, qk = [0], 1
+        for s in self._power_sums[:M]:
+            qk *= self.q
+            total.append(qk + 1 - s)
+        bad = bytearray(M + 1)
+        for d in range(1, M + 1):
+            if total[d] < 0:
+                bad[d::d] = b"\x01" * len(range(d, M + 1, d))
+        for d in range(1, M // 2 + 1):
+            t = total[d]
+            total[2 * d::d] = [v - t for v in total[2 * d::d]]
+        self._place_counts[1:] = [
+            None if bad[n] or total[n] % n or total[n] < 0 else total[n] // n
+            for n in range(1, M + 1)]
 
     def to_json(self) -> str:
         return json.dumps(

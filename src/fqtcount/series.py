@@ -386,21 +386,23 @@ def _size_bounds(psi: list[int]) -> np.ndarray:
 
     b_m = max_j (l_j + b_(m-j)) is taken in chunks of _CHUNK values of m,
     as the exp recurrence is: the terms with m - j below the chunk are one
-    sliding-window maximum, and the terms inside it come from the closure
-    star[t, u], the largest sum of l over the ways to step from u up to t
-    within a chunk (0 for t = u).  Sums of two values at least _NO_TERM
-    stay in int64, and every result is raised back to _NO_TERM.
+    sliding-window maximum, and the terms inside it come from star[t, u],
+    the largest sum of l over the ways to step from u up to t within a
+    chunk.  That is b_(t-u) itself (0 for t = u), so the first _CHUNK
+    bounds are taken one m at a time and star is their Toeplitz matrix.
+    Sums of two values at least _NO_TERM stay in int64, and every result
+    is raised back to _NO_TERM.
     """
     N = len(psi) - 1
     logs = np.array([_NO_TERM] + [math.ceil(_LOG_UNIT * math.log2(abs(v))) + 1 if v else _NO_TERM
                                   for v in psi[1:]], dtype=np.int64)
     C = min(_CHUNK, N + 1)
-    star = np.full((C, C), _NO_TERM, dtype=np.int64)
-    np.fill_diagonal(star, 0)
-    for t in range(1, C):
-        star[t] = np.maximum(star[t], (logs[t:0:-1, None] + star[:t]).max(axis=0))
     b = np.full(N + 1, _NO_TERM, dtype=np.int64)
     b[0] = 0
+    for m in range(1, C):
+        b[m] = max((logs[1:m + 1] + b[m - 1::-1]).max(), _NO_TERM)
+    lag = np.subtract.outer(np.arange(C), np.arange(C))  # t - u
+    star = np.where(lag >= 0, b[np.maximum(lag, 0)], _NO_TERM)
     for s in range(1, N + 1, _CHUNK):
         e = min(s + _CHUNK, N + 1)
         window = _windows(logs[1:e], s)  # logs[t+1..t+s]
@@ -514,11 +516,6 @@ class _CrtPlan:
             value = int.from_bytes(data[i:i + slot], "little") % modulus
             out.append(value - modulus if 2 * value > modulus else value)
         return out
-
-
-def _crt_rows(res: np.ndarray, primes: list[int]) -> list[int]:
-    """Each row of residues (rows x primes) as the integer in (-M/2, M/2), M = prod primes."""
-    return _CrtPlan(primes).rows(res)
 
 
 def _contract_mod(spec: str, a: np.ndarray, b: np.ndarray, p) -> np.ndarray:

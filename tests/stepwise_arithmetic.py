@@ -1,7 +1,8 @@
 """Step-by-step references for certify's exact arithmetic.
 
 The package forms a falling factorial as one integer product over one
-denominator, and the Euler log sums of constants by running quotients.
+denominator, and the Euler log sums and artanh sums of constants by
+running quotients.
 These are the direct forms they replace, one Fraction multiply per
 factor and one big division per term; the tests assert that both give
 equal values, floors and ledgers.
@@ -37,3 +38,14 @@ def direct_euler_log_sum(q: int, weights) -> tuple[Fraction, Fraction]:
             k, y_k = k + 1, y_k * y
         ulps += k + 1
     return Fraction(total, 1 << (P + 1)), Fraction(ulps, 1 << (P + 1))
+
+
+def direct_artanh_sum(y: int) -> tuple[int, int]:
+    """constants._artanh_sum with each term the direct floor
+    2^P // (j y^j) over odd j, stopping at the first zero term."""
+    P = mpmath.mp.prec + GUARD_BITS
+    total, j = 0, 1
+    while term := (1 << P) // (j * y**j):
+        total += term
+        j += 2
+    return total, (j - 1) // 2 + 2

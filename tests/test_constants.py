@@ -1,5 +1,7 @@
 """Limiting constants by independent methods with declared tail bounds."""
 
+import ast
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -13,6 +15,7 @@ from fqtcount.asymptotics import GUARD_BITS, _atilde_sum, _to_mpf, estimator_for
 from fqtcount.cli import main
 from fqtcount.constants import (
     ConstantReport,
+    _artanh_sum,
     _euler_log_sum,
     constant_Cam,
     constant_Cq,
@@ -24,7 +27,7 @@ from fqtcount.errors import EvenCharacteristic, HypothesisViolation
 from fqtcount.families import FamilySpec
 from fqtcount.ffield import MonicPoly, build_field, field_for_order, poly_from_string
 from fqtcount.primecounts import CHI2_MINUS, pi_chi2, pi_q
-from stepwise_arithmetic import direct_euler_log_sum
+from stepwise_arithmetic import direct_artanh_sum, direct_euler_log_sum
 
 
 def close(report, decimal_string, places=12):
@@ -219,6 +222,68 @@ def test_euler_log_sum_equals_the_direct_floors(q, prec):
     weights = _euler_weights(q)
     with mpmath.workprec(prec):
         assert _euler_log_sum(q, weights) == direct_euler_log_sum(q, weights)
+
+
+ARTANH_ARGS = [3, 5, 7, 17, 19, 3**8, 101, 2 * 101**4 - 1]
+
+
+@pytest.mark.parametrize("P", [100, 1778, 14000])
+def test_artanh_sum_equals_the_direct_floors(P):
+    # running quotients R_(j+2) = R_j // y^2, term R_j // j, against the
+    # direct 2^P // (j y^j): the same S and the same ledger
+    with mpmath.workprec(P - GUARD_BITS):
+        for y in ARTANH_ARGS:
+            assert _artanh_sum(y) == direct_artanh_sum(y), y
+
+
+@pytest.mark.parametrize("P", [100, 1778, 14000])
+def test_artanh_sum_within_its_ledger(P):
+    with mpmath.workprec(P - GUARD_BITS):
+        sums = [_artanh_sum(y) for y in ARTANH_ARGS]
+    with mpmath.workprec(P + 256):
+        for y, (S, ulps) in zip(ARTANH_ARGS, sums):
+            exact = mpmath.ldexp(mpmath.atanh(mpmath.mpf(1) / y), P)
+            # floors and truncation only ever drop mass: S <= exact < S + ulps
+            assert S <= exact < S + ulps, y
+
+
+def _nested_reference(q, digits, which):
+    """K_q (which = "kq") or C_{q,1} (which = "cq1") by its nested product
+    with mpmath log1p at digits + 40, two factors past the depth that
+    precision asks for."""
+    with mpmath.workdps(digits + 40):
+        log = mpmath.mpf(0)
+        for k in range(constants._nested_depth(q, digits + 40) + 3):
+            if which == "kq":
+                x = mpmath.mpf(q) ** -(2**k)
+                log += mpmath.log1p(x) / 2 ** (k + 1) - mpmath.log1p(-q * x * x) / 2 ** (k + 2)
+            else:
+                z = mpmath.mpf(q) ** (1 - 2 ** (k + 1))
+                log += (mpmath.log1p(z) - mpmath.log1p(-z)) / 2 ** (k + 2)
+        return mpmath.exp(log)
+
+
+@pytest.mark.parametrize("digits", [30, 100, 500])
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 101])
+@pytest.mark.parametrize("which", ["kq", "cq1"])
+def test_artanh_methods_lie_within_their_tails_of_a_log1p_reference(which, q, digits):
+    report = constant_Kq(q, digits) if which == "kq" else constant_Cq(q, 1, digits)
+    ref = _nested_reference(q, digits, which)
+    with mpmath.workdps(digits + 40):
+        for method in report.methods:
+            if method.tag in ("nested-product", "euler-product"):
+                assert abs(method.value - ref) <= method.tail_bound, method.tag
+
+
+def test_constants_take_no_mpmath_logarithm():
+    # every logarithm of the constants is an exact artanh or Euler sum
+    tree = ast.parse(inspect.getsource(constants))
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "mpmath"}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and node.module == "mpmath" for alias in node.names}
+    assert not names & {"log", "log1p", "ln", "log10", "log2", "atanh", "mpf_log"}
 
 
 @pytest.mark.parametrize("family, i, x", [

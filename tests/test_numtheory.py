@@ -1,5 +1,8 @@
 """Divisors, Moebius, primality and the prime sieve, against sympy."""
 
+import math
+import random
+
 import pytest
 import sympy
 
@@ -57,3 +60,36 @@ def test_primes_between_matches_sympy(lo, hi):
     primes = primes_between(lo, hi)
     assert primes == list(sympy.primerange(lo, hi))
     assert all(type(p) is int for p in primes)  # products of them must not wrap
+
+
+def loop_primes_between(lo, hi):
+    """primes_between with the small primes found by a Python loop over
+    every integer up to sqrt(hi), each marking the window as it is found."""
+    lo = max(lo, 2)
+    if hi <= lo:
+        return []
+    root = math.isqrt(hi - 1)
+    small = bytearray([1]) * (root + 1)
+    small[:2] = b"\x00\x00"
+    segment = bytearray([1]) * (hi - lo)
+    for p in range(2, root + 1):
+        if not small[p]:
+            continue
+        small[p * p::p] = bytes(len(range(p * p, root + 1, p)))
+        start = max(p * p, -(-lo // p) * p)
+        segment[start - lo::p] = bytes(len(range(start, hi, p)))
+    return [lo + i for i, v in enumerate(segment) if v]
+
+
+def test_primes_between_matches_the_loop_sieve():
+    # empty and tiny ranges, windows at and around squares of primes, and
+    # 8192-wide windows below 2^20 and 2^26
+    ranges = [(0, 0), (5, 3), (-7, 2), (-7, 3), (2, 3), (3, 4), (4, 5), (0, 10), (24, 29),
+              (25, 26), (48, 50), (120, 122), (121, 122), (168, 170), (169, 170),
+              (1, 100), (997, 1010), (9409, 9410), (10**4, 10**4 + 1),
+              (2**16 - 100, 2**16 + 100), (2**20 - 8192, 2**20), (2**26 - 8192, 2**26),
+              (2**26 - 2 * 8192, 2**26 - 8192), (2**26 - 1, 2**26), (2**26 - 5, 2**26 + 5)]
+    rng = random.Random(9)
+    ranges += [(lo, lo + rng.randint(0, 3000)) for lo in rng.sample(range(2**26), 15)]
+    for lo, hi in ranges:
+        assert primes_between(lo, hi) == loop_primes_between(lo, hi), (lo, hi)

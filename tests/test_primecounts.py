@@ -1,14 +1,16 @@
 """Prime-polynomial and place counting, against brute-force oracles."""
 
+import bisect
 import itertools
 import math
+import operator
 import random
 
 import pytest
 
-from fqtcount import characters, ffield, primecounts, universe
+from fqtcount import characters, ffield, numtheory, primecounts, series, universe
 from fqtcount.constants import constant_Cam
-from fqtcount.errors import NotCoprime, ResourceLimit, RHViolation
+from fqtcount.errors import NegativeCount, NotCoprime, ResourceLimit, RHViolation
 from fqtcount.families import count_arith
 from fqtcount.ffield import MonicPoly, chi2, field_for_order
 from fqtcount.cli import main
@@ -117,6 +119,50 @@ def test_place_census_matches_point_counts():
         for n in range(1, 9):
             total = sum(d * pi_K(L, d) for d in range(1, n + 1) if n % d == 0)
             assert total == L.point_count(n)
+
+
+def per_degree_place_count(L, n):
+    """pi(n) the per-degree way: Moebius over the divisors of n alone, each
+    point count with its own q^d, and the same checks as LPolynomial.pi."""
+    total = sum(numtheory.mobius(n // d) * L.point_count(d) for d in numtheory.divisors(n))
+    count, rem = divmod(total, n)
+    if rem or count < 0:
+        raise NegativeCount(f"place count at n={n} is not a nonnegative integer")
+    return count
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NegativeCount as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("q, coeffs", [
+    (5, (1, 2, 5)), (3, (1,)), (3, (1, 0, 3)), (2, (1, -1, 2)), (7, (1, 3, 9, 21, 49)),
+    (3, (1, -10, 1)),  # N_1 < 0: every degree fails
+    (3, (1, -3, 10)),  # N_5 < 0, and degrees 7 and 8 are counted
+    (3, (1, -2, -3)),  # degree 2 is not integral
+])
+def test_one_pass_place_counts_equal_the_per_degree_route(q, coeffs):
+    degrees = list(range(1, 130))
+    random.Random(q * 1000 + len(coeffs)).shuffle(degrees)
+    L, ref = LPolynomial(q, coeffs), LPolynomial(q, coeffs)
+    for n in [1, 2, 3, 64] + degrees + [400]:
+        assert _outcome(L.pi, n) == _outcome(per_degree_place_count, ref, n)
+
+
+def test_place_counts_fill_to_twice_those_kept(monkeypatch):
+    L, fills = LPolynomial(5, (1, 2, 5)), []
+    fill = LPolynomial._fill_place_counts
+    monkeypatch.setattr(LPolynomial, "_fill_place_counts",
+                        lambda self, M: (fills.append(M), fill(self, M)))
+    for n in range(1, 101):
+        L.pi(n)
+    L.pi(500)
+    assert fills == [1, 2, 4, 8, 16, 32, 64, 128, 500]
+    with pytest.raises(ValueError):
+        L.pi(0)
 
 
 def test_check_rh_rejects_bad_inverse_roots():
@@ -489,6 +535,32 @@ def test_character_table_rebuilds_for_a_larger_degree(monkeypatch):
     assert long[:20] == short
     assert primecounts._class_counts(field, 20, code, m, None) == short
     assert len(table._psi) == 150
+
+
+@pytest.mark.parametrize("q, m, N", [
+    (2, (1, 1, 0, 1), 200), (2, (1, 0, 0, 1, 1), 150), (3, (1, 2, 0, 1), 200),
+    (3, (0, 0, 1, 1), 130), (5, (2, 0, 1), 140), (9, (1, 1), 100),
+])
+def test_one_crt_plan_equals_the_per_block_prefixes(monkeypatch, q, m, N):
+    # the class counts are rebuilt by one plan over all the table's primes;
+    # each 64-degree block rebuilt over only the primes 2 q^hi asks for,
+    # from the same residues, gives the same integers
+    monkeypatch.setattr(primecounts, "_ARITH_CACHE", {})
+    rows, calls = series._CrtPlan.rows, []
+    monkeypatch.setattr(series._CrtPlan, "rows",
+                        lambda plan, res: calls.append((plan, res)) or rows(plan, res))
+    field, m = field_for_order(q), MonicPoly(m)
+    for a in random.Random(q).sample(_units(field, m), 3):
+        primecounts._class_counts(field, N, ffield.code_of(field, a), m, None)
+    blocks = -(-N // 64)
+    assert len(calls) == 3 * blocks
+    for i, (plan, res) in enumerate(list(calls)):
+        primes = plan.primes.tolist()
+        lo = i % blocks * 64
+        hi = min(N, lo + 64)
+        used = bisect.bisect_right(list(itertools.accumulate(primes, operator.mul)), 2 * q**hi) + 1
+        assert len(res) == hi - lo and used <= len(primes)
+        assert rows(plan, res) == rows(series._CrtPlan(primes[:used]), res[:, :used])
 
 
 def test_pi_arith_grows_a_short_table_to_twice_its_length(monkeypatch):

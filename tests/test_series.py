@@ -497,6 +497,45 @@ def step_size_bounds(psi):
     return [max(-(-v // series._LOG_UNIT), 0) if v is not None else 0 for v in b]
 
 
+def closure_size_bounds(psi):
+    """_size_bounds with star[t, u] formed by the in-chunk closure, each row
+    from the rows below it, instead of as the Toeplitz matrix of b_0..b_(C-1)."""
+    N = len(psi) - 1
+    NO = series._NO_TERM
+    logs = np.array([NO] + [math.ceil(series._LOG_UNIT * math.log2(abs(v))) + 1 if v else NO
+                            for v in psi[1:]], dtype=np.int64)
+    C = min(series._CHUNK, N + 1)
+    star = np.full((C, C), NO, dtype=np.int64)
+    np.fill_diagonal(star, 0)
+    for t in range(1, C):
+        star[t] = np.maximum(star[t], (logs[t:0:-1, None] + star[:t]).max(axis=0))
+    b = np.full(N + 1, NO, dtype=np.int64)
+    b[0] = 0
+    for s in range(1, N + 1, series._CHUNK):
+        e = min(s + series._CHUNK, N + 1)
+        window = series._windows(logs[1:e], s)
+        pre = np.concatenate([(window[lo:lo + series._GROUP] + b[s - 1::-1]).max(axis=1)
+                              for lo in range(0, e - s, series._GROUP)])
+        b[s:e] = np.maximum((star[:e - s, :e - s] + pre).max(axis=1), NO)
+    return np.maximum(-(-b // series._LOG_UNIT), 0)
+
+
+@pytest.mark.parametrize("chunk", [8, 64])
+def test_toeplitz_size_bounds_match_the_closure(chunk, monkeypatch):
+    monkeypatch.setattr(series, "_CHUNK", chunk)
+    # the psi lists of every kernel family, and random lists with zeros,
+    # signs and 30-digit values, at lengths around one and two chunks
+    lists = [[0] + [psi_value(spec, n).numerator for n in range(1, N + 1)]
+             for spec in _family_specs() for N in (0, 1, 63, 64, 65, 150)]
+    rng = random.Random(26)
+    for _ in range(60):
+        N = rng.choice([rng.randint(0, 70), rng.randint(100, 300)])
+        lists.append([0] + [rng.choice([0, 0, 1, -1, rng.randint(-10**30, 10**30),
+                                        rng.randint(-10**9, 10**9)]) for _ in range(N)])
+    for psi in lists:
+        assert _size_bounds(psi).tolist() == closure_size_bounds(psi).tolist()
+
+
 @pytest.mark.parametrize("chunk", [8, 64])
 def test_blocked_size_bounds_match_the_step_recurrence(chunk, monkeypatch):
     monkeypatch.setattr(series, "_CHUNK", chunk)
