@@ -3,7 +3,10 @@
 The method and the proof that it is exact are in the primecounts module
 docstring ("The character basis"); this module builds the unit group
 and its characters.  primecounts imports it when it first tabulates an
-m, so a run that counts no progression does not compile it.
+m, so a run that counts no progression does not compile it.  Every
+product mod P^e here, in the walks that build the log tables and in
+the index of a residue, is one call of ffield._residues, the package's
+one batched residue map.
 
 The unit group.  By CRT, G = (F_q[T]/m)^* is the product over the P^e
 exactly dividing m of U = (F_q[T]/P^e)^*, and U is the direct product of
@@ -47,25 +50,14 @@ from .ffield import FieldSpec, MonicPoly
 from .numtheory import _factor, is_prime
 
 
-def _times(field: FieldSpec, modulus: tuple[int, ...], codes: np.ndarray, n: int,
-           r: tuple[int, ...] = (1,)) -> np.ndarray:
-    """Codes of f r mod modulus for the polynomials f of degree <= n with
-    the given codes, by one digit product: the matrix rows are the digits
-    of Y^s x^j r mod modulus, as for the prime residues in universe."""
-    digits = ffield._digits(codes, field.p, ffield._digit_count(field, n))
-    rows = ffield._digit_rows(field, ffield._powers_of_x_mod(field, modulus, n, r))
-    return ffield._digit_product(digits, rows.astype(ffield._digit_dtype(field, n)), field.p,
-                                 ffield._code_powers(field, len(modulus) - 2))
-
-
 def _walk(field: FieldSpec, modulus: tuple[int, ...], walk: np.ndarray,
           r: tuple[int, ...], n: int) -> np.ndarray:
     """The codes of walk times r^t mod modulus for t < n, with t the leading
     axis, by doubling: the products for t in [s, 2s) are those for t < s
-    times r^s, one digit product."""
-    size = len(walk)
+    times r^s, by ffield._residues."""
+    size, deg = len(walk), len(modulus) - 2  # residues have degree <= deg
     while len(walk) < n * size:
-        walk = np.concatenate([walk, _times(field, modulus, walk, len(modulus) - 2, r)])
+        walk = np.concatenate([walk, ffield._residues(field, modulus, walk, deg, r)])
         r = ffield.poly_mod(field, ffield.poly_mul(field, r, r), modulus)
     return walk[:n * size]
 
@@ -183,7 +175,7 @@ class CharacterGroup:
         flat = np.zeros(len(codes), dtype=np.int64)
         unit = np.ones(len(codes), dtype=bool)
         for modulus, orders, log in self._tables:
-            logs = log[_times(self.field, modulus, codes, self.m.degree - 1)]
+            logs = log[ffield._residues(self.field, modulus, codes, self.m.degree - 1)]
             unit &= logs >= 0
             flat = flat * math.prod(orders) + logs
         return np.where(unit, flat, -1)

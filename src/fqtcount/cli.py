@@ -444,6 +444,14 @@ def cmd_verify(args) -> tuple[str, int]:
 # -- entry point -----------------------------------------------------
 
 
+def _check_positive(args) -> None:
+    """--cap and --digits below 1 are parameter errors, as FQT_CAP is."""
+    for flag in ("cap", "digits"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag} must be positive")
+
+
 # built by the first main() call, not at import, and reused: parsing
 # leaves the parser unchanged
 _PARSER: argparse.ArgumentParser | None = None
@@ -458,6 +466,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_positive(args)
         text, code = args.func(args)
     except ResourceLimit as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)

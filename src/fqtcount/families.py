@@ -553,31 +553,15 @@ def _rep_members(field: FieldSpec, max_degree: int) -> frozenset:
     if a_codes * b_codes > 4 * 10**6:
         raise ResourceLimit("representation search space too large")
     decode = ffield.coeffs_of_code
-
-    def mul(x, y):
-        if x == (0,) or y == (0,):
-            return (0,)
-        return ffield.poly_mul(field, x, y)
-
-    def add(x, y):
-        n = max(len(x), len(y))
-        out = [0] * n
-        for i in range(n):
-            xi = x[i] if i < len(x) else 0
-            yi = y[i] if i < len(y) else 0
-            out[i] = ffield.element_add(field, xi, yi)
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
     members = set()
-    squares_a = [mul(decode(field, c), decode(field, c)) for c in range(a_codes)]
+    squares_a = [ffield.poly_mul(field, decode(field, c), decode(field, c))
+                 for c in range(a_codes)]
     for cb in range(b_codes):
         B = decode(field, cb)
-        tb2 = mul((0, 1), mul(B, B))
+        tb2 = ffield.poly_mul(field, (0, 1), ffield.poly_mul(field, B, B))
         for A2 in squares_a:
-            f = add(A2, tb2)
-            if f != (0,) and f[-1] == 1 and len(f) - 1 <= max_degree:
+            f = ffield._poly_add(field, A2, tb2)  # () for the zero polynomial
+            if f and f[-1] == 1 and len(f) - 1 <= max_degree:
                 members.add(f)
     result = frozenset(members)
     _REP_CACHE[key] = result

@@ -12,7 +12,7 @@ modulus test trial-divides by poly_mod, and _Tables reduces by poly_mod.
 Polynomials have two representations.  Coefficient tuples of element
 codes carry all scalar arithmetic (poly_mul, poly_divmod).  Base-p digit
 matrices carry the batched linear maps: multiplication by a fixed
-polynomial and the residues in universe.  They meet
+polynomial and the residue map (_residues).  They meet
 in digit_mul, one k x k digit matrix per element c whose row s holds the
 digits of Y^s * c; _Tables gets it from the prime field's poly_mod of the
 shifted c by the modulus (q*k reductions), and every other table of the
@@ -42,25 +42,26 @@ polynomial of a degree at once is universe's sieve; factor shares no
 code with its digit products, so each checks the other.
 
 Every batched digit product in the package goes through _digit_product:
-the enumeration sieve and the prime residues mod m in universe, and the
-unit-group log tables and residue indices in characters.
-Their matrices come from _digit_rows; their inputs are base-p digit
-rows (_digits, or universe's division-free _monic_digits) stored in the
-smallest unsigned type that holds p - 1.  One product casts a row chunk
-of digits to the matrix's float type and multiplies by BLAS.  That type
-is float32 when no digit sum can pass 2^24 and float64 when none can
-pass 2^53 (_digit_dtype); past that no BLAS type is exact, and
-_digit_dtype raises ResourceLimit.  A stack of s matrices of one shape (the sieve's
-powers P^e of the primes of one degree, from _mul_matrix of s
-polynomials) is one product too: their transposes lie end to end, s *
-out rows of in digits, which _mul_matrix stores contiguously, and the
-codes come back as one row per matrix.  Each entry is the one a single
-matrix would give, so every bound below holds for a stack as well.  The
-sieve and the residues run in row chunks of _row_step(width)
-rows, width the larger side of the matrix (s * out for a stack), about
-_CHUNK_ENTRIES entries each, so their working memory does not grow with
-the batch; characters multiplies all its codes at once, at most
-primecounts' _MAX_RESIDUE_RING residues mod m.
+the enumeration sieve in universe, and the one batched residue map
+_residues (f -> f r mod M), which serves the prime residues mod m in
+universe and the unit-group log tables and residue indices in
+characters.  Their matrices come from _digit_rows; their inputs are
+base-p digit rows (_digits, or universe's division-free _monic_digits)
+stored in the smallest unsigned type that holds p - 1.  One product
+casts a row chunk of digits to the matrix's float type and multiplies
+by BLAS.  That type is float32 when no digit sum can pass 2^24 and
+float64 when none can pass 2^53 (_digit_dtype); past that no BLAS type
+is exact, and _digit_dtype raises ResourceLimit.  A stack of s
+matrices of one shape (the sieve's powers P^e of the primes of one
+degree, from _mul_matrix of s polynomials) is one product too: their
+transposes lie end to end, s * out rows of in digits, which _mul_matrix
+stores contiguously, and the codes come back as one row per matrix.
+Each entry is the one a single matrix would give, so every bound below
+holds for a stack as well.  The sieve and the residue map run in row
+chunks of _row_step(width) rows, width the larger side of the matrix
+(s * out for a stack), about _CHUNK_ENTRIES entries each, so their
+working memory does not grow with the batch, characters' products
+included.
 
 Each digit sum c of the product becomes c - p * floor(c / p), in place,
 by true division.  This is exact for every integer c <= 2^24 in float32
@@ -512,6 +513,30 @@ def _powers_of_x_mod(field: FieldSpec, modulus: tuple[int, ...], n: int,
         out[j, : len(r)] = r
         r = _divmod(p, t, (0,) + r, modulus)[1]
     return out
+
+
+def _residues(field: FieldSpec, modulus: tuple[int, ...], codes: np.ndarray, n: int,
+              r: tuple[int, ...] = (1,)) -> np.ndarray:
+    """Codes of f r mod a monic modulus for the f of degree <= n with the given codes.
+
+    f -> f r mod modulus is F_p-linear in f's digits, with digit rows
+    Y^s x^j r mod modulus (_powers_of_x_mod, spread by _digit_rows), so
+    one _digit_product per row chunk reduces and encodes them all.  f r
+    has degree < n + len(r), so its residue has min(n + len(r),
+    deg modulus) coefficients, and the codes are sized by that, not by
+    deg modulus: a modulus of high degree encodes exactly.
+    """
+    width = min(n + len(r), len(modulus) - 1)
+    matrix = _digit_rows(field, _powers_of_x_mod(field, modulus, n, r)[:, :width])
+    matrix = matrix.astype(_digit_dtype(field, n))
+    powers = _code_powers(field, width - 1)
+    out = np.empty(len(codes), dtype=np.int64)
+    step = _row_step(max(matrix.shape))
+    for lo in range(0, len(out), step):
+        digits = _digits(codes[lo : lo + step], field.p, _digit_count(field, n))
+        out[lo : lo + step] = _digit_product(digits, matrix, field.p, powers)
+    return out
+
 
 def _mul_matrix(field: FieldSpec, w: tuple[int, ...] | list[tuple[int, ...]], in_deg: int,
                 out_deg: int) -> np.ndarray:

@@ -12,11 +12,13 @@ Four kinds of counts, all exact integers:
 * ``pi_arith(field, n, a, m)``: monic irreducibles congruent to a mod m.
   When the residue ring and its unit group fit the character table's
   limits, m is counted in the character basis (below, any n); otherwise
-  the degree-n primes are read from the enumeration sieve (universe,
-  small n).  A whole table pi(1..N; a) comes from one call of
-  _class_counts, the entry the families module reads: it builds the
-  character table to N once and returns its kept counts, or checks the
-  cap for N once and reads each degree from the sieve.
+  the primes of the enumeration sieve (universe, small n) are counted
+  by degree in class a, their residues read from the sieve's PrimeTable
+  (prime_residues, one batched ffield._residues call).  A whole table
+  pi(1..N; a) comes from one call of _class_counts, the entry the
+  families module reads: it builds the character table to N once and
+  returns its kept counts, or builds the sieve to N once, the cap
+  checked for N first, and takes its primes' residues once.
 
 The character basis (module characters).  The unit group
 G = (F_q[T]/m)^* of any m is a product of cyclic groups of orders n_i:
@@ -71,7 +73,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import ffield, universe
+from . import ffield, series, universe
 from .errors import (
     EvenCharacteristic,
     NegativeCount,
@@ -247,8 +249,7 @@ class LPolynomial:
     def _fill_place_counts(self, M: int) -> None:
         """pi(n) for n = 1..M: the point counts N_k = q^k + 1 - s_k from a
         running q^k and the Newton sums s_k, then one Moebius inversion of
-        N_n = sum_{d | n} d pi(d) for every n at once: in increasing d, the
-        entry at d is final and is taken from the entries of its multiples.
+        N_n = sum_{d | n} d pi(d) for every n at once (series._mobius_sums).
         A degree with a negative N_d at some d | n, or whose n pi(n) is not
         a nonnegative multiple of n, is kept as None, and pi raises for it."""
         self._power_sum(M)
@@ -260,9 +261,7 @@ class LPolynomial:
         for d in range(1, M + 1):
             if total[d] < 0:
                 bad[d::d] = b"\x01" * len(range(d, M + 1, d))
-        for d in range(1, M // 2 + 1):
-            t = total[d]
-            total[2 * d::d] = [v - t for v in total[2 * d::d]]
+        total = series._mobius_sums(total)
         self._place_counts[1:] = [
             None if bad[n] or total[n] % n or total[n] < 0 else total[n] // n
             for n in range(1, M + 1)]
@@ -358,29 +357,27 @@ def _character_table_fits(field: FieldSpec, m: MonicPoly) -> bool:
     return field.q**m.degree <= _MAX_RESIDUE_RING and phi_m(field, m) <= _MAX_UNIT_GROUP
 
 
-def _sieved_count(field: FieldSpec, n: int, a_code: int, m: MonicPoly,
-                  cap: int | None) -> int:
-    """pi(n; a) from the degree-n primes of the enumeration sieve, the cap
-    already checked."""
-    primes = universe.get_universe(field, n, cap).primes_of_degree(n)
-    # one residue per prime in scalar arithmetic: PrimeTable.prime_residues
-    # would need exact digit products, which stop past p of about 6.7e7
-    return sum(_residue_code(field, ffield.coeffs_of_code(field, code), m) == a_code
-               for code in primes.tolist())
+def _sieved_counts(field: FieldSpec, N: int, a_code: int, m: MonicPoly,
+                   cap: int | None) -> list[int]:
+    """pi(n; a) for n = 1..N from the enumeration sieve: the shared universe
+    is built to N (its cap checked before any degree is sieved), the
+    residues of its primes are taken once (PrimeTable.prime_residues), and
+    the primes in class a are counted by degree."""
+    primes = universe.get_universe(field, N, cap).primes
+    degrees = primes.prime_deg[primes.prime_residues(m) == a_code]
+    return np.bincount(degrees, minlength=N + 1)[1:N + 1].tolist()
 
 
 def _class_counts(field: FieldSpec, N: int, a_code: int, m: MonicPoly,
                   cap: int | None) -> list[int]:
     """pi(n; a) for n = 1..N, for a residue code already checked by
     _unit_residue: the character table built to N at once, or past its
-    limits the cap checked for N and each degree read from the sieve."""
+    limits the sieve's primes to degree N, their residues taken once."""
     if N < 1:
         return []  # no degree asks for no table
     if _character_table_fits(field, m):
         return _arith_table(field, m, cap=cap).counts(a_code, N)
-    # fail on the cap before any degree is sieved
-    ffield.check_cap(field, N, cap)
-    return [_sieved_count(field, n, a_code, m, cap) for n in range(1, N + 1)]
+    return _sieved_counts(field, N, a_code, m, cap)
 
 
 def pi_arith(field: FieldSpec, n: int, a, m: MonicPoly, cap: int | None = None) -> int:
@@ -394,17 +391,16 @@ def pi_arith(field: FieldSpec, n: int, a, m: MonicPoly, cap: int | None = None) 
       group exponent; the table enumerates the monic f of degree
       < deg m, within the cap.  For one degree a short table is rebuilt
       to at least twice its length (CharacterTable.count);
-    * past the limits: the degree-n primes are read from the shared
-      enumeration sieve (universe.get_universe), which needs q^n within
-      the cap.
+    * past the limits: the residues of the shared enumeration sieve's
+      primes (universe.get_universe, which needs q^n within the cap) are
+      read by PrimeTable.prime_residues, and the degree-n ones counted.
     """
     if n < 1:
         raise ValueError("degree must be positive")
     a_code = _unit_residue(field, a, m)
     if _character_table_fits(field, m):
         return _arith_table(field, m, cap=cap).count(n, a_code)
-    ffield.check_cap(field, n, cap)
-    return _sieved_count(field, n, a_code, m, cap)
+    return _sieved_counts(field, n, a_code, m, cap)[-1]
 
 
 def progression_gap_squared(field: FieldSpec, n: int, a, m: MonicPoly, count: int) -> tuple[Fraction, Fraction]:

@@ -9,7 +9,9 @@ coefficient (it only sizes the prime set below, with a proved margin).
 Besides ring operations and exp/log, this module houses the transforms
 the counting pipeline is made of: the psi <-> generator-count transform
 (Moebius inversion) and infinite products prod (1-x^n)^{-g(n)} and their
-squarefree variant.
+squarefree variant.  Moebius inversion is written once, as the in-place
+pass _mobius_sums: the generator counts, the integrality test below,
+primecounts' place counts and the mu table all run it.
 
 Every count table is exp(sum psi_n x^n / n) for integer psi_n, the
 recurrence n f_n = sum_{j=1..n} psi_j f_{n-j} (Brent & Kung, J. ACM 25,
@@ -272,32 +274,25 @@ def _weighted_divisor_sums(counts: dict, N: int, alternating: bool = False) -> d
     return sums
 
 
-def _mobius_table(N: int) -> list[int]:
-    """mu(0..N) by a sieve (mu(0) = 0 is a placeholder)."""
-    mu = [1] * (N + 1)
-    mu[0] = 0
-    composite = bytearray(N + 1)
-    for p in range(2, N + 1):
-        if composite[p]:
-            continue
-        composite[2 * p::p] = b"\x01" * len(range(2 * p, N + 1, p))
-        for k in range(p, N + 1, p):
-            mu[k] = -mu[k]
-        for k in range(p * p, N + 1, p * p):
-            mu[k] = 0
-    return mu
+def _mobius_sums(values: list) -> list:
+    """sum_{d | n} mu(n/d) values[d] for n = 0..len(values) - 1, as a new
+    list (entry 0 is unused).
 
-
-def _mobius_sums(psi: dict, N: int) -> list:
-    """sum_{d | n} mu(n/d) psi(d) for n = 0..N (entry 0 is unused)."""
-    mu = _mobius_table(N)
-    sums = [0] * (N + 1)
-    for d in range(1, N + 1):
-        value = psi.get(d, 0)
-        for k in range(1, N // d + 1):
-            if mu[k]:
-                sums[d * k] += mu[k] * value
+    One in-place pass inverts values[n] = sum_{d | n} g(d): in increasing
+    d, the entry at d is already g(d), and is taken from each of its
+    multiples.
+    """
+    sums, N = list(values), len(values) - 1
+    for d in range(1, N // 2 + 1):
+        t = sums[d]
+        if t:
+            sums[2 * d::d] = [v - t for v in sums[2 * d::d]]
     return sums
+
+
+def _mobius_table(N: int) -> list[int]:
+    """mu(0..N) (mu(0) = 0 is a placeholder): the Moebius sums of the indicator of 1."""
+    return _mobius_sums([int(n == 1) for n in range(N + 1)])
 
 
 def psi_from_g(g: GeneratorCounts | dict, N: int) -> dict[int, int]:
@@ -308,7 +303,7 @@ def psi_from_g(g: GeneratorCounts | dict, N: int) -> dict[int, int]:
 def g_from_psi(psi: dict[int, int], N: int) -> GeneratorCounts:
     """Moebius inversion n*g(n) = sum_{d | n} mu(n/d) psi(d), checked integral."""
     g = {}
-    totals = _mobius_sums(psi, N)
+    totals = _mobius_sums([0] + [psi.get(n, 0) for n in range(1, N + 1)])
     for n in range(1, N + 1):
         total = totals[n]
         if total % n:
@@ -345,10 +340,11 @@ def _exp_psi_over_n(psi: dict[int, int], N: int) -> TruncatedSeries:
     """
     if not all(isinstance(v, int) for v in psi.values()):
         raise NotInvertible("psi values must be integers")
-    for n, total in enumerate(_mobius_sums(psi, N)):
+    values = [0] + [psi.get(n, 0) for n in range(1, N + 1)]
+    for n, total in enumerate(_mobius_sums(values)):
         if n and total % n:
             raise NotInvertible(f"exp(sum psi x^n / n) is not integral at n={n}")
-    return TruncatedSeries(_exp_integral([0] + [psi.get(n, 0) for n in range(1, N + 1)]))
+    return TruncatedSeries(_exp_integral(values))
 
 
 # -- the multimodular exp; the module docstring says why each step is exact

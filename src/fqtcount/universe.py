@@ -69,13 +69,9 @@ The per-prime values a membership rule reads (degree, chi2, residue
 mod m) live on a PrimeTable of prime codes.  The Universe holds one for
 its primes, and families.membership_oracle builds one for the primes
 that ffield.factor finds, so both oracles read them from one place.
-Residues mod m (for the progression family) are a linear map too:
-f -> f mod m is F_p-linear in f's digits, with digit rows
-Y^s x^j mod m (the scalar rows x^j mod m from _powers_of_x_mod, spread
-into digits by _digit_rows), so one _digit_product per row chunk of
-primes reduces and encodes them all.  A residue of a polynomial of
-degree <= n has min(n + 1, deg m) coefficients, and its codes are sized
-by that, not by deg m, so a modulus of high degree encodes exactly.
+Residues mod m (for the progression family) come from the package's one
+batched residue map, ffield._residues, in row chunks of the primes as in
+the sieve.
 
 One Universe per field is shared (get_universe) and only grows.
 extend_to checks the requested degree against the live enumeration cap
@@ -96,12 +92,8 @@ from .ffield import (
     MonicPoly,
     _code_powers,
     _digit_count,
-    _digit_dtype,
     _digit_product,
-    _digit_rows,
-    _digits,
     _mul_matrix,
-    _powers_of_x_mod,
     _row_step,
 )
 
@@ -180,25 +172,13 @@ class PrimeTable:
         return self._chi
 
     def prime_residues(self, m: MonicPoly) -> np.ndarray:
-        """Residue code of each prime modulo m, by one digit product (see above),
-        over row chunks of the primes as in the sieve."""
+        """Residue code of each prime modulo m, by ffield._residues."""
         cached = self._residues.get(m.coeffs)
-        if cached is not None:
-            return cached
-        field, p = self.field, self.field.p
-        n = int(self.prime_deg.max(initial=0))
-        # a residue of degree <= n has min(n + 1, deg m) coefficients
-        width = min(n + 1, m.degree)
-        matrix = _digit_rows(field, _powers_of_x_mod(field, m.coeffs, n)[:, :width])
-        matrix = matrix.astype(_digit_dtype(field, n))
-        powers = _code_powers(field, width - 1)
-        out = np.empty(len(self.codes), dtype=np.int64)
-        step = _row_step(max(matrix.shape))
-        for lo in range(0, len(out), step):
-            digits = _digits(self.codes[lo : lo + step], p, _digit_count(field, n))
-            out[lo : lo + step] = _digit_product(digits, matrix, p, powers)
-        self._residues[m.coeffs] = out
-        return out
+        if cached is None:
+            n = int(self.prime_deg.max(initial=0))
+            cached = self._residues[m.coeffs] = ffield._residues(self.field, m.coeffs,
+                                                                 self.codes, n)
+        return cached
 
 
 class Universe:

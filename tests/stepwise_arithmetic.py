@@ -2,10 +2,11 @@
 
 The package forms a falling factorial as one integer product over one
 denominator, and the Euler log sums and artanh sums of constants by
-running quotients.
+running quotients; Moebius inversion is one in-place pass.
 These are the direct forms they replace, one Fraction multiply per
-factor and one big division per term; the tests assert that both give
-equal values, floors and ledgers.
+factor, one big division per term and one mu-weighted term per pair
+(d, k); the tests assert that both give equal values, floors and
+ledgers.
 """
 
 from fractions import Fraction
@@ -49,3 +50,32 @@ def direct_artanh_sum(y: int) -> tuple[int, int]:
         total += term
         j += 2
     return total, (j - 1) // 2 + 2
+
+
+def sieved_mobius(N: int) -> list[int]:
+    """mu(0..N) by a sieve over the primes (mu(0) = 0 is a placeholder)."""
+    mu = [1] * (N + 1)
+    mu[0] = 0
+    composite = bytearray(N + 1)
+    for p in range(2, N + 1):
+        if composite[p]:
+            continue
+        composite[2 * p::p] = b"\x01" * len(range(2 * p, N + 1, p))
+        for k in range(p, N + 1, p):
+            mu[k] = -mu[k]
+        for k in range(p * p, N + 1, p * p):
+            mu[k] = 0
+    return mu
+
+
+def mobius_weighted_sums(psi: dict, N: int) -> list:
+    """sum_{d | n} mu(n/d) psi(d) for n = 0..N (entry 0 is unused), one
+    mu-weighted multiply-add per d and multiple d k."""
+    mu = sieved_mobius(N)
+    sums = [0] * (N + 1)
+    for d in range(1, N + 1):
+        value = psi.get(d, 0)
+        for k in range(1, N // d + 1):
+            if mu[k]:
+                sums[d * k] += mu[k] * value
+    return sums

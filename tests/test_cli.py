@@ -71,6 +71,23 @@ def test_estimate_arith_over_f27_stops_at_the_enumeration_cap_first(capsys, monk
     assert universe._UNIVERSE_CACHE == {}
 
 
+@pytest.mark.parametrize("argv", [
+    # an oracle under --cap 0 checked no index and still passed
+    ("count", "landau", "--q", "3", "--max-n", "2", "--oracle", "--cap", "0"),
+    ("count", "arith", "--q", "3", "--m", "T^2+1", "--a", "1", "--max-n", "3", "--cap", "-1"),
+    ("estimate", "landau", "--q", "3", "--n", "5", "--cap", "0"),
+    # a negative precision printed a value to no digits
+    ("constants", "kq", "--q", "3", "--digits", "-3"),
+    ("constants", "kq", "--q", "3", "--digits", "0"),
+    ("estimate", "landau", "--q", "3", "--n", "5", "--digits", "-2"),
+])
+def test_non_positive_cap_and_digits_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    flag = argv[-2]
+    assert (code, out) == (2, "")
+    assert f"error: {flag} must be positive" in err
+
+
 def test_verify_takes_no_cap(capsys):
     code, out, err = run(capsys, "verify", "--cap", "5")
     assert code == 2

@@ -2,7 +2,10 @@
 
 A public name may be used by tests or demos alone; a private one (a
 leading underscore) must be used by the package itself, so a helper kept
-only for a test does not pass.
+only for a test does not pass.  The reference modules under tests/ (the
+ones not named test_*) keep replaced forms for the tests to compare
+against, so each of their top-level functions and classes must be named
+in some test file.
 """
 
 import ast
@@ -41,6 +44,19 @@ def test_every_top_level_definition_is_named_outside_itself():
             own = _words("".join(lines[start - 1 : node.end_lineno]))
             unused += [f"{path.name}:{name}" for name in names
                        if (src_words if name.startswith("_") else words)[name] == own[name]]
+    assert unused == []
+
+
+def test_every_reference_in_tests_is_named_by_a_test():
+    tests = ROOT / "tests"
+    test_words = Counter()
+    for path in tests.glob("test_*.py"):
+        test_words += _words(path.read_text())
+    unused = [f"{path.name}:{node.name}"
+              for path in sorted(tests.glob("*.py")) if not path.name.startswith("test_")
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not test_words[node.name]]
     assert unused == []
 
 

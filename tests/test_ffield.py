@@ -515,3 +515,28 @@ def test_first_large_prime_field_factor_is_quick_and_small():
         assert factors == "[((1, 1), 1), ((4092, 1), 1)]"  # (T + 1)(T + 4092)
     assert float(runs["time"][1]) < 0.25
     assert int(runs["memory"][2]) < 10 * 2**20
+
+
+# -- the batched residue map against scalar division ----------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("chunk", [None, 50])
+def test_residues_match_scalar_division(monkeypatch, q, chunk):
+    # r != 1 and a reducible modulus; n + len(r) both below deg modulus,
+    # where codes are sized by the product's degree, and past it.  With
+    # _CHUNK_ENTRIES = 50 a chunk holds 50 // (matrix rows) codes, so
+    # every call crosses chunk boundaries.
+    if chunk is not None:
+        monkeypatch.setattr(ffield, "_CHUNK_ENTRIES", chunk)
+    field = field_for_order(q)
+    rng = random.Random(q)
+    for modulus in ((1, 1, 0, 1), (0, 0, 1, 1), (1, 0, 0, 0, 0, 0, 1)):
+        for n in (1, 2, 3):
+            for r in ((1,), (0, 1), (q - 1, 0, 1)):
+                codes = np.array(rng.sample(range(q ** (n + 1)), min(q ** (n + 1), 200)))
+                expected = [ffield.code_of(field, ffield.poly_mod_general(
+                    field, ffield.poly_mul(field, ffield.coeffs_of_code(field, c), r), modulus))
+                    for c in codes.tolist()]
+                got = ffield._residues(field, modulus, codes, n, r)
+                assert got.tolist() == expected, (modulus, n, r)

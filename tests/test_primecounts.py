@@ -27,7 +27,7 @@ from fqtcount.primecounts import (
     progression_gap_squared,
 )
 from group_ring import GroupRing
-from trial_division import trial_division_factor, trial_division_primes
+from trial_division import scalar_class_count, trial_division_factor, trial_division_primes
 
 
 def test_pi_q_against_brute_force():
@@ -288,6 +288,41 @@ def test_pi_arith_enumeration_takes_the_callers_cap(monkeypatch):
     # with the primes cached, a cap below 3^4 still stops the call
     with pytest.raises(ResourceLimit, match="exceeds cap 80"):
         pi_arith(field, 4, (1,), m, cap=80)
+
+
+# moduli of degree 1-4, with repeated factors (T^2, T^3+T^2 = T^2 (T+1))
+_SIEVED_MODULI = ((0, 1), (1, 1), (0, 0, 1), (1, 0, 1), (1, 1, 0, 1), (0, 0, 1, 1),
+                  (1, 0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("q, N", [(2, 10), (3, 7), (4, 5), (5, 5), (9, 4)])
+def test_sieved_class_counts_match_the_scalar_loop(monkeypatch, q, N):
+    # with _character_table_fits forced False, every table and pi_arith
+    # count the sieve's primes by their batched residues; the reference
+    # reduces each prime by one scalar division
+    monkeypatch.setattr(primecounts, "_character_table_fits", lambda field, m: False)
+    field = field_for_order(q)
+    for coeffs in _SIEVED_MODULI:
+        m = MonicPoly(coeffs)
+        for a in _units(field, m)[:6]:
+            code = primecounts._unit_residue(field, a, m)
+            expected = [scalar_class_count(field, n, code, m) for n in range(1, N + 1)]
+            assert primecounts._class_counts(field, N, code, m, None) == expected, (m, a)
+            assert pi_arith(field, N, a, m) == expected[-1]
+
+
+def test_sieved_class_counts_over_f101():
+    # T^3+T+1 over F_101 is past the residue-ring limit; at n = 2 the
+    # sieve holds the 10,201 monic polynomials of degree 2
+    field = field_for_order(101)
+    m = MonicPoly((1, 1, 0, 1))
+    assert not primecounts._character_table_fits(field, m)
+    code = primecounts._unit_residue(field, (2, 1), m)
+    expected = [scalar_class_count(field, n, code, m) for n in (1, 2)]
+    assert expected == [1, 0]  # T+2 is a prime, and its own residue
+    assert primecounts._class_counts(field, 2, code, m, None) == expected
+    square = primecounts._unit_residue(field, (2, 0, 1), m)  # T^2+2, irreducible over F_101
+    assert primecounts._class_counts(field, 2, square, m, None) == [0, 1]
 
 
 def test_phi_m_answers_to_no_enumeration_cap(monkeypatch):

@@ -32,6 +32,7 @@ from fqtcount.series import (
     _exp_integral,
     _exp_psi_over_n,
     _limbs,
+    _mobius_sums,
     _mobius_table,
     _residue_rows,
     _size_bounds,
@@ -45,6 +46,7 @@ from fqtcount.series import (
 )
 from power2 import power2_transform, verify_power2_product
 from series_powers import binomial_series, series_pow
+from stepwise_arithmetic import mobius_weighted_sums, sieved_mobius
 
 x = sympy.Symbol("x")
 
@@ -314,6 +316,42 @@ def test_kernel_order_range_is_asserted():
 
 def test_mobius_table_matches_sympy():
     assert _mobius_table(300)[1:] == [int(sympy.mobius(n)) for n in range(1, 301)]
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 12, 2000])
+def test_mobius_table_matches_the_sieve(N):
+    assert _mobius_table(N) == sieved_mobius(N)
+
+
+# the psi lists of the exact-tables workload's count tables
+_EXACT_TABLE_PSI = [
+    (FamilySpec(canonical_family("landau"), q=3), 1500),
+    (FamilySpec(canonical_family("landau"), q=101), 700),
+    (FamilySpec(canonical_family("s1"), q=3), 800),
+    (FamilySpec(canonical_family("s2"), q=3), 800),
+    (FamilySpec(canonical_family("s3"), q=5), 600),
+    (FamilySpec(canonical_family("divisors"), l_poly=LPolynomial(5, (1, 2, 5)), r=2), 400),
+]
+
+
+@pytest.mark.parametrize("spec, N", _EXACT_TABLE_PSI, ids=lambda x: getattr(x, "family", x))
+def test_mobius_pass_matches_the_weighted_sums_on_exact_tables(spec, N):
+    psi = psi_table(spec, N)
+    sums = _mobius_sums(psi)
+    assert sums == mobius_weighted_sums(dict(enumerate(psi)), N)
+    assert all(total % n == 0 for n, total in enumerate(sums) if n)  # integral g
+
+
+def test_mobius_pass_on_signed_and_short_lists():
+    rng = random.Random(29)
+    for N in range(0, 80, 3):
+        values = [0] + [rng.randint(-10**30, 10**30) for _ in range(N)]
+        before = list(values)
+        assert _mobius_sums(values) == mobius_weighted_sums(dict(enumerate(values)), N)
+        assert values == before  # the argument is left as it was
+    assert _mobius_sums([0]) == [0]
+    assert _mobius_sums([0, 5]) == [0, 5]
+    assert _mobius_sums([0, 5, 7]) == [0, 5, 2]
 
 
 def test_g_from_psi_messages():

@@ -3,13 +3,17 @@
 ffield.factor splits one polynomial by distinct degree and then by
 Cantor-Zassenhaus, and the enumeration sieve factors whole degrees;
 these loops divide by one candidate at a time, and are kept as the
-reference that both are checked against.
+reference that both are checked against.  Progression counts past the
+character table's limits read the sieve's primes and their residues
+from one batched digit product; scalar_class_count reduces each prime
+by one scalar division instead.
 """
 
 from functools import lru_cache
 
-from fqtcount import ffield
+from fqtcount import ffield, universe
 from fqtcount.ffield import Factorization, MonicPoly
+from fqtcount.primecounts import _residue_code
 
 
 @lru_cache(maxsize=None)
@@ -54,3 +58,11 @@ def trial_division_factor(field, f):
         found.append((MonicPoly(rest), 1))
     found.sort(key=lambda pm: (pm[0].degree, pm[0].coeffs))
     return Factorization(tuple(found))
+
+
+def scalar_class_count(field, n, a_code, m):
+    """pi(n; a): the degree-n primes of the sieve in class a mod m, each
+    reduced by a scalar division."""
+    primes = universe.get_universe(field, n).primes_of_degree(n)
+    return sum(_residue_code(field, ffield.coeffs_of_code(field, code), m) == a_code
+               for code in primes.tolist())
