@@ -524,10 +524,11 @@ class ResidualReport:
 def psi_residual_check(L: LPolynomial, r: int, ell: int | None, n: int) -> ResidualReport:
     """|atilde_n| = |psi - q^{rn}/r| against c2 q^{rn/2}, exactly.
 
-    c2 = bound * gtilde / r, with the certified constant bound = 16 for
-    the unbounded family and 42 for the bounded one.  The comparison
-    squares both sides so the q^{rn/2} scale stays rational; the
-    reported ratio (on the scale of bound) is a float for display only.
+    bound = c2 r / max(g, 1) is the row's scale (families.Places.row):
+    the divisor lemmas' 16 unbounded and 42 bounded, or 1 and 2 for the
+    s2 and s3 rows of genus 0 at r = 2.  Both sides are squared so the
+    q^{rn/2} scale stays rational; the ratio, on the scale of bound, is a
+    float for display only.
     """
     fam = (families.FAMILY_DIVISORS if ell is None else families.FAMILY_DIVISORS_ELL)
     est = estimator_for(FamilySpec(fam, l_poly=L, r=r, ell=ell))

@@ -64,8 +64,6 @@ _CAP_HELP = ("most monic polynomials of one degree (q^n) an enumeration may list
 
 _CONSTANT_NAMES = ("kq", "cq1", "cq2", "cq3", "cq", "cqprime", "cam")
 
-_FAMILY_CHOICES = ("landau", "s1", "s2", "s3", "arith", "divisors")
-
 
 # -- argument plumbing -----------------------------------------------
 
@@ -109,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_count = subs.add_parser("count", help="tabulate exact counts of one family")
-    p_count.add_argument("family", choices=_FAMILY_CHOICES)
+    p_count.add_argument("family", choices=families.SHORT_NAMES)
     _add_field_flags(p_count)
     _add_family_flags(p_count)
     p_count.add_argument(
@@ -143,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = subs.add_parser(
         "estimate", help="certified main-term estimate of one coefficient"
     )
-    p_est.add_argument("family", choices=_FAMILY_CHOICES)
+    p_est.add_argument("family", choices=families.SHORT_NAMES)
     _add_field_flags(p_est)
     _add_family_flags(p_est)
     p_est.add_argument("--n", type=int, required=True, help="target table index")
@@ -207,10 +205,17 @@ def _load_l_poly(path: str) -> LPolynomial:
 
 def _family_spec(args) -> tuple[families.FamilySpec, FieldSpec | None]:
     """Assemble and validate the FamilySpec the flags describe, with the
-    working field of an F_q[T] family (None for the divisor families)."""
+    working field of an F_q[T] family (None for the divisor families,
+    whose l-polynomial carries q); a flag the family does not take is a
+    parameter error."""
     family = families.canonical_family(args.family)
+    takes = families.family_fields(family)
+    for flag in ("q", "p", "k", "modulus", "r", "ell", "l_poly", "m", "a"):
+        field_flag = flag in ("q", "p", "k", "modulus")
+        if getattr(args, flag) is not None and ("q" if field_flag else flag) not in takes:
+            raise ValueError(f"family {args.family} takes no --{flag.replace('_', '-')}")
     field = None
-    if family in (families.FAMILY_DIVISORS, families.FAMILY_DIVISORS_ELL):
+    if "l_poly" in takes:
         if args.l_poly is None:
             raise ValueError("divisor families need --l-poly")
         if args.r is None:
@@ -219,7 +224,7 @@ def _family_spec(args) -> tuple[families.FamilySpec, FieldSpec | None]:
         if args.ell is not None:
             family = families.FAMILY_DIVISORS_ELL
         spec = families.FamilySpec(family, l_poly=L, r=args.r, ell=args.ell)
-    elif family == families.FAMILY_ARITH:
+    elif "m" in takes:
         field = _resolve_field(args)
         if args.m is None or args.a is None:
             raise ValueError("the progression family needs --m and --a")
@@ -240,23 +245,14 @@ def _family_spec(args) -> tuple[families.FamilySpec, FieldSpec | None]:
 
 
 def _table_size(args, spec: families.FamilySpec) -> int:
-    half = spec.family in (
-        families.FAMILY_S1,
-        families.FAMILY_S2,
-        families.FAMILY_S3,
-    )
-    if half:
-        if args.max_half_degree is None:
-            raise ValueError("the even-degree families take --max-half-degree")
-        if args.max_n is not None:
-            raise ValueError("--max-n and --max-half-degree are exclusive")
-        N = args.max_half_degree
-    else:
-        if args.max_n is None:
-            raise ValueError(f"family {args.family} takes --max-n")
-        if args.max_half_degree is not None:
-            raise ValueError("--max-half-degree applies to s1/s2/s3 only")
-        N = args.max_n
+    half = spec.half_degree
+    N, other = (args.max_half_degree, args.max_n) if half else (args.max_n, args.max_half_degree)
+    if N is None:
+        raise ValueError("the even-degree families take --max-half-degree" if half
+                         else f"family {args.family} takes --max-n")
+    if other is not None:
+        raise ValueError("--max-n and --max-half-degree are exclusive" if half
+                         else "--max-half-degree applies to s1/s2/s3 only")
     if N < 0:
         raise ValueError("the table size must be nonnegative")
     return N
@@ -285,8 +281,7 @@ def cmd_count(args) -> tuple[str, int]:
     matches: dict[int, bool] = {}
     code = 0
     if args.oracle:
-        if field is None:
-            raise ValueError("no enumeration oracle for the divisor families")
+        field = field or spec.field()  # raises for a curve of genus >= 1
         budget = args.cap if args.cap is not None else default_cap()
         step = spec.degree_step
         for n in range(N + 1):

@@ -301,8 +301,7 @@ def constant_Cq(q: int, which: int, digits: int = 30) -> ConstantReport:
         return _REPORT_CACHE[key]
     with mpmath.workdps(digits + 15):
         N = _series_terms(q, digits, half=False)
-        s_family = (families.FAMILY_S1, families.FAMILY_S2, families.FAMILY_S3)
-        est = estimator_for(FamilySpec(s_family[which - 1], q=q))
+        est = estimator_for(FamilySpec(f"s{which}", q=q))
         series = _series_method("series", est, N, digits)
         if which == 1:
             # nested: prod_k ((1+z_k)/(1-z_k))^(2^-k-2), z_k = q^(1-2^(k+1)),

@@ -1,34 +1,43 @@
 """Exact counts for the polynomial and divisor families.
 
-Each family is a multiplicative semigroup (possibly with a squarefree
-or bounded-multiplicity restriction) that is free on a known set of
-generators; the number of degree-n members is therefore a coefficient
-of an infinite product built from per-degree generator counts.
+Every family is primes of one splitting type to a restricted
+multiplicity, free on known generators, so its counts are the
+coefficients of F = exp(sum psi_n x^n / n).  Two constructions compute
+psi, the generator counts, the row (c1, c2), the membership rule, the
+degree step and the base q from their parameters:
 
-This module is the one place a family is described: psi_table gives
-the log-coefficients psi_0..psi_N of F = exp(sum psi_n x^n / n) as
-Python ints in one pass, and decomposition the row (c1, c2) of the
-split psi_n = c1 beta^-n + atilde_n, |atilde_n| <= c2 alpha^-n.  Count
-tables, the estimators in asymptotics and the series forms of the
-constants all derive from these two; psi_value is one entry of the
-table.  A table lives with the count_table call or estimator that asked
-for it: nothing here caches psi.  generator_counts and the membership
-oracles recount the same sets independently, as the reference the
-checks compare against; both oracles (the universe sieve over a whole
-degree, and ffield.factor of one polynomial) run the family's one
-membership_rule, and both read each prime's degree, character and
-residues from a universe.PrimeTable.
+* Places(L, r, ell): divisors on the places of degree in rZ of the curve
+  with zeta numerator L, each of multiplicity <= ell (None: unbounded),
+  by degree/r: psi_n = sum_{d | n} d pi_L(r d), less (ell+1)
+  psi_(n/(ell+1)) if ell is set.  In genus 0 (L = 1) with r >= 2 the
+  place at infinity never occurs: these are the monic f whose primes
+  have r | deg P and multiplicity <= ell, which the sieve counts.
+* Norms(q, chi_D): the monic f whose inert primes (chi_D(P) = -1) have
+  even multiplicity.  With lambda_n the n-th log-derivative coefficient
+  of L(u, chi_D) and rho_n = sum deg P over ramified P with deg P | n,
+      J_m = q^m - lambda_m - rho_m + [2|m] J_(m/2),
+      2 psi_n = q^n + lambda_n + rho_n + [2|n] J_(n/2),
+  index k holding psi_(sk) / s for the degree step s.  Proof: by
+  zeta(u) L(u, chi_D) = prod_P (1 - u^deg P)^-1 (1 - chi_D(P) u^deg P)^-1,
+  q^n + lambda_n sums, over P^k with k deg P = n, 2 deg P (P split),
+  deg P (ramified), 2 deg P or 0 (inert, k even or odd).  So J_m = 2 sum
+  deg P over inert P with deg P | m obeys the first line, and 2 psi_n
+  (2 deg P per admissible P with deg P | n, 4 deg P per inert P with
+  2 deg P | n) is the second.
 
-Index conventions: the even-degree families s1/s2/s3 are tabulated by
-half-degree and the divisor families by degree/r; the landau and
-progression families use the degree itself.  CountTable records the
-step in its parameters so serialized tables are unambiguous.
+In _NAMES, the one table of names, landau (A^2 + T B^2) is Norms of
+D = -T (lambda = 0, rho = 1, step 1); s1 of a non-square constant, inert
+at odd degree (lambda_n = (-q)^n, rho = 0, step 2); s2 and s3 Places(1,
+2) and Places(1, 2, 1) over F_q.  Norms.row and Places.row cite the
+lemmas of the rows.  generator_counts and the membership oracles recount
+each family apart from psi; nothing here caches psi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -65,96 +74,276 @@ FAMILY_DIVISORS = "divisors-r-K"
 FAMILY_DIVISORS_ELL = "divisors-r-ell-K"
 FAMILY_ARITH = "arith-progression"
 
-ALL_FAMILIES = (
-    FAMILY_LANDAU,
-    FAMILY_S1,
-    FAMILY_S2,
-    FAMILY_S3,
-    FAMILY_DIVISORS,
-    FAMILY_DIVISORS_ELL,
-    FAMILY_ARITH,
-)
+_HALF = Fraction(1, 2)
 
-_ALIASES = {
-    "landau": FAMILY_LANDAU,
-    "s1": FAMILY_S1,
-    "s2": FAMILY_S2,
-    "s3": FAMILY_S3,
-    "divisors": FAMILY_DIVISORS,
-    "arith": FAMILY_ARITH,
+
+@dataclass(frozen=True)
+class MembershipRule:
+    """f is a member when passes(admissible(P), e) for every P^e exactly
+    dividing it.  admissible maps a universe.PrimeTable (the Universe's,
+    or membership_oracle's of one factorization) to a bool array; passes
+    works elementwise; key names the rule in a Universe's mask cache."""
+
+    key: tuple
+    admissible: Callable
+    passes: Callable
+
+
+# the genus-0 rows by (r, ell) that the s2 and s3 lemmas prove
+_GENUS0_ROWS = {(2, None): (_HALF, _HALF), (2, 1): (_HALF, Fraction(1))}
+
+
+@lru_cache(maxsize=None)
+def genus_zero(q: int) -> LPolynomial:
+    """L = 1 of the projective line over F_q; one per q shares its counts."""
+    ffield.field_for_order(q)  # raises unless q is a prime power
+    return LPolynomial(q, (1,))
+
+
+class Places:
+    """Divisors on the places of degree in rZ of the curve with zeta
+    numerator l_poly, each of multiplicity at most ell (None: unbounded)."""
+
+    def __init__(self, l_poly: LPolynomial, r: int, ell: int | None = None):
+        self.l_poly, self.r, self.ell = l_poly, r, ell
+        self.degree_step, self.base_q = r, l_poly.q
+
+    def validate(self) -> None:
+        if self.r < 2:
+            raise ValueError("divisor families need r >= 2")
+        if self.ell is not None and self.ell < 1:
+            raise ValueError("bounded-multiplicity variant needs ell >= 1")
+
+    def field(self) -> FieldSpec:
+        if self.l_poly.genus:
+            raise ValueError("no enumeration oracle for the divisor families")
+        return ffield.field_for_order(self.base_q)
+
+    def _counts(self, N: int) -> list[int]:
+        """pi_L(r d) at d = 0..N (0 at 0), the places filled to rN at once."""
+        if N:
+            pi_K(self.l_poly, self.r * N)
+        return [0] + [pi_K(self.l_poly, self.r * d) for d in range(1, N + 1)]
+
+    def psi(self, N: int, cap: int | None = None) -> list[int]:
+        sums = series._weighted_divisor_sums(dict(enumerate(self._counts(N))), N)
+        psi, step = [0, *sums.values()], (self.ell or N) + 1  # unbounded: step > N
+        return [v - step * psi[n // step] if n and n % step == 0 else v
+                for n, v in enumerate(psi)]
+
+    def generator_counts(self, N: int, cap: int | None = None) -> dict[int, int]:
+        """pi_L(r n) less pi_L(r n / (ell+1)) where ell+1 divides n: the
+        effective counts, whose weighted divisor sums are psi."""
+        counts, step = self._counts(N), (self.ell or N) + 1  # unbounded: step > N
+        g = {n: counts[n] - (counts[n // step] if n % step == 0 else 0)
+             for n in range(1, N + 1)}
+        for n, value in g.items():
+            if value < 0:
+                raise NegativeCount(f"effective generator count negative at index {n}")
+        return g
+
+    def row(self) -> tuple[Fraction, Fraction]:
+        """c1 = 1/r.  In genus 0 at r = 2 the s2 lemma (atilde_n = -q^m / 2,
+        m the odd part of n) gives c2 = 1/2, and with ell = 1 the s3 lemma
+        (-q^n / 2 at odd n, -q^n + q^m / 2 at even n) c2 = 1; elsewhere the
+        divisor lemmas give 16 max(g, 1) / r, or 42 max(g, 1) / r with ell."""
+        genus = self.l_poly.genus
+        if genus == 0 and (self.r, self.ell) in _GENUS0_ROWS:
+            return _GENUS0_ROWS[self.r, self.ell]
+        constant = 16 if self.ell is None else 42
+        return Fraction(1, self.r), Fraction(constant * max(genus, 1), self.r)
+
+    def rule(self, field: FieldSpec) -> MembershipRule:
+        """P admissible when r | deg P; P^e passes when admissible, e <= ell."""
+        self.field()  # raises off the projective line
+        r, ell = self.r, self.ell
+        return MembershipRule(("places", r, ell), lambda primes: primes.prime_deg % r == 0,
+                              lambda good, e: good if ell is None else good & (e <= ell))
+
+
+@dataclass(frozen=True)
+class Character:
+    """A quadratic character chi_D for the norm construction: lam(power, n)
+    = lambda_n, rho(n) = rho_n with power(k) = q^k; admissible(primes) =
+    chi_D(P) != -1; generators(q, d) counts the admissible P of degree d
+    and inert P of degree d/2 apart from psi; step, c2, and any even-q error."""
+
+    lam: Callable
+    rho: Callable
+    admissible: Callable
+    generators: Callable
+    step: int
+    c2: Fraction
+    even_q_error: str | None = None
+
+
+CHI_MINUS_T = Character(  # L(u, chi) = 1; T ramified
+    lam=lambda power, n: 0, rho=lambda n: 1,
+    admissible=lambda primes: primes.prime_chi2() != -1,
+    generators=lambda q, d: pi_chi2(q, d, CHI2_ZERO_OR_PLUS)
+    + (0 if d % 2 else pi_chi2(q, d // 2, CHI2_MINUS)),
+    step=1, c2=Fraction(1), even_q_error="the A^2 + T B^2 family needs odd q")
+
+CHI_CONSTANT = Character(  # L(u, chi) = 1 / (1 + q u); generators at even d only
+    lam=lambda power, n: -power(n) if n % 2 else power(n), rho=lambda n: 0,
+    admissible=lambda primes: primes.prime_deg % 2 == 0,
+    generators=lambda q, d: pi_q(q, d) + (pi_q(q, d // 2) if d // 2 % 2 else 0),
+    step=2, c2=_HALF)
+
+
+def _norm_twice_psi(chi: Character, power, N: int) -> list:
+    """2 psi_n at n = 0..N (0 at 0) of chi's norm family by the J
+    recursion, power(k) = q^k giving ints or QPoly monomials, so the same
+    lines give psi_table and the landau counts with q left symbolic."""
+    J, twice = [0], [0]
+    for n in range(1, N + 1):
+        top, lam, rho = power(n), chi.lam(power, n), chi.rho(n)
+        half = J[n // 2] if n % 2 == 0 else 0
+        J.append(top - lam - rho + half)
+        twice.append(top + lam + rho + half)
+    return twice
+
+
+class Norms:
+    """Monic f over F_q whose primes inert for chi have even multiplicity."""
+
+    def __init__(self, q: int, chi: Character):
+        self.chi, self.degree_step, self.base_q = chi, chi.step, q
+
+    def field(self) -> FieldSpec:
+        return ffield.field_for_order(self.base_q)
+
+    def validate(self) -> None:
+        self.field()
+        if self.chi.even_q_error and self.base_q % 2 == 0:
+            raise EvenCharacteristic(self.chi.even_q_error)
+
+    def psi(self, N: int, cap: int | None = None) -> list[int]:
+        """psi_(sk) / s at index k from one running list of powers of q;
+        a remainder raises NegativeCount."""
+        s, powers = self.degree_step, [1]
+        for _ in range(s * N):
+            powers.append(powers[-1] * self.base_q)
+        twice, psi = _norm_twice_psi(self.chi, powers.__getitem__, s * N), [0]
+        for k in range(1, N + 1):
+            value, rem = divmod(twice[s * k], 2 * s)
+            if rem:
+                raise NegativeCount(f"non-integral log-coefficient at index {k}")
+            psi.append(value)
+        return psi
+
+    def generator_counts(self, N: int, cap: int | None = None) -> dict[int, int]:
+        return {k: self.chi.generators(self.base_q, self.chi.step * k) for k in range(1, N + 1)}
+
+    def row(self) -> tuple[Fraction, Fraction]:
+        """c1 = 1/2; landau's atilde_n = (1 + J_(n/2)) / 2 lies in [1/2,
+        q^(n/2)] (c2 = 1), s1's is q^m / 2, m the odd part of n (c2 = 1/2)."""
+        return _HALF, self.chi.c2
+
+    def rule(self, field: FieldSpec) -> MembershipRule:
+        """P admissible when chi(P) != -1; P^e passes when admissible or e even."""
+        return MembershipRule(("norms", self.chi), self.chi.admissible,
+                              lambda good, e: good | (e % 2 == 0))
+
+
+class Progression:
+    """Monic f over F_q all of whose primes are congruent to a mod m."""
+
+    def __init__(self, q: int, m: tuple[int, ...], a: tuple[int, ...]):
+        self.m, self.a, self.degree_step, self.base_q = MonicPoly(m), a, 1, q
+
+    def field(self) -> FieldSpec:
+        return ffield.field_for_order(self.base_q)
+
+    def validate(self) -> None:
+        field, m = self.field(), self.m.coeffs
+        if self.m.degree < 1:
+            raise ValueError("the modulus must have positive degree")
+        a = ffield.poly_mod_general(field, self.a, m)
+        if a == (0,) or ffield.poly_gcd(field, a, m) != (1,):
+            raise NotCoprime("residue must be coprime to the modulus")
+
+    def generator_counts(self, N: int, cap: int | None = None) -> dict[int, int]:
+        """The class primes of degrees 1..N: one residue check, one pass."""
+        field = self.field()
+        a_code = _unit_residue(field, self.a, self.m)
+        return dict(enumerate(_class_counts(field, N, a_code, self.m, cap), start=1))
+
+    def psi(self, N: int, cap: int | None = None) -> list[int]:
+        return [0, *series._weighted_divisor_sums(self.generator_counts(N, cap), N).values()]
+
+    def row(self) -> tuple[Fraction, Fraction]:
+        """c1 = 1/phi(m), c2 = deg m + 3."""
+        phi = phi_m(self.field(), self.m)
+        if phi < 2:
+            raise HypothesisViolation("phi(m) = 1 makes c1 = 1, outside the open interval (0, 1)")
+        return Fraction(1, phi), Fraction(self.m.degree + 3)
+
+    def rule(self, field: FieldSpec) -> MembershipRule:
+        """P admissible when P = a mod m; P^e passes when admissible."""
+        m, a_code = self.m, _residue_code(field, self.a, self.m)
+        return MembershipRule(("arith", m.coeffs, a_code),
+                              lambda primes: primes.prime_residues(m) == a_code,
+                              lambda good, e: good)
+
+
+@dataclass(frozen=True)
+class _Name:
+    """A family name: its short (CLI) name, FamilySpec fields, construction,
+    half-degree CLI size, and label and params (None: "short q=...", q)."""
+
+    short: str
+    fields: tuple[str, ...]
+    build: Callable
+    half_degree: bool = False
+    label: Callable | None = None
+    params: Callable | None = None
+
+
+_DIVISORS = dict(
+    short="divisors", build=lambda s: Places(s.l_poly, s.r, s.ell),
+    label=lambda s: f"divisors r={s.r}{'' if s.ell is None else f' ell={s.ell}'} "
+                    f"q={s.l_poly.q}",
+    params=lambda s: {"l_polynomial": s.l_poly.to_json(), "r": s.r,
+                      "ell": "unbounded" if s.ell is None else s.ell})
+
+_NAMES = {
+    FAMILY_LANDAU: _Name("landau", ("q",), lambda s: Norms(s.q, CHI_MINUS_T)),
+    FAMILY_S1: _Name("s1", ("q",), lambda s: Norms(s.q, CHI_CONSTANT), True),
+    FAMILY_S2: _Name("s2", ("q",), lambda s: Places(genus_zero(s.q), 2), True),
+    FAMILY_S3: _Name("s3", ("q",), lambda s: Places(genus_zero(s.q), 2, 1), True),
+    FAMILY_ARITH: _Name(
+        "arith", ("q", "m", "a"), lambda s: Progression(s.q, s.m, s.a),
+        label=lambda s: f"arith q={s.q} m={MonicPoly(s.m)}",
+        params=lambda s: {"q": s.q, "m": ffield.poly_to_string(MonicPoly(s.m)),
+                          "a": ffield.poly_to_string(s.a)}),
+    FAMILY_DIVISORS: _Name(fields=("l_poly", "r"), **_DIVISORS),
+    FAMILY_DIVISORS_ELL: _Name(fields=("l_poly", "r", "ell"), **_DIVISORS),
 }
 
-_SHORT_NAMES = {family: name for name, family in _ALIASES.items()}
-
-_POLY_FAMILIES = (FAMILY_LANDAU, FAMILY_S1, FAMILY_S2, FAMILY_S3, FAMILY_ARITH)
+ALL_FAMILIES = tuple(_NAMES)
+SHORT_NAMES = tuple(dict.fromkeys(entry.short for entry in _NAMES.values()))
 
 
 def canonical_family(name: str) -> str:
-    if name in ALL_FAMILIES:
-        return name
-    if name in _ALIASES:
-        return _ALIASES[name]
+    for family, entry in _NAMES.items():
+        if name in (family, entry.short):
+            return family
     raise ValueError(f"unknown family {name!r}")
 
 
-def _v2(n: int) -> int:
-    return (n & -n).bit_length() - 1
-
-
-def _twice_e(power, n: int):
-    """2 e_n = 1 + sum_{i=1..v2(n)} (q^(n >> i) - 1), with power(k) = q^k."""
-    return 1 + sum(power(n >> i) - 1 for i in range(1, _v2(n) + 1))
-
-
-def _twice_f(power, n: int):
-    """2 f_n = q^m, m the odd part of n, with power(k) = q^k."""
-    return power(n >> _v2(n))
-
-
-def _twice_psi(family: str, power, n: int):
-    """2 psi_n of the landau and s1-s3 families, with power(k) = q^k.
-
-    The one closed form of each; power may return ints or QPoly
-    monomials, so the same lines give psi_table and the landau counts
-    with q left symbolic.
-    """
-    if family == FAMILY_LANDAU:
-        return power(n) + _twice_e(power, n)
-    top = power(2 * n)
-    if family == FAMILY_S1:
-        return top + _twice_f(power, n)
-    if family == FAMILY_S2:
-        return top - _twice_f(power, n)
-    if n % 2:
-        return top - power(n)
-    return top - 2 * power(n) + _twice_f(power, n)
-
-
-def e_n(q: int, n: int) -> Fraction:
-    """Fluctuation of the landau log-coefficients around q^n/2."""
-    return Fraction(_twice_e(q.__pow__, n), 2)
-
-
-def f_n(q: int, n: int) -> Fraction:
-    """Fluctuation of the s1 log-coefficients around q^{2n}/2."""
-    return Fraction(_twice_f(q.__pow__, n), 2)
-
-
-def e_n_poly(n: int) -> QPoly:
-    """e_n with q left symbolic."""
-    return (QPoly.from_const(0) + _twice_e(QPoly.q_power, n)) / 2
+def family_fields(name: str) -> set[str]:
+    """The FamilySpec fields of every canonical name of name's short name
+    (divisors takes ell, as divisors-r-ell-K)."""
+    short = _NAMES[canonical_family(name)].short
+    return {f for entry in _NAMES.values() if entry.short == short for f in entry.fields}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Which family, over which base object, with which parameters.
-
-    F_q[T] families carry q (the canonical field of that order is
-    implied); divisor families carry an LPolynomial and r, with ell
-    present only for the bounded-multiplicity variant; the progression
-    family carries modulus and residue coefficient tuples.  family may
-    be given by an alias; it is stored as the canonical name.
-    """
+    """A family name (an alias is stored as the canonical name) and the
+    parameters its construction reads: q, or an LPolynomial, r and ell,
+    or q with modulus and residue coefficient tuples."""
 
     family: str
     q: int | None = None
@@ -167,117 +356,48 @@ class FamilySpec:
     def __post_init__(self):
         object.__setattr__(self, "family", canonical_family(self.family))
 
+    @cached_property
+    def construction(self):
+        """The Places, Norms or Progression instance the spec names."""
+        return _NAMES[self.family].build(self)
+
     def validate(self) -> None:
-        family = self.family
-        if family in _POLY_FAMILIES:
-            if self.q is None:
-                raise ValueError(f"family {family} needs q")
-            field = self.field()
-            if family == FAMILY_LANDAU and field.q % 2 == 0:
-                raise EvenCharacteristic("the A^2 + T B^2 family needs odd q")
-            if family == FAMILY_ARITH:
-                if self.m is None or self.a is None:
-                    raise ValueError("the progression family needs m and a")
-                m = MonicPoly(self.m)
-                if m.degree < 1:
-                    raise ValueError("the modulus must have positive degree")
-                a = ffield.poly_mod_general(field, self.a, m.coeffs)
-                if a == (0,) or ffield.poly_gcd(field, a, m.coeffs) != (1,):
-                    raise NotCoprime("residue must be coprime to the modulus")
-        else:
-            if self.l_poly is None:
-                raise ValueError(f"family {family} needs an L-polynomial")
-            if self.r is None or self.r < 2:
-                raise ValueError("divisor families need r >= 2")
-            if family == FAMILY_DIVISORS_ELL:
-                if self.ell is None or self.ell < 1:
-                    raise ValueError("bounded-multiplicity variant needs ell >= 1")
-            elif self.ell is not None:
-                raise ValueError("unbounded variant takes no ell")
+        takes = _NAMES[self.family].fields
+        for name in ("q", "r", "ell", "l_poly", "m", "a"):
+            if (getattr(self, name) is None) == (name in takes):
+                verb = "needs" if name in takes else "takes no"
+                raise ValueError(f"family {self.family} {verb} {name}")
+        self.construction.validate()
 
     def field(self) -> FieldSpec:
-        if self.q is None:
-            raise ValueError("this family is not over F_q[T]")
-        return ffield.field_for_order(self.q)
+        return self.construction.field()
 
     @property
     def degree_step(self) -> int:
         """Degree of the counted objects per unit of table index."""
-        if self.family in (FAMILY_S1, FAMILY_S2, FAMILY_S3):
-            return 2
-        if self.family in (FAMILY_DIVISORS, FAMILY_DIVISORS_ELL):
-            return self.r
-        return 1
+        return self.construction.degree_step
 
     @property
     def base_q(self) -> int:
-        """Order of the constant field: q, or L.q for the divisor families."""
-        if self.family in _POLY_FAMILIES:
-            return self.q
-        return self.l_poly.q
+        return self.construction.base_q
+
+    @property
+    def half_degree(self) -> bool:
+        return _NAMES[self.family].half_degree
 
     @property
     def label(self) -> str:
-        family = self.family
-        if family == FAMILY_ARITH:
-            return f"arith q={self.q} m={MonicPoly(self.m)}"
-        if family in _POLY_FAMILIES:
-            return f"{_SHORT_NAMES[family]} q={self.q}"
-        ell = f" ell={self.ell}" if family == FAMILY_DIVISORS_ELL else ""
-        return f"divisors r={self.r}{ell} q={self.l_poly.q}"
+        entry = _NAMES[self.family]
+        return entry.label(self) if entry.label else f"{entry.short} q={self.q}"
 
     def generator_counts(self, N: int, cap: int | None = None) -> dict[int, int]:
         """Free-generator count at each table index 1..N."""
-        family = self.family
-        g: dict[int, int] = {}
-        if family == FAMILY_LANDAU:
-            q = self.field().q
-            for n in range(1, N + 1):
-                g[n] = pi_chi2(q, n, CHI2_ZERO_OR_PLUS)
-                if n % 2 == 0:
-                    g[n] += pi_chi2(q, n // 2, CHI2_MINUS)
-        elif family == FAMILY_S1:
-            q = self.field().q
-            for n in range(1, N + 1):
-                g[n] = pi_q(q, 2 * n) + (pi_q(q, n) if n % 2 else 0)
-        elif family in (FAMILY_S2, FAMILY_S3):
-            q = self.field().q
-            for n in range(1, N + 1):
-                g[n] = pi_q(q, 2 * n)
-        elif family == FAMILY_ARITH:
-            field = self.field()
-            m = MonicPoly(self.m)
-            # one residue check, and one class-count pass over 1..N
-            a_code = _unit_residue(field, self.a, m)
-            g = dict(enumerate(_class_counts(field, N, a_code, m, cap), start=1))
-        elif family == FAMILY_DIVISORS:
-            for n in range(1, N + 1):
-                g[n] = pi_K(self.l_poly, self.r * n)
-        else:
-            step = self.ell + 1
-            for n in range(1, N + 1):
-                g[n] = pi_K(self.l_poly, self.r * n)
-                if n % step == 0:
-                    g[n] -= pi_K(self.l_poly, self.r * n // step)
-                if g[n] < 0:
-                    raise NegativeCount(
-                        f"effective generator count negative at index {n}"
-                    )
-        return g
+        return self.construction.generator_counts(N, cap)
 
     def params_json(self) -> dict:
-        family = self.family
-        out: dict = {"degree_per_index": self.degree_step}
-        if family in _POLY_FAMILIES:
-            out["q"] = self.q
-            if family == FAMILY_ARITH:
-                out["m"] = ffield.poly_to_string(MonicPoly(self.m))
-                out["a"] = ffield.poly_to_string(self.a)
-        else:
-            out["l_polynomial"] = self.l_poly.to_json()
-            out["r"] = self.r
-            out["ell"] = self.ell if self.ell is not None else "unbounded"
-        return out
+        entry = _NAMES[self.family]
+        params = entry.params(self) if entry.params else {"q": self.q}
+        return {"degree_per_index": self.degree_step, **params}
 
 
 @dataclass(frozen=True)
@@ -324,10 +444,7 @@ def count_s_family(q: int, which: int, N: int) -> CountTable:
     which=1: odd-degree primes to even multiplicity; which=2: all prime
     factors of even degree; which=3: squarefree with even-degree primes.
     """
-    if which not in (1, 2, 3):
-        raise ValueError("which must be 1, 2 or 3")
-    family = (FAMILY_S1, FAMILY_S2, FAMILY_S3)[which - 1]
-    return count_table(FamilySpec(family, q=q), N)
+    return count_table(FamilySpec(f"s{which}", q=q), N)  # another which names no family
 
 
 def count_divisors(L: LPolynomial, r: int, ell: int | None, N: int) -> CountTable:
@@ -351,46 +468,10 @@ def count_arith(field: FieldSpec, a, m: MonicPoly, N: int,
     return count_table(spec, N, cap=cap)
 
 
-# -- the log-coefficients --------------------------------------------
-
-
 def psi_table(spec: FamilySpec, N: int, cap: int | None = None) -> list[int]:
-    """psi_0..psi_N (psi_0 = 0), psi_n the coefficient of x^n/n in log F.
-
-    The one description of each family's log-coefficients: the weighted
-    divisor sum over generators, with alternating signs for the
-    squarefree variant.  landau and s1-s3 use their closed forms over one
-    running list of powers of q; every halving is checked exact, and an
-    odd numerator raises NegativeCount.  arith counts the class primes
-    of degrees 1..N in one pass (primecounts._class_counts), the divisor
-    families the places once per degree,
-    and one weighted divisor pass sums them; the ell variant subtracts
-    (ell+1) psi_(n/(ell+1)) of the unbounded family.
-    """
-    family = spec.family
-    if family in (FAMILY_LANDAU, FAMILY_S1, FAMILY_S2, FAMILY_S3):
-        powers = [1]
-        for _ in range(N if family == FAMILY_LANDAU else 2 * N):
-            powers.append(powers[-1] * spec.q)
-        psi = [0]
-        for n in range(1, N + 1):
-            twice = _twice_psi(family, powers.__getitem__, n)
-            if twice % 2:
-                raise NegativeCount(f"non-integral log-coefficient at index {n}")
-            psi.append(twice // 2)
-        return psi
-    if family == FAMILY_ARITH:
-        field, m = spec.field(), MonicPoly(spec.m)
-        a_code = _unit_residue(field, spec.a, m)
-        counts = dict(enumerate(_class_counts(field, N, a_code, m, cap), start=1))
-        return [0, *series._weighted_divisor_sums(counts, N).values()]
-    counts = {d: pi_K(spec.l_poly, spec.r * d) for d in range(1, N + 1)}
-    unbounded = [0, *series._weighted_divisor_sums(counts, N).values()]
-    if family == FAMILY_DIVISORS:
-        return unbounded
-    step = spec.ell + 1
-    return [v - step * unbounded[n // step] if n and n % step == 0 else v
-            for n, v in enumerate(unbounded)]
+    """psi_0..psi_N (psi_0 = 0), psi_n the coefficient of x^n/n in log F,
+    from the family's construction."""
+    return spec.construction.psi(N, cap)
 
 
 def psi_value(spec: FamilySpec, n: int, cap: int | None = None) -> Fraction:
@@ -400,39 +481,11 @@ def psi_value(spec: FamilySpec, n: int, cap: int | None = None) -> Fraction:
     return Fraction(psi_table(spec, n, cap=cap)[n])
 
 
-# -- the decomposition row -------------------------------------------
-
-# certified envelope constants of the divisor families, per genus and r
-DIVLEM_CONSTANT_UNBOUNDED = 16
-DIVLEM_CONSTANT_BOUNDED = 42
-
-_HALF = Fraction(1, 2)
-_ROWS = {
-    FAMILY_LANDAU: (_HALF, Fraction(1)),
-    FAMILY_S1: (_HALF, _HALF),
-    FAMILY_S2: (_HALF, _HALF),
-    FAMILY_S3: (_HALF, Fraction(1)),
-}
-
-
 def decomposition(spec: FamilySpec) -> tuple[Fraction, Fraction]:
     """The family's row (c1, c2): psi_n = c1 beta^-n + atilde_n with
     |atilde_n| <= c2 alpha^-n, where beta = q^-s and alpha^-2 = q^s for
     the base q and the degree step s."""
-    family = spec.family
-    if family == FAMILY_ARITH:
-        m = MonicPoly(spec.m)
-        phi = phi_m(spec.field(), m)
-        if phi < 2:
-            raise HypothesisViolation(
-                "phi(m) = 1 makes c1 = 1, outside the open interval (0, 1)"
-            )
-        return Fraction(1, phi), Fraction(m.degree + 3)
-    if family in _POLY_FAMILIES:
-        return _ROWS[family]
-    constant = (DIVLEM_CONSTANT_UNBOUNDED if family == FAMILY_DIVISORS
-                else DIVLEM_CONSTANT_BOUNDED)
-    return Fraction(1, spec.r), Fraction(constant * max(spec.l_poly.genus, 1), spec.r)
+    return spec.construction.row()
 
 
 # -- the polynomial-in-q representation ------------------------------
@@ -446,9 +499,8 @@ def count_landau_poly_in_q(n: int) -> QPoly:
         raise ValueError("n must be nonnegative")
     if n < len(_LANDAU_POLY_CACHE):
         return _LANDAU_POLY_CACHE[n]
-    log_coeffs: list = [QPoly.from_const(Fraction(0))]
-    for j in range(1, n + 1):
-        log_coeffs.append(_twice_psi(FAMILY_LANDAU, QPoly.q_power, j) / (2 * j))
+    twice = _norm_twice_psi(CHI_MINUS_T, QPoly.q_power, n)
+    log_coeffs = [QPoly.from_const(Fraction(0))] + [twice[j] / (2 * j) for j in range(1, n + 1)]
     F = series.series_exp(series.TruncatedSeries(tuple(log_coeffs)))
     _LANDAU_POLY_CACHE.clear()
     _LANDAU_POLY_CACHE.extend(
@@ -460,48 +512,11 @@ def count_landau_poly_in_q(n: int) -> QPoly:
 # -- membership oracles ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipRule:
-    """An F_q[T] family's membership rule, in the one form both oracles run.
-
-    f is a member when every prime power P^e exactly dividing it passes:
-    passes(admissible(P), e).  admissible reads a universe.PrimeTable
-    through prime_deg, prime_chi2() and prime_residues(m) and gives a
-    bool array over its primes; passes works elementwise on arrays.  Both
-    oracles hand it a PrimeTable: the Universe's own, or the one
-    membership_oracle builds from one factorization.  key names the rule
-    in a Universe's mask cache.
-    """
-
-    key: tuple
-    admissible: Callable
-    passes: Callable
-
-
-# which multiplicities e pass, given the prime's admissibility (default: good)
-_PASSES = {
-    FAMILY_LANDAU: lambda good, e: good | (e % 2 == 0),
-    FAMILY_S1: lambda good, e: good | (e % 2 == 0),
-    FAMILY_S3: lambda good, e: good & (e == 1),
-}
-
-
 def membership_rule(field: FieldSpec, spec: FamilySpec) -> MembershipRule:
-    """The membership rule of an F_q[T] family, validated here: a prime P
-    is admissible when chi2(P) != -1 (landau), deg P is even (s1-s3) or
-    P = a mod m (arith); _PASSES says which multiplicities pass."""
-    if spec.family not in _POLY_FAMILIES:
-        raise ValueError("membership is defined for the F_q[T] families only")
+    """The family's membership rule over field, validated here; a curve
+    of genus >= 1 has none."""
     spec.validate()
-    passes = _PASSES.get(spec.family, lambda good, e: good)
-    if spec.family == FAMILY_LANDAU:
-        return MembershipRule((spec.family,), lambda primes: primes.prime_chi2() != -1, passes)
-    if spec.family == FAMILY_ARITH:
-        m = MonicPoly(spec.m)
-        a_code = _residue_code(field, spec.a, m)
-        return MembershipRule((spec.family, m.coeffs, a_code),
-                              lambda primes: primes.prime_residues(m) == a_code, passes)
-    return MembershipRule((spec.family,), lambda primes: primes.prime_deg % 2 == 0, passes)
+    return spec.construction.rule(field)
 
 
 def membership_oracle(field: FieldSpec, fact: Factorization, spec: FamilySpec) -> bool:

@@ -204,18 +204,8 @@ def _identity_checks(rng: random.Random) -> list[CheckResult]:
     good = True
     for fam in specs:
         g = fam.generator_counts(8)
-        sf = fam.family == families.FAMILY_S3
-        for n in range(1, 9):
-            if sf:
-                # alternating-sign weighted sum for the squarefree form
-                direct = sum((-1) ** (n // d - 1) * d * g[d]
-                             for d in range(1, n + 1) if n % d == 0)
-            else:
-                direct = sum(d * g[d] for d in range(1, n + 1) if n % d == 0)
-            if families.psi_value(fam, n) != direct:
-                good = False
-        if not good:
-            break
+        good &= all(families.psi_value(fam, n) == sum(d * g[d] for d in range(1, n + 1)
+                                                      if n % d == 0) for n in range(1, 9))
     out.append(_result("psi-closed-forms", good, "7 family shapes, n <= 8"))
     # the finite-difference binomial identity, exact
     good = True
@@ -249,10 +239,9 @@ def _bounds_checks(rng: random.Random) -> list[CheckResult]:
     # displacement envelopes for the quadratic-form family
     good = True
     for q in (3, 5, 9):
-        for n in range(1, 40):
-            e = families.e_n(q, n)
-            if not Fraction(1, 2) <= e <= q ** (n // 2):
-                good = False
+        psi = families.psi_table(FamilySpec(families.FAMILY_LANDAU, q=q), 39)
+        good &= all(Fraction(1, 2) <= psi[n] - Fraction(q**n, 2) <= q ** (n // 2)
+                    for n in range(1, 40))
     out.append(_result("displacement-envelope", good, "q in {3,5,9}, n < 40"))
     # progression prime count displacement (squared comparison)
     field = field_for_order(3)

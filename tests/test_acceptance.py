@@ -33,8 +33,6 @@ from fqtcount.families import (
     count_landau,
     count_landau_poly_in_q,
     count_table,
-    e_n,
-    f_n,
     oracle_count,
 )
 from fqtcount.ffield import field_for_order
@@ -46,6 +44,7 @@ from fqtcount.series import (
     series_log,
 )
 from fqtcount.verify import run_all
+from closed_forms import e_n, f_n
 from power2 import verify_power2_product
 
 ODD_PRIME_POWERS_TO_101 = [

@@ -145,19 +145,39 @@ def test_estimator_parameters_per_family():
     )
     assert est.c1 == Fraction(1, 8)
     assert est.c2 == Fraction(4)
-    L = LPolynomial(3, (1,))
+    L = LPolynomial(5, (1, -2, 5))
     est = estimator_for(
         FamilySpec(canonical_family("divisors"), l_poly=L, r=2)
     )
     assert est.c1 == Fraction(1, 2)
     assert est.c2 == Fraction(16, 2)
-    assert est.beta == Fraction(1, 9)
+    assert est.beta == Fraction(1, 25)
     est = estimator_for(
         FamilySpec(
             canonical_family("divisors-r-ell-K"), l_poly=L, r=2, ell=1
         )
     )
     assert est.c2 == Fraction(42, 2)
+
+
+@pytest.mark.parametrize("r, ell, row", [
+    (2, None, (Fraction(1, 2), Fraction(1, 2))),  # s2's row
+    (2, 1, (Fraction(1, 2), Fraction(1))),  # s3's row
+    (2, 2, (Fraction(1, 2), Fraction(42, 2))),
+    (3, None, (Fraction(1, 3), Fraction(16, 3))),
+    (3, 1, (Fraction(1, 3), Fraction(42, 3))),
+])
+def test_genus_zero_rows(r, ell, row):
+    # genus 0 at r = 2 takes the proved s2 and s3 rows; the rest keep the
+    # divisor lemmas' constants
+    L = LPolynomial(3, (1,))
+    family = "divisors" if ell is None else "divisors-r-ell-K"
+    est = estimator_for(FamilySpec(family, l_poly=L, r=r, ell=ell))
+    assert (est.c1, est.c2) == row
+    if r == 2 and ell in (None, 1):
+        alias = estimator_for(FamilySpec("s2" if ell is None else "s3", q=3))
+        assert (alias.c1, alias.c2, alias.beta) == (est.c1, est.c2, est.beta)
+        assert alias.numerators(60)[0][:61] == est.numerators(60)[0][:61]
 
 
 def test_estimator_rejects_trivial_unit_group():
@@ -434,13 +454,13 @@ def test_psi_residual_bounds():
 
 def test_divisor_estimate_threshold_frozen():
     # the bounded family's larger envelope constant gives the later threshold
-    L = LPolynomial(3, (1,))
+    L = LPolynomial(5, (1, -2, 5))
     bounded = estimator_for(FamilySpec("divisors-r-ell-K", l_poly=L, r=2, ell=1))
-    assert not estimate_coefficient(bounded, 806).in_range
-    result = estimate_coefficient(bounded, 807)
-    assert (result.threshold, result.in_range) == (807, True)
+    assert not estimate_coefficient(bounded, 501).in_range
+    result = estimate_coefficient(bounded, 502)
+    assert (result.threshold, result.in_range) == (502, True)
     unbounded = estimator_for(FamilySpec("divisors", l_poly=L, r=2))
-    assert estimate_coefficient(unbounded, 807).threshold < 807
+    assert estimate_coefficient(unbounded, 502).threshold == 176
 
 
 def _main_term_matches(spec, report):

@@ -176,14 +176,53 @@ def test_malformed_lpoly_exits_2_naming_file_and_field(capsys, tmp_path, text, f
     assert str(lfile) in err and field in err
 
 
-def test_count_oracle_rejected_for_divisors(capsys, tmp_path):
+@pytest.mark.parametrize("coefficients, expected", [("[1]", 0), ("[1, -2, 5]", 2)])
+def test_count_divisors_oracle_runs_in_genus_zero_only(capsys, tmp_path, coefficients,
+                                                       expected):
     lfile = tmp_path / "l.json"
-    lfile.write_text('{"q": 3, "coefficients": [1]}')
+    lfile.write_text(f'{{"q": 5, "coefficients": {coefficients}}}')
     code, out, err = run(
         capsys, "count", "divisors", "--l-poly", str(lfile), "--r", "2",
         "--max-n", "3", "--oracle",
     )
-    assert code == 2
+    assert code == expected, err
+    if expected:
+        assert out == "" and "no enumeration oracle for the divisor families" in err
+    else:
+        data = json.loads(out)
+        assert data["oracle"]["all_match"] is True
+        assert sorted(data["oracle"]["checked"]) == ["0", "1", "2", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "landau", "--q", "3", "--max-n", "2", "--r", "2"),
+    ("count", "s2", "--q", "3", "--max-half-degree", "2", "--ell", "1"),
+    ("count", "arith", "--q", "3", "--m", "T^2+1", "--a", "1", "--max-n", "2",
+     "--l-poly", "{lpoly}"),
+    ("count", "divisors", "--r", "2", "--l-poly", "{lpoly}", "--max-n", "2", "--q", "5"),
+    ("estimate", "landau", "--q", "3", "--n", "5", "--m", "T"),
+])
+def test_flags_the_family_does_not_take_exit_2(capsys, tmp_path, argv):
+    lfile = tmp_path / "g0.json"
+    lfile.write_text('{"q": 3, "coefficients": [1]}')
+    code, out, err = run(capsys, *(str(lfile) if a == "{lpoly}" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_genus_zero_divisor_estimates_print_the_s2_and_s3_bounds(capsys, tmp_path):
+    lfile = tmp_path / "g0.json"
+    lfile.write_text('{"q": 3, "coefficients": [1]}')
+    for alias, ell, bound in (("s2", (), "4.396590e-02"), ("s3", ("--ell", "1"), "1.449750e-01")):
+        code, out, err = run(capsys, "estimate", "divisors", "--l-poly", str(lfile),
+                             "--r", "2", *ell, "--n", "150")
+        assert code == 0, err
+        divisors = json.loads(out)
+        code, out, err = run(capsys, "estimate", alias, "--q", "3", "--n", "150")
+        named = json.loads(out)
+        assert divisors["error_bound"] == named["error_bound"] == bound
+        assert divisors.pop("family") != named.pop("family")
+        assert divisors == named
 
 
 def test_count_cap_skips_expensive_rows(capsys):

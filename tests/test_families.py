@@ -15,8 +15,6 @@ from fqtcount.families import (
     count_landau_poly_in_q,
     count_s_family,
     count_table,
-    e_n,
-    f_n,
     membership_oracle,
     oracle_count,
     psi_table,
@@ -24,7 +22,10 @@ from fqtcount.families import (
     rep_search_membership,
 )
 from fqtcount.ffield import MonicPoly, field_for_order
-from fqtcount.primecounts import LPolynomial, pi_K, pi_arith
+from fqtcount.primecounts import LPolynomial, pi_K, pi_arith, pi_q
+from fqtcount.qpoly import QPoly
+
+from closed_forms import e_n, f_n, s3_alternating_psi, twice_e, twice_f, twice_psi
 
 
 def capped_multisets(p, w, t):
@@ -226,19 +227,23 @@ def test_psi_value_matches_weighted_divisor_sums():
     ]
     for spec in specs:
         g = spec.generator_counts(8)
-        squarefree = canonical_family(spec.family) == "s3-even-degree-squarefree"
         for n in range(1, 9):
-            if squarefree:
-                direct = sum(
-                    (-1) ** (n // d - 1) * d * g[d]
-                    for d in range(1, n + 1)
-                    if n % d == 0
-                )
-            else:
-                direct = sum(
-                    d * g[d] for d in range(1, n + 1) if n % d == 0
-                )
+            direct = sum(
+                d * g[d] for d in range(1, n + 1) if n % d == 0
+            )
             assert psi_value(spec, n) == direct
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 9])
+def test_s3_psi_is_the_alternating_sum_over_even_degree_primes(q):
+    # s3's effective generator counts pi_q(2n) - [2|n] pi_q(n) turn the
+    # squarefree product's alternating sum into a plain divisor sum
+    N = 24
+    g = FamilySpec("s3", q=q).generator_counts(N)
+    assert g == {n: pi_q(q, 2 * n) - (pi_q(q, n) if n % 2 == 0 else 0)
+                 for n in range(1, N + 1)}
+    assert psi_table(FamilySpec("s3", q=q), N) == [0] + [
+        s3_alternating_psi(q, n) for n in range(1, N + 1)]
 
 
 @pytest.mark.parametrize("m, a", [((1, 0, 1), (1,)), ((1, 0, 1), (2, 1)), ((0, 0, 1), (1, 1))])
@@ -279,17 +284,117 @@ def _psi_table_reference_specs():
 def test_psi_table_matches_generator_counts(spec):
     N = 24
     g = spec.generator_counts(N)
-    squarefree = canonical_family(spec.family) == "s3-even-degree-squarefree"
     expected = [0]
     for n in range(1, N + 1):
-        expected.append(sum((-1) ** (n // d - 1 if squarefree else 0) * d * g[d]
-                            for d in range(1, n + 1) if n % d == 0))
+        expected.append(sum(d * g[d] for d in range(1, n + 1) if n % d == 0))
     table = psi_table(spec, N)
     assert table == expected
     assert all(type(v) is int for v in table)
     assert psi_table(spec, 7) == expected[:8]
     assert [psi_value(spec, n) for n in (1, 12, 24)] == [expected[1], expected[12],
                                                           expected[24]]
+
+
+@pytest.mark.parametrize("name, qs", [
+    ("landau", (3, 5, 7, 9, 25, 101)),
+    ("s1", (2, 3, 4, 5, 7, 9, 101)),
+])
+def test_norm_psi_matches_the_closed_forms(name, qs):
+    # the J recursion of the norm construction against each family's
+    # hand-written closed form
+    N = 200
+    for q in qs:
+        psi = psi_table(FamilySpec(name, q=q), N)
+        assert [2 * v for v in psi[1:]] == [twice_psi(name, q.__pow__, n)
+                                            for n in range(1, N + 1)]
+
+
+def test_norm_psi_over_qpoly_matches_the_closed_forms():
+    power = QPoly.q_power
+    landau = families._norm_twice_psi(families.CHI_MINUS_T, power, 60)
+    assert all(landau[n] == twice_psi("landau", power, n) for n in range(1, 61))
+    # 2 psi_n - q^n = rho_n + J_(n/2) = 2 e_n
+    assert all(landau[n] - power(n) == twice_e(power, n) for n in range(1, 61))
+    s1 = families._norm_twice_psi(families.CHI_CONSTANT, power, 60)
+    # members have even degree; index n holds psi_(2n) / 2, and
+    # 2 psi_(2n) - 2 q^(2n) = J_n = 4 f_n
+    assert all(s1[n] == 0 for n in range(1, 61, 2))
+    assert all(s1[2 * n] == 2 * twice_psi("s1", power, n) for n in range(1, 31))
+    assert all(s1[2 * n] - 2 * power(2 * n) == 2 * twice_f(power, n) for n in range(1, 31))
+
+
+@pytest.mark.parametrize("name, q, N", [
+    ("s2", 3, 800), ("s2", 101, 300), ("s3", 5, 600), ("s3", 3, 800),
+])
+def test_genus_zero_places_match_the_closed_forms(name, q, N):
+    psi = psi_table(FamilySpec(name, q=q), N)
+    assert [2 * v for v in psi[1:]] == [twice_psi(name, q.__pow__, n)
+                                        for n in range(1, N + 1)]
+    ell = None if name == "s2" else 1
+    divisors = FamilySpec("divisors" if ell is None else "divisors-r-ell-K",
+                          l_poly=LPolynomial(q, (1,)), r=2, ell=ell)
+    assert psi_table(divisors, N) == psi
+
+
+def test_s2_and_s3_share_one_genus_zero_curve():
+    s2, s3 = FamilySpec("s2", q=3).construction, FamilySpec("s3", q=3).construction
+    assert s2.l_poly is s3.l_poly == LPolynomial(3, (1,))
+    assert (s2.r, s2.ell, s3.r, s3.ell) == (2, None, 2, 1)
+
+
+def _genus_zero_sieve_cases():
+    for q in (2, 3, 4, 5, 9):
+        for r in (2, 3):
+            for ell in (None, 1, 2):
+                yield q, r, ell
+
+
+@pytest.mark.parametrize("q, r, ell", list(_genus_zero_sieve_cases()))
+def test_genus_zero_sieve_matches_the_series(q, r, ell):
+    # on the projective line the divisor families are monic polynomials,
+    # so the enumeration sieve counts them degree by degree
+    family = "divisors" if ell is None else "divisors-r-ell-K"
+    spec = FamilySpec(family, l_poly=LPolynomial(q, (1,)), r=r, ell=ell)
+    field = spec.field()
+    N = max(n for n in range(1, 8) if q ** (r * n) <= 20000)
+    table = count_table(spec, N)
+    assert [oracle_count(field, spec, r * n) for n in range(N + 1)] == [
+        table.value(n) for n in range(N + 1)]
+
+
+def test_higher_genus_has_no_oracle():
+    spec = FamilySpec("divisors", l_poly=LPolynomial(5, (1, -2, 5)), r=2)
+    with pytest.raises(ValueError, match="no enumeration oracle"):
+        spec.field()
+    with pytest.raises(ValueError, match="no enumeration oracle"):
+        families.membership_rule(field_for_order(5), spec)
+
+
+@pytest.mark.parametrize("table", ["psi", "generators"])
+def test_places_fill_the_counts_once_per_table(monkeypatch, table):
+    fills = []
+    fill = LPolynomial._fill_place_counts
+    monkeypatch.setattr(LPolynomial, "_fill_place_counts",
+                        lambda self, M: (fills.append(M), fill(self, M)))
+    for ell in (None, 2):
+        spec = FamilySpec("divisors" if ell is None else "divisors-r-ell-K",
+                          l_poly=LPolynomial(5, (1, 2, 5)), r=2, ell=ell)
+        if table == "psi":
+            psi_table(spec, 400)
+        else:
+            spec.generator_counts(400)
+    assert fills == [800, 800]
+
+
+def test_spec_rejects_fields_its_family_does_not_take():
+    with pytest.raises(ValueError, match="takes no ell"):
+        FamilySpec("s2", q=3, ell=1).validate()
+    with pytest.raises(ValueError, match="takes no l_poly"):
+        FamilySpec("landau", q=3, l_poly=LPolynomial(3, (1,))).validate()
+    with pytest.raises(ValueError, match="needs q"):
+        FamilySpec("s1").validate()
+    with pytest.raises(ValueError, match="takes no ell"):
+        FamilySpec("divisors", l_poly=LPolynomial(3, (1,)), r=2, ell=1).validate()
 
 
 @pytest.mark.parametrize("q", [2, 4])

@@ -17,7 +17,6 @@ from fqtcount.families import (
     FamilySpec,
     canonical_family,
     count_landau_poly_in_q,
-    e_n_poly,
     psi_table,
     psi_value,
 )
@@ -44,6 +43,7 @@ from fqtcount.series import (
     series_mul,
     squarefree_product_form,
 )
+from closed_forms import e_n_poly
 from power2 import power2_transform, verify_power2_product
 from series_powers import binomial_series, series_pow
 from stepwise_arithmetic import mobius_weighted_sums, sieved_mobius
