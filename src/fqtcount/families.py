@@ -194,12 +194,14 @@ CHI_CONSTANT = Character(  # L(u, chi) = 1 / (1 + q u); generators at even d onl
 def _norm_twice_psi(chi: Character, power, N: int) -> list:
     """2 psi_n at n = 0..N (0 at 0) of chi's norm family by the J
     recursion, power(k) = q^k giving ints or QPoly monomials, so the same
-    lines give psi_table and the landau counts with q left symbolic."""
+    lines give psi_table and the landau counts with q left symbolic.
+    J_m is read at 2m only, so it is kept for m <= N/2."""
     J, twice = [0], [0]
     for n in range(1, N + 1):
         top, lam, rho = power(n), chi.lam(power, n), chi.rho(n)
         half = J[n // 2] if n % 2 == 0 else 0
-        J.append(top - lam - rho + half)
+        if 2 * n <= N:
+            J.append(top - lam - rho + half)
         twice.append(top + lam + rho + half)
     return twice
 

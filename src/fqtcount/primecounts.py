@@ -211,6 +211,8 @@ class LPolynomial:
         sums = self._power_sums
         c = self.coeffs
         deg = len(c) - 1
+        if deg == 0:  # L = 1 has no inverse roots
+            sums.extend([0] * (n - len(sums)))
         while len(sums) < n:
             k = len(sums) + 1
             acc = -k * c[k] if k <= deg else 0

@@ -3,10 +3,13 @@
 These are used as a second coefficient ring for the truncated-series
 algorithms, so that counts can be computed symbolically in q.  Only the
 ring operations the series engine needs are provided: addition,
-multiplication, scalar division, powers and evaluation.  Like a
-Fraction, a QPoly has a denominator (the lcm of its coefficients'
-denominators) and a numerator (itself times that, integer coefficients);
-ring operations on integer-coefficient QPolys and ints stay in ints.
+multiplication, scalar division, powers and evaluation.  Coefficients
+are ints or Fractions: like a Fraction, a QPoly has a denominator (the
+lcm of its coefficients' denominators) and a numerator (itself times
+that, integer coefficients).  Ring operations on integer-coefficient
+QPolys and ints stay in ints, and so do the monomials q_power(n, k) of an
+int k, so the norm families' psi with q left symbolic is built without
+a Fraction.  Scalar division leaves zero coefficients as they are.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ class QPoly:
 
     @staticmethod
     def q_power(n: int, scale=1) -> "QPoly":
-        """The monomial scale * q^n."""
-        c = _as_fraction(scale)
+        """The monomial scale * q^n; an int scale gives int coefficients."""
+        c = scale if isinstance(scale, int) else _as_fraction(scale)
         if c == 0:
             return QPoly(())
-        return QPoly((Fraction(0),) * n + (c,))
+        return QPoly((0,) * n + (c,))
 
     @property
     def degree(self) -> int:
@@ -134,7 +137,7 @@ class QPoly:
         c = _as_fraction(other)
         if c == 0:
             raise ZeroDivisionError("division of QPoly by zero scalar")
-        return QPoly(tuple(x / c for x in self.coeffs))
+        return QPoly(tuple(x / c if x else x for x in self.coeffs))
 
     def __pow__(self, e: int) -> "QPoly":
         if e < 0:

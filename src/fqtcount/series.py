@@ -2,9 +2,10 @@
 
 A TruncatedSeries stores coefficients c_0..c_N exactly; the coefficient
 ring is anything supporting exact +, -, * and division by integers, in
-practice Fraction, int, or QPoly (series_exp also reads .numerator and
-.denominator, which all three have).  No floating point enters any
-coefficient (it only sizes the prime set below, with a proved margin).
+practice Fraction, int, or QPoly (series_exp reads the .numerator and
+.denominator of the scalars, and the coefficients of a QPoly).  No
+floating point enters any coefficient (it only sizes the prime set
+below, with a proved margin).
 
 Besides ring operations and exp/log, this module houses the transforms
 the counting pipeline is made of: the psi <-> generator-count transform
@@ -92,13 +93,39 @@ D j a_j.  If (m-j)! D^(m-j) H_(m-j) is integral for every j <= m, so is
 m! D^m H_m = sum_j A_j (m-1)!/(m-j)! D^(j-1) (m-j)! D^(m-j) H_(m-j); hence
 G_m = N! D^N H_m is integral for m <= N, and G_m = sum_j A_j G_(m-j) / (D m)
 with G_0 = N! D^N.  Each division is checked to be exact, and H_m =
-G_m / (N! D^N) is the only Fraction built per coefficient.  The rings
-enter only through .numerator and .denominator: ints and Fractions give
-int A_j and G_m; a QPoly (the polynomial-in-q counts) gives A_j and G_m
-with integer coefficients, and "integral" and "exact" hold coefficientwise.
-The scale N! D^N stays small when D does.  Denominators that grow
-geometrically, such as 3^-j, make D^N huge; no caller feeds such a series
-(the estimator factors beta out of its series for this reason).
+G_m / (N! D^N) is the only Fraction built per coefficient.  The scale
+N! D^N stays small when D does.  Denominators that grow geometrically,
+such as 3^-j, make D^N huge; no caller feeds such a series (the
+estimator factors beta out of its series for this reason).
+
+Over ints and Fractions, A_j and G_m are ints.  Over QPoly (the
+polynomial-in-q counts) they are integer polynomials in q, D is the lcm
+over every coefficient, and "integral" holds coefficientwise; the
+recurrence then runs on packed integers (Kronecker substitution q -> 2^b;
+Harvey, J. Symbolic Comput. 44, 2009):
+
+* Packing.  G_m is kept as the int G_m(2^b), and A_j as its nonzero
+  coefficients c_t.  Evaluation at 2^b is a ring map Z[q] -> Z, so
+  s_m(2^b) = sum_j A_j(2^b) G_(m-j)(2^b) is formed as the ints
+  c_t (G_(m-j)(2^b) << t b), summed; few of the c_t are nonzero when the
+  log-coefficients are sparse in q, as the norm families' are.
+* Slot width.  Let M_0 = N! D^N, S_m = sum_j |A_j|_1 M_(m-j) and M_m =
+  ceil(S_m / (D m)).  As |A G|_inf <= |A|_1 |G|_inf, induction on m gives
+  |s_m|_inf <= S_m and |G_m|_inf = |s_m|_inf / (D m) <= M_m.  So with b =
+  bitlen(max_m S_m) + 2, rounded up to whole bytes, every coefficient of
+  every s_m and G_m lies in (-2^(b-2), 2^(b-2)).
+* Slot count.  deg G_0 = 0 and deg G_m <= d_m = max_j (deg A_j +
+  d_(m-j)) over the nonzero A_j and G_(m-j) (d_m = -1 if there are none,
+  and then G_m = 0).  s_m takes d_m + 1 slots of b bits.
+* Reading back.  An integer with digits c_t in (-2^(b-1), 2^(b-1)) in
+  base 2^b has those as its unique balanced digits: adding 2^(b-1) per
+  slot makes each digit c_t + 2^(b-1), in [0, 2^b), so one to_bytes
+  splits s_m into its slots.  A value that does not fit d_m + 1 slots
+  raises TruncationMismatch.
+* Division.  Each digit of s_m is divided by D m and checked exact, and
+  then G_m(2^b) = s_m(2^b) / (D m), exact as every digit is.  The packed
+  division alone proves nothing: 2 + 2^8 is divisible by 3, and neither
+  of its digits is.
 """
 
 from __future__ import annotations
@@ -220,9 +247,14 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term, by the integer recurrence
-    G_m = sum_j A_j G_{m-j} / (D m) of the module docstring."""
+    G_m = sum_j A_j G_{m-j} / (D m) of the module docstring.  Index 0 of
+    the result is Fraction(1); a series with a QPoly coefficient runs it
+    on packed integers (_packed_exp) and gives a QPoly with Fraction
+    coefficients at every other index, any other series Fractions."""
     if a.coeffs[0] != 0:
         raise BadConstantTerm("series_exp requires constant term 0")
+    if any(isinstance(c, QPoly) for c in a.coeffs):
+        return _packed_exp(a.coeffs)
     n = a.order
     da = [j * c for j, c in enumerate(a.coeffs)]
     D = math.lcm(*(c.denominator for c in da))
@@ -231,19 +263,73 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     G = [scale] + [0] * n
     for m in range(1, n + 1):
         G[m] = _exact_quotient(sum(map(mul, A[1:m + 1], G[m - 1::-1])), D * m)
-    return TruncatedSeries(tuple(
-        g / scale if isinstance(g, QPoly) else Fraction(g, scale) for g in G
-    ))
+    return TruncatedSeries(tuple(Fraction(g, scale) for g in G))
 
 
-def _exact_quotient(x, d: int):
-    """x / d for an int or integer-coefficient QPoly x, checked to be exact."""
-    if isinstance(x, QPoly):
-        return QPoly(tuple(_exact_quotient(c, d) for c in x.coeffs))
+def _exact_quotient(x: int, d: int) -> int:
+    """x / d, checked to be exact."""
     quotient, remainder = divmod(x, d)
     if remainder:
         raise ArithmeticError(f"exp recurrence: {d} does not divide {x}")
     return quotient
+
+
+def _packed_exp(coeffs: tuple) -> TruncatedSeries:
+    """series_exp of a series with QPoly (and scalar) coefficients, on
+    packed integers: A_j is kept as its nonzero coefficients, G_m as the
+    int G_m(2^b), and s_m = sum_j A_j G_(m-j) is one sum of shifted ints
+    (see the module docstring for the slot width b and the slot counts)."""
+    n = len(coeffs) - 1
+    # j a_j, one (t, numerator, denominator) per nonzero coefficient of q^t
+    terms = [[] for _ in range(n + 1)]
+    for j in range(1, n + 1):
+        c = coeffs[j]
+        for t, x in enumerate(c.coeffs if isinstance(c, QPoly) else (c,)):
+            if x:
+                g = math.gcd(j, x.denominator)
+                terms[j].append((t, j // g * x.numerator, x.denominator // g))
+    D = math.lcm(*(den for row in terms for _, _, den in row))
+    A = [[(t, D // den * num) for t, num, den in row] for row in terms]
+    scale = math.factorial(n) * D**n
+    # |G_m|_inf <= M_m, |s_m|_inf <= S_m and deg G_m <= degree[m] (-1: G_m = 0)
+    norm = [sum(abs(c) for _, c in row) for row in A]
+    top = [row[-1][0] if row else -1 for row in A]
+    M, S, degree = [scale], [0], [0]
+    for m in range(1, n + 1):
+        S.append(sum(map(mul, norm[1:m + 1], M[m - 1::-1])))
+        M.append(-(-S[m] // (D * m)))
+        degree.append(max((t + d for t, d in zip(top[1:m + 1], degree[m - 1::-1])
+                           if t >= 0 and d >= 0), default=-1))
+    width = -(-(max(S).bit_length() + 2) // 8)  # bytes per slot: b = 8 width
+    shifted = [[(8 * width * t, c) for t, c in row] for row in A]
+    G, out = [scale] + [0] * n, [Fraction(1)]
+    for m in range(1, n + 1):
+        s = 0
+        for row, g in zip(shifted[1:m + 1], G[m - 1::-1]):
+            if g:
+                for shift, c in row:
+                    s += g << shift if c == 1 else c * (g << shift)
+        digits = _packed_quotient(s, D * m, width, degree[m] + 1)
+        G[m] = s // (D * m)  # exact, as every digit is
+        while digits and not digits[-1]:
+            digits.pop()
+        out.append(QPoly(tuple(Fraction(v, scale) for v in digits)))
+    return TruncatedSeries(tuple(out))
+
+
+def _packed_quotient(s: int, d: int, width: int, slots: int) -> list[int]:
+    """The balanced base-2^b digits of s (b = 8 width bits), lowest first,
+    each divided by d and checked exact (ArithmeticError).  s has at most
+    slots digits, each in (-2^(b-1), 2^(b-1)); TruncationMismatch if it
+    does not fit the slots."""
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")  # half per slot
+    try:
+        data = (s + offset).to_bytes(width * slots, "little")
+    except OverflowError:
+        raise TruncationMismatch(f"a packed exp coefficient exceeds its {slots} slots") from None
+    return [_exact_quotient(int.from_bytes(data[i:i + width], "little") - half, d)
+            for i in range(0, len(data), width)]
 
 
 def series_log(a: TruncatedSeries) -> TruncatedSeries:

@@ -67,8 +67,9 @@ the new degrees are evaluated.
 
 The per-prime values a membership rule reads (degree, chi2, residue
 mod m) live on a PrimeTable of prime codes.  The Universe holds one for
-its primes, and families.membership_oracle builds one for the primes
-that ffield.factor finds, so both oracles read them from one place.
+its primes, grown with each degree, so a value is computed once per
+prime; families.membership_oracle builds one for the primes that
+ffield.factor finds, so both oracles read them from one place.
 Residues mod m (for the progression family) come from the package's one
 batched residue map, ffield._residues, in row chunks of the primes as in
 the sieve.
@@ -152,10 +153,10 @@ class PrimeTable:
 
     codes are polynomial codes (leading term included) in int64 and
     prime_deg their degrees; prime_chi2() and prime_residues(m) are
-    computed once per table.  A Universe holds one for its primes (a new
-    one per degree built), and families.membership_oracle one for the
-    primes of one factorization, so both oracles read the same per-prime
-    values.
+    computed once per prime, for the primes added since the last call.
+    A Universe holds one for its primes, grown by append as each degree
+    is built, and families.membership_oracle one for the primes of one
+    factorization, so both oracles read the same per-prime values.
     """
 
     def __init__(self, field: FieldSpec, codes: np.ndarray, prime_deg: np.ndarray):
@@ -165,20 +166,32 @@ class PrimeTable:
 
     def prime_chi2(self) -> np.ndarray:
         """Quadratic character of each prime, in {-1, 0, +1}."""
-        if self.field.p == 2:
+        field = self.field
+        if field.p == 2:
             raise EvenCharacteristic("quadratic character needs odd q")
-        if self._chi is None:
-            self._chi = ffield._chi2_codes(self.field, self.codes % self.field.q)
+        self._chi = self._extended(self._chi, lambda codes, _: ffield._chi2_codes(field, codes % field.q))
         return self._chi
 
     def prime_residues(self, m: MonicPoly) -> np.ndarray:
         """Residue code of each prime modulo m, by ffield._residues."""
-        cached = self._residues.get(m.coeffs)
-        if cached is None:
-            n = int(self.prime_deg.max(initial=0))
-            cached = self._residues[m.coeffs] = ffield._residues(self.field, m.coeffs,
-                                                                 self.codes, n)
+        cached = self._residues[m.coeffs] = self._extended(
+            self._residues.get(m.coeffs), lambda codes, deg: ffield._residues(
+                self.field, m.coeffs, codes, int(deg.max(initial=0))))
         return cached
+
+    def _extended(self, cached: np.ndarray | None, values) -> np.ndarray:
+        """cached (None: nothing yet), followed by values(codes, prime_deg)
+        of the primes appended since it was made."""
+        done = 0 if cached is None else len(cached)
+        if cached is not None and done == len(self.codes):
+            return cached
+        fresh = values(self.codes[done:], self.prime_deg[done:])
+        return fresh if cached is None else np.concatenate([cached, fresh])
+
+    def append(self, codes: np.ndarray, degree: int) -> None:
+        """Add primes of one degree (int64 codes)."""
+        self.codes = np.concatenate([self.codes, codes])
+        self.prime_deg = np.concatenate([self.prime_deg, np.full(len(codes), degree, np.int16)])
 
 
 class Universe:
@@ -243,11 +256,7 @@ class Universe:
         prime_idx = np.flatnonzero(spf < 0)
         start = len(self.primes.codes)
         spf[prime_idx] = np.arange(start, start + len(prime_idx), dtype=np.int32)
-        self.primes = PrimeTable(
-            field,
-            np.concatenate([self.primes.codes, prime_idx.astype(np.int64) + q**d]),
-            np.concatenate([self.primes.prime_deg, np.full(len(prime_idx), d, dtype=np.int16)]),
-        )
+        self.primes.append(prime_idx.astype(np.int64) + q**d, d)
         self._prime_slices.append(slice(start, start + len(prime_idx)))
         self.spf_gid.append(spf)
         self.e1.append(e1)

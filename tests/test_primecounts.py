@@ -104,6 +104,13 @@ def test_lpolynomial_genus_zero():
     assert L.point_count(2) == 10
 
 
+def test_genus_zero_power_sums_are_zero_at_every_degree():
+    L = LPolynomial(3, (1,))
+    assert L._power_sum(5) == 0
+    assert L._power_sum(1600) == 0 and L._power_sums == [0] * 1600
+    assert [L.pi(n) for n in (1, 2, 7, 1600)] == [pi_q(3, 1) + 1] + [pi_q(3, n) for n in (2, 7, 1600)]
+
+
 def test_lpolynomial_genus_one_point_counts():
     # 1 + 3u^2 over F_3: inverse roots +-i*sqrt(3), N_1 = q + 1
     L = LPolynomial(3, (1, 0, 3))

@@ -20,6 +20,10 @@ def test_from_const_and_q_power():
     assert QPoly.from_const(5)(3) == 5
     assert QPoly.q_power(3)(2) == 8
     assert QPoly.q_power(2, Fraction(1, 2))(3) == Fraction(9, 2)
+    # an int scale keeps int coefficients; division leaves the zeros alone
+    assert [type(c) for c in QPoly.q_power(2, -3).coeffs] == [int, int, int]
+    half = (QPoly.q_power(2, 4) + 2) / 4
+    assert half.coeffs == (Fraction(1, 2), 0, 1) and type(half.coeffs[1]) is int
 
 
 def test_ring_operations_match_evaluation():

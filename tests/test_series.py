@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqtcount import cli, series
+from fqtcount import cli, families, series
 from fqtcount.errors import BadConstantTerm, NotInvertible, TruncationMismatch
 from fqtcount.families import (
     FamilySpec,
@@ -33,6 +33,7 @@ from fqtcount.series import (
     _limbs,
     _mobius_sums,
     _mobius_table,
+    _packed_quotient,
     _residue_rows,
     _size_bounds,
     g_from_psi,
@@ -45,6 +46,7 @@ from fqtcount.series import (
 )
 from closed_forms import e_n_poly
 from power2 import power2_transform, verify_power2_product
+from qpoly_recurrence import qpoly_exact_quotient, qpoly_exp
 from series_powers import binomial_series, series_pow
 from stepwise_arithmetic import mobius_weighted_sums, sieved_mobius
 
@@ -698,8 +700,95 @@ def test_series_exp_over_qpoly():
 
 def test_exact_quotient_checks_every_division():
     assert _exact_quotient(-12, 4) == -3
-    assert _exact_quotient(QPoly((6, -9)), 3) == QPoly((2, -3))
     with pytest.raises(ArithmeticError):
         _exact_quotient(7, 2)
+    # 6 - 9q and 4 + 7q packed at q = 2^8, one byte per slot, and as QPolys
+    assert _packed_quotient(6 - (9 << 8), 3, 1, 2) == [2, -3]
+    assert qpoly_exact_quotient(QPoly((6, -9)), 3) == QPoly((2, -3))
     with pytest.raises(ArithmeticError):
-        _exact_quotient(QPoly((4, 7)), 2)
+        _packed_quotient(4 + (7 << 8), 2, 1, 2)
+    with pytest.raises(ArithmeticError):
+        qpoly_exact_quotient(QPoly((4, 7)), 2)
+
+
+# -- the packed exp over QPoly against the QPoly recurrence it replaced ----
+
+
+def test_packed_division_is_checked_per_digit():
+    # 2 + 2^8 = 3 * 86, yet neither of its digits 2 and 1 is divisible by 3
+    assert (2 + (1 << 8)) % 3 == 0
+    with pytest.raises(ArithmeticError):
+        _packed_quotient(2 + (1 << 8), 3, 1, 2)
+
+
+@pytest.mark.parametrize("s, slots", [(1 << 16, 2), (-(1 << 16), 2), (1 << 15, 2), (1, 0)])
+def test_packed_value_past_its_slots_raises(s, slots):
+    # balanced digits lie in [-2^7, 2^7): 2^15 = 2^7 * 2^8 needs a third slot
+    with pytest.raises(TruncationMismatch):
+        _packed_quotient(s, 1, 1, slots)
+    assert _packed_quotient(-(1 << 15), 1, 1, 2) == [0, -128]
+    assert _packed_quotient(0, 7, 1, 0) == []
+
+
+def _qpoly(terms) -> QPoly:
+    """sum c q^t over (t, c) pairs, with no trailing zeros."""
+    return sum((QPoly.q_power(t, c) for t, c in terms), QPoly(()))
+
+
+_SCALARS = st.one_of(
+    st.integers(min_value=-1000, max_value=1000),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+_QPOLY_COEFFICIENTS = st.one_of(
+    st.just(0),  # zero runs
+    _SCALARS,
+    st.lists(_SCALARS, max_size=6).map(lambda cs: _qpoly(enumerate(cs))),  # dense
+    st.dictionaries(st.integers(0, 24), _SCALARS, max_size=3).map(  # sparse
+        lambda cs: _qpoly(cs.items())),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_QPOLY_COEFFICIENTS, max_size=40))
+def test_packed_exp_matches_the_qpoly_recurrence(coeffs):
+    a = TruncatedSeries((QPoly(()),) + tuple(coeffs))
+    got, want = series_exp(a).coeffs, qpoly_exp(a.coeffs)
+    assert got == want
+    assert [str(c) for c in got] == [str(c) for c in want]
+    assert type(got[0]) is Fraction and got[0] == 1
+    assert all(type(g) is QPoly and all(type(c) is Fraction for c in g.coeffs) for g in got[1:])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_exp_matches_the_qpoly_recurrence_at_order_40(seed):
+    # hypothesis keeps its series short; these run to N = 40, with zero
+    # runs, signed and Fraction scalars, dense and sparse QPolys
+    rng = random.Random(seed)
+
+    def scalar():
+        value = rng.randint(-10**6, 10**6)
+        return value if rng.random() < 0.5 else Fraction(value, rng.randint(1, 12))
+
+    def coefficient(j):
+        kind = rng.choice(("zero", "scalar", "dense", "sparse"))
+        if kind == "zero" or 10 <= j < 16:
+            return 0
+        if kind == "scalar":
+            return scalar()
+        if kind == "dense":
+            return _qpoly((t, scalar()) for t in range(rng.randint(1, 6)))
+        return _qpoly((rng.randint(0, 2 * j), scalar()) for _ in range(3))
+
+    coeffs = (QPoly(()),) + tuple(coefficient(j) for j in range(1, 41))
+    got, want = series_exp(TruncatedSeries(coeffs)).coeffs, qpoly_exp(coeffs)
+    assert got == want
+    assert [str(c) for c in got] == [str(c) for c in want]
+
+
+def test_count_landau_poly_in_q_matches_the_qpoly_recurrence():
+    N = 80
+    twice = families._norm_twice_psi(families.CHI_MINUS_T, QPoly.q_power, N)
+    want = qpoly_exp([QPoly(())] + [twice[j] / (2 * j) for j in range(1, N + 1)])
+    for n in range(N + 1):
+        families._LANDAU_POLY_CACHE.clear()  # each n runs its own order
+        assert str(count_landau_poly_in_q(n)) == str(want[n]), n

@@ -123,6 +123,23 @@ def test_prime_residues_match_poly_mod(q, max_deg, moduli):
         assert uni.primes.prime_residues(m).tolist() == expected, text
 
 
+def test_universe_reduces_each_prime_once(monkeypatch):
+    # the oracles grow a universe one degree at a time, reading residues
+    # and chi2 after each; every prime goes through ffield._residues once
+    rows, reduce = [], ffield._residues
+    monkeypatch.setattr(ffield, "_residues",
+                        lambda field, m, codes, n: rows.append(len(codes)) or reduce(field, m, codes, n))
+    field = field_for_order(3)
+    m = ffield.poly_from_string(field, "T^2+1")
+    uni, reference = Universe(field, 1), Universe(field, 7)
+    for d in range(1, 8):
+        uni.extend_to(d)
+        residues, chi = uni.primes.prime_residues(m), uni.primes.prime_chi2()
+    assert sum(rows) == len(uni.primes.codes)
+    assert residues.tolist() == reference.primes.prime_residues(m).tolist()
+    assert chi.tolist() == reference.primes.prime_chi2().tolist()
+
+
 def test_prime_counts_match_census():
     for q in (2, 3, 5, 9):
         field = field_for_order(q)
