@@ -157,7 +157,9 @@ class Places:
         """P admissible when r | deg P; P^e passes when admissible, e <= ell."""
         self.field()  # raises off the projective line
         r, ell = self.r, self.ell
-        return MembershipRule(("places", r, ell), lambda primes: primes.prime_deg % r == 0,
+        # the uint8 degrees are taken mod r in int64, so r may pass 255
+        return MembershipRule(("places", r, ell),
+                              lambda primes: np.remainder(primes.prime_deg, r, dtype=np.int64) == 0,
                               lambda good, e: good if ell is None else good & (e <= ell))
 
 
@@ -526,8 +528,8 @@ def membership_oracle(field: FieldSpec, fact: Factorization, spec: FamilySpec) -
     made with ffield.factor.
 
     The family's rule runs on a PrimeTable of f's primes, as the sieve's
-    does on its own.  Prime codes are int64, so q^(deg f + 1) past 2^63
-    raises ResourceLimit.
+    does on its own.  Prime codes are at most int64, so q^(deg f + 1)
+    past 2^63 raises ResourceLimit.
     """
     rule = membership_rule(field, spec)
     factors = fact.factors

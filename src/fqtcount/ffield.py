@@ -493,6 +493,16 @@ def enumerate_monic(field: FieldSpec, n: int, cap: int | None = None) -> list[Mo
     return [MonicPoly(tail + (1,)) for tail in product(range(field.q), repeat=n)]
 
 
+def monic_at(field: FieldSpec, n: int, index: int) -> MonicPoly:
+    """enumerate_monic(field, n)[index], without listing the others: index
+    in base q, its lowest digit the last coefficient below the leading 1."""
+    tail = []
+    for _ in range(n):
+        index, c = divmod(index, field.q)
+        tail.append(c)
+    return MonicPoly(tuple(reversed(tail)) + (1,))
+
+
 def check_cap(field: FieldSpec, n: int, cap: int | None = None) -> None:
     """Raise ResourceLimit if the q^n monic polynomials of degree n exceed the cap."""
     cap = default_cap() if cap is None else cap
@@ -656,12 +666,13 @@ def chi2(field: FieldSpec, f: MonicPoly) -> int:
 
 
 def _chi2_codes(field: FieldSpec, c0: np.ndarray) -> np.ndarray:
-    """chi2 of polynomials with int64 constant terms c0, as int8 in {-1, 0, +1}.
+    """chi2 of polynomials with constant terms c0, as int8 in {-1, 0, +1}.
 
     A prime field runs Euler's criterion by repeated squaring mod p,
     exact in int64 while p^2 < 2^63, so it builds nothing of size q; an
     extension field reads its square table.
     """
+    c0 = np.asarray(c0, dtype=np.int64)
     if field.k > 1:
         square = tables(field).is_square[c0]
     else:

@@ -10,6 +10,10 @@ that, integer coefficients).  Ring operations on integer-coefficient
 QPolys and ints stay in ints, and so do the monomials q_power(n, k) of an
 int k, so the norm families' psi with q left symbolic is built without
 a Fraction.  Scalar division leaves zero coefficients as they are.
+
+Trailing zero coefficients are stripped once, on construction, so the
+zero polynomial has the empty tuple whichever operation made it: it
+equals 0, hashes as 0 and prints as "0".
 """
 
 from __future__ import annotations
@@ -34,17 +38,18 @@ class QPoly:
 
     coeffs: tuple[Fraction | int, ...]
 
+    def __post_init__(self):
+        if self.coeffs and not self.coeffs[-1]:
+            object.__setattr__(self, "coeffs", _strip(self.coeffs))
+
     @staticmethod
     def from_const(value) -> "QPoly":
-        c = _as_fraction(value)
-        return QPoly(() if c == 0 else (c,))
+        return QPoly((_as_fraction(value),))
 
     @staticmethod
     def q_power(n: int, scale=1) -> "QPoly":
         """The monomial scale * q^n; an int scale gives int coefficients."""
         c = scale if isinstance(scale, int) else _as_fraction(scale)
-        if c == 0:
-            return QPoly(())
         return QPoly((0,) * n + (c,))
 
     @property
@@ -79,7 +84,7 @@ class QPoly:
         if isinstance(other, QPoly):
             return other
         if isinstance(other, int):
-            return QPoly((other,) if other else ())
+            return QPoly((other,))
         if isinstance(other, Fraction):
             return QPoly.from_const(other)
         return None
@@ -91,15 +96,16 @@ class QPoly:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        if len(self.coeffs) == 1:
-            return hash(self.coeffs[0])
+        # a constant hashes as the scalar it equals, zero (no coefficient) as 0
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __add__(self, other) -> "QPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QPoly(_strip(a + b for a, b in zip_longest(self.coeffs, o.coeffs, fillvalue=0)))
+        return QPoly(tuple(a + b for a, b in zip_longest(self.coeffs, o.coeffs, fillvalue=0)))
 
     __radd__ = __add__
 

@@ -311,8 +311,6 @@ def _packed_exp(coeffs: tuple) -> TruncatedSeries:
                     s += g << shift if c == 1 else c * (g << shift)
         digits = _packed_quotient(s, D * m, width, degree[m] + 1)
         G[m] = s // (D * m)  # exact, as every digit is
-        while digits and not digits[-1]:
-            digits.pop()
         out.append(QPoly(tuple(Fraction(v, scale) for v in digits)))
     return TruncatedSeries(tuple(out))
 

@@ -22,7 +22,26 @@ f, and h either 1 or a polynomial whose smallest prime factor comes
 after P.  So for each prime P of degree <= d/2 and each e, the sieve
 writes P^e * h for h = 1 and for those h of degree d - e*deg P with
 spf_gid[h] > gid(P).  All of them have degree < d, so their tables are
-complete.  The slots left unwritten are the primes of degree d.
+complete.  The slots left unwritten, at the sentinel, are the primes of
+degree d.
+
+Each table is stored in the narrowest type that holds it exactly.  A
+composite of degree d has its smallest prime among the small primes,
+of degree <= d/2, so spf_gid[d] holds gids below their number, small,
+in the smallest unsigned type whose maximum exceeds small (_gid_dtype:
+one byte through 254 small primes).  That maximum is the sentinel, the
+value of every prime of degree d.  A prime's gid is
+_prime_slices[d].start plus its rank among the degree's primes, which
+are in code order, so the first rank of a range of slots is a binary
+search of their codes (spf_gids).  It is recovered only where it is
+read: in _products when the cofactors' degree equals the prime degree
+(their primes then lie among the sub-slices), in masks per row chunk,
+and in factor_chain per call.  A cofactor of higher degree than the
+sub-slice's primes has its own primes' gids after every sub-slice, so
+_products reads its table as stored, with each bound clipped to the
+sentinel.  PrimeTable codes are int32 while every code is below
+q^(d+1) <= 2^31 and int64 past it, prime_deg is uint8, and the residues
+mod m are in the smallest unsigned type that holds q^(deg m) - 1.
 
 Products are computed in base-p digit form, where multiplication by a
 fixed polynomial is a matrix product (_mul_matrix).  The sieve makes
@@ -148,19 +167,39 @@ def _product_indices(digits: np.ndarray, sel: np.ndarray, matrix: np.ndarray,
         yield tgt, rows
 
 
+def _gid_dtype(small: int) -> np.dtype:
+    """The type of one degree's smallest-prime ids, where small primes (of
+    degree <= d/2) have gids 0..small-1: the smallest unsigned type whose
+    maximum, the sentinel, exceeds small."""
+    return np.min_scalar_type(small + 1)
+
+
+def _residue_dtype(q: int, degree: int) -> np.dtype:
+    """The type of residue codes mod a modulus of the degree: the smallest
+    unsigned type that holds q^degree - 1, or int64 (the type
+    ffield._residues returns) past 2^64."""
+    top = q**degree - 1
+    return np.min_scalar_type(top) if top < 1 << 64 else np.dtype(np.int64)
+
+
 class PrimeTable:
     """Monic primes by code, with the per-prime values a membership rule reads.
 
-    codes are polynomial codes (leading term included) in int64 and
-    prime_deg their degrees; prime_chi2() and prime_residues(m) are
-    computed once per prime, for the primes added since the last call.
-    A Universe holds one for its primes, grown by append as each degree
-    is built, and families.membership_oracle one for the primes of one
-    factorization, so both oracles read the same per-prime values.
+    codes are polynomial codes (leading term included), int32 while
+    every code is below q^(d+1) <= 2^31 (d the largest degree) and int64
+    past it, and prime_deg their degrees in uint8; prime_chi2() and
+    prime_residues(m) are computed once per prime, for the primes added
+    since the last call.  A Universe holds one for its primes, grown by
+    append as each degree is built, and families.membership_oracle one
+    for the primes of one factorization, so both oracles read the same
+    per-prime values.
     """
 
     def __init__(self, field: FieldSpec, codes: np.ndarray, prime_deg: np.ndarray):
-        self.field, self.codes, self.prime_deg = field, codes, prime_deg
+        self.field = field
+        top = int(np.max(prime_deg, initial=0))
+        self.codes = np.asarray(codes, dtype=_index_dtype(field.q ** (top + 1)))
+        self.prime_deg = np.asarray(prime_deg, dtype=np.uint8)
         self._chi = None
         self._residues: dict[tuple, np.ndarray] = {}
 
@@ -173,10 +212,12 @@ class PrimeTable:
         return self._chi
 
     def prime_residues(self, m: MonicPoly) -> np.ndarray:
-        """Residue code of each prime modulo m, by ffield._residues."""
+        """Residue code of each prime modulo m, by ffield._residues, in
+        the smallest unsigned type that holds q^(deg m) - 1."""
+        dtype = _residue_dtype(self.field.q, m.degree)
         cached = self._residues[m.coeffs] = self._extended(
             self._residues.get(m.coeffs), lambda codes, deg: ffield._residues(
-                self.field, m.coeffs, codes, int(deg.max(initial=0))))
+                self.field, m.coeffs, codes, int(deg.max(initial=0))).astype(dtype))
         return cached
 
     def _extended(self, cached: np.ndarray | None, values) -> np.ndarray:
@@ -189,9 +230,10 @@ class PrimeTable:
         return fresh if cached is None else np.concatenate([cached, fresh])
 
     def append(self, codes: np.ndarray, degree: int) -> None:
-        """Add primes of one degree (int64 codes)."""
-        self.codes = np.concatenate([self.codes, codes])
-        self.prime_deg = np.concatenate([self.prime_deg, np.full(len(codes), degree, np.int16)])
+        """Add primes of one degree, at least that of every prime so far."""
+        self.codes = np.concatenate([self.codes, codes],
+                                    dtype=_index_dtype(self.field.q ** (degree + 1)))
+        self.prime_deg = np.concatenate([self.prime_deg, np.full(len(codes), degree, np.uint8)])
 
 
 class Universe:
@@ -201,10 +243,10 @@ class Universe:
         self.field = field
         self.max_degree = 0
         # per degree d >= 1, arrays of length q^d
-        self.spf_gid: list[np.ndarray] = [np.empty(0, np.int32)]
+        self.spf_gid: list[np.ndarray] = [np.empty(0, np.uint8)]
         self.e1: list[np.ndarray] = [np.empty(0, np.int8)]
         self.cof_pos: list[np.ndarray] = [np.empty(0, np.int32)]
-        self.primes = PrimeTable(field, np.empty(0, np.int64), np.empty(0, np.int16))
+        self.primes = PrimeTable(field, np.empty(0, np.int32), np.empty(0, np.uint8))
         self._prime_slices: list[slice] = [slice(0, 0)]
         self._masks: dict[tuple, list[np.ndarray]] = {}  # views into one flat buffer
         self.extend_to(max_degree, cap)
@@ -223,7 +265,9 @@ class Universe:
         field, q = self.field, self.field.q
         size = q**d
         offsets = _flat_offsets(q, d)
-        spf = np.full(size, -1, dtype=np.int32)
+        dtype = _gid_dtype(self._prime_slices[d // 2].stop)
+        sentinel = np.iinfo(dtype).max
+        spf = np.full(size, sentinel, dtype=dtype)
         e1 = np.ones(size, dtype=np.int8)
         cof_pos = np.zeros(size, dtype=_index_dtype(offsets[d]))
         # degree 1 holds only primes; past it, products encode to codes
@@ -248,30 +292,36 @@ class Universe:
                 digits = digit_cache.get(k_deg)
                 if digits is None:
                     digits = digit_cache[k_deg] = _monic_digits(field, k_deg)
-                for gid, tgt, rows in self._products(d, ws, sl.start, k_deg, digits, powers):
+                for gid, tgt, rows in self._products(d, ws, sl.start, p_deg, k_deg, digits,
+                                                     powers):
                     spf[tgt] = gid
                     if e > 1:
                         e1[tgt] = e
                     cof_pos[tgt] = rows + offsets[k_deg]
-        prime_idx = np.flatnonzero(spf < 0)
+        prime_idx = np.flatnonzero(spf == sentinel)
         start = len(self.primes.codes)
-        spf[prime_idx] = np.arange(start, start + len(prime_idx), dtype=np.int32)
-        self.primes.append(prime_idx.astype(np.int64) + q**d, d)
+        self.primes.append(prime_idx + q**d, d)
         self._prime_slices.append(slice(start, start + len(prime_idx)))
         self.spf_gid.append(spf)
         self.e1.append(e1)
         self.cof_pos.append(cof_pos)
 
-    def _products(self, d: int, ws: list, gid0: int, k_deg: int, digits: np.ndarray,
-                  powers: np.ndarray):
+    def _products(self, d: int, ws: list, gid0: int, p_deg: int, k_deg: int,
+                  digits: np.ndarray, powers: np.ndarray):
         """Yield (gids, target indices, cofactor rows) for the products w * h of
-        degree d, w = ws[i] the power of the prime gid0 + i and h of degree
-        k_deg with a smallest prime after it.
+        degree d, w = ws[i] the power of the prime gid0 + i (of degree
+        p_deg) and h of degree k_deg with a smallest prime after it.
 
         The primes run in sub-slices of one stacked matrix each (about
         _CHUNK_ENTRIES entries); gids broadcast against the targets.
+        Where k_deg = p_deg, the primes h are among the sub-slices, so
+        their gids are recovered (spf_gids).  Past it, h's table is read
+        as stored: its sentinel stands for primes whose gids come after
+        every sub-slice, and may lie below hi, so hi is clipped to it.
         """
-        field, spf_h = self.field, self.spf_gid[k_deg]
+        field = self.field
+        spf_h = self.spf_gids(k_deg) if k_deg == p_deg else self.spf_gid[k_deg]
+        top = np.iinfo(spf_h.dtype).max
         p, size = field.p, field.q**d
         step = _row_step(_digit_count(field, k_deg) * _digit_count(field, d))
         for lo in range(gid0, gid0 + len(ws), step):
@@ -279,11 +329,12 @@ class Universe:
             gids = np.arange(lo, hi, dtype=np.int32)[:, None]
             matrix = _mul_matrix(field, ws[lo - gid0 : hi - gid0], k_deg, d)
             # h whose smallest prime comes after the sub-slice pairs with all of it
-            full = np.flatnonzero(spf_h >= hi)
+            cut = min(hi, top)
+            full = np.flatnonzero(spf_h >= cut)
             for tgt, rows in _product_indices(digits, full, matrix, p, powers, size):
                 yield gids, tgt, rows
             # h whose smallest prime lies inside it pairs with the primes before that
-            inside = np.flatnonzero((spf_h > lo) & (spf_h < hi))
+            inside = np.flatnonzero((spf_h > lo) & (spf_h < cut))
             for tgt, rows in _product_indices(digits, inside, matrix, p, powers, size):
                 pair, col = np.nonzero(gids < spf_h[rows])
                 yield gids[pair, 0], tgt[pair, col], rows[col]
@@ -318,7 +369,7 @@ class Universe:
         for d in range(len(done), degree + 1):
             for lo in range(0, len(ok[d]), step):
                 part = slice(lo, lo + step)
-                pred = rule.passes(good_prime[self.spf_gid[d][part]], self.e1[d][part])
+                pred = rule.passes(good_prime[self.spf_gids(d, lo, lo + step)], self.e1[d][part])
                 np.logical_and(pred, flat[self.cof_pos[d][part]], out=ok[d][part])
         self._masks[rule.key] = ok
         return ok
@@ -334,6 +385,22 @@ class Universe:
 
     # -- diagnostics ---------------------------------------------------
 
+    def spf_gids(self, d: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Smallest-prime gids of the degree-d polynomials lo..hi-1, in int32.
+
+        spf_gid[d] stores them with each prime of degree d as the
+        sentinel; a prime's gid is _prime_slices[d].start plus its rank
+        among the degree's primes, which are in code order, so the first
+        rank in the range is a binary search of their codes.
+        """
+        spf = self.spf_gid[d][lo:hi]
+        out = spf.astype(np.int32)
+        prime = np.flatnonzero(spf == np.iinfo(spf.dtype).max)
+        sl = self._prime_slices[d]
+        first = sl.start + int(np.searchsorted(self.primes.codes[sl], self.field.q**d + lo))
+        out[prime] = np.arange(first, first + len(prime))
+        return out
+
     def primes_of_degree(self, d: int) -> np.ndarray:
         return self.primes.codes[self._prime_slices[d]]
 
@@ -344,7 +411,7 @@ class Universe:
         out = []
         d, i = degree, idx
         while d > 0:
-            gid = int(self.spf_gid[d][i])
+            gid = int(self.spf_gids(d, i, i + 1)[0])
             out.append((int(self.primes.codes[gid]), int(self.e1[d][i])))
             pos = int(self.cof_pos[d][i])
             d = bisect_right(offsets, pos) - 1

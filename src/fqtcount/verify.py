@@ -24,9 +24,9 @@ from .ffield import (
     MonicPoly,
     chi2,
     code_of,
-    enumerate_monic,
     factor,
     field_for_order,
+    monic_at,
     poly_mul,
     poly_to_string,
 )
@@ -183,8 +183,9 @@ def _identity_checks(rng: random.Random) -> list[CheckResult]:
     good = True
     for _ in range(40):
         da, db = rng.randint(1, 3), rng.randint(1, 3)
-        fa = rng.choice(list(enumerate_monic(field, da)))
-        fb = rng.choice(list(enumerate_monic(field, db)))
+        # choice of an index draws as choice of the listed polynomials would
+        fa = monic_at(field, da, rng.choice(range(field.q**da)))
+        fb = monic_at(field, db, rng.choice(range(field.q**db)))
         prod = MonicPoly(poly_mul(field, fa.coeffs, fb.coeffs))
         if chi2(field, prod) != chi2(field, fa) * chi2(field, fb):
             good = False

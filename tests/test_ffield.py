@@ -107,6 +107,13 @@ def test_enumerate_monic_counts_and_cap():
         enumerate_monic(field, 10, cap=100)
 
 
+def test_monic_at_indexes_the_enumeration_order():
+    for q, top in ((2, 4), (3, 3), (4, 3), (9, 2)):
+        field = field_for_order(q)
+        for n in range(top + 1):
+            assert [ffield.monic_at(field, n, i) for i in range(q**n)] == enumerate_monic(field, n)
+
+
 def test_poly_string_roundtrip():
     field = field_for_order(3)
     for text, coeffs in [

@@ -82,3 +82,32 @@ def test_integer_coefficients_stay_ints():
     for value in (a * b, a + b, a - b, 3 * a, a * 0, b + 1, a**3):
         assert all(type(c) is int for c in value.coeffs)
     assert (a * b)(2) == a(2) * b(2)
+
+
+@pytest.mark.parametrize("zero", [
+    QPoly(()),
+    QPoly((0,)),
+    QPoly((Fraction(0), 0, Fraction(0))),
+    QPoly((1, 2)) * QPoly((0,)),
+    QPoly((1, 2)) - QPoly((1, 2)),
+    QPoly.from_const(0),
+    QPoly.q_power(3, 0),
+    QPoly((0, 0)) / 3,
+    -QPoly((0,)),
+])
+def test_every_zero_polynomial_is_the_one_zero(zero):
+    assert zero.coeffs == ()
+    assert zero == 0 and zero == Fraction(0) and zero == QPoly(())
+    assert hash(zero) == hash(0) == hash(Fraction(0))
+    assert str(zero) == "0"
+    assert zero.degree == -1 and zero.leading_coefficient == 0
+
+
+def test_construction_strips_trailing_zeros():
+    a = QPoly((1, 2, 0, Fraction(0)))
+    assert a.coeffs == (1, 2) and a.degree == 1 and a == QPoly((1, 2))
+    assert hash(a) == hash(QPoly((1, 2)))
+    assert str(a) == "2*q + 1"
+    # a constant hashes as the scalar it equals
+    assert hash(QPoly((5, 0))) == hash(5) and hash(QPoly((Fraction(1, 2),))) == hash(Fraction(1, 2))
+    assert {QPoly(()), 0, QPoly((3, 0)), 3} == {0, 3}

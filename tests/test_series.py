@@ -1,9 +1,12 @@
 """Truncated power series with exact rational coefficients."""
 
+import hashlib
+import json
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +52,8 @@ from power2 import power2_transform, verify_power2_product
 from qpoly_recurrence import qpoly_exact_quotient, qpoly_exp
 from series_powers import binomial_series, series_pow
 from stepwise_arithmetic import mobius_weighted_sums, sieved_mobius
+
+ROOT = Path(__file__).resolve().parents[1]
 
 x = sympy.Symbol("x")
 
@@ -783,6 +788,19 @@ def test_packed_exp_matches_the_qpoly_recurrence_at_order_40(seed):
     got, want = series_exp(TruncatedSeries(coeffs)).coeffs, qpoly_exp(coeffs)
     assert got == want
     assert [str(c) for c in got] == [str(c) for c in want]
+
+
+def test_landau_poly_in_q_at_60_is_the_benchmark_text(monkeypatch):
+    # the text the benchmark's landau-poly-in-q op checks by its digest
+    N = 60
+    twice = families._norm_twice_psi(families.CHI_MINUS_T, QPoly.q_power, N)
+    want = qpoly_exp([QPoly(())] + [twice[j] / (2 * j) for j in range(1, N + 1)])
+    monkeypatch.setattr(families, "_LANDAU_POLY_CACHE", [])
+    text = str(count_landau_poly_in_q(N))
+    assert text == str(want[N])
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text())
+    digest = reference["poly"]["landau-poly-in-q n=60"]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_count_landau_poly_in_q_matches_the_qpoly_recurrence():

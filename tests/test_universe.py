@@ -90,13 +90,20 @@ def reference_arrays(field, max_degree):
     return spf_gid, e1, cof_pos, prime_codes
 
 
+def expanded_gids(uni):
+    """Every degree's smallest-prime gids with the sentinel expanded, as the reference has them."""
+    return [uni.spf_gids(d) for d in range(len(uni.spf_gid))]
+
+
 def assert_matches_reference(uni, field, max_degree):
     spf_gid, e1, cof_pos, prime_codes = reference_arrays(field, max_degree)
-    for mine, ref in ((uni.spf_gid, spf_gid), (uni.e1, e1), (uni.cof_pos, cof_pos),
-                      ([uni.primes.codes], [prime_codes])):
+    for mine, ref in ((expanded_gids(uni), spf_gid), (uni.e1, e1), (uni.cof_pos, cof_pos)):
         for a, b in zip(mine, ref, strict=True):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+    # the reference keeps int64 codes; the table's are int32 below 2^31
+    assert uni.primes.codes.dtype == universe._index_dtype(field.q ** (max_degree + 1))
+    assert np.array_equal(uni.primes.codes, prime_codes)
 
 
 def test_code_roundtrip():
@@ -393,7 +400,7 @@ def test_sieve_slots_hold_smallest_prime_exact_power_and_full_factorization(q, m
     uni = Universe(field, max_deg)
     offsets = flat_offsets(q, max_deg)
     for d in range(1, max_deg + 1):
-        spf, e1 = uni.spf_gid[d], uni.e1[d]
+        spf, e1 = uni.spf_gids(d), uni.e1[d]
         # the cofactor's degree and index, decoded from its flat position
         cdeg = np.searchsorted(offsets, uni.cof_pos[d], side="right") - 1
         cidx = uni.cof_pos[d] - offsets[cdeg]
@@ -404,7 +411,7 @@ def test_sieve_slots_hold_smallest_prime_exact_power_and_full_factorization(q, m
         for kk in range(1, d):
             sel = composite & (cdeg == kk)
             # the cofactor's smallest prime comes after the slot's
-            assert (uni.spf_gid[kk][cidx[sel]] > spf[sel]).all()
+            assert (uni.spf_gids(kk)[cidx[sel]] > spf[sel]).all()
         for idx in np.flatnonzero(composite & (cdeg > 0)):
             prime = poly_of_code(field, int(uni.primes.codes[spf[idx]]))
             cof = poly_of_code(field, q ** int(cdeg[idx]) + int(cidx[idx]))
@@ -449,13 +456,16 @@ def test_row_chunks_of_a_few_rows_change_no_array_mask_or_residue(monkeypatch, q
     chunked = Universe(field, max_deg)
     spf_gid, e1, cof_pos, prime_codes = reference_arrays(field, max_deg)
     for mine, ref, unpatched in (
-        (chunked.spf_gid, spf_gid, whole.spf_gid), (chunked.e1, e1, whole.e1),
+        (expanded_gids(chunked), spf_gid, expanded_gids(whole)), (chunked.e1, e1, whole.e1),
         (chunked.cof_pos, cof_pos, whole.cof_pos),
-        ([chunked.primes.codes], [prime_codes], [whole.primes.codes]),
     ):
         for a, b, c in zip(mine, ref, unpatched, strict=True):
             assert a.dtype == b.dtype == c.dtype
             assert np.array_equal(a, b) and np.array_equal(a, c)
+    for a, c in zip((*chunked.spf_gid, chunked.primes.codes),
+                    (*whole.spf_gid, whole.primes.codes), strict=True):
+        assert a.dtype == c.dtype and np.array_equal(a, c)
+    assert np.array_equal(chunked.primes.codes, prime_codes)
     m = MonicPoly((1, 1, 1))
     specs = [FamilySpec(name, q=q) for name in ("s1", "s3")]
     specs.append(FamilySpec("arith", q=q, m=m.coeffs, a=(1,)))
@@ -524,3 +534,89 @@ def test_digit_and_index_types_at_their_edges():
     assert universe._index_dtype(2**31 + 1) is np.int64
     # under the default cap of 10^8 every cofactor index is int32
     assert universe._index_dtype(10**8) is np.int32
+
+
+def test_gid_types_at_their_edges():
+    # the sentinel, the type's maximum, exceeds every small prime's gid
+    for small, dtype in {0: np.uint8, 254: np.uint8, 255: np.uint16, 65534: np.uint16,
+                         65535: np.uint32}.items():
+        assert universe._gid_dtype(small) == dtype
+        assert np.iinfo(universe._gid_dtype(small)).max > small
+    for q, max_deg in ((2, 18), (3, 12), (5, 8), (9, 5), (263, 2)):
+        uni = get_universe(field_for_order(q), max_deg)
+        for d in range(1, max_deg + 1):
+            spf, small = uni.spf_gid[d], uni._prime_slices[d // 2].stop
+            sentinel = np.iinfo(spf.dtype).max
+            assert spf.dtype == universe._gid_dtype(small)
+            assert (spf[spf != sentinel] < small).all()
+            assert np.count_nonzero(spf == sentinel) == pi_q(q, d)
+    # F_3 to degree 12 (196 small primes) and F_5 to 8 (205) stay in one byte
+    assert get_universe(field_for_order(3), 12).spf_gid[12].dtype == np.uint8
+    assert get_universe(field_for_order(5), 8).spf_gid[8].dtype == np.uint8
+
+
+@pytest.mark.parametrize("q, max_deg", [(2, 11), (3, 7), (4, 5), (9, 3)])
+def test_expanded_ids_equal_the_first_write_reference_in_any_range(q, max_deg):
+    field = field_for_order(q)
+    uni = Universe(field, max_deg)
+    spf_gid = reference_arrays(field, max_deg)[0]
+    for d in range(1, max_deg + 1):
+        assert np.array_equal(uni.spf_gids(d), spf_gid[d])
+        # masks read them in row chunks: each range finds its primes' ranks
+        for step in (1, 7, q**d // 3 + 1):
+            parts = [uni.spf_gids(d, lo, lo + step) for lo in range(0, q**d, step)]
+            assert all(part.dtype == np.int32 for part in parts)
+            assert np.array_equal(np.concatenate(parts), spf_gid[d])
+
+
+def test_a_narrow_sentinel_below_the_sub_slice_still_pairs_with_it():
+    # at degree 7 over F_9, the degree-3 primes (gids 45..284) multiply the
+    # degree-4 cofactors, whose one-byte table marks its primes by 255
+    field = field_for_order(9)
+    uni = Universe(field, 7)
+    assert uni.spf_gid[4].dtype == np.uint8 and uni._prime_slices[3].stop > 255
+    for d in range(1, 8):
+        assert len(uni.primes_of_degree(d)) == pi_q(9, d)
+    rng = np.random.default_rng(0)
+    for idx in rng.choice(9**7, 20, replace=False).tolist():
+        expected = trial_division_factor(field, poly_of_code(field, 9**7 + idx))
+        assert sorted(uni.factor_chain(7, idx)) == sorted(
+            (code_of(field, prime.coeffs), mult) for prime, mult in expected.factors)
+
+
+def test_prime_table_types_at_their_edges():
+    field = field_for_order(2)
+    # degree-30 codes are below 2^31; one degree more needs int64
+    table = PrimeTable(field, np.array([2**30 + 3], dtype=np.int64), np.array([30]))
+    assert table.codes.dtype == np.int32 and table.prime_deg.dtype == np.uint8
+    table.append(np.array([2**31 + 9]), 31)
+    assert table.codes.dtype == np.int64
+    assert table.codes.tolist() == [2**30 + 3, 2**31 + 9] and table.prime_deg.tolist() == [30, 31]
+    assert PrimeTable(field, np.array([2**31 + 9]), np.array([31])).codes.dtype == np.int64
+    for q, degree, dtype in ((5, 2, np.uint8), (2, 8, np.uint8), (2, 9, np.uint16),
+                             (3, 40, np.uint64), (2, 64, np.uint64), (2, 65, np.int64)):
+        assert universe._residue_dtype(q, degree) == dtype
+    uni = Universe(field_for_order(3), 6)
+    assert uni.primes.codes.dtype == np.int32 and uni.primes.prime_deg.dtype == np.uint8
+    residues = uni.primes.prime_residues(MonicPoly((1, 0, 1)))
+    assert residues.dtype == np.uint8 and int(residues.max()) < 9
+    uni.extend_to(7)  # the cached residues grow in their own type
+    assert uni.primes.prime_residues(MonicPoly((1, 0, 1))).dtype == np.uint8
+
+
+def test_places_rule_takes_any_r_on_one_byte_degrees():
+    # r past 255 is not a uint8: the rule reads the degrees in int64
+    field = field_for_order(3)
+    fact = ffield.factor(field, MonicPoly((1, 0, 1)))  # T^2 + 1, a prime
+    for r, member in ((2, True), (3, False), (300, False)):
+        spec = FamilySpec(canonical_family("divisors"), l_poly=families.genus_zero(3), r=r)
+        assert membership_oracle(field, fact, spec) is member
+
+
+def test_spf_gid_keeps_the_shape_the_benchmark_counts():
+    # the benchmark's polys_sieved counter sums len(spf) over Universe.spf_gid
+    for q, max_deg in ((2, 9), (3, 6)):
+        uni = Universe(field_for_order(q), max_deg)
+        assert isinstance(uni.spf_gid, list) and len(uni.spf_gid) == max_deg + 1
+        assert [len(spf) for spf in uni.spf_gid] == [0] + [q**d for d in range(1, max_deg + 1)]
+        assert sum(len(spf) for spf in uni.spf_gid) == sum(q**d for d in range(1, max_deg + 1))

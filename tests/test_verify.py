@@ -1,5 +1,6 @@
 """The self-check suites: all pass, deterministically."""
 
+import hashlib
 import random
 
 import pytest
@@ -79,3 +80,27 @@ def test_a_sampled_round_factors_each_polynomial_once(monkeypatch):
     monkeypatch.setattr(ffield, "factor", counting)
     agree, size = verify._sample_agrees(random.Random(0), FamilySpec("landau", q=3), 4)
     assert agree == size == len(calls) == len(set(calls)) == 64
+
+
+def test_chi2_draws_pick_what_a_choice_from_the_list_would():
+    # random.choice draws one _randbelow(len) either way
+    field = ffield.field_for_order(5)
+    for seed in range(4):
+        listed, indexed = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            d = listed.randint(1, 3)
+            assert indexed.randint(1, 3) == d
+            assert (ffield.monic_at(field, d, indexed.choice(range(5**d)))
+                    == listed.choice(ffield.enumerate_monic(field, d)))
+        assert indexed.random() == listed.random()
+
+
+@pytest.mark.parametrize("seed, digest", [
+    # the identities reports as the listed draws rendered them
+    (0, "4ab292a0dccdbd4ec45f1cfde2f70549b3015acb7b067e4fb24122c217755860"),
+    (1, "a2fa6c9eca85da029a747f7fddbb894dab1f23f96555d1878eeed735e0e76272"),
+    (2, "e5fc3614ca612e201b71e38af9b0903e23e70c6c7c781ba6c6a67ba8670869ea"),
+])
+def test_identities_report_is_unchanged_by_indexed_draws(seed, digest):
+    text = run_suite("identities", seed=seed).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
